@@ -1,142 +1,15 @@
 (* Benchmark harness.
 
-   Default mode regenerates every table and figure of the paper from one
-   shared experiment harness and prints them — this is the output
+   Regenerates every table and figure of the paper from one shared
+   experiment harness and prints them — this is the output
    recorded in bench_output.txt / EXPERIMENTS.md.  The harness evaluates
    its (app × scheme × config) jobs across a domain pool; `--jobs N`
    (or CRITICS_JOBS) sets the width, default
    Domain.recommended_domain_count.  Per-artifact wall-clock timings are
    written to BENCH_results.json so successive PRs have a perf
-   trajectory to compare against.
+   trajectory to compare against. *)
 
-   `--micro` instead runs one Bechamel micro-benchmark per table/figure,
-   timing the computational kernel behind each artifact (simulation,
-   profiling, transformation, analysis). *)
-
-let instrs =
-  ref
-    (match Sys.getenv_opt "CRITICS_BENCH_INSTRS" with
-    | Some s -> int_of_string s
-    | None -> 100_000)
-
-(* ------------------------- micro benchmarks ----------------------- *)
-
-let micro () =
-  let open Bechamel in
-  let app name = Option.get (Workload.Apps.find name) in
-  (* Small shared inputs so each Test.make times one kernel. *)
-  let ctx = Critics.Run.prepare ~instrs:8_000 (app "Acrobat") in
-  let spec_ctx = Critics.Run.prepare ~instrs:8_000 (app "lbm") in
-  let critic_program = Critics.Run.transformed ctx Critics.Scheme.Critic in
-  let run_cfg cfg src () = ignore (Pipeline.Cpu.run_stream cfg src) in
-  let base_src c = Critics.Run.source c Critics.Scheme.Baseline in
-  let tests =
-    [
-      (* Table I/II: configuration & workload construction *)
-      Test.make ~name:"tab1.describe"
-        (Staged.stage (fun () ->
-             ignore (Pipeline.Config.describe Pipeline.Config.table_i)));
-      Test.make ~name:"tab2.generate"
-        (Staged.stage (fun () -> ignore (Workload.Gen.program (app "Music"))));
-      (* Fig 1: baseline criticality mechanisms *)
-      Test.make ~name:"fig1.prefetch_run"
-        (Staged.stage
-           (run_cfg
-              (Pipeline.Config.with_critical_load_prefetch
-                 Pipeline.Config.table_i)
-              (base_src spec_ctx)));
-      Test.make ~name:"fig1.prioritize_run"
-        (Staged.stage
-           (run_cfg
-              (Pipeline.Config.with_backend_prio Pipeline.Config.table_i)
-              (base_src spec_ctx)));
-      (* Fig 2/4: list scheduling *)
-      Test.make ~name:"fig2.schedule"
-        (Staged.stage (fun () ->
-             ignore (Experiments.Worked_example.example ())));
-      (* Fig 3: baseline simulation with stage accounting *)
-      Test.make ~name:"fig3.baseline_run"
-        (Staged.stage (run_cfg Pipeline.Config.table_i (base_src ctx)));
-      (* Fig 5: offline profiling (DFG + IC enumeration) *)
-      Test.make ~name:"fig5.profile"
-        (Staged.stage (fun () ->
-             ignore
-               (Profiler.Profile_run.profile_stream
-                  ~total_events:ctx.event_count
-                  (Critics.Run.stream ctx Critics.Scheme.Baseline))));
-      (* Fig 8/10: the compiler pass and transformed-run kernels *)
-      Test.make ~name:"fig8.branch_pass"
-        (Staged.stage (fun () ->
-             ignore
-               (Transform.Critic_pass.apply
-                  ~options:
-                    {
-                      Transform.Critic_pass.default_options with
-                      mode = Branches;
-                    }
-                  ctx.db ctx.program)));
-      Test.make ~name:"fig10.critic_pass"
-        (Staged.stage (fun () ->
-             ignore (Transform.Critic_pass.apply ctx.db ctx.program)));
-      Test.make ~name:"fig10.critic_run"
-        (Staged.stage (fun () ->
-             ignore
-               (Pipeline.Cpu.run_stream Pipeline.Config.table_i (fun () ->
-                    Prog.Trace.Stream.of_program critic_program ~seed:ctx.seed
-                      ctx.path))));
-      (* Fig 11: a hardware-variant simulation *)
-      Test.make ~name:"fig11.allhw_run"
-        (Staged.stage
-           (run_cfg
-              (Pipeline.Config.all_hw Pipeline.Config.table_i)
-              (base_src ctx)));
-      (* Fig 12: partial profiling *)
-      Test.make ~name:"fig12.partial_profile"
-        (Staged.stage (fun () ->
-             ignore
-               (Profiler.Profile_run.profile_stream ~fraction:0.5
-                  ~total_events:ctx.event_count
-                  (Critics.Run.stream ctx Critics.Scheme.Baseline))));
-      (* Fig 13: the criticality-agnostic passes *)
-      Test.make ~name:"fig13.opp16"
-        (Staged.stage (fun () -> ignore (Transform.Thumb.opp16 ctx.program)));
-      Test.make ~name:"fig13.compress"
-        (Staged.stage (fun () -> ignore (Transform.Thumb.compress ctx.program)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"critics" ~fmt:"%s.%s" tests in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:100 ~quota:(Time.second 0.25) ~kde:(Some 10) ()
-    in
-    let raw = Benchmark.all cfg instances grouped in
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = benchmark () in
-  Printf.printf "%-34s %16s\n" "kernel" "time/run";
-  Printf.printf "%s\n" (String.make 52 '-');
-  List.iter
-    (fun tbl ->
-      let rows = ref [] in
-      Hashtbl.iter
-        (fun name result ->
-          let time =
-            match Analyze.OLS.estimates result with
-            | Some (t :: _) -> t
-            | _ -> nan
-          in
-          rows := (name, time) :: !rows)
-        tbl;
-      List.iter
-        (fun (name, time) -> Printf.printf "%-34s %13.0f ns\n" name time)
-        (List.sort compare !rows))
-    results
-
-(* ------------------------- table regeneration --------------------- *)
+let instrs = ref 100_000
 
 (* One artifact's measurement: wall clock plus the GC's view of the
    work — words promoted to the major heap while the artifact ran, and
@@ -243,20 +116,6 @@ let json_results ~jobs ~total_ms ?(telemetry = []) ?(fetch = []) ?cache
     timings;
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
-
-(* Crash-safe write: a kill mid-write must never leave a truncated
-   BENCH_results.json that validate_smoke would half-parse. *)
-let atomic_write path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc contents;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
 
 let results_path = "BENCH_results.json"
 let journal_path = "BENCH_journal.jsonl"
@@ -420,7 +279,9 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
       ~fetch:(List.rev !fetch_summaries) ?cache:cache_json
       ?policy_lab:policy_lab_json merged
   in
-  atomic_write results_path json;
+  (* Crash-safe write: a kill mid-write must never leave a truncated
+     BENCH_results.json that validate_smoke would half-parse. *)
+  Util.Atomic_io.write results_path json;
   Printf.eprintf "[bench] jobs=%d total=%.1fs — timings in %s\n" jobs
     (total_ms /. 1000.0) results_path;
   (match cache with
@@ -443,14 +304,12 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
 
 let usage () =
   prerr_endline
-    "usage: bench [--micro] [--jobs N] [--instrs N] [--resume] \
-     [--telemetry] [--ablation] [--policy-sweep]\n\n\
-     Regenerates every table and figure (default) or runs the Bechamel\n\
-     micro-benchmarks (--micro).\n\n\
+    "usage: bench [--jobs N] [--instrs N] [--resume] [--telemetry] \
+     [--ablation] [--policy-sweep]\n\n\
+     Regenerates every table and figure.\n\n\
     \  --jobs N    domain-pool width (default: recommended domain count,\n\
     \              or CRITICS_JOBS)\n\
-    \  --instrs N  dynamic work instructions per app run (default: 100000,\n\
-    \              or CRITICS_BENCH_INSTRS)\n\
+    \  --instrs N  dynamic work instructions per app run (default: 100000)\n\
     \  --resume    skip artifacts already journaled in BENCH_journal.jsonl\n\
     \              (e.g. after a killed run) and merge their recorded\n\
     \              measurements into BENCH_results.json\n\
@@ -471,7 +330,6 @@ let () =
     Printf.eprintf "bench: bad %s value %S\n\n" what v;
     usage ()
   in
-  let micro_mode = ref false in
   let resume = ref false in
   let telemetry = ref false in
   let ablation = ref false in
@@ -484,9 +342,6 @@ let () =
   in
   let rec parse = function
     | [] -> ()
-    | "--micro" :: rest ->
-      micro_mode := true;
-      parse rest
     | "--resume" :: rest ->
       resume := true;
       parse rest
@@ -519,7 +374,5 @@ let () =
       usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !micro_mode then micro ()
-  else
-    tables ~jobs:!jobs ~resume:!resume ~telemetry:!telemetry
-      ~ablation:!ablation ~policy_sweep:!policy_sweep ()
+  tables ~jobs:!jobs ~resume:!resume ~telemetry:!telemetry ~ablation:!ablation
+    ~policy_sweep:!policy_sweep ()

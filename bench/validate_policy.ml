@@ -15,7 +15,7 @@
 
    Exit 0 iff all pass. *)
 
-open Json_min
+open Util.Json
 
 let policies = [ "lru"; "srrip"; "brrip"; "trrip" ]
 let prefetchers = [ "none"; "next_line"; "fetch_directed" ]
@@ -29,7 +29,7 @@ let () =
       exit 2
   in
   let results =
-    try parse (read_file results_path)
+    try parse (Util.Atomic_io.read_file results_path)
     with
     | Parse_error msg ->
       Printf.eprintf "FAIL results: %s does not parse: %s\n" results_path msg;

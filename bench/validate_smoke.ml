@@ -13,7 +13,7 @@
    smoke-budget run; regenerate it by copying the fields from a fresh
    BENCH_results.json when the engine legitimately changes speed. *)
 
-open Json_min
+open Util.Json
 
 let () =
   let results_path, envelope_path =
@@ -24,7 +24,7 @@ let () =
       exit 2
   in
   let load label path =
-    try parse (read_file path)
+    try parse (Util.Atomic_io.read_file path)
     with
     | Parse_error msg ->
       Printf.eprintf "FAIL %s: %s does not parse: %s\n" label path msg;

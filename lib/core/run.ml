@@ -9,14 +9,6 @@ type scheme_cache = {
      between transformed schemes. *)
   mutable entries : (Scheme.t * Prog.Program.t) list;
   mutable transforms : int;
-  (* Opened trace packs (mmap handles) and their record/replay
-     bookkeeping; packs are tiny resident state (a map + counters), so
-     they are not LRU-bounded like transformed programs. *)
-  mutable packs : (Scheme.t * Prog.Trace.Pack.t) list;
-  mutable pack_replays : int;
-  mutable pack_records : int;
-  mutable pack_corrupt : int;
-  mutable pack_bytes : int;
   (* Per-scheme block-temperature tables for the TRRIP i-cache policy:
      a few bytes per block, so not LRU-bounded.  Derived state, never
      marshalled with the context payload. *)
@@ -74,33 +66,7 @@ let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
     context_key ~instrs ~sample ~profile_window ?threshold ~profile_fraction
       profile
   in
-  let pack (program, seed, path, event_count, db) =
-    let scheme_cache =
-      {
-        cache_lock = Mutex.create ();
-        entries = [];
-        transforms = 0;
-        packs = [];
-        pack_replays = 0;
-        pack_records = 0;
-        pack_corrupt = 0;
-        pack_bytes = 0;
-        heats = [];
-      }
-    in
-    {
-      profile;
-      program;
-      seed;
-      path;
-      event_count;
-      db;
-      scheme_cache;
-      store;
-      ckey = Store.key_digest key;
-    }
-  in
-  let build () =
+  let build () : context_payload =
     let program = Workload.Gen.program profile in
     let seed = (profile.seed lxor 0x5EED) + (sample * 0x1000193) in
     let path = Prog.Walk.path_for_instrs program ~seed ~instrs in
@@ -110,21 +76,26 @@ let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
         ~fraction:profile_fraction ~total_events:event_count
         (Prog.Trace.Stream.of_program program ~seed path)
     in
-    let payload : context_payload = (program, seed, path, event_count, db) in
-    (match store with
-    | Some st -> Store.add st key (Marshal.to_string payload [])
-    | None -> ());
-    pack payload
+    (program, seed, path, event_count, db)
   in
-  match store with
-  | None -> build ()
-  | Some st -> (
-    match Store.find st key with
-    | None -> build ()
-    | Some bytes -> (
-      match (Marshal.from_string bytes 0 : context_payload) with
-      | payload -> pack payload
-      | exception _ -> build ()))
+  let program, seed, path, event_count, db = Store.memo store key build in
+  {
+    profile;
+    program;
+    seed;
+    path;
+    event_count;
+    db;
+    scheme_cache =
+      {
+        cache_lock = Mutex.create ();
+        entries = [];
+        transforms = 0;
+        heats = [];
+      };
+    store;
+    ckey = Store.key_digest key;
+  }
 
 let rec transformed ctx (scheme : Scheme.t) =
   let critic ?(options = Transform.Critic_pass.default_options) () =
@@ -172,27 +143,20 @@ let rec transformed ctx (scheme : Scheme.t) =
   (* Store-backed layer under the in-memory memo: a transformed program
      is a deterministic function of the prepared context (ckey) and the
      scheme, so warm runs load its marshalled bytes instead of
-     re-running the compiler pipeline. *)
-  (* Returns [(program, ran_compiler)] so the memo below can keep
-     [transforms] an honest count of compiler-pipeline executions:
-     store-served programs don't run the pipeline. *)
+     re-running the compiler pipeline.  Returns [(program,
+     ran_compiler)] so the memo below can keep [transforms] an honest
+     count of compiler-pipeline executions: store-served programs don't
+     run the pipeline. *)
   let materialize () =
-    match ctx.store with
-    | None -> (compute (), true)
-    | Some st -> (
-      let k = Store.key ~kind:"program" [ ctx.ckey; Scheme.name scheme ] in
-      match Store.find st k with
-      | Some bytes -> (
-        match (Marshal.from_string bytes 0 : Prog.Program.t) with
-        | p -> (p, false)
-        | exception _ ->
-          let p = compute () in
-          Store.add st k (Marshal.to_string p []);
-          (p, true))
-      | None ->
-        let p = compute () in
-        Store.add st k (Marshal.to_string p []);
-        (p, true))
+    let ran = ref false in
+    let p : Prog.Program.t =
+      Store.memo ctx.store
+        (Store.key ~kind:"program" [ ctx.ckey; Scheme.name scheme ])
+        (fun () ->
+          ran := true;
+          compute ())
+    in
+    (p, !ran)
   in
   match scheme with
   | Scheme.Baseline -> ctx.program
@@ -232,125 +196,9 @@ let rec transformed ctx (scheme : Scheme.t) =
 
 let transform_count ctx = ctx.scheme_cache.transforms
 
-(* ------------------------------------------------------------------ *)
-(* Trace record/replay.
-
-   With packing enabled and a store attached, a scheme's dynamic event
-   stream is recorded once into a compact binary pack
-   (Prog.Trace.Pack) keyed by (context key x scheme) — the context key
-   already fingerprints program, seed, path and budget — and every
-   subsequent stream request replays the mmap-ed file instead of
-   re-walking the program.  Replay is bit-identical to the live walk
-   (differential-locked), so results are unchanged; what changes is the
-   cost: no per-event address generation, O(batch) replay memory at any
-   budget.  Off by default: recording costs disk (32 bytes/event). *)
-
-(* Read per call (not latched): tests toggle the variable with
-   [Unix.putenv] around individual runs, and the cost is one getenv per
-   stream request. *)
-let pack_enabled_env () =
-  match Sys.getenv_opt "CRITICS_TRACE_PACK" with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | Some _ | None -> false
-
-type pack_stats = {
-  replays : int;  (** cursors served from a mapped pack *)
-  records : int;  (** pack files recorded (first-run cost) *)
-  corrupt : int;  (** packs that failed verification (fell back live) *)
-  bytes : int;    (** total file bytes of packs opened for replay *)
-}
-
-let pack_stats ctx =
-  let c = ctx.scheme_cache in
-  Mutex.lock c.cache_lock;
-  let s =
-    {
-      replays = c.pack_replays;
-      records = c.pack_records;
-      corrupt = c.pack_corrupt;
-      bytes = c.pack_bytes;
-    }
-  in
-  Mutex.unlock c.cache_lock;
-  s
-
-let live_stream ctx scheme =
+let stream ctx scheme =
   Prog.Trace.Stream.of_program (transformed ctx scheme) ~seed:ctx.seed
     ctx.path
-
-let pack_for ctx scheme =
-  match ctx.store with
-  | None -> None
-  | Some st when pack_enabled_env () -> (
-    let c = ctx.scheme_cache in
-    Mutex.lock c.cache_lock;
-    let cached = List.assoc_opt scheme c.packs in
-    Mutex.unlock c.cache_lock;
-    match cached with
-    | Some p -> Some p
-    | None ->
-      let key = Store.key ~kind:"tracepack" [ ctx.ckey; Scheme.name scheme ] in
-      let open_verified () =
-        match Store.find_blob st key with
-        | None -> None
-        | Some path -> (
-          match Prog.Trace.Pack.open_file path with
-          | Ok p -> Some p
-          | Error _ ->
-            (* Counted like any corrupt store entry, then removed: the
-               next request re-records; this one walks live. *)
-            Store.remove_blob st key;
-            Mutex.lock c.cache_lock;
-            c.pack_corrupt <- c.pack_corrupt + 1;
-            Mutex.unlock c.cache_lock;
-            None)
-      in
-      let record () =
-        let program = transformed ctx scheme in
-        let ok =
-          Store.add_blob st key (fun tmp ->
-              ignore
-                (Prog.Trace.Pack.record ~path:tmp
-                   (Prog.Trace.Stream.of_program program ~seed:ctx.seed
-                      ctx.path)))
-        in
-        if ok then begin
-          Mutex.lock c.cache_lock;
-          c.pack_records <- c.pack_records + 1;
-          Mutex.unlock c.cache_lock;
-          open_verified ()
-        end
-        else None
-      in
-      let opened =
-        match open_verified () with Some p -> Some p | None -> record ()
-      in
-      (match opened with
-      | None -> None
-      | Some p -> (
-        Mutex.lock c.cache_lock;
-        (* A concurrent domain may have opened its own handle; keep the
-           first and let the duplicate mapping be collected. *)
-        match List.assoc_opt scheme c.packs with
-        | Some winner ->
-          Mutex.unlock c.cache_lock;
-          Some winner
-        | None ->
-          c.packs <- (scheme, p) :: c.packs;
-          c.pack_bytes <- c.pack_bytes + Prog.Trace.Pack.file_bytes p;
-          Mutex.unlock c.cache_lock;
-          Some p)))
-  | Some _ -> None
-
-let stream ctx scheme =
-  match pack_for ctx scheme with
-  | None -> live_stream ctx scheme
-  | Some p ->
-    let c = ctx.scheme_cache in
-    Mutex.lock c.cache_lock;
-    c.pack_replays <- c.pack_replays + 1;
-    Mutex.unlock c.cache_lock;
-    Prog.Trace.Pack.cursor p (transformed ctx scheme)
 
 let source ctx scheme : Pipeline.Cpu.source = fun () -> stream ctx scheme
 

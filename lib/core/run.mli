@@ -81,27 +81,9 @@ val transform_count : app_context -> int
 
 val stream : app_context -> Scheme.t -> Prog.Trace.Stream.cursor
 (** A fresh cursor over the scheme's event stream — the scheme's
-    program expanded lazily over the *same* block path.
-
-    With [CRITICS_TRACE_PACK=1] and a store attached, the stream is
-    recorded once into a compact binary pack ([Prog.Trace.Pack], keyed
-    by context key × scheme in the store) and every subsequent cursor
-    replays the mmap-ed file — bit-identical to the live walk
-    (differential-locked), with no per-event address generation and
-    O(batch) replay memory at any budget.  A pack that fails
-    verification is removed, counted, and the stream falls back to the
-    live walk. *)
-
-type pack_stats = {
-  replays : int;  (** cursors served from a mapped pack *)
-  records : int;  (** pack files recorded (first-run cost) *)
-  corrupt : int;  (** packs that failed verification (fell back live) *)
-  bytes : int;    (** total file bytes of packs opened for replay *)
-}
-
-val pack_stats : app_context -> pack_stats
-(** Record/replay counters for this context (all zero unless packing is
-    enabled). *)
+    program expanded lazily over the *same* block path.  Always the
+    live walk: streams are never cached.  [critics_cli trace pack]
+    records one to disk with [Prog.Trace.Pack.record]. *)
 
 val source : app_context -> Scheme.t -> Pipeline.Cpu.source
 (** The replayable form of {!stream}, as the simulator consumes it. *)

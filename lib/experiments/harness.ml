@@ -71,6 +71,10 @@ let config_fingerprint (config : Pipeline.Config.t) =
 
 let default_fingerprint = config_fingerprint Pipeline.Config.table_i
 
+let fingerprint_of = function
+  | None -> default_fingerprint
+  | Some c -> config_fingerprint c
+
 let result_key (profile : Workload.Profile.t) scheme fingerprint =
   Printf.sprintf "%s/%s/%s" profile.name (Critics.Scheme.name scheme)
     fingerprint
@@ -148,38 +152,27 @@ let context t (profile : Workload.Profile.t) =
 let simulate t ?config ?fuel ~key ctx scheme =
   match t.telemetry with
   | None -> (
-    match (t.store, fuel) with
-    | None, _ | _, Some _ ->
-      (* No store, or a fuel budget: run live.  A cached entry proves
-         some unbounded run completed — returning it under a small fuel
-         budget would mask the abort the caller asked for (the
-         supervised stall faults depend on that abort). *)
+    match fuel with
+    | Some _ ->
+      (* A fuel budget runs live.  A cached entry proves some unbounded
+         run completed — returning it under a small fuel budget would
+         mask the abort the caller asked for (the supervised stall
+         faults depend on that abort). *)
       Critics.Run.stats ?config ?fuel ctx scheme
-    | Some st, None -> (
+    | None ->
       (* Store-backed layer under the in-memory memo: a completed
          simulation is a deterministic function of the prepared context
          (ckey), the scheme and the machine configuration, so warm runs
-         deserialize the stats instead of simulating. *)
-      let fp =
-        match config with
-        | None -> default_fingerprint
-        | Some c -> config_fingerprint c
-      in
-      let k =
-        Store.key ~kind:"stats"
-          [ ctx.Critics.Run.ckey; Critics.Scheme.name scheme; fp ]
-      in
-      let run_and_add () =
-        let s = Critics.Run.stats ?config ctx scheme in
-        Store.add st k (Marshal.to_string s []);
-        s
-      in
-      match Store.find st k with
-      | None -> run_and_add ()
-      | Some bytes -> (
-        match (Marshal.from_string bytes 0 : Pipeline.Stats.t) with
-        | s -> s
-        | exception _ -> run_and_add ())))
+         deserialize the stats instead of simulating.  Without a store
+         this just simulates. *)
+      Store.memo t.store
+        (Store.key ~kind:"stats"
+           [
+             ctx.Critics.Run.ckey;
+             Critics.Scheme.name scheme;
+             fingerprint_of config;
+           ])
+        (fun () : Pipeline.Stats.t -> Critics.Run.stats ?config ctx scheme))
   | Some window ->
     let probe = Telemetry.Probe.create ~window () in
     let st = Critics.Run.stats ?config ?fuel ~probe ctx scheme in
@@ -190,12 +183,7 @@ let simulate t ?config ?fuel ~key ctx scheme =
 
 let stats t ?config_name ?config (profile : Workload.Profile.t) scheme =
   ignore config_name;
-  let fingerprint =
-    match config with
-    | None -> default_fingerprint
-    | Some c -> config_fingerprint c
-  in
-  let key = result_key profile scheme fingerprint in
+  let key = result_key profile scheme (fingerprint_of config) in
   Mutex.lock t.lock;
   let cached = Hashtbl.find_opt t.results key in
   Mutex.unlock t.lock;
@@ -210,12 +198,7 @@ let stats t ?config_name ?config (profile : Workload.Profile.t) scheme =
     st
 
 let probe_for t ?config (profile : Workload.Profile.t) scheme =
-  let fingerprint =
-    match config with
-    | None -> default_fingerprint
-    | Some c -> config_fingerprint c
-  in
-  let key = result_key profile scheme fingerprint in
+  let key = result_key profile scheme (fingerprint_of config) in
   Mutex.lock t.lock;
   let p = Hashtbl.find_opt t.probes key in
   Mutex.unlock t.lock;
@@ -283,28 +266,6 @@ let cache_registry t =
   Telemetry.Registry.add
     (Telemetry.Registry.counter reg "harness/context_evict")
     (context_evictions t);
-  (* Trace-pack record/replay counters, summed over resident contexts.
-     (Contexts evicted from the LRU take their counters with them; the
-     store's own hit/miss counters above remain cumulative.) *)
-  let packs =
-    Mutex.lock t.lock;
-    let l = Hashtbl.fold (fun _ ctx acc -> ctx :: acc) t.contexts [] in
-    Mutex.unlock t.lock;
-    List.map Critics.Run.pack_stats l
-  in
-  let sum f = List.fold_left (fun a p -> a + f p) 0 packs in
-  Telemetry.Registry.add
-    (Telemetry.Registry.counter reg "trace_pack/replays")
-    (sum (fun (p : Critics.Run.pack_stats) -> p.replays));
-  Telemetry.Registry.add
-    (Telemetry.Registry.counter reg "trace_pack/records")
-    (sum (fun (p : Critics.Run.pack_stats) -> p.records));
-  Telemetry.Registry.add
-    (Telemetry.Registry.counter reg "trace_pack/corrupt")
-    (sum (fun (p : Critics.Run.pack_stats) -> p.corrupt));
-  Telemetry.Registry.add
-    (Telemetry.Registry.counter reg "trace_pack/bytes")
-    (sum (fun (p : Critics.Run.pack_stats) -> p.bytes));
   reg
 
 let telemetry_registry t =

@@ -67,10 +67,8 @@ val context_evictions : t -> int
 val cache_registry : t -> Telemetry.Registry.t
 (** Cache-effectiveness counters as a telemetry registry: the attached
     store's [store/hit], [store/miss], [store/write], [store/corrupt]
-    and [store/bytes] series (when a store is attached), the trace-pack
-    record/replay counters summed over resident contexts
-    ([trace_pack/replays], [trace_pack/records], [trace_pack/corrupt],
-    [trace_pack/bytes] — see {!Critics.Run.pack_stats}), plus
+    and [store/bytes] series (when a store is attached — contexts,
+    transformed programs and stats all go through {!Store.memo}), plus
     [harness/context_evict]. *)
 
 val pool : t -> Parallel.Pool.t

@@ -368,8 +368,7 @@ module Pack = struct
      bit1 taken, bit2 fetch_break) | pad 3 | mem_addr i64 (-1 = none).
      [seq] is the record index; [size], [func] and the [instr] pointer
      are resolved from the program at replay, so a pack is only
-     meaningful against the exact program it was recorded from — the
-     store key (context key x scheme) enforces that.
+     meaningful against the exact program it was recorded from.
 
      Replay maps the file with [Unix.map_file]: the payload stays in the
      page cache (no read copies), decoding works in unboxed ints, and

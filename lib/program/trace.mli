@@ -78,8 +78,8 @@ module Pack : sig
       A pack stores only the dynamic side (uids, addresses, outcomes);
       instruction pointers, sizes and functions are resolved from the
       program at replay, so a pack must be replayed against the exact
-      program it was recorded from.  Callers caching packs through the
-      store key them by (context key, scheme) to enforce that. *)
+      program it was recorded from; the file does not record which
+      program that was. *)
 
   type t
 

@@ -187,60 +187,21 @@ let add t k payload =
     t.writes <- t.writes + 1
   with Sys_error _ | Unix.Unix_error _ -> ()
 
-(* Raw caller-verified blobs.  Some artifacts — mmap-replayed trace
-   packs — must live as standalone files in their final format rather
-   than as string payloads behind a header line.  The store still owns
-   naming (key → path), atomic installation and orphan sweeping;
-   content integrity is the caller's, whose format is self-verifying
-   (Prog.Trace.Pack frames, versions and digests itself).  A caller
-   that finds a blob corrupt hands it back through [remove_blob] so the
-   corruption is counted like any other. *)
-
-let find_blob t k =
-  let path = path_of t k in
-  if Sys.file_exists path then begin
-    t.hits <- t.hits + 1;
-    Some path
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    None
-  end
-
-let blob_seq = Atomic.make 0
-
-let add_blob t k produce =
-  let path = path_of t k in
-  (* Unique per producer: concurrent domains (or processes) recording
-     the same key must not interleave writes into one temp file; each
-     renames its own complete file, last one wins. *)
-  let tmp =
-    Printf.sprintf "%s.%d-%d.tmp" path (Unix.getpid ())
-      (Atomic.fetch_and_add blob_seq 1)
+let memo t k compute =
+  let recompute st =
+    let v = compute () in
+    add st k (Marshal.to_string v []);
+    v
   in
-  try
-    mkdir_p (Filename.concat t.dir k.kind);
-    produce tmp;
-    (* Same durability contract as [add]: fsync the produced blob
-       before the rename and the directory after it.  Opened for
-       writing — some platforms refuse fsync on a read-only fd — and a
-       failed fsync propagates to the handler below, so the install is
-       reported failed rather than silently non-durable. *)
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY ] 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () -> Unix.fsync fd);
-    Unix.rename tmp path;
-    Util.Atomic_io.fsync_dir (Filename.dirname path);
-    t.writes <- t.writes + 1;
-    true
-  with Sys_error _ | Unix.Unix_error _ ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    false
-
-let remove_blob t k =
-  t.corrupt <- t.corrupt + 1;
-  quarantine t k
+  match t with
+  | None -> compute ()
+  | Some st -> (
+    match find st k with
+    | None -> recompute st
+    | Some bytes -> (
+      match Marshal.from_string bytes 0 with
+      | v -> v
+      | exception _ -> recompute st))
 
 type stats = { hits : int; misses : int; writes : int; corrupt : int }
 

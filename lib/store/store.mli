@@ -81,34 +81,18 @@ val add : t -> key -> string -> unit
     wins).  I/O failures are swallowed: a read-only or full cache
     directory degrades to recompute-every-time, never to a crash. *)
 
-(** {2 Raw blobs}
-
-    Caller-verified standalone files for artifacts that must keep their
-    own on-disk format (e.g. mmap-replayed trace packs, which are
-    length-framed, versioned and digest-verified by
-    [Prog.Trace.Pack] itself).  The store owns naming, atomic
-    installation and [*.tmp] orphan sweeping; content verification is
-    the caller's. *)
-
-val find_blob : t -> key -> string option
-(** Path of the blob for [key] if one is installed (counted as a hit),
-    else [None] (a miss).  The caller verifies the content; if it is
-    corrupt, report it back via {!remove_blob} and recompute. *)
-
-val add_blob : t -> key -> (string -> unit) -> bool
-(** [add_blob t k produce] calls [produce tmp_path] to write the blob,
-    then atomically renames it into place (last writer wins).  Returns
-    [false] — removing any partial temp file — if production or
-    installation failed; like {!add}, failures never escape. *)
-
-val remove_blob : t -> key -> unit
-(** Quarantine a blob the caller found corrupt; counted under
-    [corrupt]. *)
+val memo : t option -> key -> (unit -> 'a) -> 'a
+(** [memo store k compute] is the single path for saving and reloading
+    an artifact: {!find}, then unmarshal; on a miss, or on a payload
+    that verifies against its header but that [Marshal] cannot decode,
+    it runs [compute], marshals the value and {!add}s it under [k].
+    With [None] it just runs [compute].  Marshal is untyped: every key
+    of one kind must be read back at the type it was written at. *)
 
 (** {2 Introspection} *)
 
 val quarantine_dir : t -> string
-(** [<dir>/corrupt/], where corrupt entries and blobs are moved so
+(** [<dir>/corrupt/], where corrupt entries are moved so
     chaos- or crash-found corruption stays post-mortem-able.  Bounded
     by the open-time [quarantine_limit]: past it the oldest (mtime,
     then name) quarantined file is evicted.  Quarantined files are not

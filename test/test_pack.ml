@@ -1,6 +1,5 @@
-(* Binary trace packs: container framing, digest verification,
-   mmap replay fidelity, and the Run-level record/replay path with its
-   corruption fallback (mirroring test_store's corruption contract). *)
+(* Binary trace packs: container framing, digest verification and
+   mmap replay fidelity. *)
 
 module Pack = Prog.Trace.Pack
 module Stream = Prog.Trace.Stream
@@ -8,37 +7,11 @@ module Stream = Prog.Trace.Stream
 let app name = Option.get (Workload.Apps.find name)
 let small_instrs = 2_000
 
-let fresh_dir () =
-  let path = Filename.temp_file "critics-pack" "" in
-  Sys.remove path;
-  Unix.mkdir path 0o755;
-  path
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
-let with_store f =
-  let dir = fresh_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () -> f dir (Store.open_dir dir))
-
 let with_pack_file f =
   let path = Filename.temp_file "critics-pack" ".cpk" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
-
-(* Pack recording is keyed off CRITICS_TRACE_PACK; flip it around the
-   store-backed tests and always restore (other suites must see it
-   off). *)
-let with_pack_env f =
-  Unix.putenv "CRITICS_TRACE_PACK" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "CRITICS_TRACE_PACK" "0") f
 
 let ok_or_fail label = function
   | Ok v -> v
@@ -138,95 +111,6 @@ let test_open_rejects_bad_files () =
       Alcotest.(check bool) "pristine bytes reopen" true
         (Result.is_ok (Pack.open_file path)))
 
-(* ------------------------------------------------------------------ *)
-(* Run-level record/replay through the store                          *)
-
-let stats_digest (st : Pipeline.Stats.t) = Digest.string (Marshal.to_string st [])
-
-let test_record_then_replay_identical_stats () =
-  let scheme = Critics.Scheme.Critic in
-  let hermetic =
-    let ctx = Critics.Run.prepare ~instrs:small_instrs (app "Email") in
-    stats_digest (Critics.Run.stats ctx scheme)
-  in
-  with_store (fun _dir st ->
-      with_pack_env (fun () ->
-          let ctx =
-            Critics.Run.prepare ~store:st ~instrs:small_instrs (app "Email")
-          in
-          let s1 = Critics.Run.stats ctx scheme in
-          let p1 = Critics.Run.pack_stats ctx in
-          Alcotest.(check int) "one pack recorded" 1 p1.records;
-          Alcotest.(check bool) "replays served" true (p1.replays > 0);
-          Alcotest.(check int) "no corruption" 0 p1.corrupt;
-          Alcotest.(check bool) "pack bytes accounted" true (p1.bytes > 0);
-          let s2 = Critics.Run.stats ctx scheme in
-          let p2 = Critics.Run.pack_stats ctx in
-          Alcotest.(check int) "still one recording" 1 p2.records;
-          Alcotest.(check bool) "more replays" true (p2.replays > p1.replays);
-          Alcotest.(check string) "replayed run bit-identical to first"
-            (stats_digest s1) (stats_digest s2);
-          Alcotest.(check string) "pack-backed stats = hermetic stats"
-            hermetic (stats_digest s1)))
-
-let test_corrupt_pack_counted_and_recovered () =
-  let scheme = Critics.Scheme.Baseline in
-  let hermetic =
-    let ctx = Critics.Run.prepare ~instrs:small_instrs (app "Youtube") in
-    stats_digest (Critics.Run.stats ctx scheme)
-  in
-  with_store (fun dir st ->
-      with_pack_env (fun () ->
-          let prepare () =
-            Critics.Run.prepare ~store:st ~instrs:small_instrs (app "Youtube")
-          in
-          let cold = prepare () in
-          ignore (Critics.Run.stats cold scheme);
-          Alcotest.(check int)
-            "cold run recorded" 1 (Critics.Run.pack_stats cold).records;
-          (* Corrupt the pack blob on disk (the store names blobs by key
-             digest under the kind directory). *)
-          let key =
-            Store.key ~kind:"tracepack"
-              [ cold.Critics.Run.ckey; Critics.Scheme.name scheme ]
-          in
-          let blob =
-            Filename.concat (Filename.concat dir "tracepack")
-              (Store.key_digest key)
-          in
-          Alcotest.(check bool) "pack blob on disk" true (Sys.file_exists blob);
-          let fd = Unix.openfile blob [ Unix.O_WRONLY ] 0 in
-          ignore (Unix.lseek fd (-9) Unix.SEEK_END);
-          ignore (Unix.write_substring fd "X" 0 1);
-          Unix.close fd;
-          (* A fresh context re-opens from disk: the corrupt pack must be
-             detected, counted, removed — and the run still produce the
-             hermetic stats. *)
-          let warm = prepare () in
-          let s = Critics.Run.stats warm scheme in
-          let p = Critics.Run.pack_stats warm in
-          Alcotest.(check bool) "corruption counted" true (p.corrupt >= 1);
-          Alcotest.(check string) "stats unharmed by corruption" hermetic
-            (stats_digest s);
-          (* The bad blob is gone (either removed, or atomically replaced
-             by a re-recorded pack that verifies). *)
-          match Pack.open_file blob with
-          | Ok _ -> ()
-          | Error _ ->
-            Alcotest.(check bool) "bad blob not left behind" false
-              (Sys.file_exists blob)))
-
-let test_pack_disabled_without_env () =
-  with_store (fun _dir st ->
-      (* Env off: the stream must stay live — no recordings, no blobs. *)
-      let ctx =
-        Critics.Run.prepare ~store:st ~instrs:small_instrs (app "Acrobat")
-      in
-      ignore (Critics.Run.stats ctx Critics.Scheme.Baseline);
-      let p = Critics.Run.pack_stats ctx in
-      Alcotest.(check int) "no recordings" 0 p.records;
-      Alcotest.(check int) "no replays" 0 p.replays)
-
 let () =
   Alcotest.run "pack"
     [
@@ -236,14 +120,5 @@ let () =
             `Quick test_roundtrip_bit_identical;
           Alcotest.test_case "framing and digest reject bad files" `Quick
             test_open_rejects_bad_files;
-        ] );
-      ( "run",
-        [
-          Alcotest.test_case "record once, replay bit-identical stats"
-            `Quick test_record_then_replay_identical_stats;
-          Alcotest.test_case "corrupt pack counted, run recovers" `Quick
-            test_corrupt_pack_counted_and_recovered;
-          Alcotest.test_case "disabled without the env knob" `Quick
-            test_pack_disabled_without_env;
         ] );
     ]

@@ -149,6 +149,38 @@ let test_corruption_falls_back () =
       Alcotest.(check (option string))
         "recovers after re-add" (Some "precious bytes") (Store.find st k))
 
+let test_memo () =
+  with_store (fun _dir st ->
+      let k = Store.key ~kind:"blob" [ "memo" ] in
+      let calls = ref 0 in
+      let compute () =
+        incr calls;
+        [ 1; 2; 3 ]
+      in
+      let check label ~calls:c counts =
+        Alcotest.(check (list int)) (label ^ ": value") [ 1; 2; 3 ]
+          (Store.memo (Some st) k compute);
+        Alcotest.(check int) (label ^ ": computations") c !calls;
+        let s = Store.stats st in
+        Alcotest.(check (list int))
+          (label ^ ": hit/miss/write/corrupt")
+          counts
+          [ s.hits; s.misses; s.writes; s.corrupt ]
+      in
+      check "miss computes once and writes" ~calls:1 [ 0; 1; 1; 0 ];
+      check "hit neither computes nor writes" ~calls:1 [ 1; 1; 1; 0 ];
+      (* The header verifies, so [find] serves the payload as a hit;
+         only the Marshal decode can reject it. *)
+      Store.add st k "verified header, not a marshalled value";
+      check "undecodable payload recomputes and overwrites" ~calls:2
+        [ 2; 1; 3; 0 ];
+      check "overwritten entry then hits" ~calls:2 [ 3; 1; 3; 0 ];
+      ignore (Store.memo None k compute);
+      ignore (Store.memo None k compute);
+      Alcotest.(check int) "no store computes every call" 4 !calls;
+      Alcotest.(check int) "no store leaves the store alone" 3
+        (Store.stats st).writes)
+
 let corrupt_in_place dir k =
   let path =
     Filename.concat (Filename.concat dir "blob") (Store.key_digest k)
@@ -379,6 +411,8 @@ let () =
             test_fuzzed_program_roundtrip;
           Alcotest.test_case "corruption falls back" `Quick
             test_corruption_falls_back;
+          Alcotest.test_case "memo miss, hit, undecodable, no store" `Quick
+            test_memo;
           Alcotest.test_case "quarantine bounded and invisible" `Quick
             test_quarantine_bounded_and_invisible;
           Alcotest.test_case "version mismatch misses" `Quick
