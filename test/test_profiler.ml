@@ -302,6 +302,129 @@ let prop_db_io_roundtrip =
       && Util.Dist.Histogram.bins db.ic_lengths
          = Util.Dist.Histogram.bins db'.ic_lengths)
 
+(* ------------------------------ golden ----------------------------- *)
+
+(* MD5 of [Marshal.to_string db []] for every app prepared at 20 000
+   instrs, and for six parameter variants on two apps.  Equal bytes
+   cover every site field, the site order, the float bits and each
+   histogram's Hashtbl layout, which depends on the order its values
+   were first seen.  The table was recorded before the profiling kernel
+   moved to flat arrays.  Never re-record it to make a profiler change
+   pass: a mismatch means the databases changed. *)
+let golden_instrs = 20_000
+
+let golden_defaults =
+  [
+    ("Acrobat", "e2419952a77f30479630c2983b74448b");
+    ("Angrybirds", "ddf415a79119236c4d379f841fedc867");
+    ("Browser", "31452058b7f6cc2b5d0d33e1c46f19d6");
+    ("Facebook", "cfb514a097003cc31ddcc77228891527");
+    ("Email", "a569b4f97e11ca5f28ee66e6c3c8a9cb");
+    ("Maps", "223c2180ba2a951ec403e3b6dc8ea457");
+    ("Music", "ca08af8c52283e3ae53b3d02017877a8");
+    ("Office", "296888b796c5b8f4f6895fe0b8df421b");
+    ("PhotoGallery", "5c7638d36af1b1e710feccebc7cf1b92");
+    ("Youtube", "8dda97794c5177a0472a774e87c7cf75");
+    ("bzip2", "93aac1f2a94c04b587b352f9cf8f8f46");
+    ("hmmer", "c0bb9f2b8fb5697f3738a5f2292e0dfa");
+    ("libquantum", "ae12198890ad1f62f1fb93225869e643");
+    ("mcf", "fd2ba8c218d4f93f8dd37d1870be0d62");
+    ("gcc", "0f52145c5b52a197503e949c7447f371");
+    ("gobmk", "0fa1b54b970776377df073837ee7690d");
+    ("sjeng", "259ad4150ae1311f5560e8cc327780f2");
+    ("h264ref", "3614d98e2f75d869010cacd5e8ac4846");
+    ("sperand", "c914014b917cea0e93abe8a14d6454d1");
+    ("namd", "3e80d5d45b6c47b0781835e335bf7aa8");
+    ("gromacs", "fc8435ff7c3a647ba576a83e47db23cf");
+    ("calculix", "af74455ddbade80881950efafaeda4f8");
+    ("lbm", "9a400bfcaca809a157cb541711594aca");
+    ("milc", "da96105a76796c5950ebbdf35a93e425");
+    ("dealII", "766f3433ec2c9f4ea714af6316a73a86");
+    ("leslie3d", "59308cf382dbf710641167c8857f6614");
+  ]
+
+let golden_variant_apps = [ "Acrobat"; "mcf" ]
+
+let golden_variants =
+  [
+    ("Acrobat window 256",
+     "738fcea37e02426dc568c96a50fd7706");
+    ("Acrobat window 2048",
+     "85946c2c63d4f82e44629d9ac8d3817d");
+    ("Acrobat threshold 2.0 fraction 0.3",
+     "56019fa41e2af0e823b2c3659bd5a5d9");
+    ("Acrobat geomean max_paths 64",
+     "d53b08f940ac46d6658c07bd33c3c311");
+    ("Acrobat tail-weighted",
+     "ec5f03ab5dbf922f527f24d75b0daafc");
+    ("Acrobat minimum",
+     "180d06ff8e2be69f525edd311bd587d1");
+    ("mcf window 256",
+     "0e2bb4167c3b9f66f15e76fde84a01a0");
+    ("mcf window 2048",
+     "f4ecfc563e56da0641e8b4208d62c0b6");
+    ("mcf threshold 2.0 fraction 0.3",
+     "05f09f9f4e46255458dc4ada77b9586d");
+    ("mcf geomean max_paths 64",
+     "7448c910a233ebf5046e60292580333a");
+    ("mcf tail-weighted",
+     "45a3e8ec49c96ed56387b30e12aed1ed");
+    ("mcf minimum",
+     "19e2b1fd29aca74e0fc75a031b33bbab");
+  ]
+
+let db_digest (db : Db.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string db []))
+
+(* Profile a prepared context's own stream with non-default
+   parameters. *)
+let reprofile ?window ?threshold ?fraction ?max_paths_per_window ?metric
+    (ctx : Critics.Run.app_context) =
+  Profiler.Profile_run.profile_stream ?window ?threshold ?fraction
+    ?max_paths_per_window ?metric ~total_events:ctx.event_count
+    (Prog.Trace.Stream.of_program ctx.program ~seed:ctx.seed ctx.path)
+
+let test_db_golden () =
+  let ctxs =
+    List.map
+      (fun (app : Workload.Profile.t) ->
+        (app.name, Critics.Run.prepare ~instrs:golden_instrs app))
+      Workload.Apps.all
+  in
+  let defaults =
+    List.map
+      (fun (name, (ctx : Critics.Run.app_context)) -> (name, db_digest ctx.db))
+      ctxs
+  in
+  let variants =
+    [
+      ("window 256", fun ctx -> reprofile ~window:256 ctx);
+      ("window 2048", fun ctx -> reprofile ~window:2048 ctx);
+      ( "threshold 2.0 fraction 0.3",
+        fun ctx -> reprofile ~threshold:2.0 ~fraction:0.3 ctx );
+      ( "geomean max_paths 64",
+        fun ctx ->
+          reprofile ~metric:Profiler.Metric.Geometric_mean
+            ~max_paths_per_window:64 ctx );
+      ( "tail-weighted",
+        fun ctx -> reprofile ~metric:Profiler.Metric.Tail_weighted ctx );
+      ("minimum", fun ctx -> reprofile ~metric:Profiler.Metric.Minimum_fanout ctx);
+    ]
+  in
+  let variant_digests =
+    List.concat_map
+      (fun name ->
+        let ctx = List.assoc name ctxs in
+        List.map
+          (fun (what, profile) -> (name ^ " " ^ what, db_digest (profile ctx)))
+          variants)
+      golden_variant_apps
+  in
+  Alcotest.(check (list (pair string string)))
+    "default databases" golden_defaults defaults;
+  Alcotest.(check (list (pair string string)))
+    "parameter variants" golden_variants variant_digests
+
 let () =
   Alcotest.run "profiler"
     [
@@ -323,6 +446,7 @@ let () =
           Alcotest.test_case "cdf monotone" `Quick test_coverage_cdf_monotone;
           Alcotest.test_case "convertible bounded" `Quick
             test_convertible_coverage_bounded;
+          Alcotest.test_case "db golden digests" `Quick test_db_golden;
         ] );
       ( "db_io",
         [
