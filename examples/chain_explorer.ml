@@ -44,14 +44,12 @@ let () =
   let dfg = Critics.Dfg.of_events trace in
 
   print_endline "Instructions and fanouts:";
-  Array.iteri
-    (fun i (node : Critics.Dfg.node) ->
-      Format.printf "  [%2d] %a   fanout=%d%s@." i I.pp
-        node.event.instr (Critics.Dfg.fanout dfg i)
-        (if Critics.Dfg.is_high_fanout ~threshold:4 dfg i then
-           "  <- critical"
-         else ""))
-    (Critics.Dfg.nodes dfg);
+  for i = 0 to Critics.Dfg.size dfg - 1 do
+    Format.printf "  [%2d] %a   fanout=%d%s@." i I.pp
+      (Critics.Dfg.event dfg i).instr (Critics.Dfg.fanout dfg i)
+      (if Critics.Dfg.is_high_fanout ~threshold:4 dfg i then "  <- critical"
+       else "")
+  done;
 
   print_endline "\nIndependently schedulable instruction chains (ICs):";
   List.iter

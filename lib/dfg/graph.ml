@@ -1,101 +1,176 @@
-type node = {
-  idx : int;
-  event : Prog.Trace.event;
-  mutable preds : int list;
-  mutable succs : int list;
+type t = {
+  mutable events : Prog.Trace.event array;
+  mutable lo : int;
+  mutable size : int;
+  mutable pred_off : int array;
+  mutable preds : int array;
+  mutable succ_off : int array;
+  mutable succs : int array;
+  mutable fanouts : int array;
 }
 
-type t = { nodes : node array }
+let create () =
+  {
+    events = [||];
+    lo = 0;
+    size = 0;
+    pred_off = [| 0 |];
+    preds = [||];
+    succ_off = [| 0 |];
+    succs = [||];
+    fanouts = [||];
+  }
 
-let of_events ?(lo = 0) ?hi events =
+(* [a], or a larger copy of it holding at least [n] elements. *)
+let grow a n =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Insert producer [w] into node [i]'s producer run, which occupies
+   [preds.(pred_off.(i)) .. preds.(np - 1)]; keeps the run ascending and
+   duplicate-free.  Returns the new end of the run. *)
+let add_pred t i w np =
+  let start = t.pred_off.(i) in
+  let rec place k =
+    if k > start && t.preds.(k - 1) > w then begin
+      t.preds.(k) <- t.preds.(k - 1);
+      place (k - 1)
+    end
+    else k
+  in
+  let rec present k = k < np && (t.preds.(k) = w || present (k + 1)) in
+  if present start then np
+  else begin
+    t.preds <- grow t.preds (np + 1);
+    t.preds.(place np) <- w;
+    np + 1
+  end
+
+let load t ?(lo = 0) ?hi events =
   let hi = Option.value ~default:(Array.length events) hi in
   if lo < 0 || hi > Array.length events || lo > hi then
-    invalid_arg "Dfg.of_events: bad window";
+    invalid_arg "Dfg.load: bad window";
   let n = hi - lo in
-  let nodes =
-    Array.init n (fun i ->
-        { idx = i; event = events.(lo + i); preds = []; succs = [] })
-  in
+  t.events <- events;
+  t.lo <- lo;
+  t.size <- n;
+  t.pred_off <- grow t.pred_off (n + 1);
+  t.succ_off <- grow t.succ_off (n + 1);
+  t.fanouts <- grow t.fanouts n;
+  Array.fill t.fanouts 0 n 0;
   (* Most recent in-window writer per architected register. *)
   let last_writer = Array.make Isa.Reg.count (-1) in
-  Array.iter
-    (fun node ->
-      let ins = node.event.Prog.Trace.instr in
-      List.iter
-        (fun r ->
-          let w = last_writer.(Isa.Reg.index r) in
-          if w >= 0 && not (List.mem w node.preds) then begin
-            node.preds <- w :: node.preds;
-            nodes.(w).succs <- node.idx :: nodes.(w).succs
-          end)
-        (Isa.Instr.regs_read ins);
-      List.iter
-        (fun r -> last_writer.(Isa.Reg.index r) <- node.idx)
-        (Isa.Instr.regs_written ins))
-    nodes;
-  (* Keep successor lists in stream order: handy for deterministic path
-     enumeration. *)
-  Array.iter
-    (fun node ->
-      node.succs <- List.sort_uniq compare node.succs;
-      node.preds <- List.sort_uniq compare node.preds)
-    nodes;
-  { nodes }
+  let np = ref 0 in
+  for i = 0 to n - 1 do
+    let ins = events.(lo + i).Prog.Trace.instr in
+    t.pred_off.(i) <- !np;
+    List.iter
+      (fun r ->
+        let w = last_writer.(Isa.Reg.index r) in
+        if w >= 0 then np := add_pred t i w !np)
+      (Isa.Instr.regs_read ins);
+    for k = t.pred_off.(i) to !np - 1 do
+      let p = t.preds.(k) in
+      t.fanouts.(p) <- t.fanouts.(p) + 1
+    done;
+    List.iter
+      (fun r -> last_writer.(Isa.Reg.index r) <- i)
+      (Isa.Instr.regs_written ins)
+  done;
+  t.pred_off.(n) <- !np;
+  (* Consumers in CSR form.  [succ_off.(p)] starts at the end of [p]'s
+     run and steps back once per consumer; visiting consumers last to
+     first leaves every run ascending and [succ_off.(p)] at its start. *)
+  t.succ_off.(n) <- !np;
+  let total = ref 0 in
+  for i = 0 to n - 1 do
+    total := !total + t.fanouts.(i);
+    t.succ_off.(i) <- !total
+  done;
+  t.succs <- grow t.succs !np;
+  for i = n - 1 downto 0 do
+    for k = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+      let p = t.preds.(k) in
+      t.succ_off.(p) <- t.succ_off.(p) - 1;
+      t.succs.(t.succ_off.(p)) <- i
+    done
+  done
 
-let size t = Array.length t.nodes
-let node t i = t.nodes.(i)
-let nodes t = t.nodes
-let fanout t i = List.length t.nodes.(i).succs
+let of_events ?lo ?hi events =
+  let t = create () in
+  load t ?lo ?hi events;
+  t
 
-let is_high_fanout ?(threshold = 8) t i = fanout t i >= threshold
+let size t = t.size
+let event t i = t.events.(t.lo + i)
+
+let slice a lo hi = List.init (hi - lo) (fun k -> a.(lo + k))
+let preds t i = slice t.preds t.pred_off.(i) t.pred_off.(i + 1)
+let succs t i = slice t.succs t.succ_off.(i) t.succ_off.(i + 1)
+let fanout t i = t.fanouts.(i)
+
+let is_high_fanout ?(threshold = 8) t i = t.fanouts.(i) >= threshold
 
 let roots t =
-  Array.to_list t.nodes
-  |> List.filter_map (fun n -> if n.preds = [] then Some n.idx else None)
+  List.filter (fun i -> t.pred_off.(i) = t.pred_off.(i + 1))
+    (List.init t.size Fun.id)
 
 let chain_gaps ?(threshold = 8) t =
   let h = Util.Dist.Histogram.create () in
-  let high i = is_high_fanout ~threshold t i in
-  (* BFS the forward slice of [start] until the first high-fanout node
-     on each path; record the minimum gap found, or -1 when the whole
-     slice is free of high-fanout nodes. *)
+  let n = t.size in
+  let high i = t.fanouts.(i) >= threshold in
+  (* Level-synchronous BFS of the forward slice of [start]: expand
+     level by level through low-fanout nodes and stop at the first level
+     holding a high-fanout node — its depth is the gap.  [seen] is
+     stamped with [start], so it is never cleared. *)
+  let seen = Array.make n (-1) and queue = Array.make n 0 in
   let nearest_gap start =
-    let visited = Hashtbl.create 16 in
-    let q = Queue.create () in
-    List.iter (fun s -> Queue.add (s, 0) q) t.nodes.(start).succs;
-    let best = ref None in
-    while not (Queue.is_empty q) do
-      let i, gap = Queue.pop q in
-      if not (Hashtbl.mem visited i) then begin
-        Hashtbl.replace visited i true;
-        if high i then begin
-          match !best with
-          | Some b when b <= gap -> ()
-          | _ -> best := Some gap
+    let tail = ref 0 in
+    let push_succs i =
+      for k = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
+        let s = t.succs.(k) in
+        if seen.(s) <> start then begin
+          seen.(s) <- start;
+          queue.(!tail) <- s;
+          incr tail
         end
-        else
-          List.iter (fun s -> Queue.add (s, gap + 1) q) t.nodes.(i).succs
+      done
+    in
+    push_succs start;
+    let rec level head gap =
+      let stop = !tail in
+      if head = stop then -1
+      else begin
+        let hit = ref false in
+        for k = head to stop - 1 do
+          if high queue.(k) then hit := true
+        done;
+        if !hit then gap
+        else begin
+          for k = head to stop - 1 do
+            push_succs queue.(k)
+          done;
+          level stop (gap + 1)
+        end
       end
-    done;
-    !best
+    in
+    level 0 0
   in
-  Array.iter
-    (fun n ->
-      if high n.idx then
-        match nearest_gap n.idx with
-        | Some gap -> Util.Dist.Histogram.add h gap
-        | None -> Util.Dist.Histogram.add h (-1))
-    t.nodes;
+  for i = 0 to n - 1 do
+    if high i then Util.Dist.Histogram.add h (nearest_gap i)
+  done;
   h
 
 let toposort t =
   (* RAW edges always point forward in the stream, so stream order is a
      valid topological order; verify the invariant while producing it. *)
-  Array.iter
-    (fun n ->
-      List.iter
-        (fun s ->
-          if s <= n.idx then failwith "Dfg.toposort: backward edge")
-        n.succs)
-    t.nodes;
-  List.init (size t) Fun.id
+  for i = 0 to t.size - 1 do
+    for k = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
+      if t.succs.(k) <= i then failwith "Dfg.toposort: backward edge"
+    done
+  done;
+  List.init t.size Fun.id

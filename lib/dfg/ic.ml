@@ -8,18 +8,15 @@ let is_ic dfg nodes =
   match nodes with
   | [] -> false
   | first :: _ ->
-    (Graph.node dfg first).Graph.preds = []
+    Graph.preds dfg first = []
     && begin
       let rec check seen = function
         | [] -> true
         | n :: rest ->
-          let node = Graph.node dfg n in
-          let preds_ok =
-            List.for_all (fun p -> Iset.mem p seen) node.Graph.preds
-          in
+          let preds = Graph.preds dfg n in
+          let preds_ok = List.for_all (fun p -> Iset.mem p seen) preds in
           let connected =
-            Iset.is_empty seen
-            || List.exists (fun p -> Iset.mem p seen) node.Graph.preds
+            Iset.is_empty seen || List.exists (fun p -> Iset.mem p seen) preds
           in
           (* First node passes [connected] vacuously via empty seen. *)
           preds_ok && connected && check (Iset.add n seen) rest
@@ -27,35 +24,53 @@ let is_ic dfg nodes =
       check Iset.empty nodes
     end
 
-let enumerate ?(max_paths = 4096) ?(max_len = 4096) dfg =
-  let results = ref [] in
+let iter ?(max_paths = 4096) ?(max_len = 4096) (g : Graph.t) f =
+  let n = g.size in
+  let path = Array.make (max 1 (min n max_len)) 0 in
+  let on_path = Bytes.make n '\000' in
   let count = ref 0 in
-  let rec extend rev_path path_set last depth =
-    if !count >= max_paths then ()
-    else begin
-      let eligible =
-        if depth >= max_len then []
-        else
-          List.filter
-            (fun s ->
-              List.for_all
-                (fun p -> Iset.mem p path_set)
-                (Graph.node dfg s).Graph.preds)
-            (Graph.node dfg last).Graph.succs
-      in
-      match eligible with
-      | [] ->
+  (* Every producer of [s] is on the path, so [s] may extend it. *)
+  let joins s =
+    let rec all k =
+      k >= g.pred_off.(s + 1)
+      || (Bytes.get on_path g.preds.(k) <> '\000' && all (k + 1))
+    in
+    all g.pred_off.(s)
+  in
+  let rec extend last depth =
+    if !count < max_paths then begin
+      let extended = ref false in
+      if depth < max_len then
+        for k = g.succ_off.(last) to g.succ_off.(last + 1) - 1 do
+          let s = g.succs.(k) in
+          if joins s then begin
+            extended := true;
+            path.(depth) <- s;
+            Bytes.set on_path s '\001';
+            extend s (depth + 1);
+            Bytes.set on_path s '\000'
+          end
+        done;
+      if not !extended then begin
         incr count;
-        results := { nodes = List.rev rev_path } :: !results
-      | succs ->
-        List.iter
-          (fun s ->
-            extend (s :: rev_path) (Iset.add s path_set) s (depth + 1))
-          succs
+        f path depth
+      end
     end
   in
-  List.iter (fun r -> extend [ r ] (Iset.singleton r) r 1) (Graph.roots dfg);
-  List.rev !results
+  for r = 0 to n - 1 do
+    if g.pred_off.(r) = g.pred_off.(r + 1) && !count < max_paths then begin
+      path.(0) <- r;
+      Bytes.set on_path r '\001';
+      extend r 1;
+      Bytes.set on_path r '\000'
+    end
+  done
+
+let enumerate ?max_paths ?max_len dfg =
+  let acc = ref [] in
+  iter ?max_paths ?max_len dfg (fun path len ->
+      acc := { nodes = List.init len (Array.get path) } :: !acc);
+  List.rev !acc
 
 let criticality dfg t =
   match t.nodes with
@@ -71,8 +86,8 @@ let spread dfg t =
   | [] -> 0
   | first :: _ ->
     let last = List.fold_left (fun _ n -> n) first t.nodes in
-    (Graph.node dfg last).Graph.event.Prog.Trace.seq
-    - (Graph.node dfg first).Graph.event.Prog.Trace.seq
+    (Graph.event dfg last).Prog.Trace.seq
+    - (Graph.event dfg first).Prog.Trace.seq
 
 let prefixes ?(min_len = 2) ?max_len t =
   let n = List.length t.nodes in
@@ -99,8 +114,7 @@ let enumerate_greedy ?(max_len = 4096) dfg =
           let candidate = ref None in
           for i = n - 1 downto 0 do
             if not (Iset.mem i !members) then begin
-              let node = Graph.node dfg i in
-              let preds = node.Graph.preds in
+              let preds = Graph.preds dfg i in
               if
                 preds <> []
                 && List.for_all (fun p -> Iset.mem p !members) preds

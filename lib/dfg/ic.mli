@@ -16,11 +16,18 @@ val is_ic : Graph.t -> int list -> bool
     connected by RAW edges, first node a root, and every node's
     producers contained in the preceding members. *)
 
+val iter :
+  ?max_paths:int -> ?max_len:int -> Graph.t -> (int array -> int -> unit) ->
+  unit
+(** [iter g f] calls [f path len] on every maximal IC, found by
+    depth-first extension from each root in index order, consumers in
+    index order; the chain is [path.(0)] .. [path.(len - 1)].  [path] is
+    scratch space that the search overwrites after [f] returns.  The
+    search stops once [max_paths] (default 4096) chains have been
+    produced and truncates chains at [max_len] (default 4096) nodes. *)
+
 val enumerate : ?max_paths:int -> ?max_len:int -> Graph.t -> t list
-(** All maximal ICs, by depth-first extension from each root.  The
-    search stops adding new paths once [max_paths] (default 4096) have
-    been produced and truncates chains at [max_len] (default 4096)
-    nodes.  Deterministic. *)
+(** The chains {!iter} produces, in its order. *)
 
 val enumerate_greedy : ?max_len:int -> Graph.t -> t list
 (** One cluster-style IC per root, grown greedily: at each step absorb

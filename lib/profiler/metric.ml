@@ -12,33 +12,42 @@ let of_string s =
   let s = String.lowercase_ascii s in
   List.find_opt (fun m -> name m = s) all
 
-let score metric fanouts =
-  match fanouts with
-  | [] -> 0.0
-  | _ ->
-    let n = List.length fanouts in
-    let fn = float_of_int n in
-    (match metric with
+let score_sub metric fanouts off len =
+  if len = 0 then 0.0
+  else begin
+    let fn = float_of_int len in
+    match metric with
     | Average_fanout ->
-      float_of_int (List.fold_left ( + ) 0 fanouts) /. fn
+      let sum = ref 0 in
+      for k = off to off + len - 1 do
+        sum := !sum + fanouts.(k)
+      done;
+      float_of_int !sum /. fn
     | Geometric_mean ->
       (* fanout-0 members zero the product; add-one smoothing keeps the
          metric comparable to the arithmetic mean on uniform chains *)
-      let logsum =
-        List.fold_left
-          (fun acc f -> acc +. log (float_of_int (f + 1)))
-          0.0 fanouts
-      in
-      exp (logsum /. fn) -. 1.0
+      let logsum = ref 0.0 in
+      for k = off to off + len - 1 do
+        logsum := !logsum +. log (float_of_int (fanouts.(k) + 1))
+      done;
+      exp (!logsum /. fn) -. 1.0
     | Tail_weighted ->
       (* weights 1..n, later members heavier *)
       let acc = ref 0.0 and wsum = ref 0.0 in
-      List.iteri
-        (fun i f ->
-          let w = float_of_int (i + 1) in
-          acc := !acc +. (w *. float_of_int f);
-          wsum := !wsum +. w)
-        fanouts;
+      for k = 0 to len - 1 do
+        let w = float_of_int (k + 1) in
+        acc := !acc +. (w *. float_of_int fanouts.(off + k));
+        wsum := !wsum +. w
+      done;
       !acc /. !wsum
     | Minimum_fanout ->
-      float_of_int (List.fold_left min max_int fanouts))
+      let m = ref max_int in
+      for k = off to off + len - 1 do
+        m := min !m fanouts.(k)
+      done;
+      float_of_int !m
+  end
+
+let score metric fanouts =
+  let a = Array.of_list fanouts in
+  score_sub metric a 0 (Array.length a)

@@ -26,3 +26,7 @@ val score : t -> int list -> float
     (in chain order).  All metrics are normalized per instruction, so a
     single threshold is comparable across them.  Returns 0 for the
     empty list. *)
+
+val score_sub : t -> int array -> int -> int -> float
+(** [score_sub metric fanouts off len] is [score] of the fanouts
+    [fanouts.(off)] .. [fanouts.(off + len - 1)], bit for bit. *)

@@ -21,10 +21,12 @@ let code_version () =
 
 type t = {
   dir : string;
-  mutable hits : int;
-  mutable misses : int;
-  mutable writes : int;
-  mutable corrupt : int;
+  (* Domains of one pool share a store, so a lost increment would skew
+     the counts: every update is atomic. *)
+  hits : int Atomic.t;
+  misses : int Atomic.t;
+  writes : int Atomic.t;
+  corrupt : int Atomic.t;
   quarantine_limit : int;
   inject : Util.Atomic_io.injector option;
 }
@@ -53,10 +55,10 @@ let open_dir ?(quarantine_limit = default_quarantine_limit) ?inject dir =
     (Sys.readdir dir);
   {
     dir;
-    hits = 0;
-    misses = 0;
-    writes = 0;
-    corrupt = 0;
+    hits = Atomic.make 0;
+    misses = Atomic.make 0;
+    writes = Atomic.make 0;
+    corrupt = Atomic.make 0;
     quarantine_limit;
     inject;
   }
@@ -160,19 +162,19 @@ let find t k =
   let path = path_of t k in
   match Util.Atomic_io.read_file path with
   | exception Sys_error _ ->
-    t.misses <- t.misses + 1;
+    Atomic.incr t.misses;
     None
   | text -> (
     match decode k text with
     | Some payload ->
-      t.hits <- t.hits + 1;
+      Atomic.incr t.hits;
       Some payload
     | None ->
       (* Truncation, corruption or collision: quarantine the entry and
          fall back to recompute — never a crash, never a wrong
          payload. *)
-      t.corrupt <- t.corrupt + 1;
-      t.misses <- t.misses + 1;
+      Atomic.incr t.corrupt;
+      Atomic.incr t.misses;
       quarantine t k;
       None)
 
@@ -184,7 +186,7 @@ let add t k payload =
        guaranteed corrupt-count on every later run — pay the fsync. *)
     Util.Atomic_io.write ~durable:true ?inject:t.inject (path_of t k)
       (encode k payload);
-    t.writes <- t.writes + 1
+    Atomic.incr t.writes
   with Sys_error _ | Unix.Unix_error _ -> ()
 
 let memo t k compute =
@@ -206,7 +208,12 @@ let memo t k compute =
 type stats = { hits : int; misses : int; writes : int; corrupt : int }
 
 let stats (t : t) =
-  { hits = t.hits; misses = t.misses; writes = t.writes; corrupt = t.corrupt }
+  {
+    hits = Atomic.get t.hits;
+    misses = Atomic.get t.misses;
+    writes = Atomic.get t.writes;
+    corrupt = Atomic.get t.corrupt;
+  }
 
 let fold_entries t f init =
   match Sys.readdir t.dir with
@@ -247,10 +254,11 @@ let publish (t : t) registry =
   let count name v =
     Telemetry.Registry.add (Telemetry.Registry.counter registry name) v
   in
-  count "store/hit" t.hits;
-  count "store/miss" t.misses;
-  count "store/write" t.writes;
-  count "store/corrupt" t.corrupt;
+  let s = stats t in
+  count "store/hit" s.hits;
+  count "store/miss" s.misses;
+  count "store/write" s.writes;
+  count "store/corrupt" s.corrupt;
   Telemetry.Registry.set_max
     (Telemetry.Registry.gauge registry "store/bytes")
     (total_bytes t)

@@ -35,8 +35,8 @@ let test_edges () =
   let t = diamond_trace () in
   let g = Dfg.of_events t in
   Alcotest.(check int) "root fanout" 3 (Dfg.fanout g 0);
-  Alcotest.(check (list int)) "node 4 preds" [ 1; 2 ] (Dfg.node g 4).Dfg.preds;
-  Alcotest.(check (list int)) "node 0 succs" [ 1; 2; 3 ] (Dfg.node g 0).Dfg.succs;
+  Alcotest.(check (list int)) "node 4 preds" [ 1; 2 ] (Dfg.preds g 4);
+  Alcotest.(check (list int)) "node 0 succs" [ 1; 2; 3 ] (Dfg.succs g 0);
   Alcotest.(check (list int)) "roots" [ 0; 6 ] (Dfg.roots g)
 (* node 6 is the synthetic jump terminator, an isolated root *)
 
@@ -188,12 +188,148 @@ let prop_fanout_conserved =
     arbitrary_trace (fun t ->
       let g = Dfg.of_events t in
       let out = ref 0 and inn = ref 0 in
-      Array.iter
-        (fun (n : Dfg.node) ->
-          out := !out + List.length n.Dfg.succs;
-          inn := !inn + List.length n.Dfg.preds)
-        (Dfg.nodes g);
+      for i = 0 to Dfg.size g - 1 do
+        out := !out + List.length (Dfg.succs g i);
+        inn := !inn + List.length (Dfg.preds g i)
+      done;
       !out = !inn)
+
+(* ------------------- flat kernels vs specifications ------------------ *)
+
+(* A window of a dynamic stream: either a fuzzed program's, with every
+   register mix the fuzzer builds, or a dense one — a block of up to
+   three-source instructions and stores (which also read their data
+   register) over two to six registers, so that nodes have several
+   producers and windows hold many chains. *)
+let arbitrary_window =
+  QCheck.make
+    ~print:(fun (dense, seed, lo, hi, threshold) ->
+      Printf.sprintf "%s seed %d, window [%d, %d), threshold %d"
+        (if dense then "dense" else "fuzzed")
+        seed lo hi threshold)
+    QCheck.Gen.(
+      let* dense = bool in
+      let* seed = int_range 0 10_000 in
+      let* lo = int_range 0 60 in
+      let* len = int_range 0 40 in
+      let* threshold = int_range 1 4 in
+      return (dense, seed, lo, lo + len, threshold))
+
+let dense_program seed =
+  let rng = Util.Rng.create seed in
+  let nregs = 2 + Util.Rng.int rng 5 in
+  let reg () = r (Util.Rng.int rng nregs) in
+  let body =
+    Array.init
+      (8 + Util.Rng.int rng 24)
+      (fun i ->
+        let srcs = List.init (Util.Rng.int rng 4) (fun _ -> reg ()) in
+        let op = if Util.Rng.int rng 5 = 0 then Op.Store else Op.Alu in
+        mk i ~dst:(reg ()) ~srcs op)
+  in
+  P.make ~entry:0 ~blocks:[ B.make ~id:0 ~func:0 ~body ~term:(B.Jump 0) ]
+
+let window_of (dense, seed, lo, hi, _) =
+  let program, path =
+    if dense then begin
+      let p = dense_program seed in
+      (p, Prog.Walk.path_visits p ~seed ~visits:4)
+    end
+    else begin
+      let p = Workload.Fuzz.program_of_seed seed in
+      (p, Prog.Walk.path_for_instrs p ~seed ~instrs:200)
+    end
+  in
+  let t = Prog.Trace.expand program ~seed path in
+  let hi = min hi (Array.length t) in
+  (t, min lo hi, hi)
+
+(* Producers of window node [j] by an O(n) backward scan per source
+   register: the most recent earlier in-window writer. *)
+let spec_preds t lo j =
+  let writes i r =
+    List.exists (Isa.Reg.equal r) (I.regs_written t.(lo + i).Prog.Trace.instr)
+  in
+  List.filter_map
+    (fun r ->
+      let rec back i =
+        if i < 0 then None else if writes i r then Some i else back (i - 1)
+      in
+      back (j - 1))
+    (I.regs_read t.(lo + j).Prog.Trace.instr)
+  |> List.sort_uniq compare
+
+let prop_edges_match_scan =
+  QCheck.Test.make ~name:"edges and fanouts = last-writer scan" ~count:300
+    arbitrary_window (fun w ->
+      let t, lo, hi = window_of w in
+      let n = hi - lo in
+      let nodes = List.init n Fun.id in
+      let preds = Array.init n (spec_preds t lo) in
+      let matches g =
+        Dfg.size g = n
+        && List.for_all
+             (fun j ->
+               let succs = List.filter (fun k -> List.mem j preds.(k)) nodes in
+               Dfg.preds g j = preds.(j)
+               && Dfg.succs g j = succs
+               && Dfg.fanout g j = List.length succs)
+             nodes
+      in
+      (* A graph reloaded after a larger window must not keep any of it. *)
+      let reused = Dfg.of_events t in
+      Dfg.load reused ~lo ~hi t;
+      matches (Dfg.of_events ~lo ~hi t) && matches reused)
+
+let prop_path_cap_is_prefix =
+  QCheck.Test.make ~name:"max_paths k keeps the first k paths" ~count:300
+    arbitrary_window (fun w ->
+      let t, lo, hi = window_of w in
+      let g = Dfg.of_events ~lo ~hi t in
+      let all = Dfg.Ic.enumerate ~max_paths:max_int g in
+      let total = List.length all in
+      List.for_all
+        (fun k ->
+          Dfg.Ic.enumerate ~max_paths:k g = List.filteri (fun i _ -> i < k) all)
+        (List.init (min total 32 + 2) Fun.id @ [ total; total + 1 ]))
+
+(* Gap of every high-fanout node by relaxing
+   d(i) = min over consumers s of (0 if s is high, else d(s) + 1)
+   to a fixpoint, in no particular order. *)
+let spec_gaps ~threshold g =
+  let n = Dfg.size g in
+  let high i = Dfg.fanout g i >= threshold in
+  let d = Array.make n max_int in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      List.iter
+        (fun s ->
+          let via =
+            if high s then 0 else if d.(s) = max_int then max_int else d.(s) + 1
+          in
+          if via < d.(i) then begin
+            d.(i) <- via;
+            changed := true
+          end)
+        (Dfg.succs g i)
+    done
+  done;
+  let h = Util.Dist.Histogram.create () in
+  for i = 0 to n - 1 do
+    if high i then
+      Util.Dist.Histogram.add h (if d.(i) = max_int then -1 else d.(i))
+  done;
+  Util.Dist.Histogram.bins h
+
+let prop_chain_gaps_match_fixpoint =
+  QCheck.Test.make ~name:"chain_gaps = shortest-distance fixpoint" ~count:300
+    arbitrary_window (fun ((_, _, _, _, threshold) as w) ->
+      let t, lo, hi = window_of w in
+      let g = Dfg.of_events ~lo ~hi t in
+      Util.Dist.Histogram.bins (Dfg.chain_gaps ~threshold g)
+      = spec_gaps ~threshold g)
 
 let () =
   Alcotest.run "dfg"
@@ -218,5 +354,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_enumerated_ics_valid; prop_fanout_conserved ] );
+          [
+            prop_enumerated_ics_valid;
+            prop_fanout_conserved;
+            prop_edges_match_scan;
+            prop_path_cap_is_prefix;
+            prop_chain_gaps_match_fixpoint;
+          ] );
     ]

@@ -228,6 +228,20 @@ let test_version_mismatch_misses () =
       Alcotest.(check (option string))
         "old key still hits" (Some "old artifact") (Store.find st k_old))
 
+(* Domains of one pool share a store: no counter update may be lost. *)
+let test_counters_across_domains () =
+  with_store (fun _dir st ->
+      let k = Store.key ~kind:"blob" [ "absent" ] in
+      let miss_many () =
+        for _ = 1 to 20_000 do
+          ignore (Store.find st k)
+        done
+      in
+      let other = Domain.spawn miss_many in
+      miss_many ();
+      Domain.join other;
+      Alcotest.(check int) "every miss counted" 40_000 (Store.stats st).misses)
+
 let test_clear_and_sizes () =
   with_store (fun _dir st ->
       Store.add st (Store.key ~kind:"a" [ "1" ]) "xx";
@@ -418,6 +432,8 @@ let () =
           Alcotest.test_case "version mismatch misses" `Quick
             test_version_mismatch_misses;
           Alcotest.test_case "clear and sizes" `Quick test_clear_and_sizes;
+          Alcotest.test_case "counters across domains" `Quick
+            test_counters_across_domains;
         ] );
       ( "sweep",
         [
