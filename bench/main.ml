@@ -142,8 +142,8 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
       (List.length skip) (String.concat " " skip);
   (* Prepared-context store: attached only when CRITICS_CACHE_DIR is
      set, so a default run stays hermetic and a cache-enabled repeat run
-     skips the prewarm wall (contexts, transforms and completed
-     simulations reload from disk). *)
+     skips the prewarm wall (contexts and completed simulations reload
+     from disk). *)
   let cache = Store.open_default () in
   (match cache with
   | Some st ->
@@ -259,10 +259,12 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
     from_journal @ fresh
   in
   let cache_json =
-    match cache with
-    | None -> None
-    | Some _ ->
-      Some (Telemetry.Registry.to_json (Experiments.Harness.cache_registry h))
+    Option.map
+      (fun st ->
+        let reg = Telemetry.Registry.create () in
+        Store.publish st reg;
+        Telemetry.Registry.to_json reg)
+      cache
   in
   (* The embed re-runs Policy_lab.run; with the artifact freshly
      rendered every simulation is a memo hit, so this is a read-out,

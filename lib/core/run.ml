@@ -1,21 +1,19 @@
 type scheme_cache = {
   cache_lock : Mutex.t;
-  (* MRU-first, at most [cache_capacity] entries.  Transformed programs
-     of code-heavy apps run to several MB, so retaining every scheme a
-     sweep visits would dominate the heap; one entry covers the hot
+  (* The last transformed program, if any.  Transformed programs of
+     code-heavy apps run to several MB, so retaining every scheme a
+     sweep visits would dominate the heap; one slot covers the hot
      access pattern (one scheme re-simulated across machine configs,
-     interleaved with baseline — which lives outside the cache) at the
-     price of re-running a cheap compiler pass when a context alternates
-     between transformed schemes. *)
-  mutable entries : (Scheme.t * Prog.Program.t) list;
+     interleaved with baseline, which needs no slot) at the price of
+     re-running a cheap compiler pass when a context alternates between
+     transformed schemes. *)
+  mutable slot : (Scheme.t * Prog.Program.t) option;
   mutable transforms : int;
   (* Per-scheme block-temperature tables for the TRRIP i-cache policy:
-     a few bytes per block, so not LRU-bounded.  Derived state, never
+     a few bytes per block, so not bounded.  Derived state, never
      marshalled with the context payload. *)
   mutable heats : (Scheme.t * int array) list;
 }
-
-let cache_capacity = 1
 
 type app_context = {
   profile : Workload.Profile.t;
@@ -25,7 +23,6 @@ type app_context = {
   event_count : int;
   db : Profiler.Critic_db.t;
   scheme_cache : scheme_cache;
-  store : Store.t option;
   ckey : string;
 }
 
@@ -54,8 +51,7 @@ let context_key ?(instrs = default_instrs) ?(sample = 0)
     ]
 
 (* The tuple a context entry marshals: everything [prepare] derives.
-   The scheme cache is rebuilt fresh (it holds a mutex), and the store
-   handle itself obviously isn't part of the payload. *)
+   The scheme cache is rebuilt fresh (it holds a mutex). *)
 type context_payload =
   Prog.Program.t * int * Prog.Walk.path * int * Profiler.Critic_db.t
 
@@ -87,13 +83,7 @@ let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
     event_count;
     db;
     scheme_cache =
-      {
-        cache_lock = Mutex.create ();
-        entries = [];
-        transforms = 0;
-        heats = [];
-      };
-    store;
+      { cache_lock = Mutex.create (); slot = None; transforms = 0; heats = [] };
     ckey = Store.key_digest key;
   }
 
@@ -101,7 +91,7 @@ let rec transformed ctx (scheme : Scheme.t) =
   let critic ?(options = Transform.Critic_pass.default_options) () =
     fst (Transform.Critic_pass.apply ~options ctx.db ctx.program)
   in
-  let compute () =
+  let compile () =
     match scheme with
     | Scheme.Baseline -> assert false
     | Scheme.Hoist ->
@@ -140,55 +130,30 @@ let rec transformed ctx (scheme : Scheme.t) =
            (Transform.Pass.env ctx.db)
            Transform.Pipeline.reordered ctx.program)
   in
-  (* Store-backed layer under the in-memory memo: a transformed program
-     is a deterministic function of the prepared context (ckey) and the
-     scheme, so warm runs load its marshalled bytes instead of
-     re-running the compiler pipeline.  Returns [(program,
-     ran_compiler)] so the memo below can keep [transforms] an honest
-     count of compiler-pipeline executions: store-served programs don't
-     run the pipeline. *)
-  let materialize () =
-    let ran = ref false in
-    let p : Prog.Program.t =
-      Store.memo ctx.store
-        (Store.key ~kind:"program" [ ctx.ckey; Scheme.name scheme ])
-        (fun () ->
-          ran := true;
-          compute ())
-    in
-    (p, !ran)
+  let in_slot (c : scheme_cache) =
+    match c.slot with Some (s, p) when s = scheme -> Some p | _ -> None
   in
   match scheme with
   | Scheme.Baseline -> ctx.program
-  | _ ->
+  | _ -> (
     (* The mutex makes contexts shareable across the parallel harness's
        domains; passes are deterministic, so a lost race recomputes an
        identical program and the first write wins. *)
     let c = ctx.scheme_cache in
     Mutex.lock c.cache_lock;
-    let hit = List.assoc_opt scheme c.entries in
-    (match hit with
-    | Some p ->
-      if fst (List.hd c.entries) <> scheme then
-        c.entries <-
-          (scheme, p)
-          :: List.filter (fun (s, _) -> s <> scheme) c.entries;
-      Mutex.unlock c.cache_lock;
-      p
+    let hit = in_slot c in
+    Mutex.unlock c.cache_lock;
+    match hit with
+    | Some p -> p
     | None ->
-      Mutex.unlock c.cache_lock;
-      let p, ran_compiler = materialize () in
+      let p = compile () in
       Mutex.lock c.cache_lock;
       let p =
-        match List.assoc_opt scheme c.entries with
+        match in_slot c with
         | Some winner -> winner
         | None ->
-          if ran_compiler then c.transforms <- c.transforms + 1;
-          c.entries <-
-            (scheme, p)
-            :: (if List.length c.entries >= cache_capacity then
-                  List.filteri (fun i _ -> i < cache_capacity - 1) c.entries
-                else c.entries);
+          c.transforms <- c.transforms + 1;
+          c.slot <- Some (scheme, p);
           p
       in
       Mutex.unlock c.cache_lock;

@@ -10,11 +10,11 @@
     any machine configuration. *)
 
 type scheme_cache
-(** Small bounded LRU of transformed programs, sized for the hot access
-    pattern — one scheme re-simulated across machine configurations,
-    interleaved with the (uncached) baseline; mutex-protected so
-    contexts can be shared across domains by the parallel experiment
-    harness. *)
+(** One slot holding the last transformed program, sized for the hot
+    access pattern — one scheme re-simulated across machine
+    configurations, interleaved with the baseline, which needs no slot;
+    mutex-protected so contexts can be shared across domains by the
+    parallel experiment harness. *)
 
 type app_context = {
   profile : Workload.Profile.t;
@@ -24,13 +24,10 @@ type app_context = {
   event_count : int;      (** events the baseline stream yields *)
   db : Profiler.Critic_db.t;
   scheme_cache : scheme_cache;
-  store : Store.t option;
-      (** prepared-artifact cache consulted by {!transformed}; [None]
-          keeps the context fully hermetic *)
   ckey : string;
       (** content fingerprint of everything this context was prepared
           from (app profile bytes, preparation parameters, code
-          version) — the key derived artifacts chain from *)
+          version) — the key the harness's stored stats chain from *)
 }
 
 val default_instrs : int
@@ -56,7 +53,9 @@ val prepare :
     is cached: a hit deserializes the prepared artifacts instead of
     recomputing them, keyed on the profile bytes, every preparation
     parameter and the code version, so any change recomputes.  Corrupt
-    or mismatched entries silently fall back to recompute. *)
+    or mismatched entries silently fall back to recompute.  The store
+    is consulted here only: transformed programs are never persisted,
+    because compiling one costs less than reading it back. *)
 
 val context_key :
   ?instrs:int ->
@@ -70,10 +69,14 @@ val context_key :
     and tools can probe or invalidate specific entries. *)
 
 val transformed : app_context -> Scheme.t -> Prog.Program.t
-(** The program a scheme's compiler pipeline produces.  Memoized per
-    context: repeated requests for the same scheme — e.g. under several
-    machine configurations, or from concurrent harness jobs — run the
-    compiler pipeline once (see {!transform_count}). *)
+(** The program a scheme's compiler pipeline produces.  The context's
+    one slot keeps the last transformed program: repeated requests for
+    the same scheme — e.g. under several machine configurations, or from
+    concurrent harness jobs — run the compiler pipeline once, and a
+    request for another transformed scheme compiles it and takes the
+    slot ([Opp16_critic] compiles on top of [Critic], so it first puts
+    [Critic] in the slot, then displaces it).  Baseline is the context's
+    own program and never occupies the slot. *)
 
 val transform_count : app_context -> int
 (** Number of compiler-pipeline executions this context has performed —

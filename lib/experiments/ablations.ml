@@ -46,38 +46,15 @@ let jobs ?apps () =
         ])
     apps
 
-(* Split [xs] into consecutive groups of [k]. *)
-let rec groups_of k xs =
-  match xs with
-  | [] -> []
-  | _ ->
-    let rec take n acc = function
-      | rest when n = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (n - 1) (x :: acc) rest
-    in
-    let g, rest = take k [] xs in
-    g :: groups_of k rest
-
 let run ?apps h =
   let apps = match apps with Some a -> a | None -> default_apps () in
   let mean_over f = Harness.mean (List.map f apps) in
-  (* Fan settings × apps out over the harness pool (each task profiles
-     the trace afresh and runs a full simulation); regroup in order so
-     the per-setting means match a sequential run exactly. *)
+  (* Fan settings × apps out over the harness pool: each task profiles
+     the trace afresh and runs a full simulation. *)
   let sweep settings label speedup_of =
-    let tasks =
-      List.concat_map (fun s -> List.map (fun a -> (s, a)) apps) settings
-    in
-    let per =
-      Parallel.Pool.map_list ~chunk:1 (Harness.pool h)
-        (fun (s, app) -> speedup_of s app)
-        tasks
-    in
-    List.map2
-      (fun s group -> { label = label s; speedup = Harness.mean group })
-      settings
-      (groups_of (List.length apps) per)
+    List.map
+      (fun (s, group) -> { label = label s; speedup = Harness.mean group })
+      (Harness.fan_out h settings apps speedup_of)
   in
   let critic_speedup_with_db make_db (app : Workload.Profile.t) =
     let ctx = Harness.context h app in
@@ -118,9 +95,7 @@ let run ?apps h =
             mean_over (fun app ->
                 let base = Harness.stats h app Critics.Scheme.Baseline in
                 Critics.Run.speedup ~base
-                  (Harness.stats h
-                     ~config_name:(Printf.sprintf "cdp%d" p)
-                     ~config app Critics.Scheme.Critic));
+                  (Harness.stats h ~config app Critics.Scheme.Critic));
         })
       cdp_penalties
   in
@@ -133,8 +108,7 @@ let run ?apps h =
         mean_over (fun app ->
             let base = Harness.stats h app Critics.Scheme.Baseline in
             Critics.Run.speedup ~base
-              (Harness.stats h ~config_name:name ~config app
-                 Critics.Scheme.Baseline));
+              (Harness.stats h ~config app Critics.Scheme.Baseline));
     }
   in
   let iq_size =

@@ -37,16 +37,16 @@ let run h =
           Harness.mean
             (List.map
                (fun app ->
-                 Harness.speedup h ~config_name:"clprefetch"
-                   ~config:prefetch_config app Critics.Scheme.Baseline)
+                 Harness.speedup h ~config:prefetch_config app
+                   Critics.Scheme.Baseline)
                apps)
         in
         let prio =
           Harness.mean
             (List.map
                (fun app ->
-                 Harness.speedup h ~config_name:"backendprio"
-                   ~config:prio_config app Critics.Scheme.Baseline)
+                 Harness.speedup h ~config:prio_config app
+                   Critics.Scheme.Baseline)
                apps)
         in
         let crit =

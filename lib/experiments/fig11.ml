@@ -38,11 +38,9 @@ let jobs () =
 
 let run h =
   let mobile = List.assoc "Mobile" Harness.suites in
-  let mean_speedup ?config_name ?config scheme =
+  let mean_speedup ?config scheme =
     Harness.mean
-      (List.map
-         (fun app -> Harness.speedup h ?config_name ?config app scheme)
-         mobile)
+      (List.map (fun app -> Harness.speedup h ?config app scheme) mobile)
   in
   let critic_alone = mean_speedup Critics.Scheme.Critic in
   let rows =
@@ -51,10 +49,8 @@ let run h =
         let config = f Pipeline.Config.table_i in
         {
           mechanism = name;
-          alone =
-            mean_speedup ~config_name:name ~config Critics.Scheme.Baseline;
-          with_critic =
-            mean_speedup ~config_name:name ~config Critics.Scheme.Critic;
+          alone = mean_speedup ~config Critics.Scheme.Baseline;
+          with_critic = mean_speedup ~config Critics.Scheme.Critic;
         })
       mechanisms
   in
@@ -66,10 +62,7 @@ let run h =
           List.map
             (fun app ->
               let base = Harness.stats h app Critics.Scheme.Baseline in
-              let st =
-                Harness.stats h ~config_name:name ~config app
-                  Critics.Scheme.Baseline
-              in
+              let st = Harness.stats h ~config app Critics.Scheme.Baseline in
               let share part (s : Pipeline.Stats.t) =
                 float_of_int part /. float_of_int (max 1 s.cycles)
               in

@@ -17,35 +17,11 @@ let run_transformed (ctx : Critics.Run.app_context) program =
   Pipeline.Cpu.run_stream Pipeline.Config.table_i (fun () ->
       Prog.Trace.Stream.of_program program ~seed:ctx.seed ctx.path)
 
-(* Split [xs] into consecutive groups of [k]. *)
-let rec groups_of k xs =
-  match xs with
-  | [] -> []
-  | _ ->
-    let rec take n acc = function
-      | rest when n = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (n - 1) (x :: acc) rest
-    in
-    let g, rest = take k [] xs in
-    g :: groups_of k rest
-
 let run h =
   let mobile = List.assoc "Mobile" Harness.suites in
   (* Both sensitivity sweeps re-transform and re-simulate per (setting,
-     app) — independent work, fanned out over the harness pool and
-     regrouped in input order so each mean matches a sequential run. *)
-  let fan settings per_point =
-    let tasks =
-      List.concat_map (fun s -> List.map (fun a -> (s, a)) mobile) settings
-    in
-    let per =
-      Parallel.Pool.map_list ~chunk:1 (Harness.pool h)
-        (fun (s, app) -> per_point s app)
-        tasks
-    in
-    List.combine settings (groups_of (List.length mobile) per)
-  in
+     app): independent work, fanned out over the harness pool. *)
+  let fan settings per_point = Harness.fan_out h settings mobile per_point in
   let lengths =
     List.map
       (fun (n, per_app) ->

@@ -9,19 +9,14 @@ type t = {
   jobs : int;
   telemetry : int option; (* probe window size; None = probes disabled *)
   store : Store.t option; (* prepared-artifact cache; None = hermetic *)
-  context_cap : int option; (* max resident contexts; None = unbounded *)
   pool : Parallel.Pool.t Lazy.t;
   lock : Mutex.t;
   contexts : (string, Critics.Run.app_context) Hashtbl.t;
-  ctx_stamps : (string, int) Hashtbl.t; (* LRU stamps, under [lock] *)
-  mutable ctx_clock : int;
-  mutable ctx_evictions : int;
   results : (string, Pipeline.Stats.t) Hashtbl.t;
   probes : (string, Telemetry.Probe.t) Hashtbl.t;
 }
 
-let create ?(instrs = Critics.Run.default_instrs) ?jobs ?telemetry ?store
-    ?context_cap () =
+let create ?(instrs = Critics.Run.default_instrs) ?jobs ?telemetry ?store () =
   let jobs =
     max 1 (match jobs with Some j -> j | None -> Parallel.default_jobs ())
   in
@@ -30,13 +25,9 @@ let create ?(instrs = Critics.Run.default_instrs) ?jobs ?telemetry ?store
     jobs;
     telemetry;
     store;
-    context_cap = Option.map (max 1) context_cap;
     pool = lazy (Parallel.Pool.create ~jobs ());
     lock = Mutex.create ();
     contexts = Hashtbl.create 32;
-    ctx_stamps = Hashtbl.create 32;
-    ctx_clock = 0;
-    ctx_evictions = 0;
     results = Hashtbl.create 256;
     probes = Hashtbl.create 256;
   }
@@ -47,25 +38,20 @@ let telemetry_window t = t.telemetry
 let store t = t.store
 let pool t = Lazy.force t.pool
 
-let resident_contexts t =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.contexts in
-  Mutex.unlock t.lock;
-  n
+let fan_out t settings apps f =
+  let per =
+    Array.of_list
+      (Parallel.Pool.map_list ~chunk:1 (pool t)
+         (fun (s, app) -> f s app)
+         (List.concat_map (fun s -> List.map (fun a -> (s, a)) apps) settings))
+  in
+  let n = List.length apps in
+  List.mapi (fun i s -> (s, Array.to_list (Array.sub per (i * n) n))) settings
 
-let context_evictions t =
-  Mutex.lock t.lock;
-  let n = t.ctx_evictions in
-  Mutex.unlock t.lock;
-  n
-
-(* The memoization key depends on the *actual* machine configuration,
-   not on a caller-supplied label: Config.t is a pure data record, so a
-   digest of its marshalled bytes is a canonical fingerprint.  Callers
-   passing a custom [?config] without a [?config_name] used to collide
-   with the default "table_i" entry and read back stale stats; two
-   different labels for structurally equal configs also no longer run
-   the simulation twice. *)
+(* The memoization key depends on the *actual* machine configuration:
+   Config.t is a pure data record, so a digest of its marshalled bytes
+   is a canonical fingerprint.  Distinct configs never collide, and
+   structurally equal ones share one entry. *)
 let config_fingerprint (config : Pipeline.Config.t) =
   Digest.to_hex (Digest.string (Marshal.to_string config []))
 
@@ -79,76 +65,40 @@ let result_key (profile : Workload.Profile.t) scheme fingerprint =
   Printf.sprintf "%s/%s/%s" profile.name (Critics.Scheme.name scheme)
     fingerprint
 
-(* -------- bounded-LRU resident contexts (all under [t.lock]) ------- *)
-
-let touch_locked t name =
-  t.ctx_clock <- t.ctx_clock + 1;
-  Hashtbl.replace t.ctx_stamps name t.ctx_clock
-
-(* Evict least-recently-touched contexts until at most [cap] remain.
-   Only the resident table shrinks: callers holding a context keep it
-   alive, and with a store attached a later request reloads the evicted
-   context from disk instead of re-deriving it — which is what keeps
-   peak heap flat across a many-app sweep. *)
-let rec evict_locked t cap =
-  if Hashtbl.length t.contexts > cap then begin
-    let victim =
-      Hashtbl.fold
-        (fun name _ acc ->
-          let stamp =
-            match Hashtbl.find_opt t.ctx_stamps name with
-            | Some s -> s
-            | None -> 0
-          in
-          match acc with
-          | Some (_, s) when s <= stamp -> acc
-          | _ -> Some (name, stamp))
-        t.contexts None
-    in
-    match victim with
-    | None -> ()
-    | Some (name, _) ->
-      Hashtbl.remove t.contexts name;
-      Hashtbl.remove t.ctx_stamps name;
-      t.ctx_evictions <- t.ctx_evictions + 1;
-      evict_locked t cap
-  end
-
-let enforce_cap_locked t =
-  match t.context_cap with None -> () | Some cap -> evict_locked t cap
-
-let context t (profile : Workload.Profile.t) =
+(* The one path into the harness's memo tables: look [key] up, else
+   compute outside the lock and insert.  Another domain may have raced
+   us; the first insert wins, so every caller shares one value (one
+   context and its transform slot, one stats record).  A computation
+   that raises inserts nothing. *)
+let find_or_add t table key compute =
   Mutex.lock t.lock;
-  let cached = Hashtbl.find_opt t.contexts profile.name in
-  (match cached with Some _ -> touch_locked t profile.name | None -> ());
+  let cached = Hashtbl.find_opt table key in
   Mutex.unlock t.lock;
   match cached with
-  | Some ctx -> ctx
+  | Some v -> v
   | None ->
-    let ctx = Critics.Run.prepare ?store:t.store ~instrs:t.instrs profile in
+    let v = compute () in
     Mutex.lock t.lock;
-    (* Another domain may have raced us here; keep the first insert so
-       every caller shares one context (and its trace cache). *)
-    let ctx =
-      match Hashtbl.find_opt t.contexts profile.name with
-      | Some existing ->
-        touch_locked t profile.name;
-        existing
+    let v =
+      match Hashtbl.find_opt table key with
+      | Some winner -> winner
       | None ->
-        Hashtbl.replace t.contexts profile.name ctx;
-        touch_locked t profile.name;
-        enforce_cap_locked t;
-        ctx
+        Hashtbl.replace table key v;
+        v
     in
     Mutex.unlock t.lock;
-    ctx
+    v
 
-(* The single simulation entry point every memoized path funnels
-   through.  With telemetry enabled it attaches a fresh probe and — only
-   if the run completes — stores it under the same memo key as the
-   stats, first insert winning.  Every job is deterministic, so a lost
-   race stores an identical probe; failed runs (fault injection, fuel)
-   leave neither stats nor probe behind. *)
+let context t (profile : Workload.Profile.t) =
+  find_or_add t t.contexts profile.name (fun () ->
+      Critics.Run.prepare ?store:t.store ~instrs:t.instrs profile)
+
+(* One simulation, under the stats memo.  With telemetry enabled it
+   attaches a fresh probe and — only if the run completes — stores it
+   under the same memo key as the stats, first insert winning.  Every
+   job is deterministic, so a lost race stores an identical probe;
+   failed runs (fault injection, fuel) leave neither stats nor probe
+   behind. *)
 let simulate t ?config ?fuel ~key ctx scheme =
   match t.telemetry with
   | None -> (
@@ -181,21 +131,14 @@ let simulate t ?config ?fuel ~key ctx scheme =
     Mutex.unlock t.lock;
     st
 
-let stats t ?config_name ?config (profile : Workload.Profile.t) scheme =
-  ignore config_name;
+(* Find-or-simulate: every stats request — [stats], [run_batch] and the
+   supervised batches — goes through here. *)
+let find_or_simulate t ?config ?fuel (profile : Workload.Profile.t) scheme =
   let key = result_key profile scheme (fingerprint_of config) in
-  Mutex.lock t.lock;
-  let cached = Hashtbl.find_opt t.results key in
-  Mutex.unlock t.lock;
-  match cached with
-  | Some st -> st
-  | None ->
-    let ctx = context t profile in
-    let st = simulate t ?config ~key ctx scheme in
-    Mutex.lock t.lock;
-    Hashtbl.replace t.results key st;
-    Mutex.unlock t.lock;
-    st
+  find_or_add t t.results key (fun () ->
+      simulate t ?config ?fuel ~key (context t profile) scheme)
+
+let stats t ?config profile scheme = find_or_simulate t ?config profile scheme
 
 let probe_for t ?config (profile : Workload.Profile.t) scheme =
   let key = result_key profile scheme (fingerprint_of config) in
@@ -210,20 +153,25 @@ let telemetry_probes t =
   Mutex.unlock t.lock;
   List.sort (fun (a, _) (b, _) -> compare a b) l
 
+(* The distinct simulations a job list names, as (memo key, job,
+   scheme), sorted by key: grouped by app, then scheme.  Context-only
+   jobs name none. *)
+let simulations jobs =
+  List.filter_map
+    (fun j ->
+      Option.map
+        (fun scheme ->
+          ( result_key j.job_profile scheme (config_fingerprint j.job_config),
+            j,
+            scheme ))
+        j.job_scheme)
+    jobs
+  |> List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b)
+
 let telemetry_registry_for t jobs =
-  let keys =
-    List.filter_map
-      (fun j ->
-        Option.map
-          (fun scheme ->
-            result_key j.job_profile scheme (config_fingerprint j.job_config))
-          j.job_scheme)
-      jobs
-    |> List.sort_uniq compare
-  in
   let into = Telemetry.Registry.create () in
   List.iter
-    (fun key ->
+    (fun (key, _, _) ->
       Mutex.lock t.lock;
       let p = Hashtbl.find_opt t.probes key in
       Mutex.unlock t.lock;
@@ -231,7 +179,7 @@ let telemetry_registry_for t jobs =
       | Some p ->
         Telemetry.Registry.merge_into ~into (Telemetry.Probe.registry p)
       | None -> ())
-    keys;
+    (simulations jobs);
   into
 
 (* Fetch-bandwidth aggregate over a job set's memoized results: total
@@ -239,18 +187,8 @@ let telemetry_registry_for t jobs =
    the distinct (app, scheme, config) simulations the jobs name.  Jobs
    not yet simulated contribute nothing. *)
 let fetch_totals_for t jobs =
-  let keys =
-    List.filter_map
-      (fun j ->
-        Option.map
-          (fun scheme ->
-            result_key j.job_profile scheme (config_fingerprint j.job_config))
-          j.job_scheme)
-      jobs
-    |> List.sort_uniq compare
-  in
   List.fold_left
-    (fun (bytes, cycles) key ->
+    (fun (bytes, cycles) (key, _, _) ->
       Mutex.lock t.lock;
       let st = Hashtbl.find_opt t.results key in
       Mutex.unlock t.lock;
@@ -258,15 +196,7 @@ let fetch_totals_for t jobs =
       | Some (s : Pipeline.Stats.t) ->
         (bytes + s.fetch_bytes, cycles + s.cycles)
       | None -> (bytes, cycles))
-    (0, 0) keys
-
-let cache_registry t =
-  let reg = Telemetry.Registry.create () in
-  (match t.store with Some st -> Store.publish st reg | None -> ());
-  Telemetry.Registry.add
-    (Telemetry.Registry.counter reg "harness/context_evict")
-    (context_evictions t);
-  reg
+    (0, 0) (simulations jobs)
 
 let telemetry_registry t =
   let into = Telemetry.Registry.create () in
@@ -279,9 +209,9 @@ let telemetry_registry t =
     (telemetry_probes t);
   into
 
-let speedup t ?config_name ?config profile scheme =
+let speedup t ?config profile scheme =
   let base = stats t profile Critics.Scheme.Baseline in
-  Critics.Run.speedup ~base (stats t ?config_name ?config profile scheme)
+  Critics.Run.speedup ~base (stats t ?config profile scheme)
 
 (* ------------------------------ batches --------------------------- *)
 
@@ -300,80 +230,21 @@ let context_job profile =
   }
 
 let run_batch t jobs =
-  let module SSet = Set.Make (String) in
-  (* Phase 1: prepare every missing context, one parallel task per
+  (* Phase 1: every application's context, one parallel task per
      application (chunk 1: preparation cost is uneven across apps). *)
-  let known =
-    Mutex.lock t.lock;
-    let k =
-      Hashtbl.fold (fun name _ acc -> SSet.add name acc) t.contexts SSet.empty
-    in
-    Mutex.unlock t.lock;
-    k
-  in
-  let missing_profiles =
-    List.sort_uniq
-      (fun (a : Workload.Profile.t) b -> compare a.name b.name)
-      (List.filter
-         (fun j -> not (SSet.mem j.job_profile.name known))
-         jobs
-      |> List.map (fun j -> j.job_profile))
-  in
-  let prepared =
-    Parallel.Pool.map_list ~chunk:1 (pool t)
-      (fun (p : Workload.Profile.t) ->
-        (p.name, Critics.Run.prepare ?store:t.store ~instrs:t.instrs p))
-      missing_profiles
-  in
-  Mutex.lock t.lock;
-  List.iter
-    (fun (name, ctx) ->
-      if not (Hashtbl.mem t.contexts name) then begin
-        Hashtbl.replace t.contexts name ctx;
-        touch_locked t name
-      end)
-    prepared;
-  enforce_cap_locked t;
-  Mutex.unlock t.lock;
-  (* Phase 2: evaluate every missing (app, scheme, config) simulation.
-     Jobs are grouped by (app, scheme) so consecutive jobs in a chunk
-     share the per-context transformed-trace cache. *)
-  let have =
-    Mutex.lock t.lock;
-    let k =
-      Hashtbl.fold (fun key _ acc -> SSet.add key acc) t.results SSet.empty
-    in
-    Mutex.unlock t.lock;
-    k
-  in
-  let keyed =
-    List.filter_map
-      (fun j ->
-        match j.job_scheme with
-        | None -> None
-        | Some scheme ->
-          let key =
-            result_key j.job_profile scheme (config_fingerprint j.job_config)
-          in
-          if SSet.mem key have then None else Some (key, j, scheme))
-      jobs
-  in
-  let dedup =
-    List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b) keyed
-  in
-  let computed =
-    Parallel.Pool.map_list ~chunk:1 (pool t)
-      (fun (key, j, scheme) ->
-        let ctx = context t j.job_profile in
-        (key, simulate t ~config:j.job_config ~key ctx scheme))
-      dedup
-  in
-  Mutex.lock t.lock;
-  List.iter
-    (fun (key, st) ->
-      if not (Hashtbl.mem t.results key) then Hashtbl.replace t.results key st)
-    computed;
-  Mutex.unlock t.lock
+  ignore
+    (Parallel.Pool.map_list ~chunk:1 (pool t) (context t)
+       (List.sort_uniq
+          (fun (a : Workload.Profile.t) b -> compare a.name b.name)
+          (List.map (fun j -> j.job_profile) jobs)));
+  (* Phase 2: every distinct (app, scheme, config) simulation.  Key order
+     groups an app's jobs by scheme, so consecutive simulations share the
+     context's transform slot. *)
+  ignore
+    (Parallel.Pool.map_list ~chunk:1 (pool t)
+       (fun (_, j, scheme) ->
+         find_or_simulate t ~config:j.job_config j.job_profile scheme)
+       (simulations jobs))
 
 (* ------------------------- supervised batches --------------------- *)
 
@@ -459,21 +330,8 @@ let supervised_exec t (policy : policy) faults j ~attempt =
   match j.job_scheme with
   | None -> ignore (context t j.job_profile)
   | Some scheme ->
-    let key = result_key j.job_profile scheme (config_fingerprint j.job_config) in
-    let cached =
-      Mutex.lock t.lock;
-      let c = Hashtbl.find_opt t.results key in
-      Mutex.unlock t.lock;
-      c
-    in
-    (match cached with
-    | Some _ -> ()
-    | None ->
-      let ctx = context t j.job_profile in
-      let st = simulate t ~config:j.job_config ?fuel ~key ctx scheme in
-      Mutex.lock t.lock;
-      if not (Hashtbl.mem t.results key) then Hashtbl.replace t.results key st;
-      Mutex.unlock t.lock)
+    ignore
+      (find_or_simulate t ~config:j.job_config ?fuel j.job_profile scheme)
 
 (* Bounded deterministic backoff before retry round [round]: base
    delay doubled per round, seeded jitter in [0.5, 1.5), capped.  No

@@ -22,7 +22,6 @@ val create :
   ?jobs:int ->
   ?telemetry:int ->
   ?store:Store.t ->
-  ?context_cap:int ->
   unit ->
   t
 (** [instrs] is the work-instruction budget per application run
@@ -37,15 +36,12 @@ val create :
     merge deterministically ({!telemetry_registry}).  Simulation results
     are bit-identical with telemetry on or off.
 
-    [store] attaches a prepared-artifact cache ({!Store}): context
-    preparation, compiler transforms and completed default-fuel
-    simulations are persisted, so a warm harness loads them instead of
-    recomputing.  Telemetry-enabled simulations always run live (probes
-    observe the run itself).  [context_cap] bounds the number of
-    resident application contexts (clamped to ≥ 1); the least recently
-    used is evicted past the cap and transparently re-prepared — from
-    the store when one is attached — on the next request, keeping peak
-    heap flat across sweeps of many applications. *)
+    [store] attaches a prepared-artifact cache ({!Store}): prepared
+    contexts and completed default-fuel simulations are persisted, so a
+    warm harness loads them instead of recomputing.  Transformed
+    programs are not persisted; {!Critics.Run.transformed} compiles
+    them.  Telemetry-enabled simulations always run live (probes observe
+    the run itself). *)
 
 val instrs : t -> int
 
@@ -58,30 +54,28 @@ val telemetry_window : t -> int option
 val store : t -> Store.t option
 (** The attached prepared-artifact store, if any. *)
 
-val resident_contexts : t -> int
-(** Application contexts currently held in memory. *)
-
-val context_evictions : t -> int
-(** Contexts evicted so far by the [context_cap] LRU bound. *)
-
-val cache_registry : t -> Telemetry.Registry.t
-(** Cache-effectiveness counters as a telemetry registry: the attached
-    store's [store/hit], [store/miss], [store/write], [store/corrupt]
-    and [store/bytes] series (when a store is attached — contexts,
-    transformed programs and stats all go through {!Store.memo}), plus
-    [harness/context_evict]. *)
-
 val pool : t -> Parallel.Pool.t
 (** The harness's domain pool, for experiment modules that parallelize
     custom per-app computations beyond the memoized simulations.  Do not
     call pool operations from inside tasks already running on it. *)
 
+val fan_out :
+  t ->
+  'a list ->
+  Workload.Profile.t list ->
+  ('a -> Workload.Profile.t -> 'b) ->
+  ('a * 'b list) list
+(** [fan_out t settings apps f] evaluates [f s app] for every setting ×
+    app as one task each on the {!pool}, and returns each setting with
+    its results in [apps] order, settings in input order — so a mean
+    over a group equals a sequential run's. *)
+
 val context : t -> Workload.Profile.t -> Critics.Run.app_context
-(** Cached per-application context (thread-safe). *)
+(** Cached per-application context (thread-safe).  Every context a
+    harness prepares stays resident for the harness's lifetime. *)
 
 val stats :
   t ->
-  ?config_name:string ->
   ?config:Pipeline.Config.t ->
   Workload.Profile.t ->
   Critics.Scheme.t ->
@@ -89,12 +83,10 @@ val stats :
 (** Cached simulation (thread-safe).  The memo key is derived from the
     *actual* [config] value (a digest of the configuration record), so
     distinct configurations never collide and structurally equal ones
-    share one entry; [config_name] is accepted for backward
-    compatibility and used only as a human-readable label. *)
+    share one entry. *)
 
 val speedup :
   t ->
-  ?config_name:string ->
   ?config:Pipeline.Config.t ->
   Workload.Profile.t ->
   Critics.Scheme.t ->

@@ -1,13 +1,15 @@
 (** Versioned on-disk cache of prepared artifacts.
 
-    Prepared app contexts, transformed programs and simulation results
-    are deterministic functions of (app profile × configuration × code
-    version), so recomputing them on every invocation is pure waste —
-    the same "pay once, reuse across runs" opportunity the paper's
-    caching analysis identifies in app content loads.  This store makes
-    the recomputation skippable: callers serialize an artifact to bytes
-    once, keyed by a fingerprint of everything the bytes depend on, and
-    later runs load the bytes back instead of recomputing.
+    Prepared app contexts and simulation results are deterministic
+    functions of (app profile × configuration × code version), so
+    recomputing them on every invocation is pure waste — the same "pay
+    once, reuse across runs" opportunity the paper's caching analysis
+    identifies in app content loads.  This store makes the recomputation
+    skippable: callers serialize an artifact to bytes once, keyed by a
+    fingerprint of everything the bytes depend on, and later runs load
+    the bytes back instead of recomputing.  It is for artifacts that
+    cost more to derive than to read back: transformed programs are
+    cheaper to compile again, so they are not stored.
 
     Design rules, in order:
 

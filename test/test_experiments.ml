@@ -120,14 +120,14 @@ let test_memo_key_uses_config () =
   let again = Experiments.Harness.stats h app Critics.Scheme.Baseline in
   Alcotest.(check int) "default entry untouched" default_stats.cycles
     again.cycles;
-  (* structurally-equal configs share one memo entry regardless of the
-     caller-supplied label: same physical record comes back *)
-  let renamed_stats =
-    Experiments.Harness.stats h ~config_name:"copy"
-      ~config:Pipeline.Config.table_i app Critics.Scheme.Baseline
+  (* an explicit config structurally equal to the default shares the
+     default's memo entry: same physical record comes back *)
+  let explicit_stats =
+    Experiments.Harness.stats h ~config:Pipeline.Config.table_i app
+      Critics.Scheme.Baseline
   in
   Alcotest.(check bool) "equal configs share one memo entry" true
-    (renamed_stats == again)
+    (explicit_stats == again)
 
 let test_policy_lab_default_cell_shares_memo () =
   (* The policy lab's (lru, next_line) machine is structurally equal to

@@ -178,7 +178,14 @@ let test_transform_cache () =
   Alcotest.(check int) "critic pipeline ran exactly once" 1
     (Critics.Run.transform_count ctx);
   Alcotest.(check int) "baseline reproducible" a.cycles a'.cycles;
-  Alcotest.(check int) "critic reproducible" b.cycles b'.cycles
+  Alcotest.(check int) "critic reproducible" b.cycles b'.cycles;
+  (* One slot: Opp16_critic compiles on top of the slotted Critic, then
+     displaces it, so going back to Critic compiles again. *)
+  List.iter
+    (fun s -> ignore (Critics.Run.transformed ctx s))
+    Critics.Scheme.[ Critic; Opp16_critic; Critic ];
+  Alcotest.(check int) "critic, opp16+critic, critic: three compiles" 3
+    (Critics.Run.transform_count ctx)
 
 let test_find_case_insensitive () =
   Alcotest.(check bool) "lowercase lookup" true

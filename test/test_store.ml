@@ -1,7 +1,6 @@
 (* Prepared-context store: key invalidation, corruption fallback,
-   crash-orphan sweep, LRU resident-context bound, warm-harness reuse,
-   and the allocation-free simulator-core contract this PR's perf work
-   rests on. *)
+   crash-orphan sweep, what the store holds, warm-harness reuse, and the
+   allocation-free simulator-core contract. *)
 
 let fresh_dir () =
   let path = Filename.temp_file "critics-store" "" in
@@ -310,18 +309,53 @@ let test_prepare_warm_identical () =
       Alcotest.(check string)
         "store-served context bit-identical" (ctx_digest cold) (ctx_digest warm))
 
-let test_transform_served_from_store () =
-  with_store (fun _dir st ->
-      let cold = Critics.Run.prepare ~store:st ~instrs:small_instrs (app "Email") in
-      let p_cold = Critics.Run.transformed cold Critics.Scheme.Critic in
-      Alcotest.(check int) "cold ran the compiler" 1 (Critics.Run.transform_count cold);
-      let warm = Critics.Run.prepare ~store:st ~instrs:small_instrs (app "Email") in
+let program_digest (p : Prog.Program.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string p []))
+
+(* The store keeps what is expensive to derive (contexts, simulations)
+   and nothing a cheap compile reproduces: transformed programs stay out
+   of it, and a warm context compiles them again to the same bytes. *)
+let test_store_holds_contexts_and_stats_only () =
+  let email = app "Email" in
+  let jobs =
+    List.map
+      (Experiments.Harness.job email)
+      Critics.Scheme.[ Baseline; Critic; Opp16_critic ]
+  in
+  with_store (fun dir st ->
+      let h1 =
+        Experiments.Harness.create ~instrs:small_instrs ~jobs:1 ~store:st ()
+      in
+      Experiments.Harness.run_batch h1 jobs;
+      let kinds =
+        List.filter
+          (fun k ->
+            let d = Filename.concat dir k in
+            Sys.is_directory d && Sys.readdir d <> [||])
+          (List.sort compare (Array.to_list (Sys.readdir dir)))
+      in
+      Alcotest.(check (list string))
+        "cold run wrote contexts and stats only" [ "context"; "stats" ] kinds;
+      let writes = (Store.stats st).writes in
+      Alcotest.(check int) "one context, three stats" 4 writes;
+      let p_cold =
+        Critics.Run.transformed
+          (Experiments.Harness.context h1 email)
+          Critics.Scheme.Critic
+      in
+      let h2 =
+        Experiments.Harness.create ~instrs:small_instrs ~jobs:1 ~store:st ()
+      in
+      Experiments.Harness.run_batch h2 jobs;
+      Alcotest.(check int) "warm run hit everything" 4 (Store.stats st).hits;
+      Alcotest.(check int) "warm run wrote nothing" writes (Store.stats st).writes;
+      let warm = Experiments.Harness.context h2 email in
       let p_warm = Critics.Run.transformed warm Critics.Scheme.Critic in
       Alcotest.(check int)
-        "warm skipped the compiler" 0 (Critics.Run.transform_count warm);
+        "warm context compiles Critic once" 1
+        (Critics.Run.transform_count warm);
       Alcotest.(check string) "identical transformed program"
-        (Digest.string (Marshal.to_string p_cold []))
-        (Digest.string (Marshal.to_string p_warm [])))
+        (program_digest p_cold) (program_digest p_warm))
 
 let test_harness_warm_stats () =
   with_store (fun _dir st ->
@@ -340,33 +374,6 @@ let test_harness_warm_stats () =
       Alcotest.(check string) "bit-identical stats"
         (Digest.string (Marshal.to_string s1 []))
         (Digest.string (Marshal.to_string s2 [])))
-
-let test_lru_context_cap () =
-  let apps = [ "Acrobat"; "Email"; "Youtube"; "Angrybirds" ] in
-  with_store (fun _dir st ->
-      let h =
-        Experiments.Harness.create ~instrs:small_instrs ~jobs:1 ~store:st
-          ~context_cap:2 ()
-      in
-      let digests =
-        List.map (fun n -> ctx_digest (Experiments.Harness.context h (app n))) apps
-      in
-      Alcotest.(check bool)
-        "resident bounded by cap" true
-        (Experiments.Harness.resident_contexts h <= 2);
-      Alcotest.(check bool)
-        "evictions happened" true
-        (Experiments.Harness.context_evictions h >= 2);
-      (* evicted contexts come back transparently — and identically *)
-      List.iter2
-        (fun n d ->
-          Alcotest.(check string)
-            (n ^ " reloads identically") d
-            (ctx_digest (Experiments.Harness.context h (app n))))
-        apps digests;
-      Alcotest.(check bool)
-        "still bounded after reloads" true
-        (Experiments.Harness.resident_contexts h <= 2))
 
 (* ------------------------------------------------------------------ *)
 (* Allocation-free windowed core                                      *)
@@ -446,10 +453,9 @@ let () =
         [
           Alcotest.test_case "prepare warm identical" `Quick
             test_prepare_warm_identical;
-          Alcotest.test_case "transform served from store" `Quick
-            test_transform_served_from_store;
+          Alcotest.test_case "store holds contexts and stats only" `Quick
+            test_store_holds_contexts_and_stats_only;
           Alcotest.test_case "harness warm stats" `Quick test_harness_warm_stats;
-          Alcotest.test_case "lru context cap" `Quick test_lru_context_cap;
         ] );
       ( "alloc",
         [
