@@ -34,7 +34,6 @@ let create ?(instrs = Critics.Run.default_instrs) ?jobs ?telemetry ?store () =
 
 let instrs t = t.instrs
 let jobs t = t.jobs
-let telemetry_window t = t.telemetry
 let store t = t.store
 let pool t = Lazy.force t.pool
 

@@ -48,9 +48,6 @@ val instrs : t -> int
 val jobs : t -> int
 (** Parallelism width this harness was created with. *)
 
-val telemetry_window : t -> int option
-(** The probe window size, or [None] when telemetry is disabled. *)
-
 val store : t -> Store.t option
 (** The attached prepared-artifact store, if any. *)
 

@@ -82,7 +82,3 @@ let stats t =
     row_hits = t.row_hits;
     row_misses = t.row_misses;
   }
-
-let row_hit_rate t =
-  let total = t.row_hits + t.row_misses in
-  if total = 0 then 0.0 else float_of_int t.row_hits /. float_of_int total

@@ -5,12 +5,6 @@ let iprefetch_name = function
   | Ip_next_line -> "next_line"
   | Ip_fetch_directed -> "fetch_directed"
 
-let iprefetch_of_string = function
-  | "none" -> Some Ip_none
-  | "next_line" -> Some Ip_next_line
-  | "fetch_directed" -> Some Ip_fetch_directed
-  | _ -> None
-
 let all_iprefetch = [ Ip_none; Ip_next_line; Ip_fetch_directed ]
 
 type config = {
@@ -304,8 +298,6 @@ let dread_lat t ~now ~pc addr =
 let dwrite_lat t ~now ~pc addr =
   demand_lat t ~now ~pc ~write:true ~hint:(-1) ~l1:t.l1d
     ~l1_hit:t.config.l1d_hit ~pending:t.pending_l1d addr
-
-let last_level t = t.last_level
 
 let ifetch t ~now addr =
   let latency = ifetch_lat t ~now addr in

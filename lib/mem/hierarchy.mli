@@ -24,7 +24,6 @@ type iprefetch =
           stream runs two lines ahead at confidence *)
 
 val iprefetch_name : iprefetch -> string
-val iprefetch_of_string : string -> iprefetch option
 val all_iprefetch : iprefetch list
 
 type config = {
@@ -72,7 +71,7 @@ val dwrite : t -> now:int -> pc:int -> int -> outcome
 
 val ifetch_lat : t -> now:int -> int -> int
 (** Allocation-free {!ifetch}: same state effects, returning only the
-    latency.  The serving level is left in {!last_level}. *)
+    latency. *)
 
 val ifetch_lat_hinted : t -> now:int -> hint:int -> int -> int
 (** {!ifetch_lat} carrying the fetched block's temperature (0 hot ..
@@ -81,9 +80,6 @@ val ifetch_lat_hinted : t -> now:int -> hint:int -> int -> int
 
 val dread_lat : t -> now:int -> pc:int -> int -> int
 val dwrite_lat : t -> now:int -> pc:int -> int -> int
-
-val last_level : t -> level
-(** Level that served the most recent demand access. *)
 
 val prefetch_i : t -> now:int -> int -> unit
 (** Start an instruction-side prefetch into the i-cache (EFetch). *)

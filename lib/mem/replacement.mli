@@ -30,7 +30,6 @@ type kind = Lru | Srrip | Brrip | Trrip
 val kind_name : kind -> string
 (** ["lru"], ["srrip"], ["brrip"], ["trrip"]. *)
 
-val kind_of_string : string -> kind option
 val all_kinds : kind list
 
 type t

@@ -71,8 +71,6 @@ let make ~entries ~block_digests ~final_regs =
   { entries; block_digests; final_regs;
     digest = log_digest entries final_regs }
 
-let num_entries t = Array.length t.entries
-
 let mem_addr_of_entry e =
   List.fold_left
     (fun acc eff ->
@@ -86,27 +84,6 @@ let taken_of_entry e =
     (fun acc eff ->
       match eff with Branch_out { taken } -> taken | _ -> acc)
     false e.effects
-
-(* ----------------------------- printing --------------------------- *)
-
-let pp_effect fmt = function
-  | Reg_write { reg; value } ->
-    Format.fprintf fmt "r%d := %Lx" reg value
-  | Mem_read { addr; value } -> Format.fprintf fmt "load [%#x] = %Lx" addr value
-  | Mem_write { addr; value } ->
-    Format.fprintf fmt "store [%#x] <- %Lx" addr value
-  | Branch_out { taken } ->
-    Format.fprintf fmt "branch %s" (if taken then "taken" else "not-taken")
-
-let pp_entry fmt e =
-  Format.fprintf fmt "#%d uid=%d pc=%#x blk=%d %a [%a]" e.seq e.uid e.pc
-    e.block_id Isa.Opcode.pp e.opcode
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt "; ")
-       pp_effect)
-    e.effects
-
-let entry_to_string e = Format.asprintf "%a" pp_entry e
 
 (* ---------------------------- comparison -------------------------- *)
 

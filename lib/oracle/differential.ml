@@ -172,51 +172,6 @@ let check_cpu_trace ?(warm = true) ~config trace =
       else Ok nexp
     end
 
-(* Record the walk into a binary pack, replay it through the mmap
-   cursor, and require bit-identical events — every field, including
-   the resolved instruction (structural equality: terminator
-   instructions are re-synthesized on both sides). *)
-let check_pack program ~seed ~path =
-  let live =
-    T.Stream.to_trace (T.Stream.of_program program ~seed path)
-  in
-  let tmp = Filename.temp_file "critics-pack" ".cpk" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
-    (fun () ->
-      let n =
-        T.Pack.record ~path:tmp (T.Stream.of_program program ~seed path)
-      in
-      if n <> Array.length live then
-        Error
-          (Printf.sprintf "pack recorded %d events, live walk yields %d" n
-             (Array.length live))
-      else
-        match T.Pack.open_file tmp with
-        | Error e -> Error ("pack fails verification after record: " ^ e)
-        | Ok pk ->
-          let replay = T.Stream.to_trace (T.Pack.cursor pk program) in
-          if Array.length replay <> n then
-            Error
-              (Printf.sprintf "pack replay yields %d events, recorded %d"
-                 (Array.length replay) n)
-          else begin
-            let rec go i =
-              if i = n then Ok n
-              else if replay.(i) = live.(i) then go (i + 1)
-              else
-                let r = replay.(i) and l = live.(i) in
-                Error
-                  (Printf.sprintf
-                     "pack replay diverges at seq %d: replay \
-                      (uid %d pc %#x next %#x mem %d) vs live \
-                      (uid %d pc %#x next %#x mem %d)"
-                     i r.T.instr.Isa.Instr.uid r.T.pc r.T.next_pc r.T.mem_addr
-                     l.T.instr.Isa.Instr.uid l.T.pc l.T.next_pc l.T.mem_addr)
-            in
-            go 0
-          end)
-
 let check_transform_pair ~original ~transformed ~seed ~path =
   let a = Interp.run_path original ~seed path in
   let b = Interp.run_path transformed ~seed path in
@@ -341,10 +296,6 @@ let check_variant ?(configs = configs) p (name, program') =
          ~seed:p.seed ~path:p.path)
   in
   let* _ = in_context name (check_trace program' ~seed:p.seed ~path:p.path) in
-  let* _ =
-    in_context (name ^ "/pack")
-      (check_pack program' ~seed:p.seed ~path:p.path)
-  in
   let trace' = T.expand program' ~seed:p.seed p.path in
   List.fold_left
     (fun acc (cname, config) ->
@@ -375,10 +326,6 @@ let check_prepared ?(configs = configs) ?variant_configs ?(variants = true) p =
   in
   let* _ =
     in_context "baseline" (check_trace p.program ~seed:p.seed ~path:p.path)
-  in
-  let* _ =
-    in_context "baseline/pack"
-      (check_pack p.program ~seed:p.seed ~path:p.path)
   in
   let* base_events =
     List.fold_left

@@ -44,17 +44,6 @@ val check_cpu_trace :
     in order, and the statistics must satisfy the accounting
     identities.  Returns the number of retirements compared. *)
 
-val check_pack :
-  Prog.Program.t ->
-  seed:int ->
-  path:Prog.Walk.path ->
-  (int, string) result
-(** Record the walk into a binary trace pack ({!Prog.Trace.Pack}) in a
-    temp file, replay it through the mmap cursor, and require the
-    replayed events to be bit-identical to the live walk, field for
-    field.  Returns the number of events compared.  Run for the
-    baseline and for every transform variant by {!check_prepared}. *)
-
 val check_transform_pair :
   original:Prog.Program.t ->
   transformed:Prog.Program.t ->

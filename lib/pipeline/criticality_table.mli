@@ -17,6 +17,3 @@ val predict : t -> pc:int -> bool
 val train : t -> pc:int -> fanout:int -> unit
 (** Record the observed fanout of a completed instruction; a 2-bit
     confidence counter hysteresis avoids flapping on variable fanout. *)
-
-val predicted_critical : t -> int
-(** Number of [predict] calls that answered [true]. *)

@@ -61,15 +61,5 @@ val apply :
     The CFG shape is preserved; only block bodies change.  Equivalent
     to [Pipeline.run_exn (Pass.env ~options db) (Pipeline.canonical
     options)] — and bit-identical, program and report, to the
-    pre-refactor monolithic implementation. *)
-
-val apply_monolithic :
-  ?options:options ->
-  Profiler.Critic_db.t ->
-  Prog.Program.t ->
-  Prog.Program.t * report
-(** The original single-shot implementation, kept verbatim as the seed
-    reference for the pass-algebra differential tests.  Not for
-    production use: it preserves the historical defect of raising
-    [Invalid_argument] on a site whose member/uid lists differ in
-    length, where the pipeline counts the site as stale. *)
+    pre-refactor monolithic implementation, which [test/test_nanopass.ml]
+    keeps as its reference. *)

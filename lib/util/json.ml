@@ -251,7 +251,3 @@ let str = function
 let arr = function
   | Arr l -> l
   | _ -> failwith "expected JSON array"
-
-let obj = function
-  | Obj kvs -> kvs
-  | _ -> failwith "expected JSON object"

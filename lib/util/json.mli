@@ -44,5 +44,4 @@ val int : t -> int
 
 val str : t -> string
 val arr : t -> t list
-val obj : t -> (string * t) list
 (** Coercions; raise [Failure] on a different constructor. *)

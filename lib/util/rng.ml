@@ -46,11 +46,6 @@ let geometric t p =
     let u = if u <= 0.0 then epsilon_float else u in
     int_of_float (Float.floor (log u /. log (1.0 -. p)))
 
-let exponential t mean =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then epsilon_float else u in
-  -.mean *. log u
-
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))

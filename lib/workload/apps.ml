@@ -379,9 +379,6 @@ let find name =
     (fun (p : Profile.t) -> String.lowercase_ascii p.name = lower)
     all
 
-let of_suite suite =
-  List.filter (fun (p : Profile.t) -> p.suite = suite) all
-
 let table_ii () =
   let mobile_rows =
     List.map

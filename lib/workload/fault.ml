@@ -69,31 +69,3 @@ let to_string plan =
    terminators no longer match — unlike a bit flip, which can land in a
    free-text field. *)
 let truncate_string s = String.sub s 0 (String.length s / 2)
-
-let corrupt_string ~seed s =
-  let rng = Util.Rng.create (seed lxor 0xC0_44FE) in
-  let n = String.length s in
-  if n < 4 || Util.Rng.bool rng then
-    (* Truncate mid-stream — the shape a crashed non-atomic writer
-       leaves behind. *)
-    String.sub s 0 (n / 2)
-  else begin
-    (* Flip one bit of one byte. *)
-    let b = Bytes.of_string s in
-    let i = Util.Rng.int rng n in
-    let bit = Util.Rng.int rng 8 in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-    Bytes.to_string b
-  end
-
-let corrupt_file ~seed path =
-  let ic = open_in_bin path in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (corrupt_string ~seed s))

@@ -53,11 +53,3 @@ val to_string : plan -> string
 val truncate_string : string -> string
 (** First half of the input — a guaranteed-detectable corruption of a
     profile database (counts and section terminators go missing). *)
-
-val corrupt_string : seed:int -> string -> string
-(** Deterministically damage a serialized artifact: truncate it
-    mid-stream (what a crashed non-atomic writer leaves) or flip one
-    bit. *)
-
-val corrupt_file : seed:int -> string -> unit
-(** Rewrite [path] with [corrupt_string] of its contents. *)

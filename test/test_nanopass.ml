@@ -26,6 +26,190 @@ let contains ~sub s =
 
 let digest_program p = Digest.to_hex (Digest.string (Marshal.to_string p []))
 
+(* ------------------ monolithic reference pass ---------------------- *)
+
+(* The original single-shot implementation of [Critic_pass.apply], kept
+   verbatim as the seed reference the pass-algebra tests compare the
+   pipeline against.  Its one known defect is preserved on purpose: a
+   site whose member/uid lists differ in length raises instead of
+   counting as stale (the pipeline's Chain_select fixes this). *)
+module Monolithic = struct
+  open Transform
+  open Critic_pass
+
+  let cdp_span = 9
+
+  (* Replace the hoisted segment [first, first+len) with its converted
+     form: chain tags on every member, plus the chosen switch mechanism. *)
+  let emit_segment ~options ~fresh_uid ~chain_id members =
+    let len = List.length members in
+    let tagged =
+      List.mapi
+        (fun pos m ->
+          I.with_chain (Some { I.chain_id; pos; len }) m)
+        members
+    in
+    match options.mode with
+    | Hoist_only -> (tagged, 0, 0, 0)
+    | Fused_macro ->
+      (* One fetch for the whole chain: the head keeps its 32-bit slot
+         (the hypothetical macro opcode word), the rest ride for free. *)
+      (match tagged with
+      | [] -> ([], 0, 0, 0)
+      | head :: rest -> (head :: List.map I.fuse rest, len, 0, 0))
+    | Branches ->
+      let pre = I.make ~uid:(fresh_uid ()) ~opcode:Isa.Opcode.Branch () in
+      let post =
+        I.make ~uid:(fresh_uid ()) ~opcode:Isa.Opcode.Branch
+          ~encoding:I.Thumb16 ()
+      in
+      let converted =
+        List.map
+          (fun m -> if options.ideal then I.force_thumb m else I.with_encoding I.Thumb16 m)
+          tagged
+      in
+      ((pre :: converted) @ [ post ], len, 0, 2)
+    | Cdp ->
+      let rec chunks acc = function
+        | [] -> List.rev acc
+        | l ->
+          let n = min cdp_span (List.length l) in
+          chunks
+            (List.filteri (fun i _ -> i < n) l :: acc)
+            (List.filteri (fun i _ -> i >= n) l)
+      in
+      let groups = chunks [] tagged in
+      let out =
+        List.concat_map
+          (fun group ->
+            I.cdp ~uid:(fresh_uid ()) ~following:(List.length group)
+            :: List.map
+                 (fun m ->
+                   if options.ideal then I.force_thumb m
+                   else I.with_encoding I.Thumb16 m)
+                 group)
+          groups
+      in
+      (out, len, List.length groups, 0)
+
+  let apply_monolithic ?(options = default_options) (db : Db.t) program =
+    let db =
+      if options.ideal then db else Db.restrict_length options.max_len db
+    in
+    let by_block : (int, Db.site list) Hashtbl.t = Hashtbl.create 64 in
+    List.iter
+      (fun (s : Db.site) ->
+        if Db.site_length s >= 2 then
+          Hashtbl.replace by_block s.block_id
+            (s :: Option.value ~default:[] (Hashtbl.find_opt by_block s.block_id)))
+      db.sites;
+    let next_uid = ref (Prog.Program.max_uid program + 1) in
+    let fresh_uid () =
+      let u = !next_uid in
+      incr next_uid;
+      u
+    in
+    let chain_counter = ref 0 in
+    let r = ref Report.zero in
+    let bump f = r := f !r in
+    let apply_site (block : Prog.Block.t) (site : Db.site) =
+      bump (fun r -> { r with sites_considered = r.sites_considered + 1 });
+      let body = block.Prog.Block.body in
+      let fresh_site_ok =
+        List.for_all2
+          (fun idx uid -> idx < Array.length body && body.(idx).I.uid = uid)
+          site.member_indices site.uids
+      in
+      if not fresh_site_ok then begin
+        bump (fun r -> { r with rejected_stale = r.rejected_stale + 1 });
+        block
+      end
+      else begin
+        (* Longest legal prefix: any prefix of an IC is an IC, so when the
+           full chain cannot be hoisted (e.g. a register is reused further
+           down) we fall back to the longest hoistable prefix. *)
+        let rec legal_prefix indices =
+          match indices with
+          | [] | [ _ ] -> None
+          | _ when Hoist.legal block indices -> Some indices
+          | _ ->
+            legal_prefix
+              (List.filteri (fun i _ -> i < List.length indices - 1) indices)
+        in
+        match legal_prefix site.member_indices with
+        | None ->
+          bump (fun r -> { r with rejected_legality = r.rejected_legality + 1 });
+          block
+        | Some member_indices ->
+        let members = List.map (fun i -> body.(i)) member_indices in
+        let needs_conversion =
+          match options.mode with
+          | Cdp | Branches -> true
+          | Hoist_only | Fused_macro -> false
+        in
+        let convertible =
+          options.ideal || List.for_all Isa.Encode.thumb_convertible members
+        in
+        if needs_conversion && not convertible then begin
+          (* All-or-nothing: the whole sequence stays untouched. *)
+          bump (fun r ->
+              { r with rejected_convertibility = r.rejected_convertibility + 1 });
+          block
+        end
+        else begin
+          let hoisted = Hoist.apply block member_indices in
+          let first = List.hd member_indices in
+          let len = List.length member_indices in
+          let chain_id = !chain_counter in
+          incr chain_counter;
+          let segment =
+            Array.to_list (Array.sub hoisted.Prog.Block.body first len)
+          in
+          let converted, ninstr, ncdp, nbr =
+            emit_segment ~options ~fresh_uid ~chain_id segment
+          in
+          let body' =
+            Array.concat
+              [
+                Array.sub hoisted.Prog.Block.body 0 first;
+                Array.of_list converted;
+                Array.sub hoisted.Prog.Block.body (first + len)
+                  (Array.length hoisted.Prog.Block.body - first - len);
+              ]
+          in
+          bump (fun r ->
+              {
+                r with
+                sites_applied = r.sites_applied + 1;
+                instrs_hoisted = r.instrs_hoisted + len;
+                instrs_converted = r.instrs_converted + ninstr;
+                cdp_inserted = r.cdp_inserted + ncdp;
+                switch_branches_inserted = r.switch_branches_inserted + nbr;
+              });
+          Prog.Block.with_body body' hoisted
+        end
+      end
+    in
+    let program' =
+      Prog.Program.map_blocks
+        (fun block ->
+          match Hashtbl.find_opt by_block block.Prog.Block.id with
+          | None -> block
+          | Some sites ->
+            (* Highest start index first: rewrites at higher indices never
+               disturb the indices of sites below them (site index ranges
+               are disjoint by construction). *)
+            let sorted =
+              List.sort
+                (fun (a : Db.site) b -> compare b.start_index a.start_index)
+                sites
+            in
+            List.fold_left apply_site block sorted)
+        program
+    in
+    (program', !r)
+end
+
 (* ------------------- per-pass differential corpus ------------------ *)
 
 (* Every seed application: every pipeline variant (all switch modes
@@ -157,7 +341,7 @@ let prop_pipeline_equals_monolithic =
       List.for_all
         (fun (label, options) ->
           let prog_a, rep_a = CP.apply ~options p.D.db p.D.program in
-          let prog_b, rep_b = CP.apply_monolithic ~options p.D.db p.D.program in
+          let prog_b, rep_b = Monolithic.apply_monolithic ~options p.D.db p.D.program in
           if digest_program prog_a <> digest_program prog_b then
             QCheck.Test.fail_reportf "%s: programs differ" label
           else if rep_a <> rep_b then
@@ -211,7 +395,7 @@ let prop_reports_sum =
           in
           let summed = List.fold_left R.add R.zero per_pass in
           let _, composite = CP.apply ~options p.D.db p.D.program in
-          let _, mono = CP.apply_monolithic ~options p.D.db p.D.program in
+          let _, mono = Monolithic.apply_monolithic ~options p.D.db p.D.program in
           List.for_all2
             (fun (fa, va) ((fb, vb), (fc, vc)) ->
               if va <> vb || va <> vc then
@@ -300,7 +484,7 @@ let test_length_mismatch_counts_stale () =
      silent-loss defect this refactor fixes. *)
   Alcotest.check_raises "monolithic raised"
     (Invalid_argument "List.for_all2") (fun () ->
-      ignore (CP.apply_monolithic db program));
+      ignore (Monolithic.apply_monolithic db program));
   let _, rep = CP.apply db program in
   Alcotest.(check int) "pipeline counts it stale" 1 rep.CP.rejected_stale;
   Alcotest.(check int) "considered" 1 rep.CP.sites_considered;
@@ -344,7 +528,7 @@ let test_applied_site_reports () =
   let db = db_of [ site ~indices:[ 0; 2; 4 ] ~uids:[ 0; 2; 4 ] () ] in
   let check_mode label options ~cdp ~branches ~converted =
     let prog_a, rep = CP.apply ~options db program in
-    let prog_b, rep_b = CP.apply_monolithic ~options db program in
+    let prog_b, rep_b = Monolithic.apply_monolithic ~options db program in
     Alcotest.(check int) (label ^ ": applied") 1 rep.CP.sites_applied;
     Alcotest.(check int) (label ^ ": hoisted") 3 rep.CP.instrs_hoisted;
     Alcotest.(check int) (label ^ ": converted") converted
