@@ -282,7 +282,7 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
       ?policy_lab:policy_lab_json merged
   in
   (* Crash-safe write: a kill mid-write must never leave a truncated
-     BENCH_results.json that validate_smoke would half-parse. *)
+     BENCH_results.json that [validate smoke] would half-parse. *)
   Util.Atomic_io.write results_path json;
   Printf.eprintf "[bench] jobs=%d total=%.1fs — timings in %s\n" jobs
     (total_ms /. 1000.0) results_path;

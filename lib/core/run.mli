@@ -85,8 +85,8 @@ val transform_count : app_context -> int
 val stream : app_context -> Scheme.t -> Prog.Trace.Stream.cursor
 (** A fresh cursor over the scheme's event stream — the scheme's
     program expanded lazily over the *same* block path.  Always the
-    live walk: streams are never cached.  [critics_cli trace pack]
-    records one to disk with [Prog.Trace.Pack.record]. *)
+    live walk ({!Prog.Trace.Stream.of_program}), the stream's one
+    source: streams are never cached or recorded. *)
 
 val source : app_context -> Scheme.t -> Pipeline.Cpu.source
 (** The replayable form of {!stream}, as the simulator consumes it. *)

@@ -20,7 +20,6 @@ type t = {
   critical_load_prefetch : bool;
   efetch : bool;
   wrong_path_fetch : bool;
-  byte_fetch : bool;
   fanout_critical_threshold : int;
 }
 
@@ -45,11 +44,8 @@ let table_i =
     critical_load_prefetch = false;
     efetch = false;
     wrong_path_fetch = false;
-    byte_fetch = false;
     fanout_critical_threshold = 4;
   }
-
-let with_byte_fetch t = { t with byte_fetch = true }
 
 let with_2x_fd t =
   {
@@ -76,9 +72,7 @@ let describe t =
   let b = Printf.sprintf in
   [
     ("pipeline width", b "%d-wide" t.width);
-    ( "fetch group",
-      b "%d bytes/cycle%s" t.fetch_bytes
-        (if t.byte_fetch then ", byte-accurate aligned windows" else "") );
+    ("fetch group", b "%d bytes/cycle" t.fetch_bytes);
     ("ROB", b "%d entries" t.rob);
     ("issue queue", b "%d entries" t.iq);
     ( "functional units",

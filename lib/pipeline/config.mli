@@ -14,7 +14,10 @@ type issue_policy =
 type t = {
   width : int;              (** fetch/decode/rename/issue/commit width *)
   fetch_bytes : int;        (** fetch-group bytes per cycle (one i-cache
-                                access); 16 = four 32-bit words *)
+                                access); 16 = four 32-bit words.  Each
+                                instruction spends its encoded size in
+                                program order, with no window
+                                alignment. *)
   fetch_queue : int;        (** fetch-buffer entries *)
   decode_queue : int;
   rob : int;
@@ -41,19 +44,6 @@ type t = {
           way real hardware does.  Off in Table I — trace-driven
           simulators usually omit it — and exercised by the fidelity
           ablation *)
-  byte_fetch : bool;
-      (** byte-accurate fetch-group formation: a fetch group is an
-          aligned [fetch_bytes] window over the byte-accurate Thumb/ARM
-          encodings ({!Isa.Encode}), so a group ends early when the next
-          instruction would straddle the window boundary — mixed
-          16/32-bit code packs more instructions per group than uniform
-          32-bit code.  An instruction that straddles at the very start
-          of a group is still fetched (and terminates the group), so
-          fetch always makes progress.  Off in Table I: the default
-          counts instructions against the [fetch_bytes] budget in
-          program order without alignment — the seed-era behaviour the
-          golden digests pin.  Fetch byte/group statistics
-          ({!Stats.t.fetch_bytes}) are counted in both modes. *)
   fanout_critical_threshold : int;
       (** fanout at which an instruction counts as critical, for both
           predictors and statistics.  The paper uses 8 on real traces;
@@ -69,9 +59,6 @@ val table_i : t
 
 val with_2x_fd : t -> t
 (** Double fetch/decode bandwidth and halve i-cache hit latency. *)
-
-val with_byte_fetch : t -> t
-(** Turn on byte-accurate fetch-group formation (see [byte_fetch]). *)
 
 val with_4x_icache : t -> t
 val with_efetch : t -> t

@@ -836,16 +836,9 @@ let run_stream ?(warm = true) ?(checks = false) ?fuel ?on_commit ?probe
         incr idle_supply
       end
       else begin
-        (* Group budget.  Default mode: a flat [fetch_bytes] allowance,
-           regardless of alignment — the seed-era behaviour the golden
-           digests pin.  Byte-accurate mode: the group is the aligned
-           [fetch_bytes] window the head's pc falls in, so only the
-           bytes from pc to the window end are available this cycle.
-           [fetch_bytes] is a power of two in every configuration. *)
-        bytes :=
-          if cfg.byte_fetch then
-            cfg.fetch_bytes - (first.ev.pc land (cfg.fetch_bytes - 1))
-          else cfg.fetch_bytes;
+        (* Group budget: a flat [fetch_bytes] allowance, regardless of
+           alignment — the behaviour the golden digests pin. *)
+        bytes := cfg.fetch_bytes;
         new_line_accessed := false;
         fetched_any := false;
         blocked_bp := false;
@@ -880,16 +873,7 @@ let run_stream ?(warm = true) ?(checks = false) ?fuel ?on_commit ?probe
                     stop := true
                   end
                 end;
-                if (not !stop) && !bytes < s.ev.size then begin
-                  (* In byte-accurate mode an instruction straddling the
-                     window boundary at the very start of a group is
-                     still fetched (hardware fetches both windows over
-                     two accesses); the negative remaining budget then
-                     terminates the group, so fetch always progresses.
-                     Mid-group straddles wait for the next window. *)
-                  if not (cfg.byte_fetch && not !fetched_any) then
-                    stop := true
-                end;
+                if !bytes < s.ev.size then stop := true;
                 if not !stop then begin
                   bytes := !bytes - s.ev.size;
                   fbytes_total := !fbytes_total + s.ev.size;
