@@ -13,7 +13,32 @@ type scheme_cache = {
      a few bytes per block, so not bounded.  Derived state, never
      marshalled with the context payload. *)
   mutable heats : (Scheme.t * int array) list;
+  (* Warmed memory hierarchies of the most recently simulated scheme,
+     one per [Config.mem] (keyed by its marshalled bytes).  A warm pass
+     depends only on the stream and the memory configuration, so every
+     machine that shares one reuses it: each run simulates on a copy.
+     Dropped when another scheme is simulated, so the cache holds one
+     scheme's states at a time. *)
+  mutable warm_scheme : Scheme.t option;
+  mutable warm : (string * Mem.Hierarchy.t) list;
 }
+
+(* The one lock/find/compute/recheck path for everything the scheme
+   cache memoizes.  [find] and [add] run under the lock; [compute] runs
+   outside it, so domains never serialize on a compile or a warm pass.
+   Every cached value is deterministic in the context, so a lost race
+   recomputes an identical value and the first write wins. *)
+let find_or_add c ~find ~add compute =
+  match Mutex.protect c.cache_lock (fun () -> find c) with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    Mutex.protect c.cache_lock (fun () ->
+        match find c with
+        | Some winner -> winner
+        | None ->
+          add c v;
+          v)
 
 type app_context = {
   profile : Workload.Profile.t;
@@ -83,7 +108,14 @@ let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
     event_count;
     db;
     scheme_cache =
-      { cache_lock = Mutex.create (); slot = None; transforms = 0; heats = [] };
+      {
+        cache_lock = Mutex.create ();
+        slot = None;
+        transforms = 0;
+        heats = [];
+        warm_scheme = None;
+        warm = [];
+      };
     ckey = Store.key_digest key;
   }
 
@@ -130,34 +162,16 @@ let rec transformed ctx (scheme : Scheme.t) =
            (Transform.Pass.env ctx.db)
            Transform.Pipeline.reordered ctx.program)
   in
-  let in_slot (c : scheme_cache) =
-    match c.slot with Some (s, p) when s = scheme -> Some p | _ -> None
-  in
   match scheme with
   | Scheme.Baseline -> ctx.program
-  | _ -> (
-    (* The mutex makes contexts shareable across the parallel harness's
-       domains; passes are deterministic, so a lost race recomputes an
-       identical program and the first write wins. *)
-    let c = ctx.scheme_cache in
-    Mutex.lock c.cache_lock;
-    let hit = in_slot c in
-    Mutex.unlock c.cache_lock;
-    match hit with
-    | Some p -> p
-    | None ->
-      let p = compile () in
-      Mutex.lock c.cache_lock;
-      let p =
-        match in_slot c with
-        | Some winner -> winner
-        | None ->
-          c.transforms <- c.transforms + 1;
-          c.slot <- Some (scheme, p);
-          p
-      in
-      Mutex.unlock c.cache_lock;
-      p)
+  | _ ->
+    find_or_add ctx.scheme_cache
+      ~find:(fun c ->
+        match c.slot with Some (s, p) when s = scheme -> Some p | _ -> None)
+      ~add:(fun c p ->
+        c.transforms <- c.transforms + 1;
+        c.slot <- Some (scheme, p))
+      compile
 
 let transform_count ctx = ctx.scheme_cache.transforms
 
@@ -171,42 +185,48 @@ let trace_of ctx scheme =
   Prog.Trace.expand (transformed ctx scheme) ~seed:ctx.seed ctx.path
 
 (* Block temperatures of a scheme's dynamic stream (Profiler.Heat),
-   memoized per scheme: the profile is deterministic, so — as with
-   transformed programs — a lost race between domains recomputes an
-   identical table and the first write wins. *)
+   memoized per scheme. *)
 let heat ctx scheme =
-  let c = ctx.scheme_cache in
-  Mutex.lock c.cache_lock;
-  let hit = List.assoc_opt scheme c.heats in
-  Mutex.unlock c.cache_lock;
-  match hit with
-  | Some t -> t
-  | None ->
-    let num_blocks = Prog.Program.num_blocks (transformed ctx scheme) in
-    let t =
+  find_or_add ctx.scheme_cache
+    ~find:(fun c -> List.assoc_opt scheme c.heats)
+    ~add:(fun c t -> c.heats <- (scheme, t) :: c.heats)
+    (fun () ->
+      let num_blocks = Prog.Program.num_blocks (transformed ctx scheme) in
       Profiler.Heat.temperatures
-        (Profiler.Heat.profile ~num_blocks (stream ctx scheme))
-    in
-    Mutex.lock c.cache_lock;
-    let t =
-      match List.assoc_opt scheme c.heats with
-      | Some winner -> winner
-      | None ->
-        c.heats <- (scheme, t) :: c.heats;
-        t
-    in
-    Mutex.unlock c.cache_lock;
-    t
+        (Profiler.Heat.profile ~num_blocks (stream ctx scheme)))
+
+(* The hierarchy a run of [scheme] under memory configuration [mem]
+   starts from, warmed once and shared: never simulate on it directly,
+   only on a {!Mem.Hierarchy.copy}. *)
+let warm_state ctx scheme (mem : Mem.Hierarchy.config) =
+  let key = Marshal.to_string mem [] in
+  find_or_add ctx.scheme_cache
+    ~find:(fun c ->
+      if c.warm_scheme = Some scheme then List.assoc_opt key c.warm else None)
+    ~add:(fun c h ->
+      if c.warm_scheme <> Some scheme then begin
+        c.warm_scheme <- Some scheme;
+        c.warm <- []
+      end;
+      c.warm <- (key, h) :: c.warm)
+    (fun () ->
+      let h = Mem.Hierarchy.create mem in
+      Pipeline.Cpu.warm h (stream ctx scheme);
+      h)
 
 let stats ?(config = Pipeline.Config.table_i) ?fuel ?probe ctx scheme =
   (* The TRRIP policy is the one consumer of block temperatures; other
      policies ignore the hint, so the table is only computed (once per
-     scheme) when it can matter. *)
-  if config.Pipeline.Config.mem.Mem.Hierarchy.l1i_policy = Mem.Replacement.Trrip
-  then
-    Pipeline.Cpu.run_stream ?fuel ?probe ~itemp:(heat ctx scheme) config
-      (source ctx scheme)
-  else Pipeline.Cpu.run_stream ?fuel ?probe config (source ctx scheme)
+     scheme) when it can matter.  The warm pass ignores hints, so TRRIP
+     machines share warm states like any other. *)
+  let itemp =
+    match config.Pipeline.Config.mem.Mem.Hierarchy.l1i_policy with
+    | Mem.Replacement.Trrip -> Some (heat ctx scheme)
+    | Mem.Replacement.Lru | Mem.Replacement.Srrip | Mem.Replacement.Brrip ->
+      None
+  in
+  let hier = Mem.Hierarchy.copy (warm_state ctx scheme config.mem) in
+  Pipeline.Cpu.run_stream ~hier ?fuel ?probe ?itemp config (source ctx scheme)
 
 let speedup ~base (st : Pipeline.Stats.t) =
   (float_of_int base.Pipeline.Stats.cycles /. float_of_int st.cycles) -. 1.0

@@ -10,11 +10,13 @@
     any machine configuration. *)
 
 type scheme_cache
-(** One slot holding the last transformed program, sized for the hot
-    access pattern — one scheme re-simulated across machine
-    configurations, interleaved with the baseline, which needs no slot;
-    mutex-protected so contexts can be shared across domains by the
-    parallel experiment harness. *)
+(** Derived per-scheme state: one slot holding the last transformed
+    program, sized for the hot access pattern — one scheme re-simulated
+    across machine configurations, interleaved with the baseline, which
+    needs no slot; the TRRIP heat tables; and the warmed memory
+    hierarchies of the most recently simulated scheme, one per
+    [Config.mem].  Mutex-protected so contexts can be shared across
+    domains by the parallel experiment harness. *)
 
 type app_context = {
   profile : Workload.Profile.t;
@@ -116,7 +118,13 @@ val stats :
     observer; the returned stats are bit-identical with or without one
     (see {!Pipeline.Cpu.run_stream}).  When the configuration selects
     the TRRIP i-cache policy, the scheme's {!heat} table is computed
-    and threaded through automatically. *)
+    and threaded through automatically.
+
+    The warm pass ({!Pipeline.Cpu.warm}) runs once per (scheme,
+    [config.mem]) while the scheme stays the context's most recently
+    simulated one; every run simulates on a {!Mem.Hierarchy.copy} of
+    that state, so the statistics equal a run that warms its own
+    hierarchy. *)
 
 val speedup : base:Pipeline.Stats.t -> Pipeline.Stats.t -> float
 (** Fractional cycle-count improvement over [base] for the same work. *)

@@ -12,9 +12,11 @@ type t = {
   line_bytes : int;
   line_shift : int;
   sets : int;
+  set_mask : int;   (* sets - 1: the set is [line land set_mask] *)
+  set_shift : int;  (* log2 sets: the tag is [line lsr set_shift] *)
   assoc : int;
-  tags : int array array;     (* tags.(set).(way); -1 = invalid *)
-  dirty : bool array array;
+  tags : int array;    (* tags.(set * assoc + way); -1 = invalid *)
+  dirty : bool array;  (* same indexing *)
   repl : Replacement.t;
   mutable accesses : int;
   mutable hits : int;
@@ -44,14 +46,18 @@ let create ?(policy = Replacement.Lru) ~name ~size_bytes ~assoc ~line_bytes ()
   if size_bytes mod (assoc * line_bytes) <> 0 then
     invalid_arg "Cache.create: size not divisible by assoc * line";
   let sets = size_bytes / (assoc * line_bytes) in
+  if not (is_pow2 sets) then
+    invalid_arg "Cache.create: set count must be a power of two";
   {
     name;
     line_bytes;
     line_shift = log2 line_bytes;
     sets;
+    set_mask = sets - 1;
+    set_shift = log2 sets;
     assoc;
-    tags = Array.init sets (fun _ -> Array.make assoc (-1));
-    dirty = Array.init sets (fun _ -> Array.make assoc false);
+    tags = Array.make (sets * assoc) (-1);
+    dirty = Array.make (sets * assoc) false;
     repl = Replacement.create policy ~sets ~assoc;
     accesses = 0;
     hits = 0;
@@ -63,6 +69,14 @@ let create ?(policy = Replacement.Lru) ~name ~size_bytes ~assoc ~line_bytes ()
     victim_dirty = false;
   }
 
+let copy t =
+  {
+    t with
+    tags = Array.copy t.tags;
+    dirty = Array.copy t.dirty;
+    repl = Replacement.copy t.repl;
+  }
+
 let name t = t.name
 let line_bytes t = t.line_bytes
 let sets t = t.sets
@@ -70,75 +84,79 @@ let assoc t = t.assoc
 let policy t = Replacement.kind t.repl
 let line_of t addr = addr land lnot (t.line_bytes - 1)
 
-(* -1 when the tag is not present: called once per access, so it avoids
+(* Flat index of the way holding [tag] in the set starting at [base], or
+   -1 when the tag is not present: called once per access, so it avoids
    allocating an option on every cache hit.  Plain loops over mutable
    locals rather than local recursive functions: a [let rec] capturing
-   [ways]/[tag] costs a closure allocation per call without flambda,
-   which on this per-access path is the difference between a GC-silent
+   [tag] costs a closure allocation per call without flambda, which on
+   this per-access path is the difference between a GC-silent
    simulation loop and one minor allocation per cache access. *)
-let find_way t set tag =
-  let ways = t.tags.(set) in
+let find t base tag =
+  let tags = t.tags in
   let found = ref (-1) in
-  let i = ref 0 in
-  while !found < 0 && !i < t.assoc do
-    if ways.(!i) = tag then found := !i;
+  let i = ref base in
+  let stop = base + t.assoc in
+  while !found < 0 && !i < stop do
+    if tags.(!i) = tag then found := !i;
     incr i
   done;
   !found
 
 (* Invalid ways are preferred regardless of policy; the replacement
-   policy only arbitrates full sets. *)
-let victim_way t set =
-  let tags = t.tags.(set) in
+   policy only arbitrates full sets.  Returns a flat index. *)
+let victim_slot t base =
+  let tags = t.tags in
   let invalid = ref (-1) in
-  let i = ref 0 in
-  while !invalid < 0 && !i < t.assoc do
+  let i = ref base in
+  let stop = base + t.assoc in
+  while !invalid < 0 && !i < stop do
     if tags.(!i) = -1 then invalid := !i;
     incr i
   done;
-  if !invalid >= 0 then !invalid else Replacement.victim t.repl ~set
+  if !invalid >= 0 then !invalid else base + Replacement.victim t.repl ~base
 
 (* Install a tag, recording the victim line in [victim_addr]/
    [victim_dirty] ([victim_addr = -1]: no valid line displaced).
-   Returns the way used.  [hint] is the replacement policy's fill hint
-   (temperature for TRRIP; ignored by the others; -1 = none). *)
+   Returns the flat index used.  [hint] is the replacement policy's
+   fill hint (temperature for TRRIP; ignored by the others; -1 =
+   none). *)
 let install t set tag hint =
-  let way = victim_way t set in
-  let old_tag = t.tags.(set).(way) in
+  let base = set * t.assoc in
+  let i = victim_slot t base in
+  let old_tag = t.tags.(i) in
   if old_tag = -1 then t.victim_addr <- -1
   else begin
-    let addr = ((old_tag * t.sets) + set) lsl t.line_shift in
-    let was_dirty = t.dirty.(set).(way) in
+    let addr = ((old_tag lsl t.set_shift) lor set) lsl t.line_shift in
+    let was_dirty = t.dirty.(i) in
     if was_dirty then t.writebacks <- t.writebacks + 1;
     t.victim_addr <- addr;
     t.victim_dirty <- was_dirty
   end;
-  t.tags.(set).(way) <- tag;
-  t.dirty.(set).(way) <- false;
-  Replacement.on_fill t.repl ~set ~way ~hint;
-  way
+  t.tags.(i) <- tag;
+  t.dirty.(i) <- false;
+  Replacement.on_fill t.repl i ~hint;
+  i
 
 (* [~write]/[~hint] are plain labelled arguments, not optional: the hot
    path in Mem.Hierarchy passes runtime-computed values, and an optional
    argument would box them as [Some _] on every access. *)
 let access_demand_hinted ~write ~hint t addr =
-  (* set_and_tag, open-coded to skip the per-access pair allocation *)
   let line = addr lsr t.line_shift in
-  let set = line mod t.sets and tag = line / t.sets in
+  let set = line land t.set_mask and tag = line lsr t.set_shift in
   t.accesses <- t.accesses + 1;
-  let way = find_way t set tag in
-  if way >= 0 then begin
+  let i = find t (set * t.assoc) tag in
+  if i >= 0 then begin
     t.hits <- t.hits + 1;
-    Replacement.on_hit t.repl ~set ~way;
-    if write then t.dirty.(set).(way) <- true;
+    Replacement.on_hit t.repl i;
+    if write then t.dirty.(i) <- true;
     t.victim_addr <- -1;
     true
   end
   else begin
     t.misses <- t.misses + 1;
     t.fills <- t.fills + 1;
-    let way = install t set tag hint in
-    if write then t.dirty.(set).(way) <- true;
+    let i = install t set tag hint in
+    if write then t.dirty.(i) <- true;
     false
   end
 
@@ -158,14 +176,14 @@ let access ?(write = false) t addr = access_demand ~write t addr
 
 let probe t addr =
   let line = addr lsr t.line_shift in
-  find_way t (line mod t.sets) (line / t.sets) >= 0
+  find t ((line land t.set_mask) * t.assoc) (line lsr t.set_shift) >= 0
 
 let fill t addr =
   let line = addr lsr t.line_shift in
-  let set = line mod t.sets and tag = line / t.sets in
-  let way = find_way t set tag in
-  if way >= 0 then begin
-    Replacement.on_hit t.repl ~set ~way;
+  let set = line land t.set_mask and tag = line lsr t.set_shift in
+  let i = find t (set * t.assoc) tag in
+  if i >= 0 then begin
+    Replacement.on_hit t.repl i;
     (* The line was already resident: nothing was displaced.  Leaving
        the previous install's victim in place would let a caller absorb
        the same writeback twice. *)
@@ -178,8 +196,8 @@ let fill t addr =
   end
 
 let invalidate_all t =
-  Array.iter (fun ways -> Array.fill ways 0 t.assoc (-1)) t.tags;
-  Array.iter (fun d -> Array.fill d 0 t.assoc false) t.dirty;
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.dirty 0 (Array.length t.dirty) false;
   Replacement.reset t.repl;
   t.victim_addr <- -1;
   t.victim_dirty <- false

@@ -25,8 +25,15 @@ val create :
   unit ->
   t
 (** Geometry must be consistent: [size_bytes] divisible by
-    [assoc * line_bytes], and [line_bytes] a power of two.  [policy]
+    [assoc * line_bytes], and both [line_bytes] and the set count
+    [size_bytes / (assoc * line_bytes)] powers of two (set and tag come
+    from a mask and a shift).  Tags, dirty bits and replacement state
+    are each one flat array indexed by [set * assoc + way].  [policy]
     defaults to {!Replacement.Lru}, the historical behavior. *)
+
+val copy : t -> t
+(** An independent deep copy: tags, dirty bits, replacement state,
+    counters and the pending victim report. *)
 
 val name : t -> string
 val line_bytes : t -> int

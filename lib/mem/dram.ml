@@ -82,3 +82,11 @@ let stats t =
     row_hits = t.row_hits;
     row_misses = t.row_misses;
   }
+
+let copy t =
+  {
+    t with
+    banks =
+      Array.map (fun b -> { open_row = b.open_row; busy_until = b.busy_until })
+        t.banks;
+  }

@@ -32,6 +32,9 @@ type stats = {
 
 val create : ?config:config -> unit -> t
 
+val copy : t -> t
+(** An independent copy: bank state and counters. *)
+
 val access : t -> now:int -> write:bool -> int -> int
 (** [access t ~now ~write addr] returns the total latency (queueing
     included) of the access issued at cycle [now], and updates bank

@@ -48,6 +48,21 @@ type level = L1 | L2 | Main
 
 type outcome = { level : level; latency : int }
 
+(* Tables keyed by line address.  Lines are line-aligned, so an
+   identity hash would leave the low bits — the ones the table indexes
+   buckets with — all zero; the key is mixed first (SplitMix64's
+   finalizer, with its constants cut to the native 63-bit int). *)
+module Line_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let x = (x lxor (x lsr 30)) * 0x3F58476D1CE4E5B9 in
+    let x = (x lxor (x lsr 27)) * 0x14D049BB133111EB in
+    x lxor (x lsr 31)
+end)
+
 type t = {
   config : config;
   l1i : Cache.t;
@@ -58,9 +73,9 @@ type t = {
   (* In-flight fills per cache: line address -> cycle the line becomes
      usable.  Entries are installed by prefetches and consumed (or
      expired) by demand accesses. *)
-  pending_l1i : (int, int) Hashtbl.t;
-  pending_l1d : (int, int) Hashtbl.t;
-  pending_l2 : (int, int) Hashtbl.t;
+  pending_l1i : int Line_tbl.t;
+  pending_l1d : int Line_tbl.t;
+  pending_l2 : int Line_tbl.t;
   (* Level that served the most recent demand access, readable without
      allocating an [outcome] record (the pipeline only needs the
      latency; the record API below is a wrapper over this field). *)
@@ -77,7 +92,7 @@ type t = {
      history would have named?  Purely observational; only maintained
      when [config.l1i_opportunity]. *)
   mutable opp_prev_line : int;
-  opp_succ : (int, int) Hashtbl.t;
+  opp_succ : int Line_tbl.t;
   mutable opp_misses : int;
   mutable opp_predictable : int;
 }
@@ -99,34 +114,51 @@ let create config =
     prefetcher =
       (if config.l2_prefetcher then Some (Stride_prefetcher.create ())
        else None);
-    pending_l1i = Hashtbl.create 64;
-    pending_l1d = Hashtbl.create 64;
-    pending_l2 = Hashtbl.create 64;
+    pending_l1i = Line_tbl.create 64;
+    pending_l1d = Line_tbl.create 64;
+    pending_l2 = Line_tbl.create 64;
     last_level = L1;
     fd_last_line = -1;
     fd_stride = 0;
     fd_conf = 0;
     opp_prev_line = -1;
-    opp_succ = Hashtbl.create 256;
+    opp_succ = Line_tbl.create 256;
     opp_misses = 0;
     opp_predictable = 0;
   }
 
 let config t = t.config
 
+let copy t =
+  {
+    t with
+    l1i = Cache.copy t.l1i;
+    l1d = Cache.copy t.l1d;
+    l2 = Cache.copy t.l2;
+    dram = Dram.copy t.dram;
+    prefetcher = Option.map Stride_prefetcher.copy t.prefetcher;
+    pending_l1i = Line_tbl.copy t.pending_l1i;
+    pending_l1d = Line_tbl.copy t.pending_l1d;
+    pending_l2 = Line_tbl.copy t.pending_l2;
+    opp_succ = Line_tbl.copy t.opp_succ;
+  }
+
 (* If a prefetch for [line] is in flight, the demand access waits for the
    remaining cycles instead of redoing the whole miss path.  -1 means no
    fill was pending (an exception match instead of [find_opt] so the
-   per-access path never allocates a [Some]).  On consumption the fill
+   per-access path never allocates a [Some]; most tables are empty on
+   most accesses, which skips the lookup).  On consumption the fill
    installs into [cache] and may displace a dirty line: the caller must
    absorb that victim before its next access clears the report. *)
 let pending_wait pending cache ~now line =
-  match Hashtbl.find pending line with
-  | exception Not_found -> -1
-  | ready ->
-    Hashtbl.remove pending line;
-    Cache.fill cache line;
-    max 0 (ready - now)
+  if Line_tbl.length pending = 0 then -1
+  else
+    match Line_tbl.find pending line with
+    | exception Not_found -> -1
+    | ready ->
+      Line_tbl.remove pending line;
+      Cache.fill cache line;
+      max 0 (ready - now)
 
 (* A dirty line displaced from the L2 drains to DRAM through the write
    buffer: it consumes DRAM bandwidth but is off the load's critical
@@ -182,10 +214,10 @@ let train_prefetcher t ~now ~pc line =
         let pline = Cache.line_of t.l2 addr in
         if
           (not (Cache.probe t.l2 pline))
-          && not (Hashtbl.mem t.pending_l2 pline)
+          && not (Line_tbl.mem t.pending_l2 pline)
         then begin
           let lat = Dram.access t.dram ~now ~write:false pline in
-          Hashtbl.replace t.pending_l2 pline (now + lat)
+          Line_tbl.replace t.pending_l2 pline (now + lat)
         end)
       addrs
 
@@ -221,9 +253,9 @@ let demand_lat t ~now ~pc ~write ~hint ~l1 ~l1_hit ~pending addr =
 
 let prefetch ~l1 ~pending t ~now ~write addr =
   let line = Cache.line_of l1 addr in
-  if (not (Cache.probe l1 line)) && not (Hashtbl.mem pending line) then begin
+  if (not (Cache.probe l1 line)) && not (Line_tbl.mem pending line) then begin
     let beyond = l2_path t ~now ~write line in
-    Hashtbl.replace pending line (now + beyond)
+    Line_tbl.replace pending line (now + beyond)
   end
 
 (* Observe a demand-fetch line for the Zhao-style opportunity bound: a
@@ -233,14 +265,15 @@ let prefetch ~l1 ~pending t ~now ~write addr =
 let opportunity_observe t line =
   if line <> t.opp_prev_line then begin
     if
-      (not (Cache.probe t.l1i line)) && not (Hashtbl.mem t.pending_l1i line)
+      (not (Cache.probe t.l1i line)) && not (Line_tbl.mem t.pending_l1i line)
     then begin
       t.opp_misses <- t.opp_misses + 1;
-      match Hashtbl.find t.opp_succ t.opp_prev_line with
+      match Line_tbl.find t.opp_succ t.opp_prev_line with
       | exception Not_found -> ()
       | succ -> if succ = line then t.opp_predictable <- t.opp_predictable + 1
     end;
-    if t.opp_prev_line >= 0 then Hashtbl.replace t.opp_succ t.opp_prev_line line;
+    if t.opp_prev_line >= 0 then
+      Line_tbl.replace t.opp_succ t.opp_prev_line line;
     t.opp_prev_line <- line
   end
 
@@ -332,9 +365,9 @@ let invalidate_all t =
   Cache.invalidate_all t.l1i;
   Cache.invalidate_all t.l1d;
   Cache.invalidate_all t.l2;
-  Hashtbl.reset t.pending_l1i;
-  Hashtbl.reset t.pending_l1d;
-  Hashtbl.reset t.pending_l2;
+  Line_tbl.reset t.pending_l1i;
+  Line_tbl.reset t.pending_l1d;
+  Line_tbl.reset t.pending_l2;
   t.fd_last_line <- -1;
   t.fd_stride <- 0;
   t.fd_conf <- 0;

@@ -61,6 +61,14 @@ type outcome = { level : level; latency : int }
 val create : config -> t
 val config : t -> config
 
+val copy : t -> t
+(** An independent deep copy: every cache's lines, dirty bits,
+    replacement state and counters, the DRAM banks and counters, the
+    prefetcher entries, the in-flight prefetch tables and the
+    fetch-history state.  Whatever runs on the copy — or on the
+    original — leaves the other unchanged, and the two answer every
+    later access identically. *)
+
 val ifetch : t -> now:int -> int -> outcome
 (** Instruction fetch of the line containing the address. *)
 

@@ -21,9 +21,9 @@ let brrip_period = 32
 type t = {
   kind : kind;
   assoc : int;
-  (* state.(set).(way): LRU recency stamp (larger = more recent) or
-     RRIP RRPV (0 = near-immediate .. 3 = distant). *)
-  state : int array array;
+  (* state.(set * assoc + way): LRU recency stamp (larger = more recent)
+     or RRIP RRPV (0 = near-immediate .. 3 = distant). *)
+  state : int array;
   mutable clock : int;     (* Lru only *)
   mutable fill_seq : int;  (* Brrip only *)
 }
@@ -36,47 +36,48 @@ let create kind ~sets ~assoc =
   {
     kind;
     assoc;
-    state = Array.init sets (fun _ -> Array.make assoc (initial_state kind));
+    state = Array.make (sets * assoc) (initial_state kind);
     clock = 0;
     fill_seq = 0;
   }
 
 let kind t = t.kind
+let copy t = { t with state = Array.copy t.state }
 
-let on_hit t ~set ~way =
+let on_hit t i =
   match t.kind with
   | Lru ->
     t.clock <- t.clock + 1;
-    t.state.(set).(way) <- t.clock
-  | Srrip | Brrip | Trrip -> t.state.(set).(way) <- 0
+    t.state.(i) <- t.clock
+  | Srrip | Brrip | Trrip -> t.state.(i) <- 0
 
-let on_fill t ~set ~way ~hint =
+let on_fill t i ~hint =
   match t.kind with
   | Lru ->
     t.clock <- t.clock + 1;
-    t.state.(set).(way) <- t.clock
-  | Srrip -> t.state.(set).(way) <- rrpv_long
+    t.state.(i) <- t.clock
+  | Srrip -> t.state.(i) <- rrpv_long
   | Brrip ->
     t.fill_seq <- t.fill_seq + 1;
-    t.state.(set).(way) <-
+    t.state.(i) <-
       (if t.fill_seq mod brrip_period = 0 then rrpv_long else rrpv_max)
   | Trrip ->
-    t.state.(set).(way) <-
+    t.state.(i) <-
       (if hint < 0 then rrpv_long
        else if hint > rrpv_max then rrpv_max
        else hint)
 
 (* Allocation-free scans, same discipline as Cache.find_way: plain
    loops over mutable locals, no closures on the per-miss path. *)
-let victim t ~set =
-  let st = t.state.(set) in
+let victim t ~base =
+  let st = t.state in
   match t.kind with
   | Lru ->
     (* First way holding the strictly smallest stamp — the exact scan
        the historical cache used, so LRU victims are bit-identical. *)
     let best = ref 0 in
     for i = 0 to t.assoc - 1 do
-      if st.(i) < st.(!best) then best := i
+      if st.(base + i) < st.(base + !best) then best := i
     done;
     !best
   | Srrip | Brrip | Trrip ->
@@ -86,18 +87,17 @@ let victim t ~set =
     while !found < 0 do
       let i = ref 0 in
       while !found < 0 && !i < t.assoc do
-        if st.(!i) = rrpv_max then found := !i;
+        if st.(base + !i) = rrpv_max then found := !i;
         incr i
       done;
       if !found < 0 then
-        for i = 0 to t.assoc - 1 do
+        for i = base to base + t.assoc - 1 do
           st.(i) <- st.(i) + 1
         done
     done;
     !found
 
 let reset t =
-  let init = initial_state t.kind in
-  Array.iter (fun st -> Array.fill st 0 t.assoc init) t.state;
+  Array.fill t.state 0 (Array.length t.state) (initial_state t.kind);
   t.clock <- 0;
   t.fill_seq <- 0

@@ -33,18 +33,28 @@ val kind_name : kind -> string
 val all_kinds : kind list
 
 type t
+(** Policy state for a whole cache: one int per (set, way), stored flat
+    at index [set * assoc + way]. *)
 
 val create : kind -> sets:int -> assoc:int -> t
 val kind : t -> kind
 
-val on_hit : t -> set:int -> way:int -> unit
+val copy : t -> t
+(** An independent copy: same kind, state, LRU clock and BRRIP fill
+    counter. *)
 
-val on_fill : t -> set:int -> way:int -> hint:int -> unit
-(** [hint] is a temperature in 0..3 (0 hottest) or negative for
+val on_hit : t -> int -> unit
+(** [on_hit t i]: the line at flat index [i = set * assoc + way] was
+    referenced. *)
+
+val on_fill : t -> int -> hint:int -> unit
+(** [on_fill t i ~hint]: a line was installed at flat index [i].
+    [hint] is a temperature in 0..3 (0 hottest) or negative for
     unknown.  Only [Trrip] reads it. *)
 
-val victim : t -> set:int -> int
-(** Way to displace.  Precondition: every way of [set] holds a valid
+val victim : t -> base:int -> int
+(** Way to displace in the set whose ways start at flat index [base]
+    ([set * assoc]).  Precondition: every way of the set holds a valid
     line (the cache prefers invalid ways without consulting the
     policy). *)
 

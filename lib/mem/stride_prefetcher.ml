@@ -50,3 +50,18 @@ let observe t ~pc ~addr =
   end
 
 let issued t = t.issued
+
+let copy t =
+  {
+    t with
+    entries =
+      Array.map
+        (fun e ->
+          {
+            tag = e.tag;
+            last_addr = e.last_addr;
+            stride = e.stride;
+            confidence = e.confidence;
+          })
+        t.entries;
+  }

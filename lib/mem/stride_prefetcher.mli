@@ -10,6 +10,9 @@ type t
 val create : ?entries:int -> ?degree:int -> unit -> t
 (** [entries] defaults to 1024, [degree] (lines prefetched ahead) to 1. *)
 
+val copy : t -> t
+(** An independent copy: every table entry and the issue counter. *)
+
 val observe : t -> pc:int -> addr:int -> int list
 (** [observe t ~pc ~addr] trains on a demand access and returns the
     addresses to prefetch (empty while confidence is low). *)

@@ -101,7 +101,7 @@ let check_trace program ~seed ~path =
       else Ok oracle
   end
 
-let check_cpu_trace ?(warm = true) ~config trace =
+let check_cpu_trace ~config trace =
   let expected =
     Array.of_seq
       (Seq.filter
@@ -135,7 +135,7 @@ let check_cpu_trace ?(warm = true) ~config trace =
       incr pos
     end
   in
-  let stats = Pipeline.Cpu.run ~warm ~checks:true ~on_commit config trace in
+  let stats = Pipeline.Cpu.run ~checks:true ~on_commit config trace in
   match !err with
   | Some msg -> Error ("cpu divergence: " ^ msg)
   | None ->

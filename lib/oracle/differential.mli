@@ -35,7 +35,6 @@ val check_trace :
     compare event-by-event.  Returns the oracle result on success. *)
 
 val check_cpu_trace :
-  ?warm:bool ->
   config:Pipeline.Config.t ->
   Prog.Trace.t ->
   (int, string) result

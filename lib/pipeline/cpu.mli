@@ -27,12 +27,23 @@ type commit = {
     appear in this stream. *)
 
 type source = unit -> Prog.Trace.Stream.cursor
-(** A replayable event source.  The simulator pulls the stream twice per
-    run — once for the warm pass and once for simulation — so the
-    thunk must yield a fresh cursor over the same events each call. *)
+(** A replayable event source.  Without [?hier] the simulator pulls the
+    stream twice per run — once for the warm pass and once for
+    simulation — so the thunk must yield a fresh cursor over the same
+    events each call. *)
+
+val warm : Mem.Hierarchy.t -> Prog.Trace.Stream.cursor -> unit
+(** Replay a stream's memory footprint through the hierarchy: every
+    event's pc into the i-side and every memory address into the d-side
+    ({!Mem.Hierarchy.touch_i}/{!Mem.Hierarchy.touch_d}), reading only
+    the cursor's [pc] and [mem_addr] columns.  Touches are fills, so
+    they count in the caches' [fills]/[prefetch_fills]; they carry no
+    replacement hint and reach neither DRAM nor a prefetcher.  The
+    result depends only on the stream and the hierarchy's
+    configuration. *)
 
 val run_stream :
-  ?warm:bool ->
+  ?hier:Mem.Hierarchy.t ->
   ?checks:bool ->
   ?fuel:int ->
   ?on_commit:(commit -> unit) ->
@@ -45,21 +56,32 @@ val run_stream :
     memory is O(window): in-flight instructions live in a fixed ring of
     slot records sized by fetch queue + decode queue + ROB, recycled in
     stream order, so arbitrarily long streams simulate without ever
-    materializing a trace.
+    materializing a trace.  Each slot copies the fields it needs out of
+    the stream's columns; no event record is built unless [on_commit]
+    observes one.
 
-    [warm] (default true) replays the stream's memory footprint through
-    the cache hierarchy first, so measurements reflect steady state
-    rather than cold start.  Raises [Failure] if the machine deadlocks
+    Memory: [hier] is the hierarchy to simulate on.  It is used as
+    given and mutated, and its counters — including any left by an
+    earlier warm pass — are the returned cache statistics.  By default
+    the simulator creates one for [cfg.mem] and {!warm}s it with the
+    stream's footprint first, so measurements reflect steady state
+    rather than cold start (the paper samples minutes-old executions).
+    A cold run passes [Mem.Hierarchy.create cfg.mem]; a caller that
+    simulates one stream under several configurations can warm once and
+    pass a {!Mem.Hierarchy.copy} per run, with bit-identical results.
+    Raises [Invalid_argument] if [hier] was built for a configuration
+    other than [cfg.mem], and [Failure] if the machine deadlocks
     (internal invariant violation).
 
     [checks] (default false) enables runtime self-verification:
     in-order retirement, monotone per-instruction stage timestamps,
-    issue-queue capacity and age ordering, no instruction issuing before
-    all of its renamed producers have completed, and end-of-run
-    accounting identities (every stream
-    event committed; queues and the completion calendar drained; stage
-    counts = committed − CDP markers; fetch-stall split covers every
-    live fetch cycle).  A violation raises [Failure] naming the
+    issue-queue capacity, a ready list that is in age order and holds
+    only ready queue entries, no instruction issuing before all of its
+    renamed producers have completed, and end-of-run accounting
+    identities (every stream event committed; the issue queue, its
+    ready list and pending wheel, and the completion calendar drained;
+    stage counts = committed − CDP markers; fetch-stall split covers
+    every live fetch cycle).  A violation raises [Failure] naming the
     invariant.  Used by the differential test harness; costs a few
     percent of runtime.
 
@@ -94,7 +116,7 @@ val run_stream :
     configuration changes nothing. *)
 
 val run :
-  ?warm:bool ->
+  ?hier:Mem.Hierarchy.t ->
   ?checks:bool ->
   ?fuel:int ->
   ?on_commit:(commit -> unit) ->

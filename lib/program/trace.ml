@@ -78,17 +78,6 @@ let mem_address ~seed ~uid ~count (m : Isa.Instr.mem_signature) =
   in
   base + (slot * m.stride)
 
-(* Synthetic control-transfer instruction for a block terminator. *)
-let terminator_instr block_id (term : Block.terminator) =
-  let uid = control_uid_base + block_id in
-  let mk opcode = Isa.Instr.make ~uid ~opcode () in
-  match term with
-  | Block.Fallthrough _ -> None
-  | Block.Cond_branch _ -> Some (mk Isa.Opcode.Branch)
-  | Block.Jump _ -> Some (mk Isa.Opcode.Branch)
-  | Block.Call _ -> Some (mk Isa.Opcode.Call)
-  | Block.Return -> Some (mk Isa.Opcode.Return)
-
 let length_of_path program path =
   Array.fold_left
     (fun acc block_id ->
@@ -116,179 +105,316 @@ let dummy_event =
   }
 
 module Stream = struct
-  (* The cursor delivers events out of a batch buffer refilled one block
-     visit at a time.  Batching is what makes pulls cheap: events inside
-     a visit are address-contiguous, so every in-batch [next_pc] is just
-     [pc + size], and only the batch-final event needs to know where the
+  (* The cursor delivers events out of columns refilled many block
+     visits at a time.  Batching is what makes pulls cheap: events inside
+     a visit are address-contiguous, so every in-visit [next_pc] is just
+     [pc + size], and only a visit-final event needs to know where the
      stream continues — the block address of the next visit that yields
      an event, computable without generating anything.  Each event is
-     built exactly once, lookahead-free. *)
+     written exactly once, lookahead-free, as one int per column (plus a
+     pointer to its static instruction); no record is built unless a
+     record adapter asks for one. *)
   type cursor = {
-    mutable buf : event array;
-    mutable pos : int;  (* next index to deliver *)
-    mutable lim : int;  (* exclusive end of valid events; pos = lim when
-                           the batch is drained *)
-    refill : cursor -> unit;  (* produce the next batch; leaves
-                                 pos = lim = 0 at end of stream *)
+    mutable seq : int array;
+    mutable pc : int array;
+    mutable size : int array;
+    mutable mem_addr : int array;
+    mutable next_pc : int array;
+    mutable flags : int array;
+    mutable block_id : int array;
+    mutable body_index : int array;
+    mutable func : int array;
+    mutable instr : Isa.Instr.t array;
+    mutable pos : int;
+    mutable lim : int;
+    mutable peeked : event;
+        (* the record {!peek} built for column [pos]; [dummy_event] when
+           none is built.  Kept per cursor, not global: contexts (and the
+           cursors over them) are shared across domains. *)
+    refill : cursor -> unit;
+        (* produce the next batch; leaves pos = lim = 0 at end of
+           stream *)
   }
+
+  let flag_cond = 1
+  let flag_taken = 2
+  let flag_break = 4
+
+  (* A refill stops expanding visits once the batch holds this many
+     events, so a refill's fixed cost is spread over at least this many
+     pulls. *)
+  let batch_events = 256
+
+  let empty_cursor refill =
+    {
+      seq = [||];
+      pc = [||];
+      size = [||];
+      mem_addr = [||];
+      next_pc = [||];
+      flags = [||];
+      block_id = [||];
+      body_index = [||];
+      func = [||];
+      instr = [||];
+      pos = 0;
+      lim = 0;
+      peeked = dummy_event;
+      refill;
+    }
+
+  (* Forget the record {!peek} built, once the cursor moves past it.
+     Guarded: a pointer store into a long-lived cursor pays the write
+     barrier. *)
+  let unpeek c = if c.peeked != dummy_event then c.peeked <- dummy_event
+
+  let grow a n x =
+    let b = Array.make n x in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* Grow every column to hold at least [n] events, keeping its
+     contents. *)
+  let reserve c n =
+    if Array.length c.pc < n then begin
+      let n = max n (2 * Array.length c.pc) in
+      c.seq <- grow c.seq n 0;
+      c.pc <- grow c.pc n 0;
+      c.size <- grow c.size n 0;
+      c.mem_addr <- grow c.mem_addr n 0;
+      c.next_pc <- grow c.next_pc n 0;
+      c.flags <- grow c.flags n 0;
+      c.block_id <- grow c.block_id n 0;
+      c.body_index <- grow c.body_index n 0;
+      c.func <- grow c.func n 0;
+      c.instr <- grow c.instr n dummy_instr
+    end
 
   let of_program program ~seed path =
     (* Per-instruction access counters, dense by uid (body uids are a
        compact range; synthetic terminators never touch memory). *)
     let counts = Array.make (Program.max_uid program + 1) 0 in
-    let next_count uid =
-      let c = counts.(uid) in
-      counts.(uid) <- c + 1;
-      c
-    in
+    (* Synthetic terminators, built on a block's first visit and shared
+       by every later one. *)
+    let terms = Array.make (Program.num_blocks program) dummy_instr in
     let npath = Array.length path in
     let visit = ref 0 in
     let seq = ref 0 in
-    (* pc of the first event produced at or after visit [v]: the block's
-       address — for an empty body the first event is the terminator,
-       which sits at the block address.  Visits yielding no event (empty
-       body, fallthrough) are skipped. *)
+    (* pc of the first event produced at or after visit [v], or -1 at
+       end of path: the block's address — for an empty body the first
+       event is the terminator, which sits at the block address.  Visits
+       yielding no event (empty body, fallthrough) are skipped. *)
     let rec next_start v =
-      if v >= npath then None
+      if v >= npath then -1
       else
         let b = Program.block program path.(v) in
         if
           Array.length b.Block.body > 0
           || (match b.Block.term with Block.Fallthrough _ -> false | _ -> true)
-        then Some (Program.block_addr program path.(v))
+        then Program.block_addr program path.(v)
         else next_start (v + 1)
     in
-    let rec refill c =
-      if !visit >= npath then begin
-        c.pos <- 0;
-        c.lim <- 0
-      end
-      else begin
+    let refill c =
+      unpeek c;
+      let n = ref 0 in
+      while !n < batch_events && !visit < npath do
         let v = !visit in
         let block_id = path.(v) in
         let b = Program.block program block_id in
         let body = b.Block.body in
         let nbody = Array.length body in
-        let term = terminator_instr block_id b.Block.term in
-        let nevents = nbody + (match term with Some _ -> 1 | None -> 0) in
+        let has_term =
+          match b.Block.term with Block.Fallthrough _ -> false | _ -> true
+        in
+        let nevents = if has_term then nbody + 1 else nbody in
         incr visit;
-        if nevents = 0 then refill c
-        else begin
-          if Array.length c.buf < nevents then
-            c.buf <- Array.make (max nevents (2 * Array.length c.buf))
-                dummy_event;
-          (* Resolved before building: the batch-final event's successor
-             pc.  At end of stream the expander's convention is the
-             fall-through address, filled in below once the final
-             event's own pc is known. *)
+        if nevents > 0 then begin
+          let base = !n in
+          reserve c (base + nevents);
+          (* The visit-final event's successor pc.  At end of stream the
+             expander's convention is the fall-through address. *)
           let continue_pc = next_start !visit in
+          let func = b.Block.func in
           let pc = ref (Program.block_addr program block_id) in
           for i = 0 to nbody - 1 do
             let ins = body.(i) in
             let size = Isa.Instr.size_bytes ins in
-            let mem_addr =
-              match ins.Isa.Instr.mem with
+            let k = base + i in
+            c.mem_addr.(k) <-
+              (match ins.Isa.Instr.mem with
               | None -> -1
               | Some m ->
-                mem_address ~seed ~uid:ins.uid ~count:(next_count ins.uid) m
-            in
+                let count = counts.(ins.uid) in
+                counts.(ins.uid) <- count + 1;
+                mem_address ~seed ~uid:ins.uid ~count m);
+            (* Body control instructions (Approach-1 switch branches) are
+               unconditional and always taken. *)
             let is_control = Isa.Opcode.is_control ins.opcode in
-            let last = i = nevents - 1 in
             let next_pc =
-              if not last then !pc + size
-              else
-                match continue_pc with
-                | Some a -> a
-                | None -> !pc + size
+              if i < nevents - 1 || continue_pc < 0 then !pc + size
+              else continue_pc
             in
-            c.buf.(i) <-
-              {
-                seq = !seq;
-                pc = !pc;
-                size;
-                instr = ins;
-                block_id;
-                body_index = i;
-                func = b.Block.func;
-                mem_addr;
-                is_cond_branch = false;
-                (* Body control instructions (Approach-1 switch
-                   branches) are unconditional and always taken. *)
-                taken = is_control;
-                next_pc;
-                fetch_break = is_control || next_pc <> !pc + size;
-              };
+            c.seq.(k) <- !seq;
+            c.pc.(k) <- !pc;
+            c.size.(k) <- size;
+            c.instr.(k) <- ins;
+            c.block_id.(k) <- block_id;
+            c.body_index.(k) <- i;
+            c.func.(k) <- func;
+            c.next_pc.(k) <- next_pc;
+            c.flags.(k) <-
+              (if is_control then flag_taken lor flag_break
+               else if next_pc <> !pc + size then flag_break
+               else 0);
             incr seq;
             pc := !pc + size
           done;
-          (match term with
-          | None -> ()
-          | Some ins ->
+          if has_term then begin
+            let ins =
+              let t = terms.(block_id) in
+              if t != dummy_instr then t
+              else
+                let t =
+                  Isa.Instr.make ~uid:(control_uid_base + block_id)
+                    ~opcode:
+                      (match b.Block.term with
+                      | Block.Call _ -> Isa.Opcode.Call
+                      | Block.Return -> Isa.Opcode.Return
+                      | Block.Cond_branch _ | Block.Jump _
+                      | Block.Fallthrough _ ->
+                        Isa.Opcode.Branch)
+                    ()
+                in
+                terms.(block_id) <- t;
+                t
+            in
             let tsize = Isa.Instr.size_bytes ins in
-            let taken =
+            let cond, taken =
               match b.Block.term with
-              | Block.Fallthrough _ -> false
-              | Block.Jump _ | Block.Call _ | Block.Return -> true
+              | Block.Fallthrough _ -> (false, false)
+              | Block.Jump _ | Block.Call _ | Block.Return -> (false, true)
               | Block.Cond_branch { taken; _ } ->
-                v + 1 < npath && path.(v + 1) = taken
+                (true, v + 1 < npath && path.(v + 1) = taken)
             in
             let next_pc =
-              match continue_pc with Some a -> a | None -> !pc + tsize
+              if continue_pc < 0 then !pc + tsize else continue_pc
             in
-            c.buf.(nbody) <-
-              {
-                seq = !seq;
-                pc = !pc;
-                size = tsize;
-                instr = ins;
-                block_id;
-                body_index = -1;
-                func = b.Block.func;
-                mem_addr = -1;
-                is_cond_branch =
-                  (match b.Block.term with
-                  | Block.Cond_branch _ -> true
-                  | Block.Fallthrough _ | Block.Jump _ | Block.Call _
-                  | Block.Return -> false);
-                taken;
-                next_pc;
-                fetch_break = taken || next_pc <> !pc + tsize;
-              };
-            incr seq);
-          c.pos <- 0;
-          c.lim <- nevents
+            let k = base + nbody in
+            c.seq.(k) <- !seq;
+            c.pc.(k) <- !pc;
+            c.size.(k) <- tsize;
+            c.instr.(k) <- ins;
+            c.block_id.(k) <- block_id;
+            c.body_index.(k) <- -1;
+            c.func.(k) <- func;
+            c.mem_addr.(k) <- -1;
+            c.next_pc.(k) <- next_pc;
+            c.flags.(k) <-
+              ((if cond then flag_cond else 0)
+              lor (if taken then flag_taken else 0)
+              lor
+              if taken || next_pc <> !pc + tsize then flag_break else 0);
+            incr seq
+          end;
+          n := base + nevents
         end
-      end
+      done;
+      c.pos <- 0;
+      c.lim <- !n
     in
-    let c = { buf = [||]; pos = 0; lim = 0; refill } in
+    let c = empty_cursor refill in
+    reserve c (2 * batch_events);
     refill c;
     c
 
   let of_trace (tr : t) =
-    { buf = tr; pos = 0; lim = Array.length tr;
-      refill = (fun c -> c.pos <- 0; c.lim <- 0) }
+    let c =
+      empty_cursor (fun c ->
+          unpeek c;
+          c.pos <- 0;
+          c.lim <- 0)
+    in
+    let n = Array.length tr in
+    reserve c n;
+    Array.iteri
+      (fun k (e : event) ->
+        c.seq.(k) <- e.seq;
+        c.pc.(k) <- e.pc;
+        c.size.(k) <- e.size;
+        c.instr.(k) <- e.instr;
+        c.block_id.(k) <- e.block_id;
+        c.body_index.(k) <- e.body_index;
+        c.func.(k) <- e.func;
+        c.mem_addr.(k) <- e.mem_addr;
+        c.next_pc.(k) <- e.next_pc;
+        c.flags.(k) <-
+          ((if e.is_cond_branch then flag_cond else 0)
+          lor (if e.taken then flag_taken else 0)
+          lor if e.fetch_break then flag_break else 0))
+      tr;
+    c.lim <- n;
+    c
 
-  (* Physically distinct from every event a cursor can deliver (buffers
-     are overwritten up to [lim] before delivery), so [next_ev] callers
-     detect end of stream with one pointer comparison instead of paying
-     a [Some] allocation per event. *)
-  let end_marker = { dummy_event with seq = -1 }
-
-  let next_ev c =
-    if c.pos < c.lim then begin
-      let e = c.buf.(c.pos) in
-      c.pos <- c.pos + 1;
-      e
-    end
-    else if c.lim = 0 then end_marker
+  (* Column index of the first unconsumed event, refilling a drained
+     batch; -1 at end of stream. *)
+  let current c =
+    if c.pos < c.lim then c.pos
+    else if c.lim = 0 then -1
     else begin
       c.refill c;
-      if c.pos < c.lim then begin
-        let e = c.buf.(c.pos) in
-        c.pos <- c.pos + 1;
-        e
+      if c.pos < c.lim then c.pos else -1
+    end
+
+  let take c =
+    let i = current c in
+    if i >= 0 then begin
+      unpeek c;
+      c.pos <- c.lim
+    end;
+    i
+
+  let record c i =
+    let f = c.flags.(i) in
+    {
+      seq = c.seq.(i);
+      pc = c.pc.(i);
+      size = c.size.(i);
+      instr = c.instr.(i);
+      block_id = c.block_id.(i);
+      body_index = c.body_index.(i);
+      func = c.func.(i);
+      mem_addr = c.mem_addr.(i);
+      is_cond_branch = f land flag_cond <> 0;
+      taken = f land flag_taken <> 0;
+      next_pc = c.next_pc.(i);
+      fetch_break = f land flag_break <> 0;
+    }
+
+  (* Physically distinct from every event a cursor can deliver (records
+     are built fresh from the columns), so [next_ev] callers detect end
+     of stream with one pointer comparison instead of paying a [Some]
+     allocation per event. *)
+  let end_marker = { dummy_event with seq = -1 }
+
+  let peek_ev c =
+    let i = current c in
+    if i < 0 then end_marker
+    else begin
+      if c.peeked == dummy_event then c.peeked <- record c i;
+      c.peeked
+    end
+
+  let next_ev c =
+    let i = current c in
+    if i < 0 then end_marker
+    else begin
+      c.pos <- i + 1;
+      let p = c.peeked in
+      if p == dummy_event then record c i
+      else begin
+        c.peeked <- dummy_event;
+        p
       end
-      else end_marker
     end
 
   let next c =
@@ -296,20 +422,13 @@ module Stream = struct
     if e == end_marker then None else Some e
 
   let peek c =
-    if c.pos < c.lim then Some c.buf.(c.pos)
-    else if c.lim = 0 then None
-    else begin
-      c.refill c;
-      if c.pos < c.lim then Some c.buf.(c.pos) else None
-    end
+    let e = peek_ev c in
+    if e == end_marker then None else Some e
 
   let rec iter f c =
-    for i = c.pos to c.lim - 1 do
-      f c.buf.(i)
-    done;
-    if c.lim > 0 then begin
-      c.pos <- c.lim;
-      c.refill c;
+    let e = next_ev c in
+    if e != end_marker then begin
+      f e;
       iter f c
     end
 

@@ -28,20 +28,63 @@ type t = event array
 
 module Stream : sig
   (** Pull-based event cursor: the same dynamic stream {!expand}
-      materializes, produced one event at a time in O(1) space (plus the
-      per-static-instruction access counters).  [expand] itself is
+      materializes, produced in O(batch) space (plus per-cursor tables
+      sized by the program: per-instruction access counters and one
+      shared terminator instruction per block).  [expand] itself is
       implemented by materializing this stream, so the two can never
-      diverge. *)
+      diverge.
 
-  type cursor
+      Events live in columns.  One refill expands block visits until
+      the batch holds at least 256 events (or the path ends), writing
+      one int per column per event and a pointer to the event's static
+      instruction; no record is built.  The simulator reads the columns
+      directly through {!take}.  The record adapters ({!next_ev},
+      {!next}, {!peek}, {!iter}, {!fold}) remain for the profiler, the
+      oracle, the exporters and the tests: each builds a fresh
+      {!event} record per delivered event, so they allocate. *)
+
+  type cursor = private {
+    mutable seq : int array;
+    mutable pc : int array;
+    mutable size : int array;
+    mutable mem_addr : int array;  (** -1 for non-memory *)
+    mutable next_pc : int array;
+    mutable flags : int array;
+        (** {!flag_cond} [lor] {!flag_taken} [lor] {!flag_break} *)
+    mutable block_id : int array;
+    mutable body_index : int array;
+    mutable func : int array;
+    mutable instr : Isa.Instr.t array;
+    mutable pos : int;  (** column index of the next unconsumed event *)
+    mutable lim : int;  (** exclusive end of the current batch *)
+    mutable peeked : event;
+    refill : cursor -> unit;
+  }
+  (** The column at index [i] holds one field of one event, for
+      [pos <= i < lim].  A refill overwrites the columns, so an index is
+      valid only until the next call that moves the cursor. *)
+
+  val flag_cond : int
+  val flag_taken : int
+  val flag_break : int
+  (** Bits of the [flags] column: [is_cond_branch], [taken] and
+      [fetch_break]. *)
 
   val of_program : Program.t -> seed:int -> Walk.path -> cursor
-  (** Expand lazily over [path]; each pull yields the next event.  One
-      event of internal lookahead resolves [next_pc]/[fetch_break]. *)
+  (** Expand lazily over [path].  Batching resolves each visit's
+      [next_pc]/[fetch_break] without lookahead events. *)
 
   val of_trace : t -> cursor
-  (** Replay an already-materialized trace — the thin adapter used by
-      tests and by callers that still hold arrays. *)
+  (** Replay an already-materialized trace: loads every event into the
+      columns at once.  Used by tests and by callers that still hold
+      arrays. *)
+
+  val take : cursor -> int
+  (** Claim every unconsumed event of the current batch, refilling
+      first when it is drained.  Returns the column index of the first
+      claimed event — the claim runs to the cursor's [lim] as it stands
+      after the call — or [-1] at end of stream.  Allocation-free: the
+      simulator's pull. *)
 
   val next : cursor -> event option
   (** Consume and return the next event, or [None] at end of stream. *)
@@ -52,11 +95,13 @@ module Stream : sig
       trace. *)
 
   val next_ev : cursor -> event
-  (** Allocation-free {!next}: returns {!end_marker} (compare with
-      [==]) instead of wrapping each event in [Some]. *)
+  (** {!next} without the [Some]: returns {!end_marker} (compare with
+      [==]) at end of stream.  Still builds the event record. *)
 
   val peek : cursor -> event option
-  (** Return the next event without consuming it. *)
+  (** Return the next event without consuming it.  Until the cursor
+      moves, every [peek] returns the physically same record, and
+      {!next_ev} then delivers that record. *)
 
   val iter : (event -> unit) -> cursor -> unit
   val fold : ('a -> event -> 'a) -> 'a -> cursor -> 'a

@@ -74,9 +74,23 @@ let test_parallel_determinism () =
   let schemes =
     [ Critics.Scheme.Baseline; Critics.Scheme.Critic; Critics.Scheme.Hoist ]
   in
+  (* Machines that share the Table I memory configuration and machines
+     that change it: at jobs=4 the former race on each context's shared
+     warm states, the latter each warm their own. *)
+  let configs =
+    Pipeline.Config.
+      [ table_i; with_backend_prio table_i; with_perfect_branch table_i;
+        with_4x_icache table_i; with_2x_fd table_i ]
+  in
   let jobs_list =
     List.concat_map
-      (fun app -> List.map (Experiments.Harness.job app) schemes)
+      (fun app ->
+        List.concat_map
+          (fun scheme ->
+            List.map
+              (fun config -> Experiments.Harness.job ~config app scheme)
+              configs)
+          schemes)
       apps
   in
   let seq = Experiments.Harness.create ~instrs:8_000 ~jobs:1 () in
@@ -87,12 +101,15 @@ let test_parallel_determinism () =
     (fun app ->
       List.iter
         (fun scheme ->
-          let a = Experiments.Harness.stats seq app scheme in
-          let b = Experiments.Harness.stats par app scheme in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s identical" app.Workload.Profile.name
-               (Critics.Scheme.name scheme))
-            true (a = b))
+          List.iteri
+            (fun i config ->
+              let a = Experiments.Harness.stats seq ~config app scheme in
+              let b = Experiments.Harness.stats par ~config app scheme in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s/config %d identical"
+                   app.Workload.Profile.name (Critics.Scheme.name scheme) i)
+                true (a = b))
+            configs)
         schemes)
     apps
 

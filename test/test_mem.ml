@@ -15,7 +15,13 @@ let test_geometry () =
   Alcotest.check_raises "bad line"
     (Invalid_argument "Cache.create: line_bytes must be a power of two")
     (fun () ->
-      ignore (C.create ~name:"x" ~size_bytes:1024 ~assoc:2 ~line_bytes:48 ()))
+      ignore (C.create ~name:"x" ~size_bytes:1024 ~assoc:2 ~line_bytes:48 ()));
+  (* Set and tag come from a mask and a shift: 3 sets cannot. *)
+  Alcotest.check_raises "bad set count"
+    (Invalid_argument "Cache.create: set count must be a power of two")
+    (fun () ->
+      ignore
+        (C.create ~name:"x" ~size_bytes:(3 * 2 * 64) ~assoc:2 ~line_bytes:64 ()))
 
 let test_hit_after_fill () =
   let c = mk_cache () in
@@ -451,6 +457,123 @@ let prop_cache_matches_rrip_model kind =
         ops
       && (C.stats c).C.writebacks = !model_writebacks)
 
+(* LRU stack inclusion: with the same sets, a cache with more LRU ways
+   holds a superset of the lines a smaller one holds after every
+   access, so on any one demand stream a hit in the smaller is a hit in
+   the larger and the larger never misses more. *)
+let prop_lru_stack_inclusion =
+  let sets = 4 in
+  QCheck.Test.make ~name:"more LRU ways never miss more" ~count:200
+    QCheck.(
+      triple (int_range 1 4) (int_range 1 4)
+        (list_of_size Gen.(int_range 1 400)
+           (pair (int_bound 0x1FFF) bool)))
+    (fun (small_ways, extra_ways, stream) ->
+      let mk assoc =
+        C.create ~name:"lru" ~size_bytes:(sets * assoc * 64) ~assoc
+          ~line_bytes:64 ()
+      in
+      let small = mk small_ways and large = mk (small_ways + extra_ways) in
+      List.for_all
+        (fun (addr, write) ->
+          let hs = C.access ~write small addr in
+          let hl = C.access ~write large addr in
+          (not hs) || hl)
+        stream
+      && (C.stats large).C.misses <= (C.stats small).C.misses)
+
+(* [Hierarchy.copy] is deep: after a random warm-up, a copy and the
+   original answer one random operation sequence — demand i/d reads and
+   writes, prefetches, warm touches — with equal latencies, serving
+   levels and statistics, and running the sequence on the copy first
+   leaves the original's statistics and behaviour untouched.  Small
+   caches force evictions and dirty writebacks; strided reads, the
+   fetch-directed prefetcher and the opportunity tracker bring the
+   prefetchers' tables and the in-flight fill tables into play.  (Each
+   deep-copied field was mutation-checked: sharing any one of them
+   fails this property.) *)
+let prop_hierarchy_copy_is_deep =
+  let cfg policy iprefetch =
+    {
+      H.table_i with
+      H.l1i_size = 1024;
+      l1d_size = 1024;
+      l2_size = 8192;
+      l1i_policy = policy;
+      l1i_prefetch = iprefetch;
+      l1i_opportunity = true;
+    }
+  in
+  let op_gen =
+    (* (kind, line, offset): addresses stay far above zero so that a
+       prefetcher's backward strides never leave the address space. *)
+    QCheck.Gen.(triple (int_bound 8) (int_bound 0x1FF) (int_bound 63))
+  in
+  QCheck.Test.make ~name:"Hierarchy.copy is deep" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          quad
+            (oneofl Mem.Replacement.all_kinds)
+            (oneofl H.all_iprefetch)
+            (list_size (int_range 0 300) op_gen)
+            (list_size (int_range 1 300) op_gen)))
+    (fun (policy, iprefetch, warmup, ops) ->
+      let apply h next now (kind, line, off) =
+        let addr = 0x100000 + (line * 64) + off in
+        let pc = 0x400 + (line land 0xF) in
+        let lat (o : H.outcome) =
+          (o.latency, match o.level with H.L1 -> 1 | H.L2 -> 2 | H.Main -> 3)
+        in
+        match kind with
+        | 0 -> lat (H.ifetch h ~now addr)
+        | 1 -> lat (H.dread h ~now ~pc addr)
+        | 2 -> lat (H.dwrite h ~now ~pc addr)
+        | 3 ->
+          H.prefetch_i h ~now addr;
+          (0, 0)
+        | 4 ->
+          H.prefetch_d h ~now ~pc addr;
+          (0, 0)
+        | 5 ->
+          H.touch_i h addr;
+          (0, 0)
+        | 6 ->
+          H.touch_d h addr;
+          (0, 0)
+        | 7 -> (H.ifetch_lat_hinted h ~now ~hint:(line land 3) addr, 0)
+        | _ ->
+          (* Two reads that continue one of four per-pc strided
+             progressions ([next]): they train the L2 stride prefetcher
+             across operations, and its prefetches wait in the L2's
+             in-flight table. *)
+          let p = line land 3 in
+          let read k =
+            let a = next.(p) in
+            next.(p) <- a + (64 * (1 + p));
+            H.dread_lat h ~now:(now + k) ~pc:(0x800 + p) a
+          in
+          let first = read 0 in
+          (first + read 1, 0)
+      in
+      let run h start next ops =
+        List.mapi (fun i op -> apply h next (start + (8 * i)) op) ops
+      in
+      let stats h =
+        (H.l1i_stats h, H.l1d_stats h, H.l2_stats h, H.dram_stats h,
+         H.iopp_misses h, H.iopp_predictable h)
+      in
+      let h = H.create (cfg policy iprefetch) in
+      let next = Array.init 4 (fun p -> 0x200000 + (p * 0x40000)) in
+      ignore (run h 0 next warmup);
+      let start = 8 * List.length warmup in
+      let copy = H.copy h in
+      let before = stats h in
+      let on_copy = run copy start (Array.copy next) ops in
+      let untouched = stats h = before in
+      let on_original = run h start (Array.copy next) ops in
+      untouched && on_copy = on_original && stats copy = stats h)
+
 (* An affine address stream trains the stride table in exactly three
    observations; from the fourth on every observation returns exactly
    [degree] addresses spaced by the stride, and [issued] accounts for
@@ -529,5 +652,7 @@ let () =
             prop_cache_matches_rrip_model Mem.Replacement.Brrip;
             prop_cache_matches_rrip_model Mem.Replacement.Trrip;
             prop_stride_prefetcher_affine;
+            prop_lru_stack_inclusion;
+            prop_hierarchy_copy_is_deep;
           ] );
     ]

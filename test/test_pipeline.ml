@@ -149,8 +149,10 @@ let test_warm_faster_than_cold () =
   let t =
     trace_of_blocks ~visits:16 [ B.make ~id:0 ~func:0 ~body ~term:(B.Jump 0) ]
   in
-  let warm = Pipeline.Cpu.run ~warm:true Cfg.table_i t in
-  let cold = Pipeline.Cpu.run ~warm:false Cfg.table_i t in
+  let warm = Pipeline.Cpu.run Cfg.table_i t in
+  let cold =
+    Pipeline.Cpu.run ~hier:(Mem.Hierarchy.create Cfg.table_i.mem) Cfg.table_i t
+  in
   Alcotest.(check bool) "warm run not slower" true (warm.cycles <= cold.cycles)
 
 let test_wrong_path_fetch_pollutes () =
@@ -236,6 +238,22 @@ let test_config_variants () =
     (Cfg.with_4x_icache c).mem.Mem.Hierarchy.l1i_size;
   Alcotest.(check bool) "all_hw enables efetch" true (Cfg.all_hw c).efetch
 
+(* A perfect direction predictor never mispredicts, whatever the
+   program: the simulator must consult it on every conditional branch
+   and charge nothing.  Fuzzed programs bring every block shape. *)
+let prop_perfect_predictor_never_mispredicts =
+  QCheck.Test.make ~name:"perfect predictor: zero mispredicts" ~count:40
+    QCheck.(pair Workload.Fuzz.arbitrary small_nat)
+    (fun (genome, seed) ->
+      let p = Workload.Fuzz.build genome in
+      let path = Prog.Walk.path_for_instrs p ~seed ~instrs:500 in
+      let st =
+        Pipeline.Cpu.run_stream ~checks:true
+          (Cfg.with_perfect_branch Cfg.table_i)
+          (fun () -> Prog.Trace.Stream.of_program p ~seed path)
+      in
+      st.bpu.Bpu.Predictor.mispredicts = 0)
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -263,4 +281,7 @@ let () =
           Alcotest.test_case "efetch" `Quick test_efetch_learns_call_sequence;
           Alcotest.test_case "config variants" `Quick test_config_variants;
         ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_perfect_predictor_never_mispredicts ] );
     ]
