@@ -262,7 +262,7 @@ let print_mode () =
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-let check_table golden actual =
+let check_table ?(what = "stats") golden actual =
   if print_mode () then
     List.iter
       (fun (app, scheme, cfg, d) ->
@@ -275,7 +275,7 @@ let check_table golden actual =
         Alcotest.(check (triple string string string))
           "case identity" (app, scheme, cfg) (app', scheme', cfg');
         Alcotest.(check string)
-          (Printf.sprintf "%s/%s/%s stats digest" app scheme cfg)
+          (Printf.sprintf "%s/%s/%s %s digest" app scheme cfg what)
           want got)
       golden actual
   end
@@ -309,6 +309,75 @@ let test_hybrid_schemes_match_recorded () =
             Alcotest.failf "no recorded critic digest for %s/%s" app cfg)
       actual
 
+(* Compiled programs: the MD5 of every transformed scheme's marshalled
+   program at a 20 000-instruction budget, recorded before the schemes
+   became one table of (options, pass list).  The stats digests above
+   cannot see all a compile decides — the uids of CDP markers, or an
+   encoding change that costs no cycle — and these can.  Never
+   re-record them: a compiler refactor must reproduce every byte.
+   [Prog.Program.max_uid] is forced before marshalling because its memo
+   is a field of the program record (perfbench's [same_program] forces
+   it for the same reason). *)
+let golden_programs =
+  [
+    ("Acrobat", "hoist", "program", "5959e727887b4a59a43bd953d151bc2c");
+    ("Acrobat", "critic", "program", "88df8fefce31036d28a437ca71829dae");
+    ("Acrobat", "critic.ideal", "program", "64811e4e9cee6bb6fc3382ae86ff30d3");
+    ("Acrobat", "critic.branches", "program", "166d5662b88160dcac88f6ee6c049e7f");
+    ("Acrobat", "macro.ideal", "program", "ffd7428711cc43da0f7d26288b76acb9");
+    ("Acrobat", "opp16", "program", "67941bc98dcc542514b762a68c44ccc1");
+    ("Acrobat", "compress", "program", "fd8cf8e33ce308a299b213fa66af838b");
+    ("Acrobat", "opp16+critic", "program", "8750efa1724d9623d0742a68960639fc");
+    ("Acrobat", "narrow.only", "program", "78e1653a0502f4548819a6ac6be60102");
+    ("Acrobat", "critic.reorder", "program", "88df8fefce31036d28a437ca71829dae");
+    ("Music", "hoist", "program", "393f9b7ed68ca58d8b8ff4054a8062c5");
+    ("Music", "critic", "program", "490381fe1795931c23eb5e46b548ed39");
+    ("Music", "critic.ideal", "program", "b6081ad05c5d46d584e284f882ed9194");
+    ("Music", "critic.branches", "program", "14c76d4a995c6f62dd6963f79e8b27bd");
+    ("Music", "macro.ideal", "program", "9c519e6347ae3e63cc7f30600a89c0dc");
+    ("Music", "opp16", "program", "1990340124106bbb02cf91880f9b1d09");
+    ("Music", "compress", "program", "5d2c57ddf8f988db88cf064e7c63f395");
+    ("Music", "opp16+critic", "program", "e82b7c66dcf36c3b72009f432cc81d09");
+    ("Music", "narrow.only", "program", "80b84081ecb77d5208743408aa730119");
+    ("Music", "critic.reorder", "program", "490381fe1795931c23eb5e46b548ed39");
+    ("lbm", "hoist", "program", "dea33985dcf1f8a9089572102429778e");
+    ("lbm", "critic", "program", "d8cb86fb0f30559bb478d878595cfa31");
+    ("lbm", "critic.ideal", "program", "43a3b16196f5a5e3bacc22d3aa12bbbb");
+    ("lbm", "critic.branches", "program", "5cbf599008b9a1370246e79af933338a");
+    ("lbm", "macro.ideal", "program", "8693b289778057bad8db1a87a5fa48b7");
+    ("lbm", "opp16", "program", "7f378a5f8f2c9bc9ee744345635326a0");
+    ("lbm", "compress", "program", "a6cba2a9df74cdd48400671b86640a8e");
+    ("lbm", "opp16+critic", "program", "9188ce7bbb085e518e55e4562e92a353");
+    ("lbm", "narrow.only", "program", "9de17d0d814265fd744d5060ec5cc860");
+    ("lbm", "critic.reorder", "program", "d8cb86fb0f30559bb478d878595cfa31");
+  ]
+
+let program_digest program =
+  ignore (Prog.Program.max_uid program);
+  Digest.to_hex (Digest.string (Marshal.to_string program []))
+
+let program_cases () =
+  List.concat_map
+    (fun app ->
+      let ctx =
+        Critics.Run.prepare ~instrs:20_000
+          (Option.get (Workload.Apps.find app))
+      in
+      List.filter_map
+        (fun scheme ->
+          if scheme = Critics.Scheme.Baseline then None
+          else
+            Some
+              ( app,
+                Critics.Scheme.name scheme,
+                "program",
+                program_digest (Critics.Run.transformed ctx scheme) ))
+        Critics.Scheme.all)
+    [ "Acrobat"; "Music"; "lbm" ]
+
+let test_programs_match_recorded () =
+  check_table ~what:"program" golden_programs (program_cases ())
+
 let () =
   Alcotest.run "golden"
     [
@@ -320,5 +389,10 @@ let () =
             test_hybrid_schemes_match_recorded;
           Alcotest.test_case "12 policy-machine digests" `Slow
             test_policy_machines_match_recorded;
+        ] );
+      ( "compiler vs recorded programs",
+        [
+          Alcotest.test_case "30 (app x scheme) program digests" `Slow
+            test_programs_match_recorded;
         ] );
     ]
