@@ -169,16 +169,26 @@ let characterize_cmd =
 
 (* ------------------------------ schemes --------------------------- *)
 
+(* Each scheme with its pass list from the scheme table, so a paper
+   scheme maps to the stages that compile it. *)
 let schemes_cmd =
   let run () =
     List.iter
       (fun s ->
-        Printf.printf "%-16s %s\n" (Critics.Scheme.name s)
-          (Critics.Scheme.describe s))
+        let passes =
+          match
+            Critics.Transform.Pipeline.names (snd (Critics.Scheme.pipeline s))
+          with
+          | [] -> "none"
+          | names -> String.concat " -> " names
+        in
+        Printf.printf "%-16s %s\n%-16s passes: %s\n" (Critics.Scheme.name s)
+          (Critics.Scheme.describe s) "" passes)
       Critics.Scheme.all
   in
   Cmd.v
-    (Cmd.info "schemes" ~doc:"List the code-generation schemes")
+    (Cmd.info "schemes"
+       ~doc:"List the code-generation schemes and the passes of each")
     Term.(const run $ const ())
 
 (* ---------------------------- experiment -------------------------- *)

@@ -31,7 +31,7 @@ let () =
      compilation is that chains generalize across runs. *)
   let device_ctx = Critics.Run.prepare ~instrs:100_000 ~sample:3 app in
   let program', report =
-    Critics.Transform.Critic_pass.apply db device_ctx.program
+    Critics.Scheme.compile Critics.Scheme.Critic db device_ctx.program
   in
   Printf.printf
     "compiler: %d sites applied, %d instructions converted, %d CDPs\n"

@@ -1,6 +1,7 @@
 (** Public facade of the CritICs reproduction.
 
-    - {!Scheme}: the code-generation schemes under evaluation;
+    - {!Scheme}: the code-generation schemes under evaluation, and the
+      options and pass list that compile each;
     - {!Run}: end-to-end workload → profile → transform → simulate;
     - the substrate libraries re-exported for convenience.
 
@@ -14,7 +15,7 @@
         (Critics.Util.Stats.pct (Critics.Run.speedup ~base crit))
     ]} *)
 
-module Scheme = Scheme
+module Scheme = Transform.Scheme
 module Run = Run
 
 (* Substrates, re-exported so [critics] is the only library a client

@@ -1,3 +1,5 @@
+module Scheme = Transform.Scheme
+
 type scheme_cache = {
   cache_lock : Mutex.t;
   (* The last transformed program, if any.  Transformed programs of
@@ -23,22 +25,14 @@ type scheme_cache = {
   mutable warm : (string * Mem.Hierarchy.t) list;
 }
 
-(* The one lock/find/compute/recheck path for everything the scheme
-   cache memoizes.  [find] and [add] run under the lock; [compute] runs
-   outside it, so domains never serialize on a compile or a warm pass.
-   Every cached value is deterministic in the context, so a lost race
+(* Everything the scheme cache memoizes goes through Util.Memo under
+   the cache's lock: compiles and warm passes run outside it, and since
+   every cached value is deterministic in the context, a lost race
    recomputes an identical value and the first write wins. *)
 let find_or_add c ~find ~add compute =
-  match Mutex.protect c.cache_lock (fun () -> find c) with
-  | Some v -> v
-  | None ->
-    let v = compute () in
-    Mutex.protect c.cache_lock (fun () ->
-        match find c with
-        | Some winner -> winner
-        | None ->
-          add c v;
-          v)
+  Util.Memo.find_or_add c.cache_lock
+    ~find:(fun () -> find c)
+    ~add:(add c) compute
 
 type app_context = {
   profile : Workload.Profile.t;
@@ -119,51 +113,11 @@ let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
     ckey = Store.key_digest key;
   }
 
-let rec transformed ctx (scheme : Scheme.t) =
-  let critic ?(options = Transform.Critic_pass.default_options) () =
-    fst (Transform.Critic_pass.apply ~options ctx.db ctx.program)
-  in
-  let compile () =
-    match scheme with
-    | Scheme.Baseline -> assert false
-    | Scheme.Hoist ->
-      critic
-        ~options:
-          { Transform.Critic_pass.default_options with mode = Hoist_only }
-        ()
-    | Scheme.Critic -> critic ()
-    | Scheme.Critic_ideal ->
-      critic ~options:Transform.Critic_pass.ideal_options ()
-    | Scheme.Critic_branches ->
-      critic
-        ~options:{ Transform.Critic_pass.default_options with mode = Branches }
-        ()
-    | Scheme.Macro_ideal ->
-      critic
-        ~options:
-          {
-            Transform.Critic_pass.ideal_options with
-            mode = Fused_macro;
-            ideal = false;
-          }
-        ()
-    | Scheme.Opp16 -> fst (Transform.Thumb.opp16 ctx.program)
-    | Scheme.Compress -> fst (Transform.Thumb.compress ctx.program)
-    | Scheme.Opp16_critic ->
-      fst (Transform.Thumb.opp16 (transformed ctx Scheme.Critic))
-    | Scheme.Narrow_only ->
-      fst
-        (Transform.Pipeline.run_exn
-           (Transform.Pass.env ctx.db)
-           Transform.Pipeline.narrow_only ctx.program)
-    | Scheme.Critic_reorder ->
-      fst
-        (Transform.Pipeline.run_exn
-           (Transform.Pass.env ctx.db)
-           Transform.Pipeline.reordered ctx.program)
-  in
-  match scheme with
-  | Scheme.Baseline -> ctx.program
+(* A scheme with no passes (Baseline) is the context's own program and
+   takes no slot. *)
+let transformed ctx (scheme : Scheme.t) =
+  match Scheme.pipeline scheme with
+  | _, [] -> ctx.program
   | _ ->
     find_or_add ctx.scheme_cache
       ~find:(fun c ->
@@ -171,7 +125,7 @@ let rec transformed ctx (scheme : Scheme.t) =
       ~add:(fun c p ->
         c.transforms <- c.transforms + 1;
         c.slot <- Some (scheme, p))
-      compile
+      (fun () -> fst (Scheme.compile scheme ctx.db ctx.program))
 
 let transform_count ctx = ctx.scheme_cache.transforms
 

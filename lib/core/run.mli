@@ -70,36 +70,38 @@ val context_key :
 (** The store key {!prepare} uses for these inputs — exposed so tests
     and tools can probe or invalidate specific entries. *)
 
-val transformed : app_context -> Scheme.t -> Prog.Program.t
-(** The program a scheme's compiler pipeline produces.  The context's
-    one slot keeps the last transformed program: repeated requests for
-    the same scheme — e.g. under several machine configurations, or from
+val transformed : app_context -> Transform.Scheme.t -> Prog.Program.t
+(** The program a scheme's compiler pipeline
+    ({!Transform.Scheme.pipeline}) produces.  The context's one slot
+    keeps the last transformed program: repeated requests for the same
+    scheme — e.g. under several machine configurations, or from
     concurrent harness jobs — run the compiler pipeline once, and a
-    request for another transformed scheme compiles it and takes the
-    slot ([Opp16_critic] compiles on top of [Critic], so it first puts
-    [Critic] in the slot, then displaces it).  Baseline is the context's
-    own program and never occupies the slot. *)
+    request for another transformed scheme compiles its whole pass list
+    and takes the slot ([Opp16_critic] included: it compiles [Critic]'s
+    passes itself rather than reading [Critic] from the slot).
+    Baseline, the scheme with no passes, is the context's own program
+    and never occupies the slot. *)
 
 val transform_count : app_context -> int
 (** Number of compiler-pipeline executions this context has performed —
     the cache-effectiveness observable used by the regression tests. *)
 
-val stream : app_context -> Scheme.t -> Prog.Trace.Stream.cursor
+val stream : app_context -> Transform.Scheme.t -> Prog.Trace.Stream.cursor
 (** A fresh cursor over the scheme's event stream — the scheme's
     program expanded lazily over the *same* block path.  Always the
     live walk ({!Prog.Trace.Stream.of_program}), the stream's one
     source: streams are never cached or recorded. *)
 
-val source : app_context -> Scheme.t -> Pipeline.Cpu.source
+val source : app_context -> Transform.Scheme.t -> Pipeline.Cpu.source
 (** The replayable form of {!stream}, as the simulator consumes it. *)
 
-val trace_of : app_context -> Scheme.t -> Prog.Trace.t
+val trace_of : app_context -> Transform.Scheme.t -> Prog.Trace.t
 (** Materialize the scheme's event stream into an array — the adapter
     for consumers that genuinely need random access (whole-trace DFGs,
     characterization).  O(trace) memory and uncached: transient use
     only. *)
 
-val heat : app_context -> Scheme.t -> int array
+val heat : app_context -> Transform.Scheme.t -> int array
 (** Per-block temperatures (0 hot .. 3 cold) of the scheme's dynamic
     stream, from {!Profiler.Heat} — the table TRRIP configurations feed
     to {!Pipeline.Cpu.run_stream} as [?itemp].  Memoized per scheme on
@@ -110,7 +112,7 @@ val stats :
   ?fuel:int ->
   ?probe:Telemetry.Probe.t ->
   app_context ->
-  Scheme.t ->
+  Transform.Scheme.t ->
   Pipeline.Stats.t
 (** Simulate a scheme (default machine: Table I), streaming.  [fuel]
     bounds the run in simulated cycles; exceeding it raises

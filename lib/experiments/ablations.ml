@@ -61,7 +61,9 @@ let run ?apps h =
     let base = Harness.stats h app Critics.Scheme.Baseline in
     let db = make_db ctx in
     let program =
-      fst (Transform.Critic_pass.apply db ctx.Critics.Run.program)
+      fst
+        (Critics.Scheme.compile Critics.Scheme.Critic db
+           ctx.Critics.Run.program)
     in
     let st =
       Pipeline.Cpu.run_stream Pipeline.Config.table_i (fun () ->

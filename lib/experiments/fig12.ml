@@ -9,9 +9,14 @@ type coverage_point = { fraction : float; speedup : float }
 
 type result = { lengths : length_point list; coverage : coverage_point list }
 
-let apply_critic ?(max_len = 5) ctx db =
-  let options = { Transform.Critic_pass.default_options with max_len } in
-  fst (Transform.Critic_pass.apply ~options db ctx.Critics.Run.program)
+(* Critic's passes and options from the scheme table, with the chain
+   length cap replaced by [max_len]. *)
+let apply_critic ~max_len ctx db =
+  let options, passes = Critics.Scheme.pipeline Critics.Scheme.Critic in
+  fst
+    (Transform.Pipeline.run_exn
+       (Transform.Pass.env ~options:{ options with Transform.Pass.max_len } db)
+       passes ctx.Critics.Run.program)
 
 let run_transformed (ctx : Critics.Run.app_context) program =
   Pipeline.Cpu.run_stream Pipeline.Config.table_i (fun () ->
@@ -60,7 +65,12 @@ let run h =
                ~total_events:ctx.Critics.Run.event_count
                (Critics.Run.stream ctx Critics.Scheme.Baseline)
            in
-           let st = run_transformed ctx (apply_critic ctx db) in
+           let st =
+             run_transformed ctx
+               (fst
+                  (Critics.Scheme.compile Critics.Scheme.Critic db
+                     ctx.Critics.Run.program))
+           in
            Critics.Run.speedup ~base st))
   in
   { lengths; coverage }

@@ -64,29 +64,13 @@ let result_key (profile : Workload.Profile.t) scheme fingerprint =
   Printf.sprintf "%s/%s/%s" profile.name (Critics.Scheme.name scheme)
     fingerprint
 
-(* The one path into the harness's memo tables: look [key] up, else
-   compute outside the lock and insert.  Another domain may have raced
-   us; the first insert wins, so every caller shares one value (one
-   context and its transform slot, one stats record).  A computation
-   that raises inserts nothing. *)
+(* The one path into the harness's memo tables (Util.Memo): the first
+   insert wins, so every caller shares one value — one context and its
+   transform slot, one stats record. *)
 let find_or_add t table key compute =
-  Mutex.lock t.lock;
-  let cached = Hashtbl.find_opt table key in
-  Mutex.unlock t.lock;
-  match cached with
-  | Some v -> v
-  | None ->
-    let v = compute () in
-    Mutex.lock t.lock;
-    let v =
-      match Hashtbl.find_opt table key with
-      | Some winner -> winner
-      | None ->
-        Hashtbl.replace table key v;
-        v
-    in
-    Mutex.unlock t.lock;
-    v
+  Util.Memo.find_or_add t.lock
+    ~find:(fun () -> Hashtbl.find_opt table key)
+    ~add:(Hashtbl.replace table key) compute
 
 let context t (profile : Workload.Profile.t) =
   find_or_add t t.contexts profile.name (fun () ->

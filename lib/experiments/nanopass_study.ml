@@ -29,21 +29,21 @@ let run ?apps h =
           List.map (fun app -> Harness.speedup h app s) apps ))
       schemes
   in
-  (* Re-run the canonical pipeline pass by pass (cheap next to the
+  (* Re-run Critic's pass list pass by pass (cheap next to the
      simulations above) to expose each stage's own report rather than
      the composite sum the scheme cache stores. *)
+  let options, passes = Critics.Scheme.pipeline Critics.Scheme.Critic in
   let pass_reports =
     List.map
       (fun (app : Workload.Profile.t) ->
         let ctx = Harness.context h app in
-        let env = Transform.Pass.env ctx.Critics.Run.db in
+        let env = Transform.Pass.env ~options ctx.Critics.Run.db in
         let _, rows =
           List.fold_left
             (fun (p, acc) (pass : Transform.Pass.t) ->
               let p', r = pass.Transform.Pass.apply env p in
               (p', (pass.Transform.Pass.name, r) :: acc))
-            (ctx.Critics.Run.program, [])
-            (Transform.Pipeline.canonical Transform.Pass.default_options)
+            (ctx.Critics.Run.program, []) passes
         in
         (app.name, List.rev rows))
       apps

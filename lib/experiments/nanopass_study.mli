@@ -9,19 +9,20 @@
     - [critic.reorder]: narrow-before-hoist ordering — same final
       program as [critic] (the passes commute), priced end-to-end to
       demonstrate it;
-    - [critic]: the full canonical pipeline.
+    - [critic]: the full CritIC pass list.
 
-    Alongside the speedups, the per-pass transform reports of the
-    canonical pipeline show where sites are rejected and what each
-    stage actually edits. *)
+    Each variant's passes come from {!Critics.Scheme.pipeline}.
+    Alongside the speedups, the per-pass transform reports of Critic's
+    pass list show where sites are rejected and what each stage
+    actually edits. *)
 
 type result = {
   apps : string list;
   speedups : (string * float list) list;
       (** scheme name, speedup over baseline per app in [apps] order *)
   pass_reports : (string * (string * Transform.Report.t) list) list;
-      (** app, then (pass name, report) per stage of the canonical
-          CritIC pipeline in execution order *)
+      (** app, then (pass name, report) per stage of Critic's pass
+          list in execution order *)
 }
 
 val schemes : Critics.Scheme.t list

@@ -207,47 +207,28 @@ let prepare ?(instrs = 2_000) program ~seed =
   let db = Profiler.Profile_run.profile trace in
   { program; seed; instrs; path; trace; db }
 
+(* Both variant lists are every scheme that transforms anything, read
+   from the scheme table, so the oracle checks each scheme the bench
+   simulates. *)
+let transformed_schemes =
+  List.filter
+    (fun s -> not (List.is_empty (snd (Transform.Scheme.pipeline s))))
+    Transform.Scheme.all
+
 let transform_variants p =
-  let critic options =
-    fst (Transform.Critic_pass.apply ~options p.db p.program)
-  in
-  let default = Transform.Critic_pass.default_options in
-  [
-    ("hoist", critic { default with mode = Transform.Critic_pass.Hoist_only });
-    ("critic", critic default);
-    ("critic_ideal", critic Transform.Critic_pass.ideal_options);
-    ( "critic_branches",
-      critic { default with mode = Transform.Critic_pass.Branches } );
-    ( "narrow_only",
-      fst
-        (Transform.Pipeline.run_exn
-           (Transform.Pass.env p.db)
-           Transform.Pipeline.narrow_only p.program) );
-    ("opp16", fst (Transform.Thumb.opp16 p.program));
-    ("compress", fst (Transform.Thumb.compress p.program));
-    ("opp16_critic", fst (Transform.Thumb.opp16 (critic default)));
-  ]
+  List.map
+    (fun s ->
+      (Transform.Scheme.name s, fst (Transform.Scheme.compile s p.db p.program)))
+    transformed_schemes
 
 (* ---------------------- per-pass pipeline checks ------------------- *)
 
 let pipeline_variants p =
-  let default = Transform.Critic_pass.default_options in
-  let case name options passes =
-    (name, Transform.Pass.env ~options p.db, passes)
-  in
-  let canonical name options =
-    case name options (Transform.Pipeline.canonical options)
-  in
-  [
-    canonical "hoist" { default with mode = Transform.Critic_pass.Hoist_only };
-    canonical "critic" default;
-    canonical "critic_ideal" Transform.Critic_pass.ideal_options;
-    canonical "critic_branches"
-      { default with mode = Transform.Critic_pass.Branches };
-    canonical "macro" { default with mode = Transform.Critic_pass.Fused_macro };
-    case "narrow_only" default Transform.Pipeline.narrow_only;
-    case "narrow_before_hoist" default Transform.Pipeline.reordered;
-  ]
+  List.map
+    (fun s ->
+      let options, passes = Transform.Scheme.pipeline s in
+      (Transform.Scheme.name s, Transform.Pass.env ~options p.db, passes))
+    transformed_schemes
 
 let pass_check p ~pass:_ ~before:_ ~after =
   (* Every stage must stay equivalent to the *source* program: switch

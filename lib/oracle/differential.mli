@@ -67,16 +67,18 @@ val prepare : ?instrs:int -> Prog.Program.t -> seed:int -> prepared
     fuzz-sized runs). *)
 
 val transform_variants : prepared -> (string * Prog.Program.t) list
-(** The compiler pipelines under test, applied to the prepared program:
-    hoist, critic, critic_ideal, critic_branches, narrow_only, opp16,
-    compress and opp16∘critic (every semantics-preserving scheme). *)
+(** Every scheme of {!Transform.Scheme.all} that has passes (all but
+    baseline: ten), compiled from the scheme table
+    ({!Transform.Scheme.compile}) over the prepared program and named by
+    {!Transform.Scheme.name}.  Every scheme the bench simulates is in
+    this list by construction. *)
 
 val pipeline_variants :
   prepared ->
   (string * Transform.Pass.env * Transform.Pass.t list) list
-(** The nanopass pipelines under per-pass test: the canonical list for
-    every switch mode (hoist, critic, critic_ideal, critic_branches,
-    macro) plus the hybrid lists (narrow_only, narrow_before_hoist). *)
+(** The same ten schemes for per-pass test: each scheme's pass list and
+    options from {!Transform.Scheme.pipeline}, the environment built over
+    the prepared database. *)
 
 val check_pipeline :
   prepared ->

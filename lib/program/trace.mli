@@ -38,10 +38,10 @@ module Stream : sig
       the batch holds at least 256 events (or the path ends), writing
       one int per column per event and a pointer to the event's static
       instruction; no record is built.  The simulator reads the columns
-      directly through {!take}.  The record adapters ({!next_ev},
-      {!next}, {!peek}, {!iter}, {!fold}) remain for the profiler, the
-      oracle, the exporters and the tests: each builds a fresh
-      {!event} record per delivered event, so they allocate. *)
+      directly through {!take}.  The record adapters ({!next},
+      {!iter}, {!fold}) remain for the profiler, [Heat], the oracle,
+      the exporters and the tests: each builds a fresh {!event} record
+      per delivered event, so they allocate. *)
 
   type cursor = private {
     mutable seq : int array;
@@ -57,7 +57,6 @@ module Stream : sig
     mutable instr : Isa.Instr.t array;
     mutable pos : int;  (** column index of the next unconsumed event *)
     mutable lim : int;  (** exclusive end of the current batch *)
-    mutable peeked : event;
     refill : cursor -> unit;
   }
   (** The column at index [i] holds one field of one event, for
@@ -88,20 +87,6 @@ module Stream : sig
 
   val next : cursor -> event option
   (** Consume and return the next event, or [None] at end of stream. *)
-
-  val end_marker : event
-  (** Sentinel returned by {!next_ev} at end of stream.  Physically
-      distinct from every deliverable event; never store it in a
-      trace. *)
-
-  val next_ev : cursor -> event
-  (** {!next} without the [Some]: returns {!end_marker} (compare with
-      [==]) at end of stream.  Still builds the event record. *)
-
-  val peek : cursor -> event option
-  (** Return the next event without consuming it.  Until the cursor
-      moves, every [peek] returns the physically same record, and
-      {!next_ev} then delivers that record. *)
 
   val iter : (event -> unit) -> cursor -> unit
   val fold : ('a -> event -> 'a) -> 'a -> cursor -> 'a

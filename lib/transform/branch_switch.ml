@@ -6,12 +6,7 @@ module I = Isa.Instr
    descending, and within a chain the entry branch drawn before the
    exit branch. *)
 let apply (_ : Pass.env) program =
-  let next_uid = ref (Prog.Program.max_uid program + 1) in
-  let fresh_uid () =
-    let u = !next_uid in
-    incr next_uid;
-    u
-  in
+  let fresh_uid = Pass.fresh_uids program in
   let nbr = ref 0 in
   let program' =
     Prog.Program.map_blocks

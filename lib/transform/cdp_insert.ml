@@ -14,12 +14,7 @@ let span = 9
    order.  Grouping by chain id (not by scanning for tagged runs) keeps
    adjacent chains from sharing a marker window. *)
 let apply (_ : Pass.env) program =
-  let next_uid = ref (Prog.Program.max_uid program + 1) in
-  let fresh_uid () =
-    let u = !next_uid in
-    incr next_uid;
-    u
-  in
+  let fresh_uid = Pass.fresh_uids program in
   let ncdp = ref 0 in
   let program' =
     Prog.Program.map_blocks

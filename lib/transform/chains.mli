@@ -37,7 +37,7 @@ val splice : Isa.Instr.t array -> (int * Isa.Instr.t) list -> Isa.Instr.t array
     list sorted by ascending position; same-position inserts keep list
     order. *)
 
-val chunk : int -> int list -> int list list
-(** [chunk span positions] splits a run into groups of at most [span]
-    positions, preserving order — CDP's 9-instruction announcement
-    window. *)
+val chunk : int -> 'a list -> 'a list list
+(** [chunk span run] splits a run (of body positions, or of
+    instructions) into groups of at most [span], preserving order —
+    CDP's 9-instruction announcement window. *)

@@ -18,3 +18,10 @@ type t = {
   name : string;
   apply : env -> Prog.Program.t -> Prog.Program.t * Report.t;
 }
+
+let fresh_uids program =
+  let next = ref (Prog.Program.max_uid program + 1) in
+  fun () ->
+    let u = !next in
+    incr next;
+    u

@@ -6,11 +6,23 @@
     Passes communicate exclusively through the program — chain
     membership travels as {!Isa.Instr.chain_tag}s placed by
     {!Chain_select} and read by every later pass — so any pass list is
-    runnable and individually checkable (see {!Pipeline}). *)
+    runnable and individually checkable (see {!Pipeline}).  Which list,
+    under which options, makes each scheme is {!Scheme.pipeline}. *)
 
 type switch_mode = Cdp | Branches | Hoist_only | Fused_macro
-(** The format-switch mechanism (see {!Critic_pass} for the paper
-    mapping of each mode). *)
+(** The format-switch mechanism:
+    - [Cdp] — the paper's proposal: a CDP marker announcing up to nine
+      16-bit instructions (1 extra decode cycle, evaluated in
+      Sec. IV-B);
+    - [Branches] — Approach 1 (Sec. IV-A), usable on stock hardware: an
+      explicit 32-bit branch before and a 16-bit branch after the chain,
+      both always taken;
+    - [Hoist_only] — the "Hoist" design point of Sec. IV-D: aggregation
+      without format conversion;
+    - [Fused_macro] — the ISA-extension alternative the paper rejects
+      (Sec. III-B): each chain becomes a single hypothetical
+      macro-instruction, so only its head costs fetch bytes.  An upper
+      bound with no encoding constraints at all. *)
 
 type options = {
   max_len : int;  (** chain length cap; the paper's realistic CritIC
@@ -38,3 +50,10 @@ type t = {
   name : string;  (** stable identifier used in check attribution *)
   apply : env -> Prog.Program.t -> Prog.Program.t * Report.t;
 }
+
+val fresh_uids : Prog.Program.t -> unit -> int
+(** [fresh_uids program] counts up from [max_uid program + 1]: the one
+    uid source of every pass that inserts instructions
+    ({!Cdp_insert}, {!Branch_switch}, {!Thumb}).  The uids a pass draws
+    are part of the compiled program, so each pass draws them in a
+    fixed order (see {!Cdp_insert}). *)

@@ -27,24 +27,4 @@ let run_exn env passes program =
   | Error e ->
     failwith (Printf.sprintf "Pipeline.run_exn: [%s] %s" e.failed_pass e.detail)
 
-let canonical (options : Pass.options) =
-  let narrow =
-    match options.mode with
-    | Pass.Cdp | Pass.Branches -> [ Narrow_convert.pass ]
-    | Pass.Hoist_only | Pass.Fused_macro -> []
-  in
-  let switch =
-    match options.mode with
-    | Pass.Cdp -> [ Cdp_insert.pass ]
-    | Pass.Branches -> [ Branch_switch.pass ]
-    | Pass.Hoist_only -> []
-    | Pass.Fused_macro -> [ Macro_fuse.pass ]
-  in
-  (Chain_select.pass :: Hoist.pass :: narrow) @ switch
-
-let narrow_only = [ Chain_select.pass; Narrow_convert.pass; Cdp_insert.pass ]
-
-let reordered =
-  [ Chain_select.pass; Narrow_convert.pass; Hoist.pass; Cdp_insert.pass ]
-
 let names passes = List.map (fun (p : Pass.t) -> p.Pass.name) passes

@@ -7,7 +7,8 @@
     defect is attributed to the exact stage that introduced it rather
     than surfacing end-to-end.  {!Oracle.Differential} supplies the
     architectural-equivalence checker (this library sits below the
-    oracle, hence the callback inversion). *)
+    oracle, hence the callback inversion).  The lists themselves live
+    in {!Scheme.pipeline}. *)
 
 type error = {
   failed_pass : string;  (** {!Pass.t} [name] of the stage that failed *)
@@ -35,23 +36,6 @@ val run_exn :
     [Failure] only if a checker-less run could fail, which it cannot —
     kept total for the compiler's sake. *)
 
-val canonical : Pass.options -> Pass.t list
-(** The pass list equivalent to the historical monolithic
-    [Critic_pass.apply] for these options: [chain-select; hoist]
-    followed by [narrow-convert] in the converting modes ([Cdp],
-    [Branches]) and the mode's switch pass ([cdp-insert],
-    [branch-switch], nothing for [Hoist_only], [macro-fuse] for
-    [Fused_macro]). *)
-
-val narrow_only : Pass.t list
-(** Hybrid the paper never tried: narrow conversion *without* hoisting
-    — [chain-select; narrow-convert; cdp-insert].  Chain members stay
-    scattered, so every consecutive run pays its own CDP markers. *)
-
-val reordered : Pass.t list
-(** [chain-select; narrow-convert; hoist; cdp-insert]: narrow before
-    hoist.  Produces the same program as {!canonical} with default
-    options — re-encoding commutes with hoisting — which the algebra
-    tests lock. *)
-
 val names : Pass.t list -> string list
+(** The passes' names, in order — how [critics_cli schemes] prints
+    each {!Scheme.pipeline}. *)

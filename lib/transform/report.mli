@@ -5,8 +5,9 @@
     selection counters, {!Hoist} [instrs_hoisted], {!Narrow_convert}
     [instrs_converted], the switch passes their marker counts) and the
     pipeline folds the per-pass reports with {!add}, so the composite
-    equals the historical monolithic [Critic_pass.report] field for
-    field — a property the test suite locks. *)
+    equals the report of the monolithic reference pass (kept in the
+    nanopass tests) field for field — a property the test suite
+    locks. *)
 
 type t = {
   sites_considered : int;

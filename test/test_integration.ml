@@ -179,8 +179,9 @@ let test_transform_cache () =
     (Critics.Run.transform_count ctx);
   Alcotest.(check int) "baseline reproducible" a.cycles a'.cycles;
   Alcotest.(check int) "critic reproducible" b.cycles b'.cycles;
-  (* One slot: Opp16_critic compiles on top of the slotted Critic, then
-     displaces it, so going back to Critic compiles again. *)
+  (* One slot: Opp16_critic compiles its whole pass list (Critic's, then
+     opp16) and displaces Critic, so going back to Critic compiles
+     again. *)
   List.iter
     (fun s -> ignore (Critics.Run.transformed ctx s))
     Critics.Scheme.[ Critic; Opp16_critic; Critic ];

@@ -7,7 +7,7 @@
 
 module D = Oracle.Differential
 module F = Workload.Fuzz
-module CP = Transform.Critic_pass
+module S = Transform.Scheme
 module Pa = Transform.Pass
 module Pl = Transform.Pipeline
 module R = Transform.Report
@@ -28,14 +28,15 @@ let digest_program p = Digest.to_hex (Digest.string (Marshal.to_string p []))
 
 (* ------------------ monolithic reference pass ---------------------- *)
 
-(* The original single-shot implementation of [Critic_pass.apply], kept
+(* The original single-shot implementation of the CritIC pass, kept
    verbatim as the seed reference the pass-algebra tests compare the
    pipeline against.  Its one known defect is preserved on purpose: a
    site whose member/uid lists differ in length raises instead of
    counting as stale (the pipeline's Chain_select fixes this). *)
 module Monolithic = struct
   open Transform
-  open Critic_pass
+  open Pass
+  open Report
 
   let cdp_span = 9
 
@@ -212,8 +213,9 @@ end
 
 (* ------------------- per-pass differential corpus ------------------ *)
 
-(* Every seed application: every pipeline variant (all switch modes
-   plus the hybrids), the oracle armed after each individual pass. *)
+(* Every seed application: every scheme's pass list (all switch modes,
+   OPP16 and Compress, and the hybrids), the oracle armed after each
+   individual pass. *)
 let test_apps_per_pass () =
   List.iter
     (fun (profile : Workload.Profile.t) ->
@@ -222,7 +224,7 @@ let test_apps_per_pass () =
       let p = D.prepare ~instrs:1_500 program ~seed in
       match D.check_pipelines p with
       | Ok n ->
-        Alcotest.(check int) (profile.name ^ ": pipelines checked") 7 n
+        Alcotest.(check int) (profile.name ^ ": pipelines checked") 10 n
       | Error msg -> Alcotest.failf "%s: %s" profile.name msg)
     Workload.Apps.all
 
@@ -239,8 +241,8 @@ let test_fuzz_per_pass () =
     | Error msg ->
       Alcotest.failf "fuzz seed %d: %s\n%s" seed msg
         (F.to_string (F.spec_of_seed seed)));
-    let _, r = CP.apply p.D.db p.D.program in
-    if r.CP.sites_applied > 0 then incr exercised
+    let _, r = S.compile S.Critic p.D.db p.D.program in
+    if r.R.sites_applied > 0 then incr exercised
   done;
   (* Small fuzzed programs rarely cross the criticality threshold:
      ~3% of this corpus gets an applied site (measured, stable across
@@ -322,25 +324,33 @@ let test_injected_pass_bug () =
 
 (* ---------------------------- pass algebra ------------------------- *)
 
+(* Every switch mode: the pass list of the scheme that uses it, run
+   under the options the monolithic reference is given.  Those are the
+   scheme's own options except for "macro", which keeps max_len 5
+   (Macro_ideal lifts the cap). *)
 let mode_cases =
+  let with_mode mode = { Pa.default_options with Pa.mode } in
   [
-    ("cdp", CP.default_options);
-    ("branches", { CP.default_options with CP.mode = CP.Branches });
-    ("hoist_only", { CP.default_options with CP.mode = CP.Hoist_only });
-    ("macro", { CP.default_options with CP.mode = CP.Fused_macro });
-    ("ideal", CP.ideal_options);
+    ("cdp", S.Critic, Pa.default_options);
+    ("branches", S.Critic_branches, with_mode Pa.Branches);
+    ("hoist_only", S.Hoist, with_mode Pa.Hoist_only);
+    ("macro", S.Macro_ideal, with_mode Pa.Fused_macro);
+    ("ideal", S.Critic_ideal, Pa.ideal_options);
   ]
 
-(* The canonical pass list reproduces the monolithic seed semantics —
-   program and report — in every switch mode. *)
+let apply ~options scheme db program =
+  Pl.run_exn (Pa.env ~options db) (snd (S.pipeline scheme)) program
+
+(* The scheme table's pass lists reproduce the monolithic seed
+   semantics — program and report — in every switch mode. *)
 let prop_pipeline_equals_monolithic =
   QCheck.Test.make ~name:"canonical pipeline = monolithic semantics" ~count:60
     F.arbitrary (fun spec ->
       let program = F.build spec in
       let p = D.prepare ~instrs:300 program ~seed:17 in
       List.for_all
-        (fun (label, options) ->
-          let prog_a, rep_a = CP.apply ~options p.D.db p.D.program in
+        (fun (label, scheme, options) ->
+          let prog_a, rep_a = apply ~options scheme p.D.db p.D.program in
           let prog_b, rep_b = Monolithic.apply_monolithic ~options p.D.db p.D.program in
           if digest_program prog_a <> digest_program prog_b then
             QCheck.Test.fail_reportf "%s: programs differ" label
@@ -383,7 +393,7 @@ let prop_reports_sum =
       let program = F.build spec in
       let p = D.prepare ~instrs:300 program ~seed:31 in
       List.for_all
-        (fun (label, options) ->
+        (fun (label, scheme, options) ->
           let env = Pa.env ~options p.D.db in
           let _, per_pass =
             List.fold_left
@@ -391,10 +401,10 @@ let prop_reports_sum =
                 let prog', r = pass.Pa.apply env prog in
                 (prog', r :: acc))
               (p.D.program, [])
-              (Pl.canonical options)
+              (snd (S.pipeline scheme))
           in
           let summed = List.fold_left R.add R.zero per_pass in
-          let _, composite = CP.apply ~options p.D.db p.D.program in
+          let _, composite = apply ~options scheme p.D.db p.D.program in
           let _, mono = Monolithic.apply_monolithic ~options p.D.db p.D.program in
           List.for_all2
             (fun (fa, va) ((fb, vb), (fc, vc)) ->
@@ -408,7 +418,7 @@ let prop_reports_sum =
         mode_cases)
 
 (* Narrow-before-hoist commutes: the reordered hybrid produces the same
-   program as the canonical Cdp list. *)
+   program as Critic's list. *)
 let prop_reorder_commutes =
   QCheck.Test.make ~name:"narrow-before-hoist = canonical pipeline" ~count:60
     F.arbitrary (fun spec ->
@@ -417,8 +427,8 @@ let prop_reorder_commutes =
       let run passes =
         fst (Pl.run_exn (Pa.env p.D.db) passes p.D.program)
       in
-      digest_program (run (Pl.canonical CP.default_options))
-      = digest_program (run Pl.reordered))
+      digest_program (run (snd (S.pipeline S.Critic)))
+      = digest_program (run (snd (S.pipeline S.Critic_reorder))))
 
 (* ---------------- rejection attribution unit tests ----------------- *)
 
@@ -463,17 +473,23 @@ let illegal_body () =
 let test_rejection_first_failing_check () =
   let program = program_of (illegal_body ()) in
   (* Fresh but illegal: charged to legality. *)
-  let _, rep = CP.apply (db_of [ site ~indices:[ 0; 2 ] ~uids:[ 0; 2 ] () ]) program in
-  Alcotest.(check int) "legality rejection" 1 rep.CP.rejected_legality;
-  Alcotest.(check int) "no stale rejection" 0 rep.CP.rejected_stale;
+  let _, rep =
+    S.compile S.Critic
+      (db_of [ site ~indices:[ 0; 2 ] ~uids:[ 0; 2 ] () ])
+      program
+  in
+  Alcotest.(check int) "legality rejection" 1 rep.R.rejected_legality;
+  Alcotest.(check int) "no stale rejection" 0 rep.R.rejected_stale;
   (* Stale AND illegal: re-validation fails first, so the site counts
      as stale only — never under both, never under legality. *)
   let _, rep =
-    CP.apply (db_of [ site ~indices:[ 0; 2 ] ~uids:[ 7; 8 ] () ]) program
+    S.compile S.Critic
+      (db_of [ site ~indices:[ 0; 2 ] ~uids:[ 7; 8 ] () ])
+      program
   in
-  Alcotest.(check int) "stale rejection" 1 rep.CP.rejected_stale;
-  Alcotest.(check int) "legality not double-counted" 0 rep.CP.rejected_legality;
-  Alcotest.(check int) "considered once" 1 rep.CP.sites_considered
+  Alcotest.(check int) "stale rejection" 1 rep.R.rejected_stale;
+  Alcotest.(check int) "legality not double-counted" 0 rep.R.rejected_legality;
+  Alcotest.(check int) "considered once" 1 rep.R.sites_considered
 
 let test_length_mismatch_counts_stale () =
   let program = program_of (illegal_body ()) in
@@ -485,10 +501,10 @@ let test_length_mismatch_counts_stale () =
   Alcotest.check_raises "monolithic raised"
     (Invalid_argument "List.for_all2") (fun () ->
       ignore (Monolithic.apply_monolithic db program));
-  let _, rep = CP.apply db program in
-  Alcotest.(check int) "pipeline counts it stale" 1 rep.CP.rejected_stale;
-  Alcotest.(check int) "considered" 1 rep.CP.sites_considered;
-  Alcotest.(check int) "nothing applied" 0 rep.CP.sites_applied
+  let _, rep = S.compile S.Critic db program in
+  Alcotest.(check int) "pipeline counts it stale" 1 rep.R.rejected_stale;
+  Alcotest.(check int) "considered" 1 rep.R.sites_considered;
+  Alcotest.(check int) "nothing applied" 0 rep.R.sites_applied
 
 let test_convertibility_rejection () =
   (* 0 -> 2 is legal but member 2 targets a high register: the
@@ -502,14 +518,13 @@ let test_convertibility_rejection () =
   in
   let program = program_of body in
   let db = db_of [ site ~indices:[ 0; 2 ] ~uids:[ 0; 2 ] () ] in
-  let _, rep = CP.apply db program in
+  let _, rep = S.compile S.Critic db program in
   Alcotest.(check int) "convertibility rejection" 1
-    rep.CP.rejected_convertibility;
-  Alcotest.(check int) "not legality" 0 rep.CP.rejected_legality;
+    rep.R.rejected_convertibility;
+  Alcotest.(check int) "not legality" 0 rep.R.rejected_legality;
   (* Hoist-only mode never converts, so the same site applies. *)
-  let options = { CP.default_options with CP.mode = CP.Hoist_only } in
-  let _, rep = CP.apply ~options db program in
-  Alcotest.(check int) "hoist-only applies it" 1 rep.CP.sites_applied
+  let _, rep = S.compile S.Hoist db program in
+  Alcotest.(check int) "hoist-only applies it" 1 rep.R.sites_applied
 
 let test_applied_site_reports () =
   (* A dependent chain 0 -> 2 -> 4 interleaved with leaves: applies
@@ -526,30 +541,25 @@ let test_applied_site_reports () =
   in
   let program = program_of body in
   let db = db_of [ site ~indices:[ 0; 2; 4 ] ~uids:[ 0; 2; 4 ] () ] in
-  let check_mode label options ~cdp ~branches ~converted =
-    let prog_a, rep = CP.apply ~options db program in
+  let check_mode (label, scheme, options) ~cdp ~branches ~converted =
+    let prog_a, rep = apply ~options scheme db program in
     let prog_b, rep_b = Monolithic.apply_monolithic ~options db program in
-    Alcotest.(check int) (label ^ ": applied") 1 rep.CP.sites_applied;
-    Alcotest.(check int) (label ^ ": hoisted") 3 rep.CP.instrs_hoisted;
+    Alcotest.(check int) (label ^ ": applied") 1 rep.R.sites_applied;
+    Alcotest.(check int) (label ^ ": hoisted") 3 rep.R.instrs_hoisted;
     Alcotest.(check int) (label ^ ": converted") converted
-      rep.CP.instrs_converted;
-    Alcotest.(check int) (label ^ ": cdp") cdp rep.CP.cdp_inserted;
+      rep.R.instrs_converted;
+    Alcotest.(check int) (label ^ ": cdp") cdp rep.R.cdp_inserted;
     Alcotest.(check int) (label ^ ": branches") branches
-      rep.CP.switch_branches_inserted;
+      rep.R.switch_branches_inserted;
     check (label ^ ": = monolithic program") true
       (digest_program prog_a = digest_program prog_b);
     check (label ^ ": = monolithic report") true (rep = rep_b)
   in
-  check_mode "cdp" CP.default_options ~cdp:1 ~branches:0 ~converted:3;
-  check_mode "branches"
-    { CP.default_options with CP.mode = CP.Branches }
-    ~cdp:0 ~branches:2 ~converted:3;
-  check_mode "hoist_only"
-    { CP.default_options with CP.mode = CP.Hoist_only }
-    ~cdp:0 ~branches:0 ~converted:0;
-  check_mode "macro"
-    { CP.default_options with CP.mode = CP.Fused_macro }
-    ~cdp:0 ~branches:0 ~converted:3
+  let mode label = List.find (fun (l, _, _) -> l = label) mode_cases in
+  check_mode (mode "cdp") ~cdp:1 ~branches:0 ~converted:3;
+  check_mode (mode "branches") ~cdp:0 ~branches:2 ~converted:3;
+  check_mode (mode "hoist_only") ~cdp:0 ~branches:0 ~converted:0;
+  check_mode (mode "macro") ~cdp:0 ~branches:0 ~converted:3
 
 let () =
   Alcotest.run "nanopass"

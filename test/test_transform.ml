@@ -7,7 +7,8 @@ module B = Prog.Block
 module P = Prog.Program
 module H = Transform.Hoist
 module T = Transform.Thumb
-module CP = Transform.Critic_pass
+module R = Transform.Report
+module S = Transform.Scheme
 
 let r = Isa.Reg.r
 
@@ -125,8 +126,8 @@ let test_convert_run () =
   let fresh_uid () = incr uid; !uid in
   let out, report = T.convert_run ~fresh_uid run in
   Alcotest.(check int) "cdp + 2 instrs" 3 (List.length out);
-  Alcotest.(check int) "converted" 2 report.T.instrs_converted;
-  Alcotest.(check int) "one cdp" 1 report.T.cdp_inserted;
+  Alcotest.(check int) "converted" 2 report.R.instrs_converted;
+  Alcotest.(check int) "one cdp" 1 report.R.cdp_inserted;
   (match out with
   | cdp :: rest ->
     Alcotest.(check bool) "first is cdp" true (cdp.I.opcode = Op.Cdp_switch);
@@ -142,8 +143,19 @@ let test_convert_long_run_splits () =
   let uid = ref 100 in
   let fresh_uid () = incr uid; !uid in
   let out, report = T.convert_run ~fresh_uid run in
-  Alcotest.(check int) "two cdps for 12 instrs" 2 report.T.cdp_inserted;
+  Alcotest.(check int) "two cdps for 12 instrs" 2 report.R.cdp_inserted;
   Alcotest.(check int) "total out" 14 (List.length out)
+
+(* OPP16 and Compress read no profile: compile them with an empty
+   database. *)
+let no_profile =
+  {
+    Profiler.Critic_db.sites = [];
+    total_work = 0;
+    ic_lengths = Util.Dist.Histogram.create ();
+    ic_spreads = Util.Dist.Histogram.create ();
+    chain_gaps = Util.Dist.Histogram.create ();
+  }
 
 let test_opp16_min_run () =
   (* runs of 2 are skipped by opp16 but taken by compress *)
@@ -158,19 +170,19 @@ let test_opp16_min_run () =
     |]
   in
   let p = P.make ~entry:0 ~blocks:[ block body ] in
-  let _, opp = T.opp16 p in
+  let _, opp = S.compile S.Opp16 no_profile p in
   Alcotest.(check int) "opp16 converts only the >=3 run" 3
-    opp.T.instrs_converted;
-  let _, comp = T.compress p in
-  Alcotest.(check int) "compress takes both runs" 5 comp.T.instrs_converted
+    opp.R.instrs_converted;
+  let _, comp = S.compile S.Compress no_profile p in
+  Alcotest.(check int) "compress takes both runs" 5 comp.R.instrs_converted
 
 let test_opp16_skips_unconvertible () =
   let body =
     [| mk 0 ~cond:I.Ne ~dst:(r 0) Op.Alu; mk 1 ~cond:I.Ne ~dst:(r 1) Op.Alu |]
   in
   let p = P.make ~entry:0 ~blocks:[ block body ] in
-  let p', rep = T.opp16 p in
-  Alcotest.(check int) "nothing converted" 0 rep.T.instrs_converted;
+  let p', rep = S.compile S.Opp16 no_profile p in
+  Alcotest.(check int) "nothing converted" 0 rep.R.instrs_converted;
   Alcotest.(check int) "program unchanged" (P.instr_count p) (P.instr_count p')
 
 (* --------------------------- critic pass -------------------------- *)
@@ -185,20 +197,19 @@ let profiled_program () =
 
 let test_critic_pass_applies () =
   let program, db, _ = profiled_program () in
-  let program', report = CP.apply db program in
-  Alcotest.(check bool) "sites applied" true (report.CP.sites_applied > 0);
-  Alcotest.(check bool) "instrs converted" true (report.CP.instrs_converted > 0);
-  Alcotest.(check bool) "cdps inserted" true (report.CP.cdp_inserted > 0);
+  let program', report = S.compile S.Critic db program in
+  Alcotest.(check bool) "sites applied" true (report.R.sites_applied > 0);
+  Alcotest.(check bool) "instrs converted" true (report.R.instrs_converted > 0);
+  Alcotest.(check bool) "cdps inserted" true (report.R.cdp_inserted > 0);
   Alcotest.(check int) "instr count grows by cdp count"
-    (P.instr_count program + report.CP.cdp_inserted)
+    (P.instr_count program + report.R.cdp_inserted)
     (P.instr_count program');
   Alcotest.(check bool) "code shrinks despite extra markers" true
     (P.code_size program' < P.code_size program)
 
 let test_critic_pass_dataflow_preserved () =
   let program, db, _ = profiled_program () in
-  let options = { CP.default_options with CP.mode = CP.Hoist_only } in
-  let program', _ = CP.apply ~options db program in
+  let program', _ = S.compile S.Hoist db program in
   (* hoist-only: per-block RAW producer maps must be identical *)
   Array.iter2
     (fun (b : B.t) (b' : B.t) ->
@@ -209,7 +220,7 @@ let test_critic_pass_dataflow_preserved () =
 
 let test_critic_pass_work_preserved () =
   let program, db, path = profiled_program () in
-  let program', _ = CP.apply db program in
+  let program', _ = S.compile S.Critic db program in
   let t = Prog.Trace.expand program ~seed:5 path in
   let t' = Prog.Trace.expand program' ~seed:5 path in
   Alcotest.(check int) "same work across transform"
@@ -217,20 +228,19 @@ let test_critic_pass_work_preserved () =
 
 let test_critic_pass_all_or_nothing () =
   let program, db, _ = profiled_program () in
-  let _, report = CP.apply db program in
+  let _, report = S.compile S.Critic db program in
   (* unconvertible sites are skipped entirely, never partially *)
   Alcotest.(check int) "considered = applied + rejections"
-    report.CP.sites_considered
-    (report.CP.sites_applied + report.CP.rejected_stale
-    + report.CP.rejected_legality + report.CP.rejected_convertibility)
+    report.R.sites_considered
+    (report.R.sites_applied + report.R.rejected_stale
+    + report.R.rejected_legality + report.R.rejected_convertibility)
 
 let test_critic_branches_mode () =
   let program, db, _ = profiled_program () in
-  let options = { CP.default_options with CP.mode = CP.Branches } in
-  let program', report = CP.apply ~options db program in
+  let program', report = S.compile S.Critic_branches db program in
   Alcotest.(check bool) "switch branches inserted" true
-    (report.CP.switch_branches_inserted >= 2 * report.CP.sites_applied);
-  Alcotest.(check int) "no cdp in branches mode" 0 report.CP.cdp_inserted;
+    (report.R.switch_branches_inserted >= 2 * report.R.sites_applied);
+  Alcotest.(check int) "no cdp in branches mode" 0 report.R.cdp_inserted;
   Alcotest.(check bool) "program has body branches" true
     (let found = ref false in
      P.iter_instrs
@@ -240,14 +250,14 @@ let test_critic_branches_mode () =
 
 let test_critic_ideal_converts_more () =
   let program, db, _ = profiled_program () in
-  let _, realistic = CP.apply db program in
-  let _, ideal = CP.apply ~options:CP.ideal_options db program in
+  let _, realistic = S.compile S.Critic db program in
+  let _, ideal = S.compile S.Critic_ideal db program in
   Alcotest.(check bool) "ideal converts at least as much" true
-    (ideal.CP.instrs_converted >= realistic.CP.instrs_converted)
+    (ideal.R.instrs_converted >= realistic.R.instrs_converted)
 
 let test_chain_tags () =
   let program, db, _ = profiled_program () in
-  let program', _ = CP.apply db program in
+  let program', _ = S.compile S.Critic db program in
   let tagged = ref 0 in
   P.iter_instrs
     (fun _ i -> if i.I.chain <> None then incr tagged)
@@ -291,32 +301,15 @@ let test_verify_ignores_markers () =
   Alcotest.(check bool) "cdp markers are transparent" true
     (Transform.Verify.dataflow_equivalent b with_cdp)
 
+(* Every scheme of the table, compiled as the simulations compile it. *)
 let test_verify_whole_passes () =
   let program, db, _ = profiled_program () in
   List.iter
-    (fun (label, pass) ->
-      match Transform.Verify.check_pass pass program with
+    (fun scheme ->
+      match Transform.Verify.check_pass (S.compile scheme db) program with
       | Ok _ -> ()
-      | Error msg -> Alcotest.fail (label ^ ": " ^ msg))
-    [
-      ("critic", fun p -> (fst (CP.apply db p), ()));
-      ( "hoist",
-        fun p ->
-          ( fst
-              (CP.apply
-                 ~options:{ CP.default_options with CP.mode = CP.Hoist_only }
-                 db p),
-            () ) );
-      ( "macro",
-        fun p ->
-          ( fst
-              (CP.apply
-                 ~options:{ CP.default_options with CP.mode = CP.Fused_macro }
-                 db p),
-            () ) );
-      ("opp16", fun p -> (fst (T.opp16 p), ()));
-      ("compress", fun p -> (fst (T.compress p), ()));
-    ]
+      | Error msg -> Alcotest.fail (S.name scheme ^ ": " ^ msg))
+    S.all
 
 let () =
   Alcotest.run "transform"
