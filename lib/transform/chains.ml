@@ -57,11 +57,10 @@ let splice body inserts =
   drain n;
   out
 
-let chunk span positions =
-  let rec go acc current n = function
-    | [] -> List.rev (List.rev current :: acc)
-    | p :: rest ->
-      if n < span then go acc (p :: current) (n + 1) rest
-      else go (List.rev current :: acc) [ p ] 1 rest
-  in
-  match positions with [] -> [] | p :: rest -> go [] [ p ] 1 rest
+(* A run that fits one group is returned as it is: most runs do. *)
+let rec chunk span = function
+  | [] -> []
+  | run when List.compare_length_with run span <= 0 -> [ run ]
+  | run ->
+    List.filteri (fun i _ -> i < span) run
+    :: chunk span (List.filteri (fun i _ -> i >= span) run)
