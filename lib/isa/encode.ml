@@ -59,44 +59,53 @@ let cond_of_bits = function
    marker). *)
 let absent = 0xF
 
-let t16_reg r =
-  let i = Reg.index r in
-  if i <= Reg.thumb_limit then Ok i
-  else Error (Printf.sprintf "r%d exceeds the Thumb operand range (r10)" i)
-
-let ( let* ) = Result.bind
-
 (* 16-bit halfword:
      [15:12] opcode (0..12; 0xF = CDP format switch; 13/14 undefined)
      [11:8]  dst   (0..10, 0xF = none)
      [7:4]   src1  (0..10, 0xF = none)
      [3:0]   src2  (0..10, 0xF = none)
-   CDP marker: [15:12]=0xF, [11:4]=0, [3:0] = cdp_count - 1 (0..8). *)
-let encode16 (i : Instr.t) =
+   CDP marker: [15:12]=0xF, [11:4]=0, [3:0] = cdp_count - 1 (0..8).
+   [pack16] is where the field rules live: it returns the halfword, or
+   a negative code naming the first rule broken (-1..-4 below, and
+   -(16 + n) for a register Rn above R10).  [encode16] spells a code
+   out; [thumb_convertible] tests only its sign, so the compiler's
+   scans allocate nothing. *)
+let field16 r =
+  let i = Reg.index r in
+  if i <= Reg.thumb_limit then i else -(16 + i)
+
+let pack16 (i : Instr.t) =
   if i.opcode = Opcode.Cdp_switch then
     if i.cdp_count >= 1 && i.cdp_count <= 9 then
-      Ok ((0xF lsl 12) lor (i.cdp_count - 1))
-    else Error "CDP marker announces 1..9 following instructions"
-  else if Instr.is_predicated i then
-    Error "the 16-bit format has no predication"
+      (0xF lsl 12) lor (i.cdp_count - 1)
+    else -1
+  else if Instr.is_predicated i then -2
   else
     match op_index i.opcode with
-    | None -> Error "opcode class has no 16-bit encoding"
-    | Some op ->
-      let* dst = match i.dst with None -> Ok absent | Some r -> t16_reg r in
-      let* s1, s2 =
-        match i.srcs with
-        | [] -> Ok (absent, absent)
-        | [ a ] ->
-          let* a = t16_reg a in
-          Ok (a, absent)
-        | [ a; b ] ->
-          let* a = t16_reg a in
-          let* b = t16_reg b in
-          Ok (a, b)
-        | _ -> Error "more than two sources exceed the 16-bit format"
-      in
-      Ok ((op lsl 12) lor (dst lsl 8) lor (s1 lsl 4) lor s2)
+    | None -> -3
+    | Some op -> (
+      let dst = match i.dst with None -> absent | Some r -> field16 r in
+      match i.srcs with
+      | _ when dst < 0 -> dst
+      | _ :: _ :: _ :: _ -> -4
+      | srcs ->
+        let s1 = match srcs with [] -> absent | a :: _ -> field16 a in
+        let s2 = match srcs with _ :: b :: _ -> field16 b | _ -> absent in
+        if s1 < 0 then s1
+        else if s2 < 0 then s2
+        else (op lsl 12) lor (dst lsl 8) lor (s1 lsl 4) lor s2)
+
+let encode16 i =
+  match pack16 i with
+  | -1 -> Error "CDP marker announces 1..9 following instructions"
+  | -2 -> Error "the 16-bit format has no predication"
+  | -3 -> Error "opcode class has no 16-bit encoding"
+  | -4 -> Error "more than two sources exceed the 16-bit format"
+  | h when h < 0 ->
+    Error (Printf.sprintf "r%d exceeds the Thumb operand range (r10)" (-h - 16))
+  | h -> Ok h
+
+let ( let* ) = Result.bind
 
 (* 32-bit word:
      [31:28] cond (ARM nibble, {!cond_bits})
@@ -143,4 +152,4 @@ let encode (i : Instr.t) =
     Ok (le_bytes w 4)
 
 let thumb_convertible (i : Instr.t) =
-  i.opcode <> Opcode.Cdp_switch && Result.is_ok (encode16 i)
+  i.opcode <> Opcode.Cdp_switch && pack16 i >= 0

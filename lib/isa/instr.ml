@@ -32,9 +32,12 @@ let is_predicated t = t.cond <> Always
 let thumb_convertible t =
   (not (is_predicated t))
   && Opcode.thumb_expressible t.opcode
-  && (match t.srcs with _ :: _ :: _ :: _ -> false | _ -> true)
-  && List.for_all Reg.thumb_addressable
-       (t.srcs @ Option.to_list t.dst)
+  && (match t.srcs with
+     | [] -> true
+     | [ a ] -> Reg.thumb_addressable a
+     | [ a; b ] -> Reg.thumb_addressable a && Reg.thumb_addressable b
+     | _ -> false)
+  && match t.dst with None -> true | Some d -> Reg.thumb_addressable d
 
 let make ~uid ~opcode ?dst ?(srcs = []) ?(cond = Always) ?(encoding = Arm32)
     ?mem ?chain ?(cdp_count = 0) () =

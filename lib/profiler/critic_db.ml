@@ -63,6 +63,15 @@ let coverage_cdf ?(convertible_only = false) t =
       sorted
   end
 
+(* The first [n] '|'-separated components of a key, cut in place. *)
+let key_prefix n key =
+  let rec cut from n =
+    match String.index_from_opt key from '|' with
+    | Some j -> if n <= 1 then String.sub key 0 j else cut (j + 1) (n - 1)
+    | None -> key
+  in
+  if n <= 0 then "" else cut 0 n
+
 let truncate_site n s =
   if site_length s <= n then s
   else begin
@@ -71,7 +80,7 @@ let truncate_site n s =
       s with
       member_indices = take n s.member_indices;
       uids = take n s.uids;
-      key = String.concat "|" (take n (String.split_on_char '|' s.key));
+      key = key_prefix n s.key;
     }
   end
 

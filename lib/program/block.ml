@@ -24,18 +24,3 @@ let successors t =
   | Cond_branch { taken; not_taken; _ } -> [ taken; not_taken ]
   | Call { callee; return_to } -> [ callee; return_to ]
   | Return -> []
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v2>block %d (func %d):" t.id t.func;
-  Array.iter (fun i -> Format.fprintf fmt "@,%a" Isa.Instr.pp i) t.body;
-  let term =
-    match t.term with
-    | Fallthrough b -> Printf.sprintf "fallthrough -> %d" b
-    | Cond_branch { taken; not_taken; taken_bias } ->
-      Printf.sprintf "cond -> %d (p=%.2f) | %d" taken taken_bias not_taken
-    | Jump b -> Printf.sprintf "jump -> %d" b
-    | Call { callee; return_to } ->
-      Printf.sprintf "call %d, return to %d" callee return_to
-    | Return -> "return"
-  in
-  Format.fprintf fmt "@,%s@]" term

@@ -37,5 +37,3 @@ val size_bytes : t -> int
 
 val successors : t -> int list
 (** Block ids reachable in one step ([Return] has none statically). *)
-
-val pp : Format.formatter -> t -> unit

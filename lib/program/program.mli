@@ -34,10 +34,20 @@ val max_uid : t -> int
 (** Largest instruction uid in use (for passes allocating fresh uids);
     -1 if the program has no instructions. *)
 
+val update_blocks : (Block.t -> Block.t) -> int array -> t -> t
+(** [update_blocks f ids t] rewrites the blocks named by [ids]
+    (ascending; ids outside the program are ignored) and shares every
+    other block with [t]; if [f] returns every block physically
+    unchanged, the result is [t].  It costs the rewritten blocks plus an
+    O(blocks) address shift: the layout and {!max_uid} are carried over
+    from [t], and equal {!make}'s on the same blocks.  A compiler pass
+    after chain selection rewrites only the blocks its profile database
+    names and reads chain tags nowhere else.  Raises [Invalid_argument]
+    if [ids] do not ascend, or if [f] altered a block's [id] or
+    [term]. *)
+
 val map_blocks : (Block.t -> Block.t) -> t -> t
-(** Rewrite every block body (the CFG shape must be preserved: passes may
-    only change [body]).  Raises [Invalid_argument] if a pass altered a
-    block's [id] or [term]. *)
+(** {!update_blocks} over every block. *)
 
 val iter_instrs : (Block.t -> Isa.Instr.t -> unit) -> t -> unit
 

@@ -10,36 +10,21 @@ let span = 9
    walking blocks in ascending id order and sites within a block in
    descending start-index order, groups ascending within a site.  The
    earlier passes create no instructions, so [max_uid] here equals the
-   original program's, and Chains.descending reproduces the site
-   order.  Grouping by chain id (not by scanning for tagged runs) keeps
+   original program's, and Chains.mark_runs reproduces the site order.
+   Grouping by chain id (not by scanning for tagged runs) keeps
    adjacent chains from sharing a marker window. *)
-let apply (_ : Pass.env) program =
+let apply (env : Pass.env) program =
   let fresh_uid = Pass.fresh_uids program in
   let ncdp = ref 0 in
+  let markers run =
+    List.map
+      (fun group ->
+        incr ncdp;
+        (List.hd group, I.cdp ~uid:(fresh_uid ()) ~following:(List.length group)))
+      (Chains.chunk span run)
+  in
   let program' =
-    Prog.Program.map_blocks
-      (fun block ->
-        match Chains.in_block block with
-        | [] -> block
-        | chains ->
-          let body = ref block.Prog.Block.body in
-          List.iter
-            (fun (c : Chains.t) ->
-              let inserts =
-                List.concat_map
-                  (fun run ->
-                    Chains.chunk span run
-                    |> List.map (fun group ->
-                           ( List.hd group,
-                             I.cdp ~uid:(fresh_uid ())
-                               ~following:(List.length group) )))
-                  (Chains.runs c)
-              in
-              ncdp := !ncdp + List.length inserts;
-              body := Chains.splice !body inserts)
-            (Chains.descending chains);
-          Prog.Block.with_body !body block)
-      program
+    Prog.Program.update_blocks (Chains.mark_runs markers) env.Pass.blocks program
   in
   (program', { Report.zero with Report.cdp_inserted = !ncdp })
 

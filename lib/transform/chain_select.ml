@@ -17,17 +17,28 @@ module Db = Profiler.Critic_db
    stale instead of raising, the first failing check being
    re-validation. *)
 
-let select_block (env : Pass.env) bump chain_counter (block : Prog.Block.t)
+(* What one site adds to the report: it is considered, then applied or
+   charged to its first failing check. *)
+let considered = { Report.zero with Report.sites_considered = 1 }
+let stale = { considered with Report.rejected_stale = 1 }
+let illegal = { considered with Report.rejected_legality = 1 }
+let unconvertible = { considered with Report.rejected_convertibility = 1 }
+let applied = { considered with Report.sites_applied = 1 }
+
+let select_block (env : Pass.env) count chain_counter (block : Prog.Block.t)
     sites =
   let sorted =
     List.sort (fun (a : Db.site) b -> compare b.start_index a.start_index) sites
   in
   let body = Array.copy block.Prog.Block.body in
   let floor = ref max_int in
+  let needs_conversion =
+    match env.Pass.options.mode with
+    | Pass.Cdp | Pass.Branches -> not env.Pass.options.ideal
+    | Pass.Hoist_only | Pass.Fused_macro -> false
+  in
   List.iter
     (fun (site : Db.site) ->
-      bump (fun r ->
-          { r with Report.sites_considered = r.Report.sites_considered + 1 });
       let fresh_site_ok =
         List.length site.member_indices = List.length site.uids
         && List.for_all2
@@ -38,63 +49,38 @@ let select_block (env : Pass.env) bump chain_counter (block : Prog.Block.t)
                && body.(idx).I.uid = uid)
              site.member_indices site.uids
       in
-      if not fresh_site_ok then
-        bump (fun r ->
-            { r with Report.rejected_stale = r.Report.rejected_stale + 1 })
+      if not fresh_site_ok then count stale
       else begin
-        let view = Prog.Block.with_body body block in
         (* Longest legal prefix: any prefix of an IC is an IC, so when
            the full chain cannot be hoisted (e.g. a register is reused
            further down) we fall back to the longest hoistable prefix. *)
-        let rec legal_prefix indices =
-          match indices with
-          | [] | [ _ ] -> None
-          | _ when Hoist.legal view indices -> Some indices
-          | _ ->
-            legal_prefix
-              (List.filteri (fun i _ -> i < List.length indices - 1) indices)
+        let idx = Array.of_list site.member_indices in
+        let len = Hoist.legal_prefix body idx in
+        let convertible () =
+          let ok = ref true in
+          for pos = 0 to len - 1 do
+            if not (Isa.Encode.thumb_convertible body.(idx.(pos))) then
+              ok := false
+          done;
+          !ok
         in
-        match legal_prefix site.member_indices with
-        | None ->
-          bump (fun r ->
-              {
-                r with
-                Report.rejected_legality = r.Report.rejected_legality + 1;
-              })
-        | Some member_indices ->
-          let members = List.map (fun i -> body.(i)) member_indices in
-          let needs_conversion =
-            match env.Pass.options.mode with
-            | Pass.Cdp | Pass.Branches -> true
-            | Pass.Hoist_only | Pass.Fused_macro -> false
-          in
-          let convertible =
-            env.Pass.options.ideal || List.for_all Isa.Encode.thumb_convertible members
-          in
-          if needs_conversion && not convertible then
-            (* All-or-nothing: the whole sequence stays untouched. *)
-            bump (fun r ->
-                {
-                  r with
-                  Report.rejected_convertibility =
-                    r.Report.rejected_convertibility + 1;
-                })
-          else begin
-            let len = List.length member_indices in
-            let chain_id = !chain_counter in
-            incr chain_counter;
-            List.iteri
-              (fun pos idx ->
-                body.(idx) <-
-                  I.with_chain (Some { I.chain_id; pos; len }) body.(idx))
-              member_indices;
-            floor := min !floor (List.hd member_indices);
-            bump (fun r ->
-                { r with Report.sites_applied = r.Report.sites_applied + 1 })
-          end
+        if len < 2 then count illegal
+        else if needs_conversion && not (convertible ()) then
+          (* All-or-nothing: the whole sequence stays untouched. *)
+          count unconvertible
+        else begin
+          let chain_id = !chain_counter in
+          incr chain_counter;
+          for pos = 0 to len - 1 do
+            body.(idx.(pos)) <-
+              I.with_chain (Some { I.chain_id; pos; len }) body.(idx.(pos))
+          done;
+          floor := idx.(0);
+          count applied
+        end
       end)
     sorted;
-  Prog.Block.with_body body block
+  if !floor = max_int then block else Prog.Block.with_body body block
 
 let apply (env : Pass.env) program =
   let by_block : (int, Db.site list) Hashtbl.t = Hashtbl.create 64 in
@@ -106,14 +92,14 @@ let apply (env : Pass.env) program =
     env.Pass.db.Db.sites;
   let chain_counter = ref 0 in
   let r = ref Report.zero in
-  let bump f = r := f !r in
+  let count site = r := Report.add !r site in
   let program' =
-    Prog.Program.map_blocks
+    Prog.Program.update_blocks
       (fun block ->
         match Hashtbl.find_opt by_block block.Prog.Block.id with
         | None -> block
-        | Some sites -> select_block env bump chain_counter block sites)
-      program
+        | Some sites -> select_block env count chain_counter block sites)
+      env.Pass.blocks program
   in
   (program', !r)
 

@@ -2,26 +2,31 @@ module I = Isa.Instr
 
 type t = { id : int; len : int; positions : int list }
 
+(* Chains never interleave, so a chain is a maximal stretch of tags
+   with one chain id: one scan, no table. *)
 let in_block (block : Prog.Block.t) =
-  let tbl : (int, int * int list ref) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
+  let chains = ref [] in
   Array.iteri
     (fun i (ins : I.t) ->
-      match ins.I.chain with
-      | None -> ()
-      | Some { I.chain_id; len; _ } -> (
-        match Hashtbl.find_opt tbl chain_id with
-        | None ->
-          Hashtbl.add tbl chain_id (len, ref [ i ]);
-          order := chain_id :: !order
-        | Some (_, ps) -> ps := i :: !ps))
+      match (ins.I.chain, !chains) with
+      | None, _ -> ()
+      | Some tag, c :: cs when c.id = tag.I.chain_id ->
+        chains := { c with positions = i :: c.positions } :: cs
+      | Some tag, cs ->
+        chains := { id = tag.I.chain_id; len = tag.I.len; positions = [ i ] } :: cs)
     block.Prog.Block.body;
-  List.rev !order
-  |> List.map (fun id ->
-         let len, ps = Hashtbl.find tbl id in
-         { id; len; positions = List.rev !ps })
+  List.rev_map (fun c -> { c with positions = List.rev c.positions }) !chains
 
-let descending chains = List.rev chains
+let rewrite_tagged f (block : Prog.Block.t) =
+  let body = block.Prog.Block.body in
+  let body' =
+    Array.map
+      (fun (ins : I.t) ->
+        match ins.I.chain with None -> ins | Some tag -> f ins tag)
+      body
+  in
+  if Array.for_all2 ( == ) body body' then block
+  else Prog.Block.with_body body' block
 
 let runs c =
   let rec go current acc = function
@@ -33,29 +38,37 @@ let runs c =
   in
   match c.positions with [] -> [] | p :: rest -> go [ p ] [] rest
 
+(* Each insert goes in front of the body position it names; the list
+   ascends, and same-position inserts keep their order. *)
 let splice body inserts =
-  let n = Array.length body in
-  let out = Array.make (n + List.length inserts) (I.cdp ~uid:0 ~following:1) in
-  let j = ref 0 in
-  let rem = ref inserts in
-  let drain p =
-    let continue = ref true in
-    while !continue do
-      match !rem with
-      | (p', ins) :: tl when p' = p ->
-        out.(!j) <- ins;
-        incr j;
-        rem := tl
-      | _ -> continue := false
-    done
+  let out = Array.make (Array.length body + List.length inserts) body.(0) in
+  let j = ref 0 and from = ref 0 in
+  let copy upto =
+    Array.blit body !from out !j (upto - !from);
+    j := !j + upto - !from;
+    from := upto
   in
-  for i = 0 to n - 1 do
-    drain i;
-    out.(!j) <- body.(i);
-    incr j
-  done;
-  drain n;
+  List.iter
+    (fun (p, ins) ->
+      copy p;
+      out.(!j) <- ins;
+      incr j)
+    inserts;
+  copy (Array.length body);
   out
+
+(* Markers draw their uids chain by chain from the highest (the
+   monolithic pass's site order), runs ascending within a chain.
+   Chains never interleave, so the lowest chain's inserts first are in
+   ascending position order, and one splice places them all. *)
+let mark_runs f (block : Prog.Block.t) =
+  match in_block block with
+  | [] -> block
+  | chains ->
+    let inserts =
+      List.rev_map (fun c -> List.concat_map f (runs c)) (List.rev chains)
+    in
+    Prog.Block.with_body (splice block.body (List.concat inserts)) block
 
 (* A run that fits one group is returned as it is: most runs do. *)
 let rec chunk span = function

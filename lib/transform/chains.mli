@@ -14,28 +14,32 @@ type t = {
 
 val in_block : Prog.Block.t -> t list
 (** Chains present in a block, ordered by ascending first position.
-    Sites are index-range disjoint within a block, so this is also
-    ascending [chain_id] order reversed per block — see
-    {!Chain_select}. *)
+    {!Chain_select} accepts a site only below every site it accepted
+    before in the block, so chains occupy disjoint, non-interleaved
+    index ranges — no pass moves a member out of its chain's range —
+    and a chain is a maximal stretch of tags with one [chain_id].  The
+    order is also ascending [chain_id] order reversed per block. *)
 
-val descending : t list -> t list
-(** Reverse of {!in_block}: descending first position — the order in
-    which the rewriting passes must process chains so that edits at
-    higher indices never disturb the positions of chains below them
-    (and the order in which the monolithic pass allocated fresh uids,
-    which the bit-identicality contract fixes). *)
+val rewrite_tagged :
+  (Isa.Instr.t -> Isa.Instr.chain_tag -> Isa.Instr.t) ->
+  Prog.Block.t ->
+  Prog.Block.t
+(** [rewrite_tagged f block] replaces every tagged member [ins] by
+    [f ins tag], in body order; if every member comes back physically
+    unchanged, the block is returned as it is. *)
 
-val runs : t -> int list list
-(** Maximal runs of consecutive member positions, ascending.  After
-    {!Hoist} a chain is one run; without hoisting (the narrow-only
-    hybrid) members may be scattered and each run gets its own switch
-    markers. *)
-
-val splice : Isa.Instr.t array -> (int * Isa.Instr.t) list -> Isa.Instr.t array
-(** [splice body inserts] places each instruction *before* the given
-    body position (position [length body] appends), with the insert
-    list sorted by ascending position; same-position inserts keep list
-    order. *)
+val mark_runs :
+  (int list -> (int * Isa.Instr.t) list) -> Prog.Block.t -> Prog.Block.t
+(** [mark_runs f block] inserts switch markers around every maximal run
+    of consecutive member positions: [f run] returns the markers for
+    one run, each paired with the body position it goes in front of
+    ([length body] appends).  [f] is called chain by chain from the
+    highest — the order in which the monolithic pass allocated fresh
+    uids, which the bit-identicality contract fixes — and runs
+    ascending within a chain.  After {!Hoist} a chain is one run;
+    without hoisting (the narrow-only hybrid) members may be scattered
+    and each run gets its own markers ({!Cdp_insert},
+    {!Branch_switch}).  A block with no chain is returned as it is. *)
 
 val chunk : int -> 'a list -> 'a list list
 (** [chunk span run] splits a run (of body positions, or of

@@ -14,9 +14,15 @@ val legal : Prog.Block.t -> int list -> bool
 (** [legal block member_indices] checks whether the members (increasing
     body indices) can be hoisted to the first member's position. *)
 
+val legal_prefix : Isa.Instr.t array -> int array -> int
+(** The number of leading members of [idx] that can be hoisted
+    together: {!legal} holds of the first [k] exactly when
+    [2 <= k <= legal_prefix body idx]. *)
+
 val apply : Prog.Block.t -> int list -> Prog.Block.t
 (** Rewrite the block body with the members contiguous at the hoist
-    point, preserving the relative order of everything else.  Raises
+    point, preserving the relative order of everything else; only the
+    [first, last] span of the members changes.  Raises
     [Invalid_argument] if [legal] is false or indices are out of
     range/unsorted. *)
 

@@ -4,28 +4,14 @@ module I = Isa.Instr
    hypothetical macro-instruction.  The head (tag position 0) keeps its
    32-bit slot — the macro opcode word — and every other member rides
    for free as a fused slice. *)
-let apply (_ : Pass.env) program =
+let apply (env : Pass.env) program =
   let nconv = ref 0 in
   let program' =
-    Prog.Program.map_blocks
-      (fun block ->
-        let changed = ref false in
-        let body =
-          Array.map
-            (fun (ins : I.t) ->
-              match ins.I.chain with
-              | None -> ins
-              | Some tag ->
-                incr nconv;
-                if tag.I.pos = 0 then ins
-                else begin
-                  changed := true;
-                  I.fuse ins
-                end)
-            block.Prog.Block.body
-        in
-        if !changed then Prog.Block.with_body body block else block)
-      program
+    Prog.Program.update_blocks
+      (Chains.rewrite_tagged (fun ins (tag : I.chain_tag) ->
+           incr nconv;
+           if tag.I.pos = 0 then ins else I.fuse ins))
+      env.Pass.blocks program
   in
   (program', { Report.zero with Report.instrs_converted = !nconv })
 

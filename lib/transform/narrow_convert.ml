@@ -13,26 +13,13 @@ module I = Isa.Instr
 let apply (env : Pass.env) program =
   let converted = ref 0 in
   let program' =
-    Prog.Program.map_blocks
-      (fun block ->
-        let changed = ref false in
-        let body =
-          Array.map
-            (fun (ins : I.t) ->
-              match ins.I.chain with
-              | None -> ins
-              | Some _ ->
-                incr converted;
-                if ins.I.encoding = I.Thumb16 then ins
-                else begin
-                  changed := true;
-                  if env.Pass.options.ideal then I.force_thumb ins
-                  else I.with_encoding I.Thumb16 ins
-                end)
-            block.Prog.Block.body
-        in
-        if !changed then Prog.Block.with_body body block else block)
-      program
+    Prog.Program.update_blocks
+      (Chains.rewrite_tagged (fun (ins : I.t) _ ->
+           incr converted;
+           if ins.I.encoding = I.Thumb16 then ins
+           else if env.Pass.options.ideal then I.force_thumb ins
+           else I.with_encoding I.Thumb16 ins))
+      env.Pass.blocks program
   in
   (program', { Report.zero with Report.instrs_converted = !converted })
 

@@ -37,9 +37,18 @@ val default_options : options
 
 val ideal_options : options
 
-type env = { db : Profiler.Critic_db.t; options : options }
+type env = {
+  db : Profiler.Critic_db.t;
+  options : options;
+  blocks : int array;  (** ids of the blocks [db] names, ascending *)
+}
 (** What every pass sees.  [db] is already length-restricted according
-    to the options (see {!env}). *)
+    to the options (see {!env}).  Compiling is sparse: every pass after
+    {!Chain_select} reads chain tags only in [blocks] (ids the program
+    does not have are ignored) and rewrites them with
+    {!Prog.Program.update_blocks}, so every other block stays physically
+    shared with the input.  {!Thumb.opp16} and {!Thumb.compress} read no
+    profile and convert the whole program. *)
 
 val env : ?options:options -> Profiler.Critic_db.t -> env
 (** Build the pass environment: unless [options.ideal], the database is

@@ -50,10 +50,3 @@ let fields r =
     ("cdp_inserted", r.cdp_inserted);
     ("switch_branches_inserted", r.switch_branches_inserted);
   ]
-
-let pp fmt r =
-  Format.fprintf fmt "{%s}"
-    (fields r
-    |> List.filter (fun (_, v) -> v <> 0)
-    |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-    |> String.concat "; ")

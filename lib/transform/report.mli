@@ -29,6 +29,3 @@ val add : t -> t -> t
 val fields : t -> (string * int) list
 (** Every counter with its name, in declaration order — the
     field-for-field comparison hook used by the pass-algebra tests. *)
-
-val pp : Format.formatter -> t -> unit
-(** Compact rendering of the non-zero counters. *)

@@ -1,9 +1,10 @@
 (** Thumb (16-bit) conversion passes.
 
-    {!convert_run} is the shared primitive: it re-encodes a run of
-    instructions to the 16-bit format, prefixing a CDP switch marker per
-    {!Cdp_insert.span} instructions (the CDP's 3-bit argument covers at
-    most l+1 = 9).
+    Both passes re-encode each qualifying run of a block to the 16-bit
+    format, prefixing a CDP switch marker per {!Cdp_insert.span}
+    instructions (the CDP's 3-bit argument covers at most l+1 = 9).
+    They scan each block body once by index and return a block with no
+    qualifying run unchanged.
 
     {!opp16} and {!compress} are the two criticality-agnostic schemes of
     Sec. V, as passes that ignore the profile: OPP16 converts any run
@@ -13,11 +14,6 @@
     converts more aggressively (runs of at least 2).
 
     Report fields owned: [instrs_converted] and [cdp_inserted]. *)
-
-val convert_run :
-  fresh_uid:(unit -> int) -> Isa.Instr.t list -> Isa.Instr.t list * Report.t
-(** Convert a run (all members must be Thumb-convertible), inserting CDP
-    markers.  Returns the replacement instruction sequence. *)
 
 val opp16 : Pass.t
 (** Opportunistic conversion of every eligible run of 32-bit

@@ -11,7 +11,7 @@
 
 val dataflow_equivalent : Prog.Block.t -> Prog.Block.t -> bool
 (** Compare two versions of a block (marker instructions in either are
-    ignored). *)
+    ignored).  Physically equal blocks are equivalent at once. *)
 
 val block_divergence : Prog.Block.t -> Prog.Block.t -> string option
 (** [None] when {!dataflow_equivalent}; otherwise prose naming the first

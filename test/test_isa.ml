@@ -305,6 +305,47 @@ let prop_nonconvertible_rejected =
       | Error msg -> String.length msg > 0
       | Ok _ -> false)
 
+(* The compiler scans every instruction of a program for
+   convertibility on each OPP16 or Compress compile, so both predicates
+   must be allocation-free: no result boxes and no message text, which
+   [encode16] builds only on its error path.  As in test_store's
+   window-loop test, one scan and four scans of the same instructions
+   are measured; their difference is the per-instruction cost.  The
+   instructions cover every reject (high registers, predication, three
+   sources) and CDP markers. *)
+let test_convertibility_scan_allocation_free () =
+  let instrs =
+    Array.append
+      (Array.of_list
+         (QCheck.Gen.generate ~rand:(Random.State.make [| 3 |]) ~n:4096
+            (QCheck.gen arbitrary_wire_instr)))
+      (Array.init 9 (fun k -> I.cdp ~uid:k ~following:(k + 1)))
+  in
+  let scan () =
+    Array.fold_left
+      (fun acc i ->
+        if E.thumb_convertible i then acc + 1
+        else if I.thumb_convertible i then acc + 2
+        else acc)
+      0 instrs
+  in
+  let measure times =
+    let g0 = Gc.minor_words () in
+    for _ = 1 to times do
+      ignore (Sys.opaque_identity (scan ()))
+    done;
+    Gc.minor_words () -. g0
+  in
+  ignore (measure 1);
+  let d1 = measure 1 in
+  let d4 = measure 4 in
+  let per_instr = (d4 -. d1) /. float_of_int (3 * Array.length instrs) in
+  if per_instr >= 0.01 then
+    Alcotest.failf
+      "convertibility scan allocates %.3f minor words per instruction \
+       (1x=%.0f 4x=%.0f)"
+      per_instr d1 d4
+
 let () =
   Alcotest.run "isa"
     [
@@ -338,6 +379,8 @@ let () =
           Alcotest.test_case "cdp marker roundtrip" `Quick test_cdp_roundtrip;
           Alcotest.test_case "LUT totality (65536 halfwords)" `Quick
             test_lut_totality;
+          Alcotest.test_case "convertibility scan allocation-free" `Quick
+            test_convertibility_scan_allocation_free;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

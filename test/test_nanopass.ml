@@ -344,7 +344,7 @@ let apply ~options scheme db program =
 (* The scheme table's pass lists reproduce the monolithic seed
    semantics — program and report — in every switch mode. *)
 let prop_pipeline_equals_monolithic =
-  QCheck.Test.make ~name:"canonical pipeline = monolithic semantics" ~count:60
+  QCheck.Test.make ~name:"scheme pass lists = monolithic semantics" ~count:60
     F.arbitrary (fun spec ->
       let program = F.build spec in
       let p = D.prepare ~instrs:300 program ~seed:17 in
@@ -420,7 +420,7 @@ let prop_reports_sum =
 (* Narrow-before-hoist commutes: the reordered hybrid produces the same
    program as Critic's list. *)
 let prop_reorder_commutes =
-  QCheck.Test.make ~name:"narrow-before-hoist = canonical pipeline" ~count:60
+  QCheck.Test.make ~name:"narrow-before-hoist = Critic's pass list" ~count:60
     F.arbitrary (fun spec ->
       let program = F.build spec in
       let p = D.prepare ~instrs:300 program ~seed:37 in

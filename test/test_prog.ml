@@ -224,6 +224,47 @@ let prop_stream_equals_expand =
       && Prog.Trace.Stream.next c = None
       && Array.length reference = Prog.Trace.length_of_path p path)
 
+(* property: update_blocks lays its result out from the input's block
+   strides and carries max_uid over, instead of walking the program;
+   on fuzzed programs with a random subset of blocks rewritten, every
+   block address, the code size and the largest uid must equal
+   Program.make's on the same blocks.  The rewrites change each body's
+   byte size: a CDP marker with a fresh uid in front (the largest uid
+   grows), the last instruction dropped (in the last block, that is
+   the largest uid), or a 4-byte NOP appended. *)
+let prop_update_blocks_layout =
+  QCheck.Test.make ~name:"update_blocks layout and max_uid = make's"
+    ~count:200
+    QCheck.(
+      pair Workload.Fuzz.arbitrary
+        (list_of_size Gen.(0 -- 6) (pair small_nat (int_bound 2))))
+    (fun (genome, edits) ->
+      let p = Workload.Fuzz.build genome in
+      let n = P.num_blocks p in
+      let edit = Hashtbl.create 8 in
+      List.iter (fun (b, k) -> Hashtbl.replace edit (b mod n) k) edits;
+      (* Block id n is not in the program: it must be ignored. *)
+      let ids =
+        Array.of_list
+          (List.sort_uniq compare (n :: List.of_seq (Hashtbl.to_seq_keys edit)))
+      in
+      let fresh = ref (P.max_uid p) in
+      let fresh () = incr fresh; !fresh in
+      let rewrite (b : B.t) =
+        let body = b.B.body and len = Array.length b.B.body in
+        match Hashtbl.find edit b.B.id with
+        | 0 -> B.with_body (Array.append [| I.cdp ~uid:(fresh ()) ~following:1 |] body) b
+        | 1 when len > 0 -> B.with_body (Array.sub body 0 (len - 1)) b
+        | _ -> B.with_body (Array.append body [| mk (fresh ()) Op.Nop |]) b
+      in
+      let p' = P.update_blocks rewrite ids p in
+      let q = P.make ~entry:(P.entry p) ~blocks:(Array.to_list (P.blocks p')) in
+      P.code_size p' = P.code_size q
+      && P.max_uid p' = P.max_uid q
+      && List.for_all
+           (fun id -> P.block_addr p' id = P.block_addr q id)
+           (List.init n Fun.id))
+
 let () =
   Alcotest.run "prog"
     [
@@ -254,5 +295,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_body_index; prop_stream_equals_expand ] );
+          [ prop_body_index; prop_stream_equals_expand;
+            prop_update_blocks_layout ] );
     ]

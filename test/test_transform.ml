@@ -120,32 +120,6 @@ let test_hoist_rejects_illegal () =
 
 (* ------------------------------ thumb ----------------------------- *)
 
-let test_convert_run () =
-  let run = [ mk 0 ~dst:(r 0) Op.Alu; mk 1 ~dst:(r 1) ~srcs:[ r 0 ] Op.Alu ] in
-  let uid = ref 100 in
-  let fresh_uid () = incr uid; !uid in
-  let out, report = T.convert_run ~fresh_uid run in
-  Alcotest.(check int) "cdp + 2 instrs" 3 (List.length out);
-  Alcotest.(check int) "converted" 2 report.R.instrs_converted;
-  Alcotest.(check int) "one cdp" 1 report.R.cdp_inserted;
-  (match out with
-  | cdp :: rest ->
-    Alcotest.(check bool) "first is cdp" true (cdp.I.opcode = Op.Cdp_switch);
-    Alcotest.(check int) "cdp count" 2 cdp.I.cdp_count;
-    List.iter
-      (fun (i : I.t) ->
-        Alcotest.(check bool) "thumb encoded" true (i.encoding = I.Thumb16))
-      rest
-  | [] -> Alcotest.fail "empty output")
-
-let test_convert_long_run_splits () =
-  let run = List.init 12 (fun i -> mk i ~dst:(r (i mod 8)) Op.Alu) in
-  let uid = ref 100 in
-  let fresh_uid () = incr uid; !uid in
-  let out, report = T.convert_run ~fresh_uid run in
-  Alcotest.(check int) "two cdps for 12 instrs" 2 report.R.cdp_inserted;
-  Alcotest.(check int) "total out" 14 (List.length out)
-
 (* OPP16 and Compress read no profile: compile them with an empty
    database. *)
 let no_profile =
@@ -156,6 +130,37 @@ let no_profile =
     ic_spreads = Util.Dist.Histogram.create ();
     chain_gaps = Util.Dist.Histogram.create ();
   }
+
+(* Compress converts every run of at least two: compile a block that
+   is one run and read its body back. *)
+let compress_body body =
+  let p = P.make ~entry:0 ~blocks:[ block body ] in
+  let p', report = S.compile S.Compress no_profile p in
+  ((P.block p' 0).B.body, report)
+
+let test_convert_run () =
+  let out, report =
+    compress_body [| mk 0 ~dst:(r 0) Op.Alu; mk 1 ~dst:(r 1) ~srcs:[ r 0 ] Op.Alu |]
+  in
+  Alcotest.(check int) "cdp + 2 instrs" 3 (Array.length out);
+  Alcotest.(check int) "converted" 2 report.R.instrs_converted;
+  Alcotest.(check int) "one cdp" 1 report.R.cdp_inserted;
+  match Array.to_list out with
+  | cdp :: rest ->
+    Alcotest.(check bool) "first is cdp" true (cdp.I.opcode = Op.Cdp_switch);
+    Alcotest.(check int) "cdp count" 2 cdp.I.cdp_count;
+    List.iter
+      (fun (i : I.t) ->
+        Alcotest.(check bool) "thumb encoded" true (i.encoding = I.Thumb16))
+      rest
+  | [] -> Alcotest.fail "empty output"
+
+let test_convert_long_run_splits () =
+  let out, report =
+    compress_body (Array.init 12 (fun i -> mk i ~dst:(r (i mod 8)) Op.Alu))
+  in
+  Alcotest.(check int) "two cdps for 12 instrs" 2 report.R.cdp_inserted;
+  Alcotest.(check int) "total out" 14 (Array.length out)
 
 let test_opp16_min_run () =
   (* runs of 2 are skipped by opp16 but taken by compress *)
@@ -311,6 +316,79 @@ let test_verify_whole_passes () =
       | Error msg -> Alcotest.fail (S.name scheme ^ ": " ^ msg))
     S.all
 
+(* ----------------------------- sparse ----------------------------- *)
+
+let program_digest p =
+  ignore (P.max_uid p);
+  Digest.to_hex (Digest.string (Marshal.to_string p []))
+
+(* Compiling is sparse: every pass visits only the blocks the database
+   names, and every other block of the output is the input's block
+   itself, not a copy.  A chain tag planted in a block the database does
+   not name is never read, so that block is shared too. *)
+let test_unnamed_blocks_shared () =
+  let ctx =
+    Critics.Run.prepare ~instrs:20_000 (Option.get (Workload.Apps.find "Acrobat"))
+  in
+  let db = ctx.Critics.Run.db in
+  let named = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Profiler.Critic_db.site) -> Hashtbl.replace named s.block_id ())
+    db.Profiler.Critic_db.sites;
+  let stray =
+    List.find
+      (fun id ->
+        (not (Hashtbl.mem named id))
+        && Array.length (P.block ctx.Critics.Run.program id).B.body >= 2)
+      (List.init (P.num_blocks ctx.Critics.Run.program) Fun.id)
+  in
+  let plant (b : B.t) =
+    let body = Array.copy b.B.body in
+    for pos = 0 to 1 do
+      body.(pos) <- I.with_chain (Some { I.chain_id = 999; pos; len = 2 }) body.(pos)
+    done;
+    B.with_body body b
+  in
+  let program = P.update_blocks plant [| stray |] ctx.Critics.Run.program in
+  let program', report = S.compile S.Critic db program in
+  Alcotest.(check bool) "sites applied" true (report.R.sites_applied > 0);
+  let rewritten = ref 0 in
+  Array.iteri
+    (fun id (b : B.t) ->
+      if Hashtbl.mem named id then
+        (if b != P.block program' id then incr rewritten)
+      else if b != P.block program' id then
+        Alcotest.failf "block %d is not named by the database but was copied"
+          id)
+    (P.blocks program);
+  Alcotest.(check bool) "some named block rewritten" true (!rewritten > 0);
+  (* A pass that changes no block returns its input program itself:
+     narrow-convert finds every member already converted. *)
+  let env = Transform.Pass.env db in
+  let again, _ = Transform.Narrow_convert.pass.Transform.Pass.apply env program' in
+  Alcotest.(check bool) "nothing to convert: same program" true (again == program')
+
+(* A site naming a block id the program does not have is ignored, in
+   every scheme: the program and the report equal those of the
+   database without it. *)
+let test_out_of_range_block_ignored () =
+  let program, db, _ = profiled_program () in
+  let site = List.hd db.Profiler.Critic_db.sites in
+  let bogus =
+    List.map
+      (fun block_id -> { site with Profiler.Critic_db.block_id })
+      [ -1; P.num_blocks program; P.num_blocks program + 1000; max_int ]
+  in
+  let db' = { db with Profiler.Critic_db.sites = db.sites @ bogus } in
+  List.iter
+    (fun scheme ->
+      let p, r = S.compile scheme db program in
+      let p', r' = S.compile scheme db' program in
+      Alcotest.(check string) (S.name scheme ^ ": same program")
+        (program_digest p) (program_digest p');
+      Alcotest.(check bool) (S.name scheme ^ ": same report") true (r = r'))
+    S.all
+
 let () =
   Alcotest.run "transform"
     [
@@ -351,5 +429,12 @@ let () =
           Alcotest.test_case "ideal converts more" `Quick
             test_critic_ideal_converts_more;
           Alcotest.test_case "chain tags" `Quick test_chain_tags;
+        ] );
+      ( "sparse",
+        [
+          Alcotest.test_case "unnamed blocks shared" `Quick
+            test_unnamed_blocks_shared;
+          Alcotest.test_case "out-of-range block ignored" `Quick
+            test_out_of_range_block_ignored;
         ] );
     ]
