@@ -59,7 +59,8 @@ let access t ~now ~write addr =
   (* Interleave rows across banks so streaming accesses spread out. *)
   let bank = t.banks.(row_id mod nbanks) in
   if write then t.writes <- t.writes + 1 else t.reads <- t.reads + 1;
-  let start = max now bank.busy_until in
+  (* int compare: Stdlib.max would go through compare_val *)
+  let start = if now >= bank.busy_until then now else bank.busy_until in
   let service =
     if bank.open_row = row_id then begin
       t.row_hits <- t.row_hits + 1;

@@ -289,6 +289,25 @@ let check_variant ?(configs = configs) p (name, program') =
       Ok (total + n))
     (Ok 0) configs
 
+type tally = { compared : int; simulated : int }
+
+(* Equal programs behave identically under every check, so a variant
+   equal to a program already checked is credited, not re-checked.
+   Equality is decided, never assumed: the same entry and equal blocks,
+   compared physically first (a scheme that finds nothing returns its
+   input, and sparse compilation shares untouched blocks) and
+   structurally otherwise.  The layout is a function of the blocks. *)
+let same_program a b =
+  a == b
+  || Prog.Program.entry a = Prog.Program.entry b
+     && Prog.Program.num_blocks a = Prog.Program.num_blocks b
+     &&
+     let ba = Prog.Program.blocks a and bb = Prog.Program.blocks b in
+     let rec go i =
+       i < 0 || ((ba.(i) == bb.(i) || ba.(i) = bb.(i)) && go (i - 1))
+     in
+     go (Array.length ba - 1)
+
 let check_prepared ?(configs = configs) ?variant_configs ?(variants = true) p =
   (* Baseline crosses the whole sweep; variants default to a cut-down
      sweep (first + last entry) to keep fuzz loops fast, unless the
@@ -308,24 +327,53 @@ let check_prepared ?(configs = configs) ?variant_configs ?(variants = true) p =
   let* _ =
     in_context "baseline" (check_trace p.program ~seed:p.seed ~path:p.path)
   in
-  let* base_events =
+  (* Retirements per config the baseline was checked under. *)
+  let* base =
     List.fold_left
       (fun acc (cname, config) ->
-        let* total = acc in
+        let* counts = acc in
         let* n =
           in_context ("baseline/" ^ cname) (check_cpu_trace ~config p.trace)
         in
-        Ok (total + n))
-      (Ok 0) configs
+        Ok ((config, n) :: counts))
+      (Ok []) configs
   in
-  if not variants then Ok base_events
+  let base_events = List.fold_left (fun t (_, n) -> t + n) 0 base in
+  let start = { compared = base_events; simulated = base_events } in
+  if not variants then Ok start
   else
+    (* Programs checked so far with their credit under
+       [variant_configs]. *)
+    let checked = ref [] in
     List.fold_left
-      (fun acc variant ->
-        let* total = acc in
-        let* n = check_variant ~configs:variant_configs p variant in
-        Ok (total + n))
-      (Ok base_events) (transform_variants p)
+      (fun acc ((name, program') as variant) ->
+        let* t = acc in
+        if same_program program' p.program then
+          (* The baseline's checks cover this variant under every config
+             it was checked under; any other config is simulated. *)
+          List.fold_left
+            (fun acc (cname, config) ->
+              let* t = acc in
+              match List.assoc_opt config base with
+              | Some n -> Ok { t with compared = t.compared + n }
+              | None ->
+                let* n =
+                  in_context
+                    (name ^ "/" ^ cname)
+                    (check_cpu_trace ~config p.trace)
+                in
+                Ok { compared = t.compared + n; simulated = t.simulated + n })
+            (Ok t) variant_configs
+        else
+          match
+            List.find_opt (fun (q, _) -> same_program q program') !checked
+          with
+          | Some (_, n) -> Ok { t with compared = t.compared + n }
+          | None ->
+            let* n = check_variant ~configs:variant_configs p variant in
+            checked := (program', n) :: !checked;
+            Ok { compared = t.compared + n; simulated = t.simulated + n })
+      (Ok start) (transform_variants p)
 
 let check_program ?configs ?variant_configs ?(variants = true) ?(instrs = 2_000)
     program ~seed =

@@ -110,16 +110,32 @@ val check_variant :
     agreement, then simulator agreement per config.  Error messages are
     prefixed with the variant (and config) name. *)
 
+type tally = {
+  compared : int;
+      (** retirements compared: every (program, config) pair the suite
+          covers, whether simulated or credited *)
+  simulated : int;  (** of those, the retirements actually simulated *)
+}
+
 val check_prepared :
   ?configs:(string * Pipeline.Config.t) list ->
   ?variant_configs:(string * Pipeline.Config.t) list ->
   ?variants:bool ->
   prepared ->
-  (int, string) result
+  (tally, string) result
 (** The whole suite on one program: walk, baseline trace, baseline
     simulation across [configs], and (unless [variants:false]) every
     transform variant across [variant_configs] (default: first and last
-    of [configs]).  Returns the total number of retirements compared. *)
+    of [configs]).
+
+    Each distinct program is checked once.  A variant equal to the
+    baseline program or to an earlier variant — same entry, and every
+    block physically or structurally equal — is not checked again: its
+    retirements are credited from the earlier check.  A variant equal
+    to the baseline is credited only under configs the baseline was
+    checked under (matched by value) and simulated under any other.
+    [compared] is the same total that checking every variant would
+    return. *)
 
 val check_program :
   ?configs:(string * Pipeline.Config.t) list ->
@@ -128,5 +144,5 @@ val check_program :
   ?instrs:int ->
   Prog.Program.t ->
   seed:int ->
-  (int, string) result
+  (tally, string) result
 (** [prepare] + [check_prepared]. *)

@@ -4,6 +4,50 @@ type commit = {
   event : Prog.Trace.event;
 }
 
+(* PC-indexed criticality predictor, direct-mapped by [(pc lsr 1) land
+   mask].  It lives in this compilation unit because [train] runs on
+   every retirement: a call into another module is never inlined when
+   modules are compiled [-opaque] (dune's dev profile), and with more
+   than one argument it also goes through [caml_applyN]. *)
+module Criticality_table = struct
+  type t = {
+    confidence : int array; (* 2-bit counters; predict critical when >= 2 *)
+    tags : int array;
+    mask : int;             (* entries - 1 *)
+    threshold : int;
+  }
+
+  let create ?(entries = 4096) ~threshold () =
+    if entries <= 0 || entries land (entries - 1) <> 0 then
+      invalid_arg "Criticality_table.create: entries must be a power of two";
+    {
+      confidence = Array.make entries 0;
+      tags = Array.make entries (-1);
+      mask = entries - 1;
+      threshold;
+    }
+
+  let[@inline] predict t ~pc =
+    let i = (pc lsr 1) land t.mask in
+    t.tags.(i) = pc && t.confidence.(i) >= 2
+
+  let[@inline] train t ~pc ~fanout =
+    let i = (pc lsr 1) land t.mask in
+    if t.tags.(i) <> pc then begin
+      t.tags.(i) <- pc;
+      t.confidence.(i) <- (if fanout >= t.threshold then 2 else 0)
+    end
+    else if fanout >= t.threshold then begin
+      (* int-specialized saturation *)
+      let c = t.confidence.(i) in
+      t.confidence.(i) <- (if c >= 3 then 3 else c + 1)
+    end
+    else begin
+      let c = t.confidence.(i) in
+      t.confidence.(i) <- (if c <= 0 then 0 else c - 1)
+    end
+end
+
 (* A slot is the simulator's in-flight record for one dynamic
    instruction.  Slots live in a fixed ring sized by the in-flight
    window of the modeled core (fetch queue + decode queue + ROB): a
@@ -11,25 +55,47 @@ type commit = {
    event and recycled — in place, keeping its grown [dependents]
    array — once a younger instruction wraps around the ring, which can
    only happen after the occupant has retired.  [idx] is the global
-   stream position and doubles as the recycling stamp: any stashed
-   reference (rename table, checks bookkeeping) compares its recorded
-   idx against the record's current one to detect that the slot has
-   moved on, which implies the referenced instruction already
-   retired.
+   stream position.  Everything that refers to an in-flight
+   instruction (the stage queues, the ready list, the wheels, the
+   rename table, the fetch head, the pending mispredict) holds its
+   stream index [i], never the record: the record is [ring.(i land
+   mask)], and it still holds that instruction iff its [idx] is [i] —
+   otherwise the slot has moved on, which implies the instruction
+   retired.  Int fields only, so no per-event store pays a write
+   barrier.
 
    A slot holds no event record: the fetch engine copies the fields it
    needs out of the stream's columns when it pulls the event, and
-   [instr] points at the program's static instruction.  [seq],
-   [body_index] and [func] are copied only when an [on_commit] observer
-   needs the event rebuilt. *)
+   decodes what the stages read from the static instruction into int
+   fields once ({!decode}).  [instr], [seq], [body_index] and [func]
+   are written only when an [on_commit] observer or a probe will read
+   them. *)
+(* Functional-unit pool, from [Isa.Opcode.unit_kind]; [Div] is split
+   out of the multiplier pool because it also blocks the divider. *)
+type unit_class =
+  | Alu_unit
+  | Mul_unit
+  | Div_unit
+  | Mem_unit
+  | Fp_unit
+  | Branch_unit
+  | No_unit
+
 type slot = {
   mutable idx : int;           (* global position in the event stream *)
   mutable pc : int;
   mutable size : int;
   mutable mem_addr : int;
   mutable next_pc : int;
-  mutable flags : int;         (* Prog.Trace.Stream.flag_* *)
+  mutable flags : int;         (* Prog.Trace.Stream.flag_* lor f_thumb,
+                                  f_chain, f_work *)
   mutable block_id : int;
+  mutable opcode : Isa.Opcode.t;
+  mutable uid : int;
+  mutable unit_class : unit_class;
+  mutable latency : int;       (* Isa.Opcode.exec_latency *)
+  mutable dst : int;           (* register renamed to this slot; -1 none *)
+  mutable reads : int;         (* bit r set: reads register r *)
   mutable instr : Isa.Instr.t;
   mutable seq : int;
   mutable body_index : int;
@@ -50,6 +116,56 @@ type slot = {
   mutable fanout : int;        (* consumers renamed before our commit *)
   mutable in_iq : bool;        (* renamed, not yet issued *)
 }
+
+(* Slot flag bits decoded at pull, above the stream's three. *)
+let f_thumb = 8  (* Thumb16 encoding *)
+let f_chain = 16 (* carries a chain tag *)
+let f_work = 32  (* useful work ([Prog.Trace.is_work]) *)
+
+let () =
+  assert (Prog.Trace.Stream.(flag_cond lor flag_taken lor flag_break) < 8)
+
+let rec reads_mask m = function
+  | [] -> m
+  | (r : Isa.Reg.t) :: tl -> reads_mask (m lor (1 lsl (r :> int))) tl
+
+(* Copy what the stages read from the static instruction into [s],
+   once per event, at pull; returns the slot flag bits to add to the
+   stream's. *)
+let decode s (ins : Isa.Instr.t) =
+  let op = ins.opcode in
+  s.opcode <- op;
+  s.uid <- ins.uid;
+  s.unit_class <-
+    (match Isa.Opcode.unit_kind op with
+    | `Int_alu -> Alu_unit
+    | `Int_mul -> (match op with Isa.Opcode.Div -> Div_unit | _ -> Mul_unit)
+    | `Mem -> Mem_unit
+    | `Fp -> Fp_unit
+    | `Branch -> Branch_unit
+    | `None -> No_unit);
+  s.latency <- Isa.Opcode.exec_latency op;
+  let srcs = reads_mask 0 ins.srcs in
+  (match op, ins.dst with
+  | Isa.Opcode.Store, Some r ->
+    (* a store also reads its data "dst" (cf. Instr.regs_read) *)
+    s.reads <- srcs lor (1 lsl (r :> int));
+    s.dst <- -1
+  | (Isa.Opcode.Store | Isa.Opcode.Branch), _ | _, None ->
+    s.reads <- srcs;
+    s.dst <- -1
+  | _, Some r ->
+    s.reads <- srcs;
+    s.dst <- (r :> int));
+  let work =
+    match op with
+    | Isa.Opcode.Cdp_switch -> false
+    | _ ->
+      ins.uid >= Prog.Trace.control_uid_base || not (Isa.Opcode.is_control op)
+  in
+  (match ins.encoding with Isa.Instr.Thumb16 -> f_thumb | _ -> 0)
+  lor (match ins.chain with Some _ -> f_chain | None -> 0)
+  lor if work then f_work else 0
 
 type source = unit -> Prog.Trace.Stream.cursor
 
@@ -216,6 +332,12 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
       next_pc = 0;
       flags = 0;
       block_id = -1;
+      opcode = Isa.Opcode.Nop;
+      uid = -1;
+      unit_class = No_unit;
+      latency = 0;
+      dst = -1;
+      reads = 0;
       instr = dummy_instr;
       seq = -1;
       body_index = -1;
@@ -248,13 +370,16 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
      range shorter than the old capacity, so re-placing each at
      [idx land (ncap - 1)] never collides.  Capacity is a power of two
      (indexing is a mask) and converges to the maximal span — a machine
-     property, independent of stream length. *)
+     property, independent of stream length.  Every reference is a
+     stream index, so a moved record is found at its new place.  The
+     slot of index [i] is [!ring.(i land !rmask)], written out at each
+     use: a helper closing over the two refs would be a call per
+     lookup, about ten per event. *)
   let cap =
     ref (pow2_at_least (cfg.fetch_queue + cfg.decode_queue + cfg.rob + 8) 1)
   in
   let rmask = ref (!cap - 1) in
   let ring = ref (Array.init !cap (fun _ -> fresh_slot ())) in
-  let slot_at idx = !ring.(idx land !rmask) in
   let grow_ring () =
     let ncap = 2 * !cap in
     let nring = Array.init ncap (fun _ -> fresh_slot ()) in
@@ -293,29 +418,27 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
       fmt
   in
 
-  (* Absent-slot sentinel: [head], [pending_mispredict] and the rename
-     table hold direct slot references, with [no_slot] (compared by
-     [==]) standing for "none" so the hot path never wraps a slot in
-     [Some]. *)
-  let no_slot = fresh_slot () in
+  (* The static instruction is read only to rebuild an event for
+     [on_commit] and for a probe's chain fields. *)
+  let keep_instr = observed || Option.is_some probe in
 
   (* Queues between stages: stream indices into the slot ring. *)
   let fetch_q = iring_make cfg.fetch_queue in
   let decode_q = iring_make cfg.decode_queue in
   let rob = iring_make cfg.rob in
 
-  (* Stream head: the next not-yet-fetched instruction, copied into its
-     ring slot the moment the fetch engine first needs it.  [col] ..
+  (* Stream head: the stream index of the next not-yet-fetched
+     instruction, copied and decoded into its ring slot the moment the
+     fetch engine first needs it; -1 when none is pulled.  [col] ..
      [col_lim] is the part of the cursor's current batch claimed with
      [take] and not yet pulled. *)
   let pulled = ref 0 in
-  let head = ref no_slot in
+  let head = ref (-1) in
   let exhausted = ref false in
   let col = ref 0 in
   let col_lim = ref 0 in
   let peek_head () =
-    if !head != no_slot then !head
-    else if !exhausted then no_slot
+    if !head >= 0 || !exhausted then !head
     else begin
       let i =
         if !col < !col_lim then !col
@@ -327,26 +450,27 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
       in
       if i < 0 then begin
         exhausted := true;
-        no_slot
+        -1
       end
       else begin
         col := i + 1;
         let idx = !pulled in
         while
-          (let s = slot_at idx in
+          (let s = !ring.(idx land !rmask) in
            s.idx >= 0 && s.committed < 0)
         do
           grow_ring ()
         done;
-        let s = slot_at idx in
+        let s = !ring.(idx land !rmask) in
         s.idx <- idx;
         s.pc <- cursor.pc.(i);
         s.size <- cursor.size.(i);
         s.mem_addr <- cursor.mem_addr.(i);
         s.next_pc <- cursor.next_pc.(i);
-        s.flags <- cursor.flags.(i);
         s.block_id <- cursor.block_id.(i);
-        s.instr <- cursor.instr.(i);
+        let ins = cursor.instr.(i) in
+        s.flags <- cursor.flags.(i) lor decode s ins;
+        if keep_instr then s.instr <- ins;
         if observed then begin
           s.seq <- cursor.seq.(i);
           s.body_index <- cursor.body_index.(i);
@@ -367,12 +491,11 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
         s.fanout <- 0;
         s.in_iq <- false;
         incr pulled;
-        head := s;
-        s
+        head := idx;
+        idx
       end
     end
   in
-  let advance_head () = head := no_slot in
   let event_of s : Prog.Trace.event =
     {
       seq = s.seq;
@@ -400,26 +523,27 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
      is exact: readiness never reverts before issue, issuing one
      instruction cannot change another's readiness within the cycle,
      and the criticality predictor is a pure lookup — so a scan of every
-     queue entry, oldest first, would select exactly these. *)
+     queue entry, oldest first, would select exactly these.  [ready]
+     holds stream indices, so age order is index order. *)
   let iq_cap = max 1 cfg.iq in
   let iq_count = ref 0 in
-  let ready = Array.make iq_cap no_slot in
+  let ready = Array.make iq_cap (-1) in
   let nready = ref 0 in
   let pending = wheel_make () in
-  let ready_insert s =
+  let ready_insert idx =
     let j = ref !nready in
-    while !j > 0 && ready.(!j - 1).idx > s.idx do
+    while !j > 0 && ready.(!j - 1) > idx do
       ready.(!j) <- ready.(!j - 1);
       decr j
     done;
-    ready.(!j) <- s;
+    ready.(!j) <- idx;
     incr nready
   in
-  let ready_time_of idx = (slot_at idx).ready_time in
+  let ready_time_of idx = !ring.(idx land !rmask).ready_time in
   (* [s] has no unresolved producer: it becomes an issue candidate at
      [ready_time]. *)
   let make_ready now s =
-    if s.ready_time <= now then ready_insert s
+    if s.ready_time <= now then ready_insert s.idx
     else wheel_push pending ~now ~at:s.ready_time ~due:ready_time_of s.idx
   in
   let drain_pending now =
@@ -428,7 +552,7 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
     if n > 0 then begin
       let arr = pending.buckets.(b) in
       for k = 0 to n - 1 do
-        ready_insert (slot_at arr.(k))
+        ready_insert arr.(k)
       done;
       pending.lens.(b) <- 0;
       pending.count <- pending.count - n
@@ -456,24 +580,23 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
      effects (decrement, max, reset) commute, and the ready list is
      kept in age order whatever the insertion order. *)
   let calendar = wheel_make () in
-  let completed_of idx = (slot_at idx).completed in
+  let completed_of idx = !ring.(idx land !rmask).completed in
   let schedule_completion ~now s cycle =
     s.completed <- cycle;
     wheel_push calendar ~now ~at:cycle ~due:completed_of s.idx
   in
 
-  (* Register rename: last in-flight (or most recent) writer per reg.
-     [rename_stamp] records the writer's stream index at write time; a
-     mismatch against the record's current [idx] means the slot was
-     recycled, which implies the original writer retired long ago — a
-     case whose every effect below is a no-op anyway. *)
-  let rename_table : slot array = Array.make Isa.Reg.count no_slot in
-  let rename_stamp : int array = Array.make Isa.Reg.count (-1) in
+  (* Register rename: the stream index of the last in-flight (or most
+     recent) writer per reg, -1 before the first.  A record whose [idx]
+     differs means the slot was recycled, which implies the writer
+     retired long ago — a case whose every effect below is a no-op
+     anyway. *)
+  let rename_table = Array.make Isa.Reg.count (-1) in
 
   (* Fetch engine state. *)
   let fetch_resume_at = ref 0 in
   let cur_line = ref (-1) in
-  let pending_mispredict = ref no_slot in
+  let pending_mispredict = ref (-1) in  (* stream index; -1 none *)
   let decode_block_until = ref 0 in
 
   (* Machine-level idle-fetch counters. *)
@@ -500,10 +623,10 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
   let critical_count = ref 0 in
   let commit_seq = ref 0 in
   (* Invariant-check bookkeeping (tiny when checks are off).  Producers
-     are remembered as (slot, stream idx) pairs so the check survives
-     the producer retiring and its record being recycled. *)
+     are remembered by stream index, so the check survives the producer
+     retiring and its record being recycled. *)
   let last_committed_idx = ref (-1) in
-  let producers : (int, (slot * int) list) Hashtbl.t =
+  let producers : (int, int list) Hashtbl.t =
     Hashtbl.create (if checks then 1024 else 1)
   in
   let fetch_live = ref 0 in
@@ -556,22 +679,14 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
         invariant_fail
           "non-monotone stage timestamps for slot %d (uid %d): \
            req=%d f=%d d=%d r=%d i=%d x=%d c=%d"
-          s.idx s.instr.uid s.fetch_request s.fetched s.decoded s.renamed
+          s.idx s.uid s.fetch_request s.fetched s.decoded s.renamed
           s.issued s.completed now
     end;
     incr committed_total;
-    let ins = s.instr in
+    let f = s.flags in
     (* Work accounting mirrors Trace.work_count. *)
-    (match ins.opcode with
-    | Isa.Opcode.Cdp_switch -> ()
-    | op ->
-      if
-        ins.uid >= Prog.Trace.control_uid_base
-        || not (Isa.Opcode.is_control op)
-      then incr committed_work);
-    (match ins.encoding with
-    | Isa.Instr.Thumb16 -> incr thumb_committed
-    | Isa.Instr.Arm32 | Isa.Instr.Fused -> ());
+    if f land f_work <> 0 then incr committed_work;
+    if f land f_thumb <> 0 then incr thumb_committed;
     Criticality_table.train crit_table ~pc:s.pc ~fanout:s.fanout;
     let fetch_i = s.stall_i in
     let fetch_rd = s.stall_bp + imax 0 (s.decoded - s.fetched - 1) in
@@ -587,16 +702,14 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
       record acc_crit ~fetch_i ~fetch_rd ~decode ~issue_wait ~execute
         ~commit_wait
     end;
-    (match ins.chain with
-    | Some _ ->
+    if f land f_chain <> 0 then
       record acc_chain ~fetch_i ~fetch_rd ~decode ~issue_wait ~execute
-        ~commit_wait
-    | None -> ());
+        ~commit_wait;
     match probe with
     | None -> ()
     | Some p ->
       let chain_id, chain_pos, chain_len =
-        match ins.chain with
+        match s.instr.chain with
         | Some (c : Isa.Instr.chain_tag) -> (c.chain_id, c.pos, c.len)
         | None -> (-1, 0, 0)
       in
@@ -624,10 +737,10 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
     let budget = ref cfg.width in
     let continue = ref true in
     while !continue && !budget > 0 && not (iring_is_empty rob) do
-      let s = slot_at (iring_peek rob) in
+      let s = !ring.(iring_peek rob land !rmask) in
       if s.completed >= 0 && s.completed <= now then begin
         ignore (iring_pop rob);
-        (match s.instr.opcode with
+        (match s.opcode with
         | Isa.Opcode.Store when s.mem_addr >= 0 ->
           ignore (Mem.Hierarchy.dwrite_lat hier ~now ~pc:s.pc s.mem_addr)
         | _ -> ());
@@ -643,11 +756,12 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
     let n = calendar.lens.(b) in
     if n > 0 then begin
       let arr = calendar.buckets.(b) in
+      let slots = !ring and mask = !rmask in
       for k = 0 to n - 1 do
-        let s = slot_at arr.(k) in
+        let s = slots.(arr.(k) land mask) in
         let deps = s.dependents in
         for j = 0 to s.ndeps - 1 do
-          let dep = slot_at deps.(j) in
+          let dep = slots.(deps.(j) land mask) in
           if checks && dep.idx <> deps.(j) then
             invariant_fail
               "dependent slot %d recycled while producer %d in flight"
@@ -669,26 +783,27 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
       | None -> ()
       | Some ps ->
         List.iter
-          (fun ((p : slot), pidx) ->
+          (fun pidx ->
             (* A recycled record means the producer retired — and hence
                completed — before this issue; only live records carry
                timestamps worth checking. *)
+            let p = !ring.(pidx land !rmask) in
             if p.idx = pidx && (p.completed < 0 || p.completed > now) then
               invariant_fail
                 "slot %d (uid %d) issued at cycle %d before producer slot %d \
                  completed"
-                s.idx s.instr.uid now pidx)
+                s.idx s.uid now pidx)
           ps;
         Hashtbl.remove producers s.idx
     end;
     s.issued <- now;
     s.in_iq <- false;
     let completion =
-      match s.instr.opcode with
+      match s.opcode with
       | Isa.Opcode.Load when s.mem_addr >= 0 ->
         now + 1 + Mem.Hierarchy.dread_lat hier ~now ~pc:s.pc s.mem_addr
       | Isa.Opcode.Store -> now + 1
-      | op -> now + Isa.Opcode.exec_latency op
+      | _ -> now + s.latency
     in
     schedule_completion ~now s completion
   in
@@ -713,25 +828,21 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
   (* Issue [s] if the width and its functional unit allow. *)
   let try_issue now (s : slot) =
     if !issued < cfg.width then begin
-      let op = s.instr.opcode in
       let unit_free =
-        match Isa.Opcode.unit_kind op with
-        | `Int_alu -> claim alu cfg.int_alus
-        | `Int_mul -> (
-          match op with
-          | Isa.Opcode.Div ->
-            now >= !div_busy_until
-            && claim mul cfg.mul_units
-            && begin
-                 div_busy_until :=
-                   now + Isa.Opcode.exec_latency Isa.Opcode.Div;
-                 true
-               end
-          | _ -> claim mul cfg.mul_units)
-        | `Mem -> claim mem cfg.mem_ports
-        | `Fp -> claim fp cfg.fp_units
-        | `Branch -> claim br cfg.branch_units
-        | `None -> true
+        match s.unit_class with
+        | Alu_unit -> claim alu cfg.int_alus
+        | Mul_unit -> claim mul cfg.mul_units
+        | Div_unit ->
+          now >= !div_busy_until
+          && claim mul cfg.mul_units
+          && begin
+               div_busy_until := now + s.latency;
+               true
+             end
+        | Mem_unit -> claim mem cfg.mem_ports
+        | Fp_unit -> claim fp cfg.fp_units
+        | Branch_unit -> claim br cfg.branch_units
+        | No_unit -> true
       in
       if unit_free then begin
         issue_one now s;
@@ -752,11 +863,14 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
         invariant_fail "ready list holds %d of %d queued entries" !nready
           !iq_count;
       for i = 0 to !nready - 1 do
-        let s = ready.(i) in
-        if i > 0 && ready.(i - 1).idx >= s.idx then
+        let s = !ring.(ready.(i) land !rmask) in
+        if i > 0 && ready.(i - 1) >= ready.(i) then
           invariant_fail "ready list not in age order at position %d" i;
-        if not (s.in_iq && s.waiting_on = 0 && s.ready_time <= now) then
-          invariant_fail "slot %d on the ready list is not ready" s.idx
+        if
+          not
+            (s.idx = ready.(i) && s.in_iq && s.waiting_on = 0
+           && s.ready_time <= now)
+        then invariant_fail "slot %d on the ready list is not ready" ready.(i)
       done
     end;
     alu := 0;
@@ -766,86 +880,76 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
     br := 0;
     issued := 0;
     let len = !nready in
+    let slots = !ring and mask = !rmask in
     (match cfg.issue_policy with
     | Config.Oldest_first ->
-      for i = 0 to len - 1 do
-        try_issue now ready.(i)
+      (* [try_issue] does nothing once [width] have issued. *)
+      let i = ref 0 in
+      while !i < len && !issued < cfg.width do
+        try_issue now slots.(ready.(!i) land mask);
+        incr i
       done
     | Config.Critical_first ->
       for i = 0 to len - 1 do
-        crit_flags.(i) <- Criticality_table.predict crit_table ~pc:ready.(i).pc
+        crit_flags.(i) <-
+          Criticality_table.predict crit_table
+            ~pc:slots.(ready.(i) land mask).pc
       done;
       for i = 0 to len - 1 do
-        if crit_flags.(i) then try_issue now ready.(i)
+        if crit_flags.(i) then try_issue now slots.(ready.(i) land mask)
       done;
       for i = 0 to len - 1 do
-        if not crit_flags.(i) then try_issue now ready.(i)
+        if not crit_flags.(i) then try_issue now slots.(ready.(i) land mask)
       done);
     if !issued > 0 then begin
       (* Compact in place, preserving age order. *)
       let j = ref 0 in
       for i = 0 to len - 1 do
-        let s = ready.(i) in
-        if s.in_iq then begin
-          ready.(!j) <- s;
+        let idx = ready.(i) in
+        if slots.(idx land mask).in_iq then begin
+          ready.(!j) <- idx;
           incr j
         end
-      done;
-      for i = !j to len - 1 do
-        ready.(i) <- no_slot
       done;
       nready := !j;
       iq_count := !iq_count - !issued
     end
   in
 
-  (* Rename scratch: the distinct producers seen for the instruction
-     being renamed (at most one per register read — a handful).  A
-     reused array instead of a consed list, and the instruction's
-     register lists are walked directly instead of through
-     [Instr.regs_read]/[regs_written], whose Store/writer cases build a
-     fresh list per call. *)
-  let seen = ref (Array.make 8 no_slot) in
+  (* Rename scratch: the stream indices of the distinct producers seen
+     for the instruction being renamed — at most one per register read,
+     so a register file's worth. *)
+  let seen = Array.make Isa.Reg.count (-1) in
   let seen_n = ref 0 in
   let note_read now (s : slot) ri =
-    let producer = rename_table.(ri) in
-    (* [no_slot]: no writer yet.  A stamp mismatch means the record was
-       recycled, so the original writer retired — for which every
-       branch below is a no-op. *)
-    if
-      producer != no_slot && producer != s
-      && producer.idx = rename_stamp.(ri)
-    then begin
-      let dup = ref false in
-      for k = 0 to !seen_n - 1 do
-        if !seen.(k) == producer then dup := true
-      done;
-      if not !dup then begin
-        if !seen_n = Array.length !seen then begin
-          let grown = Array.make (2 * !seen_n) no_slot in
-          Array.blit !seen 0 grown 0 !seen_n;
-          seen := grown
-        end;
-        !seen.(!seen_n) <- producer;
-        incr seen_n;
-        if producer.committed < 0 then producer.fanout <- producer.fanout + 1;
-        if producer.completed < 0 then begin
-          (* completion time unknown: wait for wake-up *)
-          add_dependent producer s;
-          s.waiting_on <- s.waiting_on + 1
-        end
-        else if producer.completed > now then begin
-          if producer.completed > s.ready_time then
-            s.ready_time <- producer.completed
+    let pidx = rename_table.(ri) in
+    (* -1: no writer yet.  A record holding another index was
+       recycled, so the writer retired — for which every branch below
+       is a no-op. *)
+    if pidx >= 0 then begin
+      let producer = !ring.(pidx land !rmask) in
+      if producer.idx = pidx then begin
+        let dup = ref false in
+        for k = 0 to !seen_n - 1 do
+          if seen.(k) = pidx then dup := true
+        done;
+        if not !dup then begin
+          seen.(!seen_n) <- pidx;
+          incr seen_n;
+          if producer.committed < 0 then
+            producer.fanout <- producer.fanout + 1;
+          if producer.completed < 0 then begin
+            (* completion time unknown: wait for wake-up *)
+            add_dependent producer s;
+            s.waiting_on <- s.waiting_on + 1
+          end
+          else if producer.completed > now then begin
+            if producer.completed > s.ready_time then
+              s.ready_time <- producer.completed
+          end
         end
       end
     end
-  in
-  let rec note_reads now s = function
-    | [] -> ()
-    | r :: tl ->
-      note_read now s (Isa.Reg.index r);
-      note_reads now s tl
   in
 
   let do_rename now =
@@ -857,38 +961,25 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
       && rob.n < cfg.rob
       && !iq_count < cfg.iq
     do
-      let s = slot_at (iring_peek decode_q) in
+      let s = !ring.(iring_peek decode_q land !rmask) in
       if s.decoded >= 0 && s.decoded < now then begin
         ignore (iring_pop decode_q);
         s.renamed <- now;
         s.ready_time <- now + 1;
         seen_n := 0;
-        let ins = s.instr in
-        note_reads now s ins.srcs;
-        (match ins.opcode with
-        | Isa.Opcode.Store -> (
-          (* A store also reads its data "dst" (cf. Instr.regs_read). *)
-          match ins.dst with
-          | Some r -> note_read now s (Isa.Reg.index r)
-          | None -> ())
-        | _ -> ());
-        if checks && !seen_n > 0 then begin
-          let ps = ref [] in
-          for k = !seen_n - 1 downto 0 do
-            let p = !seen.(k) in
-            ps := (p, p.idx) :: !ps
-          done;
-          Hashtbl.replace producers s.idx !ps
-        end;
-        (match ins.opcode with
-        | Isa.Opcode.Store | Isa.Opcode.Branch -> ()
-        | _ -> (
-          match ins.dst with
-          | Some r ->
-            let ri = Isa.Reg.index r in
-            rename_table.(ri) <- s;
-            rename_stamp.(ri) <- s.idx
-          | None -> ()));
+        (* The registers read, lowest first: the producer set, the
+           fanout counts and the wake-up edges do not depend on the
+           order. *)
+        let m = ref s.reads and ri = ref 0 in
+        while !m <> 0 do
+          if !m land 1 <> 0 then note_read now s !ri;
+          m := !m lsr 1;
+          incr ri
+        done;
+        if checks && !seen_n > 0 then
+          Hashtbl.replace producers s.idx
+            (Array.to_list (Array.sub seen 0 !seen_n));
+        if s.dst >= 0 then rename_table.(s.dst) <- s.idx;
         iring_push rob s.idx;
         incr iq_count;
         s.in_iq <- true;
@@ -908,12 +999,12 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
         && (not (iring_is_empty fetch_q))
         && decode_q.n < cfg.decode_queue
       do
-        let s = slot_at (iring_peek fetch_q) in
+        let s = !ring.(iring_peek fetch_q land !rmask) in
         if s.fetched >= 0 && s.fetched < now then begin
           ignore (iring_pop fetch_q);
           s.decoded <- now;
           decr budget;
-          match s.instr.opcode with
+          match s.opcode with
           | Isa.Opcode.Cdp_switch -> (
             (* The CDP marker retires at decode: it informs the decoder
                of the format switch.  It always consumes a decode slot;
@@ -951,21 +1042,26 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
   let stop = ref false in
   let do_fetch now =
     let first = peek_head () in
-    if first != no_slot then begin
+    if first >= 0 then begin
       if checks then incr fetch_live;
-      if first.fetch_request < 0 then first.fetch_request <- now;
-      (* Redirect pending: wait for the mispredicted branch to resolve. *)
+      let s = !ring.(first land !rmask) in
+      if s.fetch_request < 0 then s.fetch_request <- now;
+      (* Redirect pending: wait for the mispredicted branch to resolve.
+         Its record is still in place: fetch has stopped behind it, so
+         nothing younger than the head is pulled to recycle it. *)
       let blocked_redirect =
         let b = !pending_mispredict in
-        if b == no_slot then false
-        else if
-          b.completed >= 0 && now >= b.completed + cfg.mispredict_penalty
-        then begin
-          pending_mispredict := no_slot;
-          cur_line := -1;
-          false
+        if b < 0 then false
+        else begin
+          let b = !ring.(b land !rmask) in
+          if b.completed >= 0 && now >= b.completed + cfg.mispredict_penalty
+          then begin
+            pending_mispredict := -1;
+            cur_line := -1;
+            false
+          end
+          else true
         end
-        else true
       in
       if blocked_redirect || now < !fetch_resume_at then begin
         (* Wrong-path modelling: while waiting on an unresolved branch
@@ -976,7 +1072,8 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
            simulated (their results are squashed). *)
         if blocked_redirect && cfg.wrong_path_fetch then begin
           let b = !pending_mispredict in
-          if b != no_slot then begin
+          if b >= 0 then begin
+            let b = !ring.(b land !rmask) in
             let line = cfg.mem.line_bytes in
             let ahead =
               let d = now - b.fetched in
@@ -998,9 +1095,10 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
         blocked_bp := false;
         stop := false;
         while not !stop do
-          let s = peek_head () in
-          if s == no_slot then stop := true
+          let idx = peek_head () in
+          if idx < 0 then stop := true
           else begin
+            let s = !ring.(idx land !rmask) in
             if s.fetch_request < 0 then s.fetch_request <- now;
             if fetch_q.n >= cfg.fetch_queue then begin
               blocked_bp := true;
@@ -1034,11 +1132,11 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
                   s.fetched <- now;
                   s.stall_i <- s.stall_i + !pending_stall_i;
                   s.stall_bp <- s.stall_bp + !pending_stall_bp;
-                  iring_push fetch_q s.idx;
+                  iring_push fetch_q idx;
                   fetched_any := true;
-                  advance_head ();
+                  head := -1;
                   (* Optimization hooks that observe the fetch stream. *)
-                  (match s.instr.opcode with
+                  (match s.opcode with
                   | Isa.Opcode.Call when cfg.efetch ->
                     List.iter
                       (fun addr -> Mem.Hierarchy.prefetch_i hier ~now addr)
@@ -1057,7 +1155,7 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
                       Bpu.Predictor.predict_and_update bpu ~pc:s.pc ~taken
                     in
                     if not correct then begin
-                      pending_mispredict := s;
+                      pending_mispredict := idx;
                       stop := true
                     end
                     else if taken then stop := true
@@ -1093,7 +1191,7 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
   let now = ref 0 in
   let finished () =
     !exhausted
-    && !head == no_slot
+    && !head < 0
     && iring_is_empty fetch_q && iring_is_empty decode_q
     && iring_is_empty rob
   in

@@ -17,6 +17,33 @@
     - body control instructions (the Approach-1 switch branches) execute
       on the branch unit and always break the fetch group. *)
 
+module Criticality_table : sig
+  (** PC-indexed criticality predictor.
+
+      The conventional hardware scheme (Sec. II-A of the paper): a
+      table, looked up at fetch with the PC, remembers which static
+      instructions exceeded the fanout threshold on earlier executions
+      — "similar to branch predictors".  Drives both the critical-load
+      prefetching baseline [18] and the BackendPrio issue policy
+      [32, 33].  It is defined here, in the simulator's compilation
+      unit, so that the per-retirement [train] is a direct call. *)
+
+  type t
+
+  val create : ?entries:int -> threshold:int -> unit -> t
+  (** [entries] defaults to 4096, direct-mapped by [(pc lsr 1) land
+      (entries - 1)].  Raises [Invalid_argument] unless [entries] is a
+      power of two. *)
+
+  val predict : t -> pc:int -> bool
+  (** Whether the instruction at [pc] is predicted critical. *)
+
+  val train : t -> pc:int -> fanout:int -> unit
+  (** Record the observed fanout of a completed instruction; a 2-bit
+      confidence counter hysteresis avoids flapping on variable
+      fanout. *)
+end
+
 type commit = {
   commit_seq : int;    (** position in the ROB retirement stream *)
   commit_cycle : int;  (** cycle the instruction retired *)
@@ -57,8 +84,15 @@ val run_stream :
     slot records sized by fetch queue + decode queue + ROB, recycled in
     stream order, so arbitrarily long streams simulate without ever
     materializing a trace.  Each slot copies the fields it needs out of
-    the stream's columns; no event record is built unless [on_commit]
-    observes one.
+    the stream's columns and decodes what the stages read from the
+    static instruction (opcode, uid, unit, latency, renamed
+    destination, the mask of registers read, Thumb and chain flags)
+    into int fields, once per event; every structure that refers to an
+    in-flight instruction holds its stream index, never its record.
+    The static instruction itself is kept in the slot only when
+    [on_commit] or [probe] will read it, and no event record is built
+    unless [on_commit] observes one.  The result does not depend on
+    which of these observers is attached.
 
     Memory: [hier] is the hierarchy to simulate on.  It is used as
     given and mutated, and its counters — including any left by an

@@ -4,10 +4,12 @@ type t = {
   addrs : int array;      (* start address per block id *)
   code_size : int;
   mutable muid : int;
-      (* memoized [max_uid]; [min_int] until first demand.  The event
-         stream sizes a per-uid counter array off it on every cursor, so
-         recomputing the fold each time would scan the whole program per
-         simulator run. *)
+      (* [max_uid], computed by [make] and carried by [update_blocks];
+         [min_int] after a rewrite dropped the largest uid, until the
+         next demand refolds it.  Every pass that draws fresh uids asks
+         for it, so folding each time would scan the whole program per
+         compile — also after a reload, where the value travels with
+         the marshalled program. *)
 }
 
 let code_base = 0x10000
@@ -27,6 +29,11 @@ let layout stride blocks =
   (addrs, !pc - code_base)
 
 let rounded_size b = (Block.size_bytes b + 3) land lnot 3
+
+let body_max_uid acc (b : Block.t) =
+  Array.fold_left
+    (fun acc (i : Isa.Instr.t) -> if i.uid > acc then i.uid else acc)
+    acc b.body
 
 let make ~entry ~blocks =
   let n = List.length blocks in
@@ -56,7 +63,8 @@ let make ~entry ~blocks =
         (Block.successors b))
     blocks;
   let addrs, code_size = layout (fun _ b -> rounded_size b) blocks in
-  { entry; blocks; addrs; code_size; muid = min_int }
+  let muid = Array.fold_left body_max_uid (-1) blocks in
+  { entry; blocks; addrs; code_size; muid }
 
 let entry t = t.entry
 let block t id = t.blocks.(id)
@@ -67,11 +75,6 @@ let code_size t = t.code_size
 
 let instr_count t =
   Array.fold_left (fun acc b -> acc + Array.length b.Block.body) 0 t.blocks
-
-let body_max_uid acc (b : Block.t) =
-  Array.fold_left
-    (fun acc (i : Isa.Instr.t) -> if i.uid > acc then i.uid else acc)
-    acc b.body
 
 let max_uid t =
   if t.muid = min_int then t.muid <- Array.fold_left body_max_uid (-1) t.blocks;

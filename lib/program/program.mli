@@ -7,6 +7,13 @@
     is after. *)
 
 type t
+(** Invariant: an instruction uid occurs at most once in a program —
+    in one block, at one body position.  Generated programs, fuzzed
+    programs and every scheme's compiled output keep it (test-locked
+    in [test_prog]); a pass that adds instructions draws fresh uids
+    above {!max_uid}.  {!Trace} rests on it: an instruction's earlier
+    executions are its block's earlier visits, so the event stream
+    counts memory accesses per block.  {!make} does not check it. *)
 
 val make : entry:int -> blocks:Block.t list -> t
 (** [make ~entry ~blocks] builds a program.  Raises [Invalid_argument]

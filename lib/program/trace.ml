@@ -46,10 +46,13 @@ let[@inline] mix64 z =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+(* Int-specialized max: Stdlib.max compares through compare_val. *)
+let[@inline] imax (a : int) b = if a >= b then a else b
+
 let mem_address ~seed ~uid ~count (m : Isa.Instr.mem_signature) =
   let base = data_base + (m.region * region_span) in
-  let ws = max m.stride m.working_set in
-  let slots = max 1 (ws / max 1 m.stride) in
+  let ws = imax m.stride m.working_set in
+  let slots = imax 1 (ws / imax 1 m.stride) in
   let p = m.randomness in
   let slot =
     if p <= 0.0 then count mod slots
@@ -181,9 +184,11 @@ module Stream = struct
     end
 
   let of_program program ~seed path =
-    (* Per-instruction access counters, dense by uid (body uids are a
-       compact range; synthetic terminators never touch memory). *)
-    let counts = Array.make (Program.max_uid program + 1) 0 in
+    (* Visits so far per block.  A memory instruction's access count is
+       its number of earlier executions, and since a uid occurs at most
+       once in a program (see {!Program}), those are exactly its block's
+       earlier visits: the counter is per block, not per uid. *)
+    let visits = Array.make (Program.num_blocks program) 0 in
     (* Synthetic terminators, built on a block's first visit and shared
        by every later one. *)
     let terms = Array.make (Program.num_blocks program) dummy_instr in
@@ -216,6 +221,8 @@ module Stream = struct
           match b.Block.term with Block.Fallthrough _ -> false | _ -> true
         in
         let nevents = if has_term then nbody + 1 else nbody in
+        let count = visits.(block_id) in
+        visits.(block_id) <- count + 1;
         incr visit;
         if nevents > 0 then begin
           let base = !n in
@@ -232,10 +239,7 @@ module Stream = struct
             c.mem_addr.(k) <-
               (match ins.Isa.Instr.mem with
               | None -> -1
-              | Some m ->
-                let count = counts.(ins.uid) in
-                counts.(ins.uid) <- count + 1;
-                mem_address ~seed ~uid:ins.uid ~count m);
+              | Some m -> mem_address ~seed ~uid:ins.uid ~count m);
             (* Body control instructions (Approach-1 switch branches) are
                unconditional and always taken. *)
             let is_control = Isa.Opcode.is_control ins.opcode in

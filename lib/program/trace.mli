@@ -28,11 +28,15 @@ type t = event array
 
 module Stream : sig
   (** Pull-based event cursor: the same dynamic stream {!expand}
-      materializes, produced in O(batch) space (plus per-cursor tables
-      sized by the program: per-instruction access counters and one
-      shared terminator instruction per block).  [expand] itself is
-      implemented by materializing this stream, so the two can never
-      diverge.
+      materializes, produced in O(batch) space plus two per-cursor
+      tables of one entry per block: a visit counter and the block's
+      shared terminator instruction.  Nothing in a cursor is sized by
+      the program's uids.  A memory instruction's access count (the
+      [count] its address is keyed on) is its block's visit count at
+      the visit, which equals its number of earlier executions because
+      a uid occurs at most once in a program ({!Program.t}).  [expand]
+      itself is implemented by materializing this stream, so the two
+      can never diverge.
 
       Events live in columns.  One refill expands block visits until
       the batch holds at least 256 events (or the path ends), writing
@@ -110,6 +114,14 @@ val is_work : event -> bool
 
 val work_count : t -> int
 (** Number of useful-work events ({!is_work}). *)
+
+val mem_address :
+  seed:int -> uid:int -> count:int -> Isa.Instr.mem_signature -> int
+(** [mem_address ~seed ~uid ~count m] is the byte address of the
+    [count]-th (from 0) execution of memory instruction [uid] with
+    signature [m]: keyed on (seed, uid, count) alone, so reordering a
+    block leaves every other instruction's stream unchanged
+    (digest-pinned). *)
 
 val control_uid_base : int
 (** Synthetic terminator instructions get uid

@@ -20,11 +20,12 @@ let test_corpus () =
     (fun (profile : Workload.Profile.t) ->
       let program = Workload.Gen.program profile in
       let seed = profile.seed lxor 0x5EED in
-      let n =
+      let t =
         ok_or_fail profile.name
           (D.check_program ~instrs:1_500 program ~seed)
       in
-      check (profile.name ^ ": compared some retirements") true (n > 0))
+      check (profile.name ^ ": compared some retirements") true
+        (t.D.compared > 0))
     Workload.Apps.all
 
 (* 500 fixed-seed fuzzed programs.  Every one runs baseline + every
@@ -43,7 +44,7 @@ let test_fuzz_corpus () =
       D.check_program ~configs:fuzz_configs ~variant_configs:fuzz_configs
         ~instrs:500 program ~seed:(seed * 7 + 1)
     with
-    | Ok n -> events := !events + n
+    | Ok t -> events := !events + t.D.compared
     | Error msg ->
       Alcotest.failf "fuzz seed %d: %s\n%s" seed msg
         (F.to_string (F.spec_of_seed seed))

@@ -199,21 +199,28 @@ let test_empty_summary_shares () =
     shares
 
 let test_criticality_table () =
-  let ct = Pipeline.Criticality_table.create ~threshold:4 () in
+  let ct = Pipeline.Cpu.Criticality_table.create ~threshold:4 () in
   Alcotest.(check bool) "cold predicts non-critical" false
-    (Pipeline.Criticality_table.predict ct ~pc:0x40);
-  Pipeline.Criticality_table.train ct ~pc:0x40 ~fanout:8;
-  Pipeline.Criticality_table.train ct ~pc:0x40 ~fanout:8;
+    (Pipeline.Cpu.Criticality_table.predict ct ~pc:0x40);
+  Pipeline.Cpu.Criticality_table.train ct ~pc:0x40 ~fanout:8;
+  Pipeline.Cpu.Criticality_table.train ct ~pc:0x40 ~fanout:8;
   Alcotest.(check bool) "trained predicts critical" true
-    (Pipeline.Criticality_table.predict ct ~pc:0x40);
+    (Pipeline.Cpu.Criticality_table.predict ct ~pc:0x40);
   (* hysteresis: a saturated entry survives one low-fanout observation *)
-  Pipeline.Criticality_table.train ct ~pc:0x40 ~fanout:0;
+  Pipeline.Cpu.Criticality_table.train ct ~pc:0x40 ~fanout:0;
   Alcotest.(check bool) "hysteresis" true
-    (Pipeline.Criticality_table.predict ct ~pc:0x40);
-  Pipeline.Criticality_table.train ct ~pc:0x40 ~fanout:0;
-  Pipeline.Criticality_table.train ct ~pc:0x40 ~fanout:0;
+    (Pipeline.Cpu.Criticality_table.predict ct ~pc:0x40);
+  Pipeline.Cpu.Criticality_table.train ct ~pc:0x40 ~fanout:0;
+  Pipeline.Cpu.Criticality_table.train ct ~pc:0x40 ~fanout:0;
   Alcotest.(check bool) "eventually forgets" false
-    (Pipeline.Criticality_table.predict ct ~pc:0x40)
+    (Pipeline.Cpu.Criticality_table.predict ct ~pc:0x40);
+  (* indexed with a mask: only a power-of-two size is accepted *)
+  Alcotest.check_raises "non-power-of-two size rejected"
+    (Invalid_argument
+       "Criticality_table.create: entries must be a power of two")
+    (fun () ->
+      ignore
+        (Pipeline.Cpu.Criticality_table.create ~entries:1000 ~threshold:4 ()))
 
 let test_efetch_learns_call_sequence () =
   let e = Pipeline.Efetch.create () in
@@ -254,6 +261,71 @@ let prop_perfect_predictor_never_mispredicts =
       in
       st.bpu.Bpu.Predictor.mispredicts = 0)
 
+(* The simulator reads the static instruction, and the columns an
+   event record needs, only when [on_commit] or a probe is attached;
+   everything else runs on the fields decoded at pull.  The statistics
+   must not depend on which path ran: a bare run equals one with every
+   observer attached and the invariants armed, under each machine of
+   the differential sweep. *)
+let same_stats_bare_and_observed cfg p ~seed path =
+  let source () = Prog.Trace.Stream.of_program p ~seed path in
+  let bare = Pipeline.Cpu.run_stream cfg source in
+  let observed =
+    Pipeline.Cpu.run_stream ~checks:true
+      ~on_commit:(fun _ -> ())
+      ~probe:(Telemetry.Probe.create ()) cfg source
+  in
+  bare = observed
+
+let prop_bare_equals_observed =
+  QCheck.Test.make ~name:"bare run = observed run, every machine" ~count:25
+    QCheck.(pair Workload.Fuzz.arbitrary small_nat)
+    (fun (genome, seed) ->
+      let d =
+        Oracle.Differential.prepare ~instrs:400 (Workload.Fuzz.build genome)
+          ~seed
+      in
+      (* The baseline and its Critic compile: Thumb, chain tags and CDP
+         markers. *)
+      let critic, _ =
+        Transform.Scheme.compile Transform.Scheme.Critic d.db d.program
+      in
+      List.for_all
+        (fun (name, cfg) ->
+          List.for_all
+            (fun p ->
+              same_stats_bare_and_observed cfg p ~seed d.path
+              || QCheck.Test.fail_reportf "%s: stats differ" name)
+            [ d.program; critic ])
+        Oracle.Differential.configs)
+
+(* Marker-dense code: nearly every other instruction a CDP marker, in
+   groups behind a serial divide chain that holds the ROB head.  Markers
+   retire at decode, so the in-flight index span outgrows the slot ring
+   and the ring grows mid-run under every machine; every live slot must
+   survive the move. *)
+let test_marker_dense_bare_equals_observed () =
+  let body =
+    Array.init 96 (fun i ->
+        match i mod 12 with
+        | 0 -> mk i ~dst:(r 0) ~srcs:[ r 0 ] Op.Div
+        | 11 -> mk i ~dst:(r 5) ~srcs:[ r 4 ] Op.Alu
+        | k when k mod 2 = 1 -> I.cdp ~uid:(1000 + i) ~following:1
+        | _ ->
+          mk i ~dst:(r (1 + (i mod 3))) ~srcs:[ r 4 ] ~encoding:I.Thumb16
+            Op.Alu)
+  in
+  let p =
+    P.make ~entry:0 ~blocks:[ B.make ~id:0 ~func:0 ~body ~term:(B.Jump 0) ]
+  in
+  let path = Prog.Walk.path_visits p ~seed:3 ~visits:12 in
+  List.iter
+    (fun (name, cfg) ->
+      Alcotest.(check bool)
+        (name ^ ": bare = observed") true
+        (same_stats_bare_and_observed cfg p ~seed:3 path))
+    Oracle.Differential.configs
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -274,6 +346,8 @@ let () =
           Alcotest.test_case "empty-population shares" `Quick
             test_empty_summary_shares;
           Alcotest.test_case "wrong-path fetch" `Quick test_wrong_path_fetch_pollutes;
+          Alcotest.test_case "marker-dense: bare = observed" `Quick
+            test_marker_dense_bare_equals_observed;
         ] );
       ( "components",
         [
@@ -283,5 +357,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_perfect_predictor_never_mispredicts ] );
+          [ prop_perfect_predictor_never_mispredicts;
+            prop_bare_equals_observed ] );
     ]

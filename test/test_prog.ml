@@ -265,6 +265,143 @@ let prop_update_blocks_layout =
            (fun id -> P.block_addr p' id = P.block_addr q id)
            (List.init n Fun.id))
 
+(* Every scheme's compiled programs, with the baseline first, over a
+   fuzzed program's profile. *)
+let compiled_programs genome seed =
+  let p =
+    Oracle.Differential.prepare ~instrs:500 (Workload.Fuzz.build genome) ~seed
+  in
+  (p, ("baseline", p.program) :: Oracle.Differential.transform_variants p)
+
+(* property: the stream keys a memory instruction's address on its
+   block's visit count; the old definition counted executions per uid.
+   The two agree when uids are unique (next property).  The reference
+   here is that old definition, expanded in the test: per-uid counts
+   over the walk, every body instruction then the terminator. *)
+let prop_block_counts_equal_uid_counts =
+  QCheck.Test.make ~name:"mem_addr column = per-uid expansion, every scheme"
+    ~count:40
+    QCheck.(pair Workload.Fuzz.arbitrary small_nat)
+    (fun (genome, seed) ->
+      let p, programs = compiled_programs genome seed in
+      List.for_all
+        (fun (name, q) ->
+          let counts = Hashtbl.create 64 in
+          let expected = ref [] in
+          Array.iter
+            (fun id ->
+              let b = P.block q id in
+              Array.iter
+                (fun (ins : I.t) ->
+                  expected :=
+                    (match ins.mem with
+                    | None -> -1
+                    | Some m ->
+                      let count =
+                        Option.value ~default:0
+                          (Hashtbl.find_opt counts ins.uid)
+                      in
+                      Hashtbl.replace counts ins.uid (count + 1);
+                      Prog.Trace.mem_address ~seed ~uid:ins.uid ~count m)
+                    :: !expected)
+                b.B.body;
+              match b.B.term with
+              | B.Fallthrough _ -> ()
+              | _ -> expected := -1 :: !expected)
+            p.path;
+          let got = ref [] in
+          let c = Prog.Trace.Stream.of_program q ~seed p.path in
+          let lo = ref (Prog.Trace.Stream.take c) in
+          while !lo >= 0 do
+            for i = !lo to c.lim - 1 do
+              got := c.mem_addr.(i) :: !got
+            done;
+            lo := Prog.Trace.Stream.take c
+          done;
+          !got = !expected
+          || QCheck.Test.fail_reportf "%s: mem_addr column diverges" name)
+        programs)
+
+(* property: the invariant the per-block counters rest on — no uid
+   occurs twice in a program — holds for every scheme's output. *)
+let prop_compiled_uids_unique =
+  QCheck.Test.make ~name:"every scheme keeps uids unique" ~count:60
+    QCheck.(pair Workload.Fuzz.arbitrary small_nat)
+    (fun (genome, seed) ->
+      let _, programs = compiled_programs genome seed in
+      List.for_all
+        (fun (name, q) ->
+          let seen = Hashtbl.create 256 in
+          P.iter_instrs
+            (fun b (ins : I.t) ->
+              if Hashtbl.mem seen ins.uid then
+                QCheck.Test.fail_reportf "%s: uid %d repeated (block %d)" name
+                  ins.uid b.B.id;
+              Hashtbl.add seen ins.uid ())
+            q;
+          true)
+        programs)
+
+(* A cursor's tables are per block: over a three-block program whose
+   uids reach 10^6, creating and draining a cursor allocates the same
+   as over the same program with small uids, and a few columns' worth
+   in all (a per-uid counter would be 10^6 words).  As in test_isa's
+   allocation test, one run and four runs are measured and their
+   difference is the per-cursor cost; [Gc.allocated_bytes] counts the
+   columns, which go straight to the major heap.  Each measurement
+   starts after a full major collection: a cycle ending mid-measurement
+   shows up in the counters as tens of thousands of spurious words. *)
+let test_cursor_allocation_per_block () =
+  let program base =
+    let mem =
+      { I.region = 1; stride = 8; working_set = 512; randomness = 0.5 }
+    in
+    let ld k = I.make ~uid:(base + k) ~opcode:Op.Load ~dst:(r 1) ~mem () in
+    let alu k = mk (base + k) ~dst:(r 2) ~srcs:[ r 1 ] Op.Alu in
+    P.make ~entry:0
+      ~blocks:
+        [
+          B.make ~id:0 ~func:0 ~body:[| ld 0; alu 1 |]
+            ~term:
+              (B.Cond_branch { taken = 2; not_taken = 1; taken_bias = 0.5 });
+          B.make ~id:1 ~func:0 ~body:[| alu 2; ld 3 |] ~term:(B.Jump 2);
+          B.make ~id:2 ~func:0 ~body:[| ld 4; alu 5 |] ~term:(B.Jump 0);
+        ]
+  in
+  let cursor_words q =
+    let path = Prog.Walk.path_visits q ~seed:5 ~visits:3000 in
+    let drain () =
+      let c = Prog.Trace.Stream.of_program q ~seed:5 path in
+      let sum = ref 0 in
+      let lo = ref (Prog.Trace.Stream.take c) in
+      while !lo >= 0 do
+        for i = !lo to c.lim - 1 do
+          sum := !sum + c.mem_addr.(i)
+        done;
+        lo := Prog.Trace.Stream.take c
+      done;
+      !sum
+    in
+    let measure times =
+      Gc.full_major ();
+      let b0 = Gc.allocated_bytes () in
+      for _ = 1 to times do
+        ignore (Sys.opaque_identity (drain ()))
+      done;
+      (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
+    in
+    ignore (measure 1);
+    let d1 = measure 1 in
+    let d4 = measure 4 in
+    (d4 -. d1) /. 3.0
+  in
+  let small = cursor_words (program 0) in
+  let large = cursor_words (program (1_000_000 - 5)) in
+  if large -. small > 64.0 || large > 16_384.0 then
+    Alcotest.failf
+      "a cursor allocates %.0f words with uids near 10^6, %.0f with small uids"
+      large small
+
 let () =
   Alcotest.run "prog"
     [
@@ -292,9 +429,12 @@ let () =
             test_mem_addresses_deterministic_and_bounded;
           Alcotest.test_case "cond branch outcomes" `Quick
             test_cond_branch_taken_matches_path;
+          Alcotest.test_case "cursor allocation per block" `Quick
+            test_cursor_allocation_per_block;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_body_index; prop_stream_equals_expand;
-            prop_update_blocks_layout ] );
+            prop_update_blocks_layout; prop_block_counts_equal_uid_counts;
+            prop_compiled_uids_unique ] );
     ]
