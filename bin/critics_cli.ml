@@ -741,13 +741,6 @@ let serve_cmd =
     let doc = "Ingest worker domains (default: CRITICS_JOBS or core count)." in
     Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
   in
-  let no_durable_arg =
-    let doc =
-      "Skip fsyncs (throughput mode; the crash contract then only covers \
-       process death, not power loss)."
-    in
-    Arg.(value & flag & info [ "no-durable" ] ~doc)
-  in
   let chaos_arg =
     let doc =
       "Instead of serving, run the deterministic chaos sweep under \
@@ -809,15 +802,12 @@ let serve_cmd =
     Util.Atomic_io.write path (Util.Json.to_string (Util.Json.Obj members));
     Printf.printf "serve summary embedded in %s\n" path
   in
-  let serve dir users shards every jobs no_durable chaos progress results =
+  let serve dir users shards every jobs chaos progress results =
     match chaos with
     | Some n -> run_chaos dir users shards every n
     | None ->
       let uploads = population users in
-      let cfg =
-        Service.Engine.config ~shards ~checkpoint_every:every
-          ~durable:(not no_durable) dir
-      in
+      let cfg = Service.Engine.config ~shards ~checkpoint_every:every dir in
       let eng, r = Service.Engine.open_ cfg in
       Printf.printf
         "recovered %d upload(s) (%d replayed from WAL, %d stale skipped, %d \
@@ -898,6 +888,11 @@ let serve_cmd =
           (Telemetry.Registry.counter runtime name)
       in
       let total_uploads = Service.Engine.uploads eng in
+      (* The aggregate's digest: a run restarted after a crash must end
+         on the same one as an uninterrupted run. *)
+      let state_digest =
+        Digest.to_hex (Digest.string (Service.Engine.snapshot_bytes eng))
+      in
       Service.Engine.close eng;
       let ups = float_of_int !ok /. Float.max wall_s 1e-9 in
       let p50 = Telemetry.Registry.quantile lat 0.5
@@ -926,6 +921,7 @@ let serve_cmd =
           prerr_endline (Service.Engine.render rep);
           exit 1
         end);
+      Printf.printf "state digest: %s\n%!" state_digest;
       (match results with
       | None -> ()
       | Some path ->
@@ -955,7 +951,7 @@ let serve_cmd =
           durability contract under deterministic fault injection)")
     Term.(
       const serve $ dir_arg $ users_arg $ shards_arg $ every_arg $ jobs_arg
-      $ no_durable_arg $ chaos_arg $ progress_arg $ results_arg)
+      $ chaos_arg $ progress_arg $ results_arg)
 
 (* ------------------------------ store ----------------------------- *)
 

@@ -2,28 +2,45 @@ let magic = "CRTCKP01"
 
 type t = { seq : int; ids : (string * int) list; registry : string }
 
+(* The id table in the order polymorphic [compare] gives its pairs. *)
+let compare_id (a, x) (b, y) =
+  let c = String.compare a b in
+  if c <> 0 then c else Int.compare x y
+
 let body_of t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "seq %d\n" t.seq);
-  Buffer.add_string buf (Printf.sprintf "ids %d\n" (List.length t.ids));
+  let buf =
+    Buffer.create
+      (64 + (24 * List.length t.ids) + String.length t.registry)
+  in
+  let field name v =
+    Buffer.add_string buf name;
+    Buffer.add_char buf ' ';
+    Util.Decimal.add buf v;
+    Buffer.add_char buf '\n'
+  in
+  field "seq" t.seq;
+  field "ids" (List.length t.ids);
   List.iter
     (fun (id, seq) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d:%s %d\n" (String.length id) id seq))
-    (List.sort compare t.ids);
-  Buffer.add_string buf
-    (Printf.sprintf "registry %d\n" (String.length t.registry));
+      Util.Decimal.add buf (String.length id);
+      Buffer.add_char buf ':';
+      field id seq)
+    (List.sort compare_id t.ids);
+  field "registry" (String.length t.registry);
   Buffer.add_string buf t.registry;
   Buffer.contents buf
 
 let save ?inject path t =
   let body = body_of t in
-  let framed =
-    Printf.sprintf "%s %s %d\n%s" magic
-      (Digest.to_hex (Digest.string body))
-      (String.length body) body
-  in
-  Util.Atomic_io.write ~durable:true ?inject path framed
+  let buf = Buffer.create (String.length body + 64) in
+  Buffer.add_string buf magic;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (Digest.to_hex (Digest.string body));
+  Buffer.add_char buf ' ';
+  Util.Decimal.add buf (String.length body);
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf body;
+  Util.Atomic_io.write ~durable:true ?inject path (Buffer.contents buf)
 
 exception Bad of string
 
@@ -75,6 +92,7 @@ let load path =
       in
       let seq = int_field "seq" in
       let nids = int_field "ids" in
+      if nids < 0 then fail "bad ids value";
       let ids =
         List.init nids (fun _ ->
             let colon =
@@ -90,7 +108,7 @@ let load path =
             (* "<idlen>:<id bytes> <seq>\n" — the id bytes are taken
                verbatim by length; only the delimiters around them are
                structural. *)
-            if colon + 1 + idlen + 1 > len then fail "truncated id frame";
+            if idlen > len - colon - 2 then fail "truncated id frame";
             let id = String.sub body (colon + 1) idlen in
             if body.[colon + 1 + idlen] <> ' ' then fail "bad id frame";
             let seq_start = colon + 1 + idlen + 1 in

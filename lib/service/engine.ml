@@ -4,18 +4,17 @@ type config = {
   dir : string;
   shards : int;
   checkpoint_every : int;
-  durable : bool;
   dedup_window : int;
 }
 
-let config ?(shards = 4) ?(checkpoint_every = 256) ?(durable = true)
-    ?(dedup_window = 65536) dir =
+let config ?(shards = 4) ?(checkpoint_every = 256) ?(dedup_window = 65536)
+    dir =
   if shards < 1 then invalid_arg "Engine.config: shards must be >= 1";
   if checkpoint_every < 1 then
     invalid_arg "Engine.config: checkpoint_every must be >= 1";
   if dedup_window < 1 then
     invalid_arg "Engine.config: dedup_window must be >= 1";
-  { dir; shards; checkpoint_every; durable; dedup_window }
+  { dir; shards; checkpoint_every; dedup_window }
 
 let meta_magic = "CRTSRV01"
 
@@ -206,8 +205,7 @@ let open_ ?inject cfg =
   mkdir_p cfg.dir;
   (match load_meta (meta_path cfg.dir) with
   | Ok None ->
-    Util.Atomic_io.write ~durable:cfg.durable (meta_path cfg.dir)
-      (meta_contents cfg)
+    Util.Atomic_io.write ~durable:true (meta_path cfg.dir) (meta_contents cfg)
   | Ok (Some shards) ->
     if shards <> cfg.shards then
       failwith
@@ -278,8 +276,9 @@ let checkpoint_locked t shard =
   shard.since_ckpt <- 0;
   count t "service/checkpoints";
   Wal.close shard.wal;
-  (try Util.Atomic_io.write ~durable:t.cfg.durable ?inject:t.inject
-         (wal_path shard.shard_dir) Wal.header
+  (try
+     Util.Atomic_io.write ~durable:true ?inject:t.inject
+       (wal_path shard.shard_dir) Wal.header
    with Unix.Unix_error _ | Sys_error _ ->
      (* Contained rotate failure: the old WAL (all records <= ckpt_seq,
         now stale) stays; replay will skip it.  Keep serving. *)

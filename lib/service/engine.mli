@@ -42,10 +42,6 @@ type config = {
   checkpoint_every : int;
       (** WAL records a shard accumulates before compacting into a
           checkpoint and rotating the log *)
-  durable : bool;
-      (** [false] skips fsyncs (throughput mode for benchmarks on
-          filesystems where fsync is the bottleneck); the crash
-          contract then only covers process death, not power loss *)
   dedup_window : int;
       (** per-shard duplicate-suppression retention, in applied
           uploads: ids older than this many sequence numbers are
@@ -56,12 +52,12 @@ type config = {
 val config :
   ?shards:int ->
   ?checkpoint_every:int ->
-  ?durable:bool ->
   ?dedup_window:int ->
   string ->
   config
-(** Defaults: 4 shards, checkpoint every 256 records, durable, dedup
-    window 65536. *)
+(** Defaults: 4 shards, checkpoint every 256 records, dedup window
+    65536.  Every write is durable: each acknowledged append, each
+    checkpoint, the META file and each WAL rotation is fsynced. *)
 
 type t
 

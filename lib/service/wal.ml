@@ -38,20 +38,21 @@ let encode_record ~seq ~id ~payload =
   let body_len = 2 + id_len + String.length payload in
   if body_len > max_body then invalid_arg "Wal.append: oversized record";
   let b = Bytes.create (frame_bytes + body_len) in
-  Bytes.set_int32_le b 0 (Int32.of_int body_len);
-  Bytes.set_int64_le b 4 (Int64.of_int seq);
   Bytes.set_uint16_le b frame_bytes id_len;
   Bytes.blit_string id 0 b (frame_bytes + 2) id_len;
   Bytes.blit_string payload 0 b
     (frame_bytes + 2 + id_len)
     (String.length payload);
   (* Digest binds body to its sequence number: a record blitted to the
-     wrong offset or re-framed by corruption cannot verify. *)
-  let seq_le = Bytes.sub_string b 4 8 in
-  let body = Bytes.sub_string b frame_bytes body_len in
-  let digest = Digest.string (seq_le ^ body) in
+     wrong offset or re-framed by corruption cannot verify.  Its input
+     [seq_le ^ body] is laid out in place, the sequence number in the 8
+     bytes before the body, which the digest then overwrites. *)
+  Bytes.set_int64_le b (frame_bytes - 8) (Int64.of_int seq);
+  let digest = Digest.subbytes b (frame_bytes - 8) (8 + body_len) in
+  Bytes.set_int32_le b 0 (Int32.of_int body_len);
+  Bytes.set_int64_le b 4 (Int64.of_int seq);
   Bytes.blit_string digest 0 b 12 16;
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
 
 let append t ~seq ~id ~payload =
   let fd = fd_exn t in

@@ -25,47 +25,44 @@ let kind_name = function
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
-let get_or_create t name ~make ~cast =
-  match Hashtbl.find_opt t.tbl name with
-  | Some m -> (
-    match cast m with
-    | Some v -> v
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Telemetry.Registry: %S already bound as a %s" name
-           (kind_name m)))
-  | None ->
-    let m, v = make () in
-    Hashtbl.replace t.tbl name m;
-    v
+let bound_as name m =
+  invalid_arg
+    (Printf.sprintf "Telemetry.Registry: %S already bound as a %s" name
+       (kind_name m))
 
 let counter t name =
-  get_or_create t name
-    ~make:(fun () ->
-      let c = { c = 0 } in
-      (Counter c, c))
-    ~cast:(function Counter c -> Some c | _ -> None)
+  match Hashtbl.find_opt t.tbl name with
+  | Some (Counter c) -> c
+  | Some m -> bound_as name m
+  | None ->
+    let c = { c = 0 } in
+    Hashtbl.replace t.tbl name (Counter c);
+    c
 
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let counter_value c = c.c
 
 let gauge t name =
-  get_or_create t name
-    ~make:(fun () ->
-      let g = { g = 0 } in
-      (Gauge g, g))
-    ~cast:(function Gauge g -> Some g | _ -> None)
+  match Hashtbl.find_opt t.tbl name with
+  | Some (Gauge g) -> g
+  | Some m -> bound_as name m
+  | None ->
+    let g = { g = 0 } in
+    Hashtbl.replace t.tbl name (Gauge g);
+    g
 
 let set g v = g.g <- v
 let set_max g v = if v > g.g then g.g <- v
 
 let histogram t name =
-  get_or_create t name
-    ~make:(fun () ->
-      let h = { n = 0; sum = 0; hmax = 0; buckets = Array.make num_buckets 0 } in
-      (Histogram h, h))
-    ~cast:(function Histogram h -> Some h | _ -> None)
+  match Hashtbl.find_opt t.tbl name with
+  | Some (Histogram h) -> h
+  | Some m -> bound_as name m
+  | None ->
+    let h = { n = 0; sum = 0; hmax = 0; buckets = Array.make num_buckets 0 } in
+    Hashtbl.replace t.tbl name (Histogram h);
+    h
 
 (* Bucket index = bit width of v: v <= 0 -> 0, otherwise bucket b holds
    [2^(b-1), 2^b - 1].  Constant number of shift/test steps. *)
@@ -206,93 +203,157 @@ let to_json t =
    (which summarizes histograms to quantiles), this round-trips every
    bucket, so [of_bytes] followed by [merge_into] is exactly the merge
    of the original registries.  Deterministic: metrics sorted by name,
-   names length-framed so any byte is legal in a name. *)
+   names length-framed.  Both directions run once per upload, so they
+   touch each byte in place: no Printf, no per-token string. *)
 
 let wire_magic = "CRTREG01"
 
 let to_bytes t =
-  let buf = Buffer.create 256 in
+  let metrics =
+    Hashtbl.fold (fun name m acc -> (name, m) :: acc) t.tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let buf = Buffer.create 1024 in
+  let int v =
+    Buffer.add_char buf ' ';
+    Util.Decimal.add buf v
+  in
   Buffer.add_string buf wire_magic;
   Buffer.add_char buf '\n';
-  let names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) t.tbl []
-    |> List.sort compare
-  in
   List.iter
-    (fun name ->
-      let framed = Printf.sprintf "%d:%s" (String.length name) name in
-      match Hashtbl.find t.tbl name with
-      | Counter c -> Buffer.add_string buf (Printf.sprintf "c %s %d\n" framed c.c)
-      | Gauge g -> Buffer.add_string buf (Printf.sprintf "g %s %d\n" framed g.g)
+    (fun (name, m) ->
+      Buffer.add_char buf
+        (match m with Counter _ -> 'c' | Gauge _ -> 'g' | Histogram _ -> 'h');
+      int (String.length name);
+      Buffer.add_char buf ':';
+      Buffer.add_string buf name;
+      (match m with
+      | Counter c -> int c.c
+      | Gauge g -> int g.g
       | Histogram h ->
-        Buffer.add_string buf
-          (Printf.sprintf "h %s %d %d %d" framed h.n h.sum h.hmax);
-        Array.iter
-          (fun b -> Buffer.add_string buf (Printf.sprintf " %d" b))
-          h.buckets;
-        Buffer.add_char buf '\n')
-    names;
+        int h.n;
+        int h.sum;
+        int h.hmax;
+        Array.iter int h.buckets);
+      Buffer.add_char buf '\n')
+    metrics;
   Buffer.contents buf
 
 exception Wire of string
+exception Not_int
+
+let fail fmt = Printf.ksprintf (fun m -> raise (Wire m)) fmt
+
+(* First index of [c] in [text.[i..j)], or [j]. *)
+let rec index_in text c i j =
+  if i >= j || String.unsafe_get text i = c then i else index_in text c (i + 1) j
+
+(* The payload being decoded and the read position in it: one per
+   decode, so reading a token allocates nothing. *)
+type cursor = { text : string; mutable pos : int }
+
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+(* The integer token at [c.pos], which runs to the first [sep] or [nl]:
+   its value, with [c.pos] left at its end.  A plain decimal (an
+   optional '-' and 1 to 18 digits, which cannot overflow) is read in
+   place; any other token (a '+', a radix prefix, '_' separators, 19
+   digits) goes to [int_of_string_opt] itself, so the two accept the
+   same tokens with the same values.  [Not_int] where
+   [int_of_string_opt] gives [None]. *)
+let int_token c sep nl =
+  let text = c.text and i = c.pos in
+  let d = if i < nl && String.unsafe_get text i = '-' then i + 1 else i in
+  let p = ref d and acc = ref 0 in
+  while !p < nl && !p - d < 18 && is_digit (String.unsafe_get text !p) do
+    acc := (!acc * 10) + Char.code (String.unsafe_get text !p) - 48;
+    p := !p + 1
+  done;
+  if !p > d && (!p = nl || String.unsafe_get text !p = sep) then begin
+    c.pos <- !p;
+    if d > i then - !acc else !acc
+  end
+  else begin
+    let j = index_in text sep i nl in
+    c.pos <- j;
+    match int_of_string_opt (String.sub text i (j - i)) with
+    | Some v -> v
+    | None -> raise_notrace Not_int
+  end
+
+(* A histogram line overwrites the named histogram, creating it if
+   absent: [h] is the one just parsed. *)
+let install t name h =
+  match Hashtbl.find_opt t.tbl name with
+  | None -> Hashtbl.replace t.tbl name (Histogram h)
+  | Some (Histogram dst) ->
+    dst.n <- h.n;
+    dst.sum <- h.sum;
+    dst.hmax <- h.hmax;
+    Array.blit h.buckets 0 dst.buckets 0 num_buckets
+  | Some m -> bound_as name m
+
+(* The metric line from [c.pos] to [nl], its '\n'.  The byte after the
+   kind is not looked at, and every integer is parsed (and may fail)
+   before the kind and arity are checked: see [of_bytes] in the
+   interface. *)
+let metric_line t c nl =
+  let text = c.text and s = c.pos in
+  if nl - s < 2 then raise (Wire "short line");
+  let colon = index_in text ':' (s + 2) nl in
+  if colon = nl then raise (Wire "missing name frame");
+  c.pos <- s + 2;
+  let len = try int_token c ':' nl with Not_int -> -1 in
+  if len < 0 || colon + 1 + len > nl then raise (Wire "bad name frame");
+  let name = String.sub text (colon + 1) len in
+  let kind = String.unsafe_get text s in
+  (* A histogram's buckets are parsed straight into its array. *)
+  let buckets = if kind = 'h' then Array.make num_buckets 0 else [||] in
+  let v0 = ref 0 and v1 = ref 0 and v2 = ref 0 in
+  let k = ref 0 in
+  c.pos <- colon + 1 + len;
+  while c.pos < nl do
+    let i = c.pos in
+    if String.unsafe_get text i = ' ' then c.pos <- i + 1
+    else begin
+      let v =
+        try int_token c ' ' nl
+        with Not_int -> fail "bad integer %S" (String.sub text i (c.pos - i))
+      in
+      (match !k with
+      | 0 -> v0 := v
+      | 1 -> v1 := v
+      | 2 -> v2 := v
+      | k -> if k - 3 < Array.length buckets then buckets.(k - 3) <- v);
+      k := !k + 1
+    end
+  done;
+  match kind with
+  | 'c' when !k = 1 -> add (counter t name) !v0
+  | 'g' when !k = 1 -> set (gauge t name) !v0
+  | 'h' when !k = 3 + num_buckets ->
+    install t name { n = !v0; sum = !v1; hmax = !v2; buckets }
+  | kind -> fail "bad metric line kind %c" kind
 
 let of_bytes text =
+  let n = String.length text in
+  let m = String.length wire_magic in
   try
-    let n = String.length text in
-    let pos = ref 0 in
-    let fail fmt = Printf.ksprintf (fun m -> raise (Wire m)) fmt in
-    let line () =
-      match String.index_from_opt text !pos '\n' with
-      | None -> fail "missing newline at byte %d" !pos
-      | Some nl ->
-        let l = String.sub text !pos (nl - !pos) in
-        pos := nl + 1;
-        l
-    in
-    if n < String.length wire_magic + 1 || line () <> wire_magic then
+    if n < m + 1 then raise (Wire "bad magic");
+    let nl = index_in text '\n' 0 n in
+    if nl = n then raise (Wire "missing newline at byte 0");
+    if nl <> m || not (String.starts_with ~prefix:wire_magic text) then
       raise (Wire "bad magic");
     let t = create () in
-    let parse_name l at =
-      (* "<len>:<name>" starting at [at]; returns (name, next index) *)
-      match String.index_from_opt l at ':' with
-      | None -> fail "missing name frame"
-      | Some colon -> (
-        match int_of_string_opt (String.sub l at (colon - at)) with
-        | Some len
-          when len >= 0 && colon + 1 + len <= String.length l ->
-          (String.sub l (colon + 1) len, colon + 1 + len)
-        | _ -> fail "bad name frame")
-    in
-    let ints_after l at =
-      String.sub l at (String.length l - at)
-      |> String.split_on_char ' '
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             match int_of_string_opt s with
-             | Some v -> v
-             | None -> fail "bad integer %S" s)
-    in
-    while !pos < n do
-      let l = line () in
-      if String.length l < 2 then fail "short line";
-      let name, rest = parse_name l 2 in
-      let vals = ints_after l rest in
-      match (l.[0], vals) with
-      | 'c', [ v ] -> add (counter t name) v
-      | 'g', [ v ] -> set (gauge t name) v
-      | 'h', cnt :: sum :: hmax :: buckets
-        when List.length buckets = num_buckets ->
-        let h = histogram t name in
-        h.n <- cnt;
-        h.sum <- sum;
-        h.hmax <- hmax;
-        List.iteri (fun i b -> h.buckets.(i) <- b) buckets
-      | k, _ -> fail "bad metric line kind %c" k
+    let c = { text; pos = nl + 1 } in
+    while c.pos < n do
+      let nl = index_in text '\n' c.pos n in
+      if nl = n then fail "missing newline at byte %d" c.pos;
+      metric_line t c nl;
+      c.pos <- nl + 1
     done;
     Ok t
-  with
-  | Wire msg -> Error msg
-  | Invalid_argument msg -> Error msg
+  with Wire msg | Invalid_argument msg -> Error msg
 
 let render t =
   let rows =

@@ -98,11 +98,42 @@ val to_bytes : t -> string
     metrics sorted by name): two registries with equal contents produce
     byte-identical strings, so a [to_bytes] comparison is a state
     equality check.  This is the wire and checkpoint format of the
-    profile-ingest service — unlike {!to_json}, it round-trips. *)
+    profile-ingest service — unlike {!to_json}, it round-trips, except
+    that a name holding ['\n'] does not decode (see {!of_bytes}).
+
+    The bytes are ["CRTREG01\n"], then one line per metric in
+    [String.compare] order of names: [c L:NAME V], [g L:NAME V] or
+    [h L:NAME COUNT SUM MAX B0 ... B63], with [L] the name's length and
+    every integer in decimal. *)
 
 val of_bytes : string -> (t, string) result
 (** Parse {!to_bytes} output.  [Error] (never an exception) on any
     framing, magic or arity violation — a torn or corrupted upload
-    payload must be rejectable, not a crash. *)
+    payload must be rejectable, not a crash.
+
+    The language accepted is exactly the one earlier builds accepted,
+    error strings included, quirks and all: a WAL holds payloads that
+    those builds acknowledged, and replay must accept every one of
+    them.
+    - The first line is ["CRTREG01"].  Every line, the last included,
+      ends at the first ['\n'] after its start, so a name cannot hold
+      one: its frame then overruns the line (["bad name frame"]).
+    - A metric line is a kind byte, one byte that is never looked at,
+      [L:], the [L] bytes of the name, then integers.  Integers are
+      separated by one or more spaces, and none is needed between the
+      name and the first.  [L] and every integer are whatever
+      [int_of_string_opt] reads: a sign, a [0x], [0o], [0b] or [0u]
+      prefix and [_] separators are accepted, a tab is not.
+    - Every integer of a line is parsed, and may fail with
+      ["bad integer ..."], before the kind and the count are checked:
+      [c] and [g] take one integer, [h] takes 67.  Anything else fails
+      with ["bad metric line kind K"].
+    - A repeated name adds (counter) or overwrites (gauge, histogram).
+      A name given two kinds fails with the [Invalid_argument] message
+      of {!counter}.
+
+    Plain decimal tokens (an optional [-] and 1 to 18 digits) are read
+    in place and the rest handed to [int_of_string_opt], so a decode
+    allocates little more than the registry it returns. *)
 
 val is_empty : t -> bool

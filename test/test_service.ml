@@ -377,6 +377,45 @@ let test_population_deterministic () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Byte identity of the persisted formats                             *)
+
+(* Payloads are acknowledged into WALs and checkpoints, so their bytes
+   are a format: these digests were recorded from the Printf encoders
+   the in-place ones replaced.  Never re-record them. *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_payload_golden () =
+  Alcotest.(check string)
+    "Maps user 3" "721bfa90c161f5ac5c731ed9630cb66d"
+    (md5 (Workload.Population.upload (app "Maps") ~user:3).payload);
+  let all = Buffer.create (26 * 100 * 640) in
+  List.iter
+    (fun p ->
+      for user = 0 to 99 do
+        Buffer.add_string all (Workload.Population.upload p ~user).payload
+      done)
+    Workload.Apps.all;
+  Alcotest.(check string)
+    "26 apps x users 0-99" "088c4f15920dbc51fdbb137ce024d7d6"
+    (md5 (Buffer.contents all))
+
+let test_checkpoint_golden () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "ckpt.bin" in
+  Service.Checkpoint.save path
+    {
+      Service.Checkpoint.seq = 9;
+      ids =
+        [ ("b", 3); ("a\nb", 1); ("a b", 2); ("a:b", 4); ("\xff", 5); ("a", 9);
+          ("", 7); ("ab", 6); ("a", 8) ];
+      registry = payload_of_counter "x" 5;
+    };
+  Alcotest.(check string)
+    "checkpoint file" "3c1fe3c42e0f5c87bfb11338cd2c9dd9"
+    (md5 (Util.Atomic_io.read_file path))
+
+(* ------------------------------------------------------------------ *)
 (* Chaos: abort at every IO index                                     *)
 
 let small_uploads () =
@@ -526,6 +565,11 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick
             test_population_deterministic;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "population payloads" `Quick test_payload_golden;
+          Alcotest.test_case "checkpoint file" `Quick test_checkpoint_golden;
         ] );
       ( "chaos",
         [
