@@ -27,6 +27,13 @@ type shard = {
   mutable ckpt_seq : int;  (* sequence covered by the last checkpoint *)
   mutable since_ckpt : int;
   ids : (string, int) Hashtbl.t;  (* applied upload id -> seq *)
+  (* [ids] in checkpoint order, as the last checkpoint wrote it (or
+     recovery rebuilt it).  The next checkpoint merges the two fields
+     below into it, so the per-upload path stays one Hashtbl lookup and
+     one cons. *)
+  mutable table : Checkpoint.table;
+  mutable fresh : (string * int) list;  (* applied since, newest first *)
+  mutable pruned_to : int;  (* floor of the last prune since, or 0 *)
   agg : Registry.t;
 }
 
@@ -96,7 +103,9 @@ let load_meta path =
    bounds both resident memory and checkpoint size no matter how many
    uploads the directory has ever ingested.  The slack batches removals
    (one O(table) sweep per ~window/8 inserts) so pruning is amortized
-   O(1) per applied record. *)
+   O(1) per applied record.  Returns the floor it pruned to: every id
+   at or below it is gone, every id above it stays; 0 if it did not
+   prune. *)
 let prune_ids ~window ~applied ids =
   if Hashtbl.length ids > window + max 8 (window / 8) then begin
     let floor = applied - window in
@@ -105,18 +114,42 @@ let prune_ids ~window ~applied ids =
         (fun id seq acc -> if seq <= floor then id :: acc else acc)
         ids []
     in
-    List.iter (Hashtbl.remove ids) stale
+    List.iter (Hashtbl.remove ids) stale;
+    floor
   end
+  else 0
 
-(* One upload's effect on a shard: merge its registry delta and advance
-   the durable bookkeeping.  Used identically by live ingest and by
-   WAL replay, which is what makes replay reproduce exactly the
-   acknowledged state. *)
-let apply_record shard ~window ~seq ~id payload_reg =
-  Registry.merge_into ~into:shard.agg payload_reg;
-  Registry.incr (Registry.counter shard.agg "service/uploads");
+(* Whether a decoded delta applies to a shard's aggregate [agg], which
+   has applied [applied] uploads; [Ok merge] applies it.  The engine
+   counts uploads in [service/uploads], which a delta may carry too, as
+   a counter: once the shard has applied an upload the aggregate holds
+   that counter and the merger's kind check covers it, before then the
+   delta is checked against [upload_count], which holds only it. *)
+let upload_count =
+  let r = Registry.create () in
+  ignore (Registry.counter r "service/uploads");
+  r
+
+let merger ~agg ~applied reg =
+  let merge = Registry.merger ~into:agg reg in
+  if applied > 0 then merge
+  else
+    match Registry.merger ~into:upload_count reg with
+    | Error _ as e -> e
+    | Ok _ -> merge
+
+let merge_upload agg merge =
+  merge ();
+  Registry.incr (Registry.counter agg "service/uploads")
+
+(* One acknowledged upload's effect on a live shard: [merge] is its
+   delta's checked merge into [shard.agg]. *)
+let apply_record shard ~window ~seq ~id merge =
+  merge_upload shard.agg merge;
   Hashtbl.replace shard.ids id seq;
-  prune_ids ~window ~applied:seq shard.ids;
+  shard.fresh <- (id, seq) :: shard.fresh;
+  let floor = prune_ids ~window ~applied:seq shard.ids in
+  if floor > 0 then shard.pruned_to <- floor;
   shard.applied <- seq;
   shard.since_ckpt <- shard.since_ckpt + 1
 
@@ -157,19 +190,23 @@ let recover_shard ?inject ~dir ~window ~i () =
       (fun { Wal.seq; id; payload } ->
         if seq <= !applied then incr skipped
         else if seq = !applied + 1 then begin
-          (match Registry.of_bytes payload with
-          | Ok reg ->
-            Registry.merge_into ~into:agg reg;
-            Registry.incr (Registry.counter agg "service/uploads");
-            Hashtbl.replace ids id seq;
-            prune_ids ~window ~applied:seq ids
-          | Error msg ->
-            (* Digest-verified record with an unparseable payload: the
-               writer validated it before appending, so this is wild
-               corruption that happens to re-verify — refuse. *)
+          (* Digest-verified record that does not decode or apply: the
+             writer checked both before appending, so this is wild
+             corruption that happens to re-verify — refuse. *)
+          let bad msg =
             failwith
               (Printf.sprintf "Engine: shard %d seq %d: bad payload: %s" i
-                 seq msg));
+                 seq msg)
+          in
+          (match Registry.of_bytes payload with
+          | Error msg -> bad msg
+          | Ok reg -> (
+            match merger ~agg ~applied:!applied reg with
+            | Error msg -> bad msg
+            | Ok merge ->
+              merge_upload agg merge;
+              Hashtbl.replace ids id seq;
+              ignore (prune_ids ~window ~applied:seq ids)));
           applied := seq;
           incr replayed
         end
@@ -197,6 +234,10 @@ let recover_shard ?inject ~dir ~window ~i () =
          them keeps the next checkpoint on schedule after recovery. *)
       since_ckpt = applied - ckpt_seq;
       ids;
+      table =
+        Checkpoint.table (Hashtbl.fold (fun id seq l -> (id, seq) :: l) ids []);
+      fresh = [];
+      pruned_to = 0;
       agg;
     },
     (replayed, skipped, truncated) )
@@ -264,14 +305,16 @@ let runtime t = t.run
    WAL whose records are all <= S — replay skips them by sequence
    number.  A crash during (2)'s tmp+rename leaves either log. *)
 let checkpoint_locked t shard =
-  let c =
-    {
-      Checkpoint.seq = shard.applied;
-      ids = Hashtbl.fold (fun id seq acc -> (id, seq) :: acc) shard.ids [];
-      registry = Registry.to_bytes shard.agg;
-    }
+  (* Every id at or below the last prune's floor is gone from [ids], and
+     every later one is above it: floors only rise. *)
+  let table =
+    Checkpoint.merge shard.table ~applied:shard.fresh ~floor:shard.pruned_to
   in
-  Checkpoint.save ?inject:t.inject (ckpt_path shard.shard_dir) c;
+  Checkpoint.save_table ?inject:t.inject (ckpt_path shard.shard_dir)
+    ~seq:shard.applied table ~registry:(Registry.to_bytes shard.agg);
+  shard.table <- table;
+  shard.fresh <- [];
+  shard.pruned_to <- 0;
   shard.ckpt_seq <- shard.applied;
   shard.since_ckpt <- 0;
   count t "service/checkpoints";
@@ -333,29 +376,40 @@ let ingest t ~id ~app ~payload =
       count t "service/duplicates";
       Ok { ack_shard = shard.id; ack_seq = seq; ack_duplicate = true }
     | None -> (
-      let seq = shard.applied + 1 in
-      match Wal.append shard.wal ~seq ~id ~payload with
-      | exception (Util.Atomic_io.Injected_crash _ as e) ->
-        (* Injected crash: simulated process death — do not release the
-           lock or repair anything; the "process" is gone and recovery
-           owns the state now. *)
-        raise e
-      | exception e ->
-        (* Contained failure (ENOSPC and anything else the append can
-           raise): Wal.append already truncated its partial tail, so
-           unlock and refuse the ack — the shard must keep serving. *)
+      (* A delta that binds a name to another kind than the shard's
+         aggregate holds would decode, append and then fail to merge,
+         and replay likewise: refuse it before the WAL sees it. *)
+      match merger ~agg:shard.agg ~applied:shard.applied payload_reg with
+      | Error msg ->
         Mutex.unlock shard.lock;
         count t "service/rejects";
-        Error ("append failed: " ^ Printexc.to_string e)
-      | () ->
-        (* The record is durable: this is the acknowledgement point.
-           Everything below re-derives from the WAL on recovery. *)
-        apply_record shard ~window:t.cfg.dedup_window ~seq ~id payload_reg;
-        let r = { ack_shard = shard.id; ack_seq = seq; ack_duplicate = false } in
-        maybe_checkpoint_locked t shard;
-        Mutex.unlock shard.lock;
-        count t "service/appends";
-        Ok r))
+        Error ("inapplicable payload: " ^ msg)
+      | Ok merge -> (
+        let seq = shard.applied + 1 in
+        match Wal.append shard.wal ~seq ~id ~payload with
+        | exception (Util.Atomic_io.Injected_crash _ as e) ->
+          (* Injected crash: simulated process death — do not release
+             the lock or repair anything; the "process" is gone and
+             recovery owns the state now. *)
+          raise e
+        | exception e ->
+          (* Contained failure (ENOSPC and anything else the append can
+             raise): Wal.append already truncated its partial tail, so
+             unlock and refuse the ack — the shard must keep serving. *)
+          Mutex.unlock shard.lock;
+          count t "service/rejects";
+          Error ("append failed: " ^ Printexc.to_string e)
+        | () ->
+          (* The record is durable: this is the acknowledgement point.
+             Everything below re-derives from the WAL on recovery. *)
+          apply_record shard ~window:t.cfg.dedup_window ~seq ~id merge;
+          let r =
+            { ack_shard = shard.id; ack_seq = seq; ack_duplicate = false }
+          in
+          maybe_checkpoint_locked t shard;
+          Mutex.unlock shard.lock;
+          count t "service/appends";
+          Ok r)))
 
 (* -------------------------- introspection ------------------------- *)
 

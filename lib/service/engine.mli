@@ -80,10 +80,15 @@ type ack = { ack_shard : int; ack_seq : int; ack_duplicate : bool }
 
 val ingest : t -> id:string -> app:string -> payload:string -> (ack, string) result
 (** Durably ingest one upload.  [Error] — invalid payload (not a
-    registry wire form), an id over {!Wal.max_id_bytes}, a record over
-    {!Wal.max_body}, or a contained I/O failure like ENOSPC — means
-    {e not acknowledged, not applied}; the caller may retry with the
-    same [id].  Oversized input is rejected before the shard lock is
+    registry wire form), an inapplicable payload (it binds a name to
+    another kind than the shard's aggregate holds, or binds
+    [service/uploads], the engine's upload count, to anything but a
+    counter), an id over
+    {!Wal.max_id_bytes}, a record over {!Wal.max_body}, or a contained
+    I/O failure like ENOSPC — means {e not acknowledged, not applied};
+    the caller may retry with the same [id].  The WAL holds only
+    records that apply, so replay cannot fail on what ingest
+    acknowledged.  Oversized input is rejected before the shard lock is
     taken, so no client-controlled bytes can wedge a shard.
     Thread-safe; callers on a domain pool contend per shard.  Under
     chaos, {!Util.Atomic_io.Injected_crash} escapes — that upload's

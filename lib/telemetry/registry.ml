@@ -25,10 +25,11 @@ let kind_name = function
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
-let bound_as name m =
-  invalid_arg
-    (Printf.sprintf "Telemetry.Registry: %S already bound as a %s" name
-       (kind_name m))
+let bound_msg name m =
+  Printf.sprintf "Telemetry.Registry: %S already bound as a %s" name
+    (kind_name m)
+
+let bound_as name m = invalid_arg (bound_msg name m)
 
 let counter t name =
   match Hashtbl.find_opt t.tbl name with
@@ -112,21 +113,54 @@ let quantile h q =
     min !res h.hmax
   end
 
+exception Clash of string * metric
+
+(* Every name of [src] is looked up in [into] once, before anything
+   changes, so a kind clash leaves [into] as it was; the returned thunk
+   merges through the metrics found, creating only the missing ones. *)
+let merger ~into src =
+  match
+    Hashtbl.fold
+      (fun name m plan ->
+        let dst = Hashtbl.find_opt into.tbl name in
+        (match (m, dst) with
+        | _, None
+        | Counter _, Some (Counter _)
+        | Gauge _, Some (Gauge _)
+        | Histogram _, Some (Histogram _) -> ()
+        | _, Some d -> raise_notrace (Clash (name, d)));
+        (name, m, dst) :: plan)
+      src.tbl []
+  with
+  | exception Clash (name, d) -> Error (bound_msg name d)
+  | plan ->
+    Ok
+      (fun () ->
+        List.iter
+          (fun (name, m, dst) ->
+            match (m, dst) with
+            | Counter c, Some (Counter d) -> add d c.c
+            | Counter c, _ -> add (counter into name) c.c
+            | Gauge g, Some (Gauge d) -> set_max d g.g
+            | Gauge g, _ -> set_max (gauge into name) g.g
+            | Histogram h, dst ->
+              let dst =
+                match dst with
+                | Some (Histogram d) -> d
+                | _ -> histogram into name
+              in
+              dst.n <- dst.n + h.n;
+              dst.sum <- dst.sum + h.sum;
+              if h.hmax > dst.hmax then dst.hmax <- h.hmax;
+              for b = 0 to num_buckets - 1 do
+                dst.buckets.(b) <- dst.buckets.(b) + h.buckets.(b)
+              done)
+          plan)
+
 let merge_into ~into src =
-  Hashtbl.iter
-    (fun name m ->
-      match m with
-      | Counter c -> add (counter into name) c.c
-      | Gauge g -> set_max (gauge into name) g.g
-      | Histogram h ->
-        let dst = histogram into name in
-        dst.n <- dst.n + h.n;
-        dst.sum <- dst.sum + h.sum;
-        if h.hmax > dst.hmax then dst.hmax <- h.hmax;
-        for b = 0 to num_buckets - 1 do
-          dst.buckets.(b) <- dst.buckets.(b) + h.buckets.(b)
-        done)
-    src.tbl
+  match merger ~into src with
+  | Ok merge -> merge ()
+  | Error msg -> invalid_arg msg
 
 type value =
   | Counter_v of int

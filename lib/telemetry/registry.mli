@@ -68,7 +68,16 @@ val quantile : histogram -> float -> int
 val merge_into : into:t -> t -> unit
 (** Fold [src] into [into]: counters add, gauges max, histograms add
     bucket-wise.  Metrics missing from [into] are created.  Raises
-    [Invalid_argument] if a name is bound to different kinds. *)
+    [Invalid_argument] if a name is bound to different kinds, and then
+    [into] is unchanged: a merge never half-applies. *)
+
+val merger : into:t -> t -> (unit -> unit, string) result
+(** [merge_into] split at its check: [Error] with [merge_into]'s
+    message if it would raise, otherwise [Ok merge], where [merge ()]
+    is [merge_into ~into src].  Nothing changes until [merge] runs, so
+    a caller can decide on the check and apply later; every name is
+    looked up once, so [merge] must run before [into] gains another
+    metric. *)
 
 type value =
   | Counter_v of int

@@ -13,3 +13,34 @@ let add buf v =
     add_nonpositive buf v
   end
   else add_nonpositive buf (-v)
+
+let width v =
+  (* Lengths and sequence numbers take the short branches. *)
+  if v >= 0 && v < 100_000 then
+    if v < 10 then 1
+    else if v < 100 then 2
+    else if v < 1000 then 3
+    else if v < 10_000 then 4
+    else 5
+  else begin
+    (* Counted on the non-positive side, like [add]; 19 digits at most. *)
+    let n = if v < 0 then v else -v in
+    let w = ref 1 and p = ref (-10) in
+    while !w < 19 && n <= !p do
+      incr w;
+      p := !p * 10
+    done;
+    if v < 0 then !w + 1 else !w
+  end
+
+let put b pos v =
+  let w = width v in
+  if pos < 0 || pos > Bytes.length b - w then invalid_arg "Decimal.put";
+  let first = if v < 0 then pos + 1 else pos in
+  if v < 0 then Bytes.unsafe_set b pos '-';
+  let n = ref (if v < 0 then v else -v) in
+  for i = pos + w - 1 downto first do
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 - (!n mod 10)));
+    n := !n / 10
+  done;
+  pos + w

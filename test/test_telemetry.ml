@@ -215,6 +215,47 @@ let prop_merge_order_insensitive =
       in
       fwd = rev && fwd = assoc)
 
+(* A merge never half-applies.  If a name of [src] is bound in [into]
+   to another kind, [merger] returns [merge_into]'s message and
+   [merge_into] raises it, and [into] is unchanged; otherwise [into] is
+   unchanged until [merger]'s thunk runs, which is [merge_into]. *)
+let prop_merge_all_or_nothing =
+  QCheck.Test.make ~name:"a merge that clashes changes nothing" ~count:300
+    QCheck.(
+      pair
+        (small_list (pair (int_bound 5) (int_bound 2)))
+        (small_list (pair (int_bound 5) (int_bound 2))))
+    (fun (a, b) ->
+      let build metrics =
+        let r = R.create () in
+        List.iter
+          (fun (name, kind) ->
+            let name = "m" ^ string_of_int name in
+            try
+              match kind with
+              | 0 -> R.add (R.counter r name) 1
+              | 1 -> R.set_max (R.gauge r name) 2
+              | _ -> R.observe (R.histogram r name) 3
+            with Invalid_argument _ -> ())
+          metrics;
+        r
+      in
+      let into = build a and src = build b in
+      let before = R.to_bytes into in
+      match R.merger ~into src with
+      | Error msg -> (
+        R.to_bytes into = before
+        &&
+        match R.merge_into ~into src with
+        | () -> false
+        | exception Invalid_argument m -> m = msg && R.to_bytes into = before)
+      | Ok merge ->
+        let other = Result.get_ok (R.of_bytes before) in
+        R.merge_into ~into:other src;
+        R.to_bytes into = before
+        && (merge ();
+            R.to_bytes into = R.to_bytes other))
+
 (* -------------------------- wire codec ---------------------------- *)
 
 (* [of_bytes] as it stood before it scanned in place, kept as the
@@ -727,6 +768,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_probe_is_observational;
           QCheck_alcotest.to_alcotest prop_merge_order_insensitive;
+          QCheck_alcotest.to_alcotest prop_merge_all_or_nothing;
         ] );
       ( "wire codec",
         [

@@ -213,9 +213,32 @@ let prop_cdf_bounded =
       let v = Dist.Cdf.eval c x in
       v >= 0.0 && v <= 1.0)
 
+(* The checkpoint encoder sizes its file with [width] and fills it with
+   [put]: both must agree with [string_of_int] at every width, the ends
+   of the int range included. *)
+let prop_decimal_put =
+  QCheck.Test.make ~name:"Decimal.width and put = string_of_int" ~count:500
+    QCheck.(
+      oneof
+        [ int; small_signed_int;
+          oneofl [ 0; 9; 10; 99999; 100000; max_int; min_int; min_int + 1 ];
+          map (fun k -> int_of_float (10. ** float_of_int k)) (int_bound 18) ])
+    (fun v ->
+      let s = string_of_int v in
+      let b = Bytes.make 24 '.' in
+      let stop = Util.Decimal.put b 2 v in
+      Util.Decimal.width v = String.length s
+      && stop = 2 + String.length s
+      && Bytes.sub_string b 2 (String.length s) = s
+      && Bytes.get b stop = '.'
+      && (match Util.Decimal.put (Bytes.create (String.length s - 1)) 0 v with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_rng_int_in_range; prop_percentile_monotone; prop_cdf_bounded ]
+    [ prop_rng_int_in_range; prop_percentile_monotone; prop_cdf_bounded;
+      prop_decimal_put ]
 
 (* --------------------------- Atomic_io ---------------------------- *)
 
