@@ -231,8 +231,9 @@ let profile_stream ?(window = 512) ?(threshold = 4.0) ?(max_len = 9)
     end
   done;
   (* Greedy per-block selection of non-overlapping sites, best dynamic
-     coverage first.  The fold follows the table's insertion sequence,
-     which decides ties. *)
+     coverage first.  [Hashtbl.fold] visits buckets in the hash order
+     of the uid-string keys, not in insertion order, so that order,
+     together with the table's size, decides ties. *)
   let finished = Hashtbl.fold (fun _ agg acc -> agg :: acc) table [] in
   let score agg = agg.occurrences * Array.length agg.uids in
   let sorted = List.sort (fun a b -> compare (score b) (score a)) finished in

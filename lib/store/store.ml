@@ -1,4 +1,4 @@
-let format_version = "critics-store-1"
+let format_version = "critics-store-2"
 
 let code_version_memo = ref None
 
@@ -91,30 +91,46 @@ let key_digest k = k.digest
 let path_of t k = Filename.concat (Filename.concat t.dir k.kind) k.digest
 
 (* Entry layout: one header line binding the payload to its key —
-   "<format_version> <key-digest> <payload-md5> <payload-length>\n" —
-   then the raw payload bytes. *)
-let encode k payload =
-  Printf.sprintf "%s %s %s %d\n%s" format_version k.digest
-    (Digest.to_hex (Digest.string payload))
-    (String.length payload) payload
+   "<format_version> <key-digest> <payload-checksum> <payload-length>\n",
+   the checksum being {!Util.Checksum}'s 32 hex digits — then the raw
+   payload bytes. *)
+let header k ~sum n =
+  String.concat " " [ format_version; k.digest; sum; string_of_int n ] ^ "\n"
 
-let decode k text =
-  match String.index_opt text '\n' with
+(* Payloads run to megabytes: copy each once, after its header. *)
+let encode k payload =
+  let n = String.length payload in
+  let h = header k ~sum:(Util.Checksum.string payload) n in
+  let hn = String.length h in
+  let entry = Bytes.create (hn + n) in
+  Bytes.blit_string h 0 entry 0 hn;
+  Bytes.blit_string payload 0 entry hn n;
+  Bytes.unsafe_to_string entry
+
+(* The payload's offset when the first [len] bytes of [buf] are an entry
+   whose header names [k], the payload's length and its checksum.
+   Everything is checked in place; only the header is copied. *)
+let verify k buf len =
+  let sum_pos = String.length format_version + String.length k.digest + 2 in
+  let len_pos = sum_pos + 33 (* 32 hex digits and a space *) in
+  (* The length field ends within 20 bytes: 19 digits and a newline. *)
+  let stop = min len (len_pos + 20) in
+  let rec newline i =
+    if i >= stop then None
+    else if Bytes.get buf i = '\n' then Some (i + 1)
+    else newline (i + 1)
+  in
+  match newline len_pos with
   | None -> None
-  | Some nl ->
-    let header = String.sub text 0 nl in
-    (match String.split_on_char ' ' header with
-    | [ fmt; kd; pd; len ] ->
-      let payload_pos = nl + 1 in
-      (match int_of_string_opt len with
-      | Some n
-        when fmt = format_version && kd = k.digest
-             && String.length text - payload_pos = n ->
-        let payload = String.sub text payload_pos n in
-        if Digest.to_hex (Digest.string payload) = pd then Some payload
-        else None
-      | _ -> None)
-    | _ -> None)
+  | Some pos ->
+    let sum = Bytes.sub_string buf sum_pos 32 in
+    let h = header k ~sum (len - pos) in
+    if
+      String.length h = pos
+      && Bytes.sub_string buf 0 pos = h
+      && Util.Checksum.subbytes buf pos (len - pos) = sum
+    then Some pos
+    else None
 
 (* Corrupt entries are evidence, not garbage: chaos- or crash-found
    corruption is moved aside into [<dir>/corrupt/] (bounded; oldest
@@ -158,25 +174,65 @@ let quarantine t k =
     (* Quarantine is best-effort; never let it mask the miss. *)
     (try Sys.remove (path_of t k) with Sys_error _ -> ())
 
-let find t k =
-  let path = path_of t k in
-  match Util.Atomic_io.read_file path with
+(* Each domain reads entries into one buffer, grown to the largest
+   entry it has read, so a hit allocates only what it returns.  Pool
+   domains share a store, hence one per domain; a reader also takes the
+   buffer out of its slot while it reads, so a second reader on the same
+   domain (a systhread) reads into a fresh one instead. *)
+let read_buffer = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
+(* [Marshal] may read a 32-byte header at the payload's offset, however
+   short the payload: keep that many bytes of room past any entry. *)
+let room = 32
+
+(* [with_entry path f] applies [f buf len] to the [len] bytes of the file
+   at [path], read into [buf] (valid only during [f]).  Raises
+   [Sys_error] when the file cannot be read. *)
+let with_entry path f =
+  let slot = Domain.DLS.get read_buffer in
+  let buf = ref !slot in
+  slot := Bytes.empty;
+  Fun.protect
+    ~finally:(fun () -> slot := !buf)
+    (fun () ->
+      In_channel.with_open_bin path (fun ic ->
+          let n = in_channel_length ic in
+          if Bytes.length !buf < n + room then buf := Bytes.create (n + room);
+          (* A file cut short under the reader fails verification. *)
+          let rec fill pos =
+            if pos = n then pos
+            else
+              match In_channel.input ic !buf pos (n - pos) with
+              | 0 -> pos
+              | got -> fill (pos + got)
+          in
+          let len = fill 0 in
+          f !buf len))
+
+(* The one reader behind [find] and [memo]: [Some (decode buf pos n)]
+   when the entry verifies, its payload being the [n] bytes at [pos] of
+   [buf] (valid only during [decode]).  A missing entry is a miss; a
+   corrupt one — truncation, corruption or collision — is quarantined
+   and counted, and is a miss too: the caller recomputes, never crashes
+   and never sees a wrong payload. *)
+let read t k decode =
+  match
+    with_entry (path_of t k) (fun buf len ->
+        Option.map (fun pos -> decode buf pos (len - pos)) (verify k buf len))
+  with
   | exception Sys_error _ ->
     Atomic.incr t.misses;
     None
-  | text -> (
-    match decode k text with
-    | Some payload ->
-      Atomic.incr t.hits;
-      Some payload
-    | None ->
-      (* Truncation, corruption or collision: quarantine the entry and
-         fall back to recompute — never a crash, never a wrong
-         payload. *)
-      Atomic.incr t.corrupt;
-      Atomic.incr t.misses;
-      quarantine t k;
-      None)
+  | Some _ as hit ->
+    Atomic.incr t.hits;
+    hit
+  | None ->
+    Atomic.incr t.corrupt;
+    Atomic.incr t.misses;
+    quarantine t k;
+    None
+
+let find t k = read t k Bytes.sub_string
 
 let add t k payload =
   try
@@ -189,6 +245,15 @@ let add t k payload =
     Atomic.incr t.writes
   with Sys_error _ | Unix.Unix_error _ -> ()
 
+(* A verified payload that is not exactly one marshalled value (other
+   bytes stored under the key) decodes to [None].  [Marshal] reads
+   neither past the payload nor what a longer entry left in the
+   buffer. *)
+let unmarshal buf pos n =
+  match Marshal.total_size buf pos = n with
+  | true -> ( try Some (Marshal.from_bytes buf pos) with _ -> None)
+  | false | (exception _) -> None
+
 let memo t k compute =
   let recompute st =
     let v = compute () in
@@ -198,12 +263,9 @@ let memo t k compute =
   match t with
   | None -> compute ()
   | Some st -> (
-    match find st k with
-    | None -> recompute st
-    | Some bytes -> (
-      match Marshal.from_string bytes 0 with
-      | v -> v
-      | exception _ -> recompute st))
+    match read st k unmarshal with
+    | Some (Some v) -> v
+    | None | Some None -> recompute st)
 
 type stats = { hits : int; misses : int; writes : int; corrupt : int }
 

@@ -17,11 +17,11 @@
       A key digests the cache-format version, the code version (git
       describe), an artifact kind, and every caller-supplied input
       part.  Change any of them and the lookup misses.  Entries carry
-      their key digest, payload digest and payload length in a header;
-      [find] re-verifies all three and treats any mismatch — truncated
-      write, flipped bit, hash collision across kinds — as a miss
-      (counted as [corrupt], entry removed), falling back to
-      recompute.
+      their key digest, a {!Util.Checksum} of the payload and the
+      payload length in a header; every read re-verifies all three and
+      treats any mismatch — truncated write, flipped bit, hash
+      collision across kinds — as a miss (counted as [corrupt], the
+      entry moved to [<dir>/corrupt/]), falling back to recompute.
     - {b Crash-safe.}  Writes go through {!Util.Atomic_io} (tmp +
       rename); [open_dir] sweeps stale [*.tmp] orphans.
     - {b Hermetic by default.}  Nothing touches the disk unless the
@@ -72,7 +72,7 @@ val key_digest : key -> string
     fingerprint of its input artifact). *)
 
 val find : t -> key -> string option
-(** The stored payload, or [None] on miss.  Corrupt or mismatched
+(** A copy of the stored payload, or [None] on miss.  Corrupt or mismatched
     entries are quarantined into [<dir>/corrupt/] (bounded,
     oldest-evicted — see {!quarantined}), counted, and reported as
     misses — the caller recomputes and may [add] again. *)
@@ -85,9 +85,12 @@ val add : t -> key -> string -> unit
 
 val memo : t option -> key -> (unit -> 'a) -> 'a
 (** [memo store k compute] is the single path for saving and reloading
-    an artifact: {!find}, then unmarshal; on a miss, or on a payload
-    that verifies against its header but that [Marshal] cannot decode,
-    it runs [compute], marshals the value and {!add}s it under [k].
+    an artifact.  It reads the entry into a buffer its domain reuses,
+    verifies it as {!find} does and unmarshals the payload in place, so
+    a hit allocates only the value.  On a miss, or on a payload that
+    verifies against its header but is not exactly one value [Marshal]
+    can decode, it runs [compute], marshals the value and {!add}s it
+    under [k].
     With [None] it just runs [compute].  Marshal is untyped: every key
     of one kind must be read back at the type it was written at. *)
 

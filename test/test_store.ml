@@ -241,6 +241,39 @@ let test_counters_across_domains () =
       Domain.join other;
       Alcotest.(check int) "every miss counted" 40_000 (Store.stats st).misses)
 
+(* The harness shares one store across its pool: two domains reading
+   different entries through [memo] at once each get their own value,
+   and neither sees the other's bytes (the read buffer is per domain). *)
+let test_two_domains_memo () =
+  with_store (fun _dir st ->
+      let context = Array.init 200_000 (fun i -> i * 7)
+      and stats = List.init 40 string_of_int in
+      let k_context = Store.key ~kind:"context" [ "two domains" ]
+      and k_stats = Store.key ~kind:"stats" [ "two domains" ] in
+      Store.add st k_context (Marshal.to_string context []);
+      Store.add st k_stats (Marshal.to_string stats []);
+      let reads k value n () =
+        let wrong = ref 0 in
+        for _ = 1 to n do
+          let got =
+            Store.memo (Some st) k (fun () ->
+                incr wrong;
+                value)
+          in
+          if got <> value then incr wrong
+        done;
+        !wrong
+      in
+      let other = Domain.spawn (reads k_stats stats 4_000) in
+      let wrong_context = reads k_context context 100 () in
+      let wrong_stats = Domain.join other in
+      Alcotest.(check (pair int int)) "every read its own value" (0, 0)
+        (wrong_context, wrong_stats);
+      let s = Store.stats st in
+      Alcotest.(check (list int)) "hit/miss/write/corrupt"
+        [ 4_100; 0; 2; 0 ]
+        [ s.hits; s.misses; s.writes; s.corrupt ])
+
 let test_clear_and_sizes () =
   with_store (fun _dir st ->
       Store.add st (Store.key ~kind:"a" [ "1" ]) "xx";
@@ -249,6 +282,148 @@ let test_clear_and_sizes () =
       Alcotest.(check bool) "bytes counted" true (Store.total_bytes st > 6);
       Alcotest.(check int) "clear removes both" 2 (Store.clear st);
       Alcotest.(check int) "empty after clear" 0 (Store.entry_count st))
+
+(* Any damage to a stored file: truncation, a flipped bit in the header
+   or the payload, random bytes spliced over a span, a duplicated span. *)
+let mutate rand ~header_len s =
+  let module G = QCheck.Gen in
+  let n = String.length s in
+  let at () = G.int_bound n rand in
+  match G.int_bound 3 rand with
+  | 0 -> String.sub s 0 (G.int_bound (n - 1) rand)
+  | 1 ->
+    let i =
+      if G.bool rand || header_len = n then G.int_bound (header_len - 1) rand
+      else G.int_range header_len (n - 1) rand
+    in
+    let b = Bytes.of_string s in
+    Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl G.int_bound 7 rand)));
+    Bytes.to_string b
+  | 2 ->
+    let i = at () in
+    let cut = min (n - i) (G.int_bound 16 rand) in
+    String.sub s 0 i
+    ^ G.string_size ~gen:G.char (G.int_bound 16) rand
+    ^ String.sub s (i + cut) (n - i - cut)
+  | _ ->
+    let i = at () in
+    let len = min (n - i) (G.int_range 1 64 rand) in
+    String.sub s 0 (i + len) ^ String.sub s i (n - i)
+
+(* Each case stores a random payload under a random kind, damages the
+   file, and reads it back: [find] returns the payload only while the
+   file is unchanged, else a miss counted [corrupt] with the file moved
+   to the morgue; [memo] over a damaged marshalled value returns the
+   right value.  Nothing raises. *)
+let prop_store_mutations =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (string_size ~gen:(char_range 'a' 'z') (int_range 1 8))
+        (string_size ~gen:char (int_bound 600))
+        (int_bound 1_000_000))
+  in
+  let print (kind, payload, seed) =
+    Printf.sprintf "kind %S, %d-byte payload, seed %d" kind
+      (String.length payload) seed
+  in
+  QCheck.Test.make ~name:"damaged entries: payload, miss or recompute"
+    ~count:300 (QCheck.make ~print gen) (fun (kind, payload, seed) ->
+      QCheck.assume (kind <> "corrupt");
+      let rand = Random.State.make [| seed |] in
+      with_store (fun dir st ->
+          let damage k =
+            let path =
+              Filename.concat (Filename.concat dir kind) (Store.key_digest k)
+            in
+            let text = Util.Atomic_io.read_file path in
+            let header_len = String.index text '\n' + 1 in
+            let damaged = mutate rand ~header_len text in
+            Util.Atomic_io.write path damaged;
+            (path, damaged <> text)
+          in
+          let quarantined k =
+            List.mem
+              (Filename.concat (Store.quarantine_dir st)
+                 (kind ^ "." ^ Store.key_digest k))
+              (Store.quarantined st)
+          in
+          let k = Store.key ~kind [ "find"; string_of_int seed ] in
+          Store.add st k payload;
+          let path, changed = damage k in
+          let before = (Store.stats st).corrupt in
+          let found = Store.find st k in
+          let corrupt = (Store.stats st).corrupt - before in
+          if changed then begin
+            if found <> None then QCheck.Test.fail_report "damage not caught";
+            if corrupt <> 1 then QCheck.Test.fail_reportf "corrupt +%d" corrupt;
+            if Sys.file_exists path || not (quarantined k) then
+              QCheck.Test.fail_report "damaged file not quarantined"
+          end
+          else if found <> Some payload || corrupt <> 0 then
+            QCheck.Test.fail_report "unchanged entry not served";
+          let k = Store.key ~kind [ "memo"; string_of_int seed ] in
+          let value = (payload, String.length payload) in
+          Store.add st k (Marshal.to_string value []);
+          ignore (damage k);
+          Store.memo (Some st) k (fun () -> value) = value))
+
+(* ------------------------------------------------------------------ *)
+(* Checksum                                                           *)
+
+(* The read path sums a payload inside its read buffer, at whatever
+   offset the header ends: it must agree with the whole-string form
+   there, and read nothing around the range. *)
+let test_checksum_in_place () =
+  let rand = Random.State.make [| 26 |] in
+  let byte () = Char.chr (Random.State.int rand 256) in
+  for len = 0 to 300 do
+    let s = String.init len (fun _ -> byte ()) in
+    let pos = Random.State.int rand 40 in
+    let buf =
+      Bytes.init (pos + len + Random.State.int rand 40) (fun _ -> byte ())
+    in
+    Bytes.blit_string s 0 buf pos len;
+    Alcotest.(check string)
+      (Printf.sprintf "length %d at offset %d" len pos)
+      (Util.Checksum.string s)
+      (Util.Checksum.subbytes buf pos len)
+  done
+
+let test_checksum_bit_flips () =
+  let s = String.init 256 (fun i -> Char.chr ((i * 37) land 0xff)) in
+  let sum = Util.Checksum.string s in
+  for bit = 0 to (256 * 8) - 1 do
+    let b = Bytes.of_string s in
+    let i = bit / 8 in
+    Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl (bit mod 8))));
+    let flipped = Util.Checksum.string (Bytes.to_string b) in
+    (* Both 64-bit lanes take every word, so both halves change. *)
+    if
+      String.sub flipped 0 16 = String.sub sum 0 16
+      || String.sub flipped 16 16 = String.sub sum 16 16
+    then Alcotest.failf "flipping bit %d of 256 bytes leaves a lane as is" bit
+  done
+
+let test_checksum_zero_padding () =
+  for len = 0 to 64 do
+    let s = String.make len 'x' in
+    Alcotest.(check bool)
+      (Printf.sprintf "appending a zero byte to %d bytes" len)
+      true
+      (Util.Checksum.string s <> Util.Checksum.string (s ^ "\000"))
+  done
+
+(* Every stored entry carries this function's value: a change to it
+   turns them all into corrupt misses unless [Store.format_version]
+   changes with it. *)
+let test_checksum_known_answer () =
+  Alcotest.(check (list string))
+    "known answers (changed? bump Store.format_version)"
+    [ "b8cb396de59eab6aef46db3751d8e999"; "80a272969c3b9ea34bed88336e800ae2" ]
+    [ Util.Checksum.string "";
+      (* four whole words and a 5-byte tail *)
+      Util.Checksum.string "critics-store payload, 37 bytes long." ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash-orphan sweep                                                 *)
@@ -443,6 +618,19 @@ let () =
           Alcotest.test_case "clear and sizes" `Quick test_clear_and_sizes;
           Alcotest.test_case "counters across domains" `Quick
             test_counters_across_domains;
+          Alcotest.test_case "two domains, one store" `Quick
+            test_two_domains_memo;
+          QCheck_alcotest.to_alcotest prop_store_mutations;
+        ] );
+      ( "checksum",
+        [
+          Alcotest.test_case "in place = whole string" `Quick
+            test_checksum_in_place;
+          Alcotest.test_case "every bit flip changes both lanes" `Quick
+            test_checksum_bit_flips;
+          Alcotest.test_case "a zero byte appended changes it" `Quick
+            test_checksum_zero_padding;
+          Alcotest.test_case "known answer" `Quick test_checksum_known_answer;
         ] );
       ( "sweep",
         [
