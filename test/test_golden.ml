@@ -309,52 +309,58 @@ let test_hybrid_schemes_match_recorded () =
             Alcotest.failf "no recorded critic digest for %s/%s" app cfg)
       actual
 
-(* Compiled programs: the MD5 of every transformed scheme's marshalled
-   program at a 20 000-instruction budget, recorded before the schemes
-   became one table of (options, pass list).  The stats digests above
-   cannot see all a compile decides — the uids of CDP markers, or an
-   encoding change that costs no cycle — and these can.  Never
-   re-record them: a compiler refactor must reproduce every byte.
+(* Compiled programs: the MD5 of every transformed scheme's program,
+   marshalled with [No_sharing], at a 20 000-instruction budget.  The
+   stats digests above cannot see all a compile decides — the uids of
+   CDP markers, or an encoding change that costs no cycle — and these
+   can.  [No_sharing] makes the digest a function of the program's
+   structure alone: a marshal that keeps sharing also encodes which
+   equal immutable sub-values (operands, memory signatures) happen to
+   be one value in memory, which the compiler does not decide.  The
+   values were recorded from the library as it was before
+   [Isa.Instr.make] shared operands.  Never re-record them: a compiler
+   refactor must reproduce every byte.
    [Prog.Program.max_uid] is forced before marshalling because its memo
    is a field of the program record (perfbench's [same_program] forces
    it for the same reason). *)
 let golden_programs =
   [
-    ("Acrobat", "hoist", "program", "5959e727887b4a59a43bd953d151bc2c");
-    ("Acrobat", "critic", "program", "88df8fefce31036d28a437ca71829dae");
-    ("Acrobat", "critic.ideal", "program", "64811e4e9cee6bb6fc3382ae86ff30d3");
-    ("Acrobat", "critic.branches", "program", "166d5662b88160dcac88f6ee6c049e7f");
-    ("Acrobat", "macro.ideal", "program", "ffd7428711cc43da0f7d26288b76acb9");
-    ("Acrobat", "opp16", "program", "67941bc98dcc542514b762a68c44ccc1");
-    ("Acrobat", "compress", "program", "fd8cf8e33ce308a299b213fa66af838b");
-    ("Acrobat", "opp16+critic", "program", "8750efa1724d9623d0742a68960639fc");
-    ("Acrobat", "narrow.only", "program", "78e1653a0502f4548819a6ac6be60102");
-    ("Acrobat", "critic.reorder", "program", "88df8fefce31036d28a437ca71829dae");
-    ("Music", "hoist", "program", "393f9b7ed68ca58d8b8ff4054a8062c5");
-    ("Music", "critic", "program", "490381fe1795931c23eb5e46b548ed39");
-    ("Music", "critic.ideal", "program", "b6081ad05c5d46d584e284f882ed9194");
-    ("Music", "critic.branches", "program", "14c76d4a995c6f62dd6963f79e8b27bd");
-    ("Music", "macro.ideal", "program", "9c519e6347ae3e63cc7f30600a89c0dc");
-    ("Music", "opp16", "program", "1990340124106bbb02cf91880f9b1d09");
-    ("Music", "compress", "program", "5d2c57ddf8f988db88cf064e7c63f395");
-    ("Music", "opp16+critic", "program", "e82b7c66dcf36c3b72009f432cc81d09");
-    ("Music", "narrow.only", "program", "80b84081ecb77d5208743408aa730119");
-    ("Music", "critic.reorder", "program", "490381fe1795931c23eb5e46b548ed39");
-    ("lbm", "hoist", "program", "dea33985dcf1f8a9089572102429778e");
-    ("lbm", "critic", "program", "d8cb86fb0f30559bb478d878595cfa31");
-    ("lbm", "critic.ideal", "program", "43a3b16196f5a5e3bacc22d3aa12bbbb");
-    ("lbm", "critic.branches", "program", "5cbf599008b9a1370246e79af933338a");
-    ("lbm", "macro.ideal", "program", "8693b289778057bad8db1a87a5fa48b7");
-    ("lbm", "opp16", "program", "7f378a5f8f2c9bc9ee744345635326a0");
-    ("lbm", "compress", "program", "a6cba2a9df74cdd48400671b86640a8e");
-    ("lbm", "opp16+critic", "program", "9188ce7bbb085e518e55e4562e92a353");
-    ("lbm", "narrow.only", "program", "9de17d0d814265fd744d5060ec5cc860");
-    ("lbm", "critic.reorder", "program", "d8cb86fb0f30559bb478d878595cfa31");
+    ("Acrobat", "hoist", "program", "75d7783c128d28ac8de51f14566cd21b");
+    ("Acrobat", "critic", "program", "de2264b47214aa87710bd13bd481088f");
+    ("Acrobat", "critic.ideal", "program", "747773746c87858b8dc260dd4ad469b7");
+    ("Acrobat", "critic.branches", "program", "c3de6a670a67ed37b676f43c3628a280");
+    ("Acrobat", "macro.ideal", "program", "e08987ccbbae86bdac119c73e7e67c7d");
+    ("Acrobat", "opp16", "program", "5a5f5f6851f27d8ec59bf934ead83fab");
+    ("Acrobat", "compress", "program", "d8be73f07e75cda2fa3a1e6edf30bde5");
+    ("Acrobat", "opp16+critic", "program", "f3892a52a3e38ba835a2b85e22eadb7e");
+    ("Acrobat", "narrow.only", "program", "64c52344d460306c5a5857ba6044509f");
+    ("Acrobat", "critic.reorder", "program", "de2264b47214aa87710bd13bd481088f");
+    ("Music", "hoist", "program", "7aed7b2720d9b3b8c3c7f05025da955e");
+    ("Music", "critic", "program", "102c3a2a870f4cb6ce493245a312c4e7");
+    ("Music", "critic.ideal", "program", "7c05c84933572cd84bf9b44d03204aad");
+    ("Music", "critic.branches", "program", "4412137755eb150cb5e5b005a1f96bbf");
+    ("Music", "macro.ideal", "program", "cebd1dc712aeda5f38a5981e778d52b2");
+    ("Music", "opp16", "program", "bcd1afa18e303a0234662dccdd98e750");
+    ("Music", "compress", "program", "d336eb826af70c7363662d6d5b20fa77");
+    ("Music", "opp16+critic", "program", "20a326230c20b2586f8629dfdd28aa51");
+    ("Music", "narrow.only", "program", "ae1cb46170a010c7854d397c00715c78");
+    ("Music", "critic.reorder", "program", "102c3a2a870f4cb6ce493245a312c4e7");
+    ("lbm", "hoist", "program", "501572444dc3935a104b2ed4d7b11d3a");
+    ("lbm", "critic", "program", "b7283a8a2d36cd64f36e992f47f41b1a");
+    ("lbm", "critic.ideal", "program", "125bbcb300d91d3d72a1ba740dd3c526");
+    ("lbm", "critic.branches", "program", "560ac67f9b0ff679b4cdc30d5f9fccc1");
+    ("lbm", "macro.ideal", "program", "40ea0ac5c9528988775640a8caac735f");
+    ("lbm", "opp16", "program", "28353bf0bb2c82639ba20c436002b6e1");
+    ("lbm", "compress", "program", "88ac8e4e20c9c69c959c24fb79e37cb0");
+    ("lbm", "opp16+critic", "program", "3d3b080b7a2655b2b0e21038b248b58e");
+    ("lbm", "narrow.only", "program", "9756c311346582b4b466e10fd3faec57");
+    ("lbm", "critic.reorder", "program", "b7283a8a2d36cd64f36e992f47f41b1a");
   ]
 
 let program_digest program =
   ignore (Prog.Program.max_uid program);
-  Digest.to_hex (Digest.string (Marshal.to_string program []))
+  Digest.to_hex
+    (Digest.string (Marshal.to_string program [ Marshal.No_sharing ]))
 
 let program_cases () =
   List.concat_map
