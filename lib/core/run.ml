@@ -51,7 +51,7 @@ let default_instrs = 120_000
    type reachable from it — changes.  [Store.code_version] already
    invalidates on every commit; this constant covers dirty-worktree
    edits, where the git description stays "<sha>-dirty" across edits. *)
-let context_format = "critics-ctx-1"
+let context_format = "critics-ctx-2"
 
 let context_key ?(instrs = default_instrs) ?(sample = 0)
     ?(profile_window = 512) ?threshold ?(profile_fraction = 1.0)

@@ -39,12 +39,34 @@ let thumb_convertible t =
      | _ -> false)
   && match t.dst with None -> true | Some d -> Reg.thumb_addressable d
 
+(* Operand values are immutable, so equal ones can be one value: every
+   [Some r] and every source list of up to two registers comes from
+   these tables, built here and never written again (pool domains read
+   them without a lock).  A program then holds one word per operand
+   field instead of a fresh block per instruction. *)
+let some_reg = Array.init Reg.count (fun i -> Some (Reg.r i))
+let one_src = Array.init Reg.count (fun i -> [ Reg.r i ])
+
+let two_srcs =
+  Array.init (Reg.count * Reg.count) (fun i ->
+      Reg.r (i / Reg.count) :: one_src.(i mod Reg.count))
+
+let shared_dst = function
+  | None -> None
+  | Some r -> some_reg.(Reg.index r)
+
+let shared_srcs = function
+  | [ a ] -> one_src.(Reg.index a)
+  | [ a; b ] -> two_srcs.((Reg.index a * Reg.count) + Reg.index b)
+  | srcs -> srcs
+
 let make ~uid ~opcode ?dst ?(srcs = []) ?(cond = Always) ?(encoding = Arm32)
     ?mem ?chain ?(cdp_count = 0) () =
   (match mem with
   | Some _ when not (Opcode.is_memory opcode) ->
     invalid_arg "Instr.make: memory signature on non-memory opcode"
   | _ -> ());
+  let dst = shared_dst dst and srcs = shared_srcs srcs in
   let t = { uid; opcode; dst; srcs; cond; encoding; mem; chain; cdp_count } in
   if encoding = Thumb16 && opcode <> Opcode.Cdp_switch
      && not (thumb_convertible t)

@@ -65,7 +65,14 @@ val make :
 (** Smart constructor; defaults: no operands, [Always], [Arm32], no
     memory signature, no chain, [cdp_count = 0]. Raises
     [Invalid_argument] if a memory signature is attached to a non-memory
-    opcode or a Thumb16 encoding violates {!thumb_convertible}. *)
+    opcode or a Thumb16 encoding violates {!thumb_convertible}.
+
+    Operand values are shared: every instruction with destination [r]
+    holds the same [Some r], and every instruction with the same list of
+    up to two sources holds the same list (from tables built once and
+    never written).  Compare operands with structural equality only;
+    whether two instructions' operands are one value in memory means
+    nothing. *)
 
 val size_bytes : t -> int
 (** 4 for [Arm32], 2 for [Thumb16], 0 for [Fused] — the width claimed by

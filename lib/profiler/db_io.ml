@@ -35,10 +35,12 @@ let of_string ?path text =
   match lines with
   | version :: rest when version = format_version ->
     let lineno = ref 1 in
-    (* Scalar conversions raise bare [Failure _] ("int_of_string", ...);
-       [conv] pins them to the file and line like every other
-       diagnostic. *)
-    let conv f s = try f s with Failure msg -> fail !lineno msg in
+    (* Scalar conversions raise bare [Failure _] ("int_of_string", ...)
+       or [Invalid_argument _] ("bool_of_string"); [conv] pins them to
+       the file and line like every other diagnostic. *)
+    let conv f s =
+      try f s with Failure msg | Invalid_argument msg -> fail !lineno msg
+    in
     let int_of_string = conv int_of_string in
     let float_of_string = conv float_of_string in
     let bool_of_string = conv bool_of_string in
@@ -63,6 +65,7 @@ let of_string ?path text =
     in
     let total_work = expect_kv "total_work" in
     let nsites = expect_kv "sites" in
+    if nsites < 0 then fail !lineno "negative site count";
     let parse_site l =
       match String.index_opt l ' ' with
       | None -> fail !lineno "malformed site"
@@ -105,7 +108,9 @@ let of_string ?path text =
         else
           match String.split_on_char ' ' l with
           | [ v; c ] ->
-            Util.Dist.Histogram.addn h (int_of_string v) (int_of_string c);
+            let v = int_of_string v and c = int_of_string c in
+            if c < 0 then fail !lineno "negative histogram count";
+            Util.Dist.Histogram.addn h v c;
             go ()
           | _ -> fail !lineno "malformed histogram entry"
       in

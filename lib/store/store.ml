@@ -72,10 +72,23 @@ let dir t = t.dir
 
 type key = { kind : string; digest : string (* hex *) }
 
+(* Corrupt entries are evidence, not garbage: chaos- or crash-found
+   corruption is moved aside into [<dir>/corrupt/] (bounded; oldest
+   evicted) so it can be post-mortemed, instead of being deleted on
+   sight.  The counters are untouched by the move — a corrupt entry is
+   still one [corrupt] plus one [miss], exactly as before. *)
+let quarantine_dirname = "corrupt"
+
 (* Length-framed concatenation: no choice of part contents can make two
-   distinct part lists serialize identically. *)
+   distinct part lists serialize identically.  A kind names a directory
+   of its own under the store root, so it may be no path that leaves
+   that level ([""], ["."], [".."], anything with a ['/']) and not the
+   morgue: [entry_count] and [clear] would never see such entries. *)
 let key ?code_version:cv ~kind parts =
-  if String.contains kind '/' then invalid_arg "Store.key: kind with '/'";
+  if
+    kind = "" || kind = "." || kind = ".." || kind = quarantine_dirname
+    || String.contains kind '/'
+  then invalid_arg (Printf.sprintf "Store.key: kind %S" kind);
   let cv = match cv with Some v -> v | None -> code_version () in
   let buf = Buffer.create 256 in
   List.iter
@@ -131,13 +144,6 @@ let verify k buf len =
       && Util.Checksum.subbytes buf pos (len - pos) = sum
     then Some pos
     else None
-
-(* Corrupt entries are evidence, not garbage: chaos- or crash-found
-   corruption is moved aside into [<dir>/corrupt/] (bounded; oldest
-   evicted) so it can be post-mortemed, instead of being deleted on
-   sight.  The counters are untouched by the move — a corrupt entry is
-   still one [corrupt] plus one [miss], exactly as before. *)
-let quarantine_dirname = "corrupt"
 
 let quarantine_dir t = Filename.concat t.dir quarantine_dirname
 

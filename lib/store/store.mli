@@ -62,9 +62,12 @@ type key
 val key : ?code_version:string -> kind:string -> string list -> key
 (** Fingerprint of an artifact: digests [format_version],
     [code_version] (default {!code_version}[ ()]), the [kind] and every
-    part, length-framed so part boundaries can't alias.  [kind] must be
-    a single path component (no ['/']); it namespaces the entry on
-    disk.  The [?code_version] override exists for invalidation tests. *)
+    part, length-framed so part boundaries can't alias.  [kind] names
+    the entry's directory under the store root, so it must be a single
+    path component that stays at that level and is not the quarantine
+    directory: raises [Invalid_argument] for [""], ["."], [".."],
+    ["corrupt"] and any kind containing ['/'].  The [?code_version]
+    override exists for invalidation tests. *)
 
 val key_digest : key -> string
 (** Hex digest of the key — a stable content fingerprint callers can

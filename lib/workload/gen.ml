@@ -27,6 +27,9 @@ type ctx = {
   mutable uid : int;
   (* filler registers currently holding a value, usable as sources *)
   mutable defined : Isa.Reg.t list;
+  (* the signatures drawn so far: one shared [Some s] per (jitter,
+     region) pair *)
+  mem_sigs : I.mem_signature option array;
 }
 
 let fresh ctx =
@@ -36,15 +39,27 @@ let fresh ctx =
 
 let range rng (lo, hi) = if hi <= lo then lo else lo + Rng.int rng (hi - lo + 1)
 
-let mem_signature ctx : I.mem_signature =
+(* A signature depends on the profile and two draws (jitter, then
+   region), so a program needs at most [2 * p.regions] distinct ones. *)
+let mem_signature ctx =
   let p = ctx.p in
   let jitter = 1 + Rng.int ctx.rng 2 in
-  {
-    region = Rng.int ctx.rng p.regions;
-    stride = p.load_stride;
-    working_set = max p.load_stride (p.load_working_set * jitter / 2);
-    randomness = p.load_randomness;
-  }
+  let region = Rng.int ctx.rng p.regions in
+  let slot = ((jitter - 1) * p.regions) + region in
+  match ctx.mem_sigs.(slot) with
+  | Some _ as mem -> mem
+  | None ->
+    let mem =
+      Some
+        {
+          I.region;
+          stride = p.load_stride;
+          working_set = max p.load_stride (p.load_working_set * jitter / 2);
+          randomness = p.load_randomness;
+        }
+    in
+    ctx.mem_sigs.(slot) <- mem;
+    mem
 
 let mk ctx ?dst ?(srcs = []) ?cond ?mem opcode =
   I.make ~uid:(fresh ctx) ~opcode ?dst ~srcs ?cond ?mem ()
@@ -76,10 +91,10 @@ let leaf ctx src =
   let roll = Rng.float ctx.rng 1.0 in
   if roll < p.leaf_load_frac then
     I.make ~uid:(fresh ctx) ~opcode:Op.Load ~dst:r_leaf ~srcs:[ src ]
-      ~mem:(mem_signature ctx) ()
+      ?mem:(mem_signature ctx) ()
   else if roll < p.leaf_load_frac +. p.leaf_store_frac then
     I.make ~uid:(fresh ctx) ~opcode:Op.Store ~srcs:[ src ]
-      ~mem:(mem_signature ctx) ()
+      ?mem:(mem_signature ctx) ()
   else begin
     let opcode = if Rng.chance ctx.rng p.fp_frac then Op.Fp_add else Op.Alu in
     if Rng.chance ctx.rng p.predicated_frac then
@@ -107,7 +122,7 @@ let emit_chain ctx out =
   let root =
     if Rng.chance ctx.rng p.spine_load_frac then
       I.make ~uid:(fresh ctx) ~opcode:Op.Load ~dst:!cur ~srcs:root_srcs
-        ~mem:(mem_signature ctx) ()
+        ?mem:(mem_signature ctx) ()
     else chain_member ctx ~dst:!cur ~srcs:root_srcs Op.Alu
   in
   out root;
@@ -147,7 +162,7 @@ let emit_isolated ctx out =
   let root = chain_regs.(0) in
   out
     (I.make ~uid:(fresh ctx) ~opcode:Op.Load ~dst:root
-       ~mem:(mem_signature ctx) ());
+       ?mem:(mem_signature ctx) ());
   for _ = 1 to f do
     out (leaf ctx root)
   done
@@ -170,7 +185,7 @@ let emit_filler ctx out =
   if roll < cum1 then begin
     out
       (I.make ~uid:(fresh ctx) ~opcode:Op.Load ~dst ~srcs:(pick_defined ctx)
-         ~mem:(mem_signature ctx) ());
+         ?mem:(mem_signature ctx) ());
     define dst
   end
   else if roll < cum2 then
@@ -181,7 +196,7 @@ let emit_filler ctx out =
     | srcs ->
       out
         (I.make ~uid:(fresh ctx) ~opcode:Op.Store ~srcs
-           ~mem:(mem_signature ctx) ())
+           ?mem:(mem_signature ctx) ())
   else if roll < cum3 then begin
     out (mk ctx ~dst ~srcs:(pick_defined ctx) Op.Mul);
     define dst
@@ -339,7 +354,15 @@ let dispatcher_blocks ctx ~nfun ~fun_entry =
 
 let program p =
   Profile.validate p;
-  let ctx = { rng = Rng.create p.seed; p; uid = 0; defined = [] } in
+  let ctx =
+    {
+      rng = Rng.create p.seed;
+      p;
+      uid = 0;
+      defined = [];
+      mem_sigs = Array.make (2 * p.regions) None;
+    }
+  in
   let nfun = p.functions in
   let sizes =
     Array.init nfun (fun f ->

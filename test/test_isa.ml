@@ -226,6 +226,52 @@ let prop_roundtrip_encoding =
       I.size_bytes t = 2 && I.size_bytes back = 4
       && I.structural_key back = I.structural_key i)
 
+(* [make] shares operand values.  Its result equals, by [=], the record
+   spelled out with freshly allocated operands; two calls with equal
+   operands return the same [Some r], and the same source list when it
+   has at most two registers. *)
+let prop_make_shares_operands =
+  let gen =
+    let open QCheck.Gen in
+    let* opcode = oneofl Op.all in
+    let* dst = opt (int_range 0 15) in
+    let* nsrcs = int_range 0 3 in
+    let* srcs = list_repeat nsrcs (int_range 0 15) in
+    let* cond = oneofl [ I.Always; I.Eq; I.Ne; I.Ge; I.Lt; I.Gt; I.Le ] in
+    return (opcode, dst, srcs, cond)
+  in
+  let print (opcode, dst, srcs, _) =
+    Printf.sprintf "%s dst %s srcs [%s]" (Op.to_string opcode)
+      (match dst with None -> "-" | Some d -> string_of_int d)
+      (String.concat "; " (List.map string_of_int srcs))
+  in
+  QCheck.Test.make ~name:"make shares equal operands" ~count:1000
+    (QCheck.make ~print gen) (fun (opcode, dst, srcs, cond) ->
+      let mem =
+        if Op.is_memory opcode then
+          Some { I.region = 1; stride = 4; working_set = 64; randomness = 0.5 }
+        else None
+      in
+      let make () =
+        I.make ~uid:3 ~opcode ?dst:(Option.map Reg.r dst)
+          ~srcs:(List.map Reg.r srcs) ~cond ?mem ()
+      in
+      let a = make () and b = make () in
+      a
+      = {
+          I.uid = 3;
+          opcode;
+          dst = Option.map Reg.r dst;
+          srcs = List.map Reg.r srcs;
+          cond;
+          encoding = I.Arm32;
+          mem;
+          chain = None;
+          cdp_count = 0;
+        }
+      && a.dst == b.dst
+      && (List.length srcs > 2 || a.srcs == b.srcs))
+
 (* A wider generator for the wire formats: full register range (so
    operand-range rejects are exercised), 0-3 sources, every condition
    code. *)
@@ -391,6 +437,6 @@ let () =
             prop_decode16_inverts_encode16; prop_decode32_inverts_encode32;
             prop_decode_bytes_inverts_encode;
             prop_encoder_is_the_convertibility_predicate;
-            prop_nonconvertible_rejected;
+            prop_nonconvertible_rejected; prop_make_shares_operands;
           ] );
     ]

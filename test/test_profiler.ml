@@ -229,6 +229,64 @@ let test_db_save_atomic () =
       Alcotest.(check int) "content intact" (List.length db.sites)
         (List.length (Profiler.Db_io.load path).sites))
 
+(* Fields a mutation rarely produces, each rejected on its own line: a
+   negative site count, a negative histogram count, and a
+   convertibility flag that is not a boolean. *)
+let test_db_rejects_bad_fields () =
+  let db =
+    {
+      Db.sites = [];
+      total_work = 0;
+      ic_lengths = Util.Dist.Histogram.create ();
+      ic_spreads = Util.Dist.Histogram.create ();
+      chain_gaps = Util.Dist.Histogram.create ();
+    }
+  in
+  let lines = String.split_on_char '\n' (Profiler.Db_io.to_string db) in
+  let edit n line =
+    String.concat "\n"
+      (List.mapi (fun i l -> if i = n - 1 then line else l) lines)
+  in
+  List.iter
+    (fun (what, text, line) ->
+      match Profiler.Db_io.of_string ~path:"bad.db" text with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Util.Err.Error e ->
+        Alcotest.(check bool) (what ^ ": Corrupt_input") true
+          (e.kind = Util.Err.Corrupt_input);
+        let at = Printf.sprintf "Db_io bad.db:%d:" line in
+        Alcotest.(check string) (what ^ ": file and line") at
+          (String.sub e.msg 0 (min (String.length e.msg) (String.length at))))
+    [
+      ("sites -1", edit 3 "sites -1", 3);
+      ("histogram 3 -5", edit 4 "hist ic_lengths\n3 -5", 5);
+      ("convertible yes", edit 3 "sites 1\n1 0 3 4.5 yes 0,1 10,11 alu", 4);
+    ]
+
+(* [Db_io.of_string] is total: any damage to a database's text decodes
+   to a database or raises a [Corrupt_input] error that names the file
+   and line, never another exception. *)
+let prop_db_io_total =
+  QCheck.Test.make ~name:"db_io is total over damaged text" ~count:60
+    (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.(int_bound 1000))
+    (fun seed ->
+      let program = Workload.Fuzz.program_of_seed seed in
+      let path = Prog.Walk.path_for_instrs program ~seed ~instrs:1_000 in
+      let db =
+        Profiler.Profile_run.profile (Prog.Trace.expand program ~seed path)
+      in
+      List.for_all
+        (fun text ->
+          match Profiler.Db_io.of_string ~path:"damaged.db" text with
+          | _ -> true
+          | exception Util.Err.Error { kind = Util.Err.Corrupt_input; msg; _ }
+            when String.starts_with ~prefix:"Db_io damaged.db:" msg ->
+            true
+          | exception e ->
+            QCheck.Test.fail_reportf "input %S raised %s" text
+              (Printexc.to_string e))
+        (Damage.variants ~count:64 ~seed (Profiler.Db_io.to_string db)))
+
 (* ------------------------------ Metric ----------------------------- *)
 
 let test_metric_uniform_chain () =
@@ -456,7 +514,10 @@ let () =
           Alcotest.test_case "corrupt file names path" `Quick
             test_db_corrupt_file_names_path;
           Alcotest.test_case "save is atomic" `Quick test_db_save_atomic;
+          Alcotest.test_case "rejects bad fields" `Quick
+            test_db_rejects_bad_fields;
           QCheck_alcotest.to_alcotest prop_db_io_roundtrip;
+          QCheck_alcotest.to_alcotest prop_db_io_total;
         ] );
       ( "metric",
         [

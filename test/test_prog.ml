@@ -26,6 +26,28 @@ let test_program_validation () =
     (Invalid_argument "Program.make: block ids must be dense in [0, n)")
     (fun () -> ignore (P.make ~entry:0 ~blocks:[ simple_block 3 (B.Jump 3) ]))
 
+(* A generated program shares its operands and memory signatures: it
+   takes at most 70 % of the heap words of a copy in which every
+   instruction owns its operands, a [No_sharing] marshal round trip
+   (unshared, the ratio is about 0.97). *)
+let test_generated_programs_share_operands () =
+  List.iter
+    (fun name ->
+      let program =
+        Workload.Gen.program (Option.get (Workload.Apps.find name))
+      in
+      let copy : P.t =
+        Marshal.from_string
+          (Marshal.to_string program [ Marshal.No_sharing ])
+          0
+      in
+      let words v = Obj.reachable_words (Obj.repr v) in
+      let ratio = float_of_int (words program) /. float_of_int (words copy) in
+      if ratio > 0.70 then
+        Alcotest.failf "%s: %d heap words, %.2f of an unshared copy's %d"
+          name (words program) ratio (words copy))
+    [ "Acrobat"; "Music"; "lbm" ]
+
 let test_layout () =
   let p = tiny_program () in
   Alcotest.(check int) "base address" Prog.Program.code_base (P.block_addr p 0);
@@ -412,6 +434,8 @@ let () =
           Alcotest.test_case "thumb shrinks layout" `Quick test_layout_shrinks_with_thumb;
           Alcotest.test_case "map_blocks guards CFG" `Quick test_map_blocks_guards_cfg;
           Alcotest.test_case "find_instr" `Quick test_find_instr;
+          Alcotest.test_case "generated programs share operands" `Quick
+            test_generated_programs_share_operands;
         ] );
       ( "walk",
         [

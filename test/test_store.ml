@@ -50,6 +50,20 @@ let test_key_kind_and_code_version () =
     "code version changes digest" true
     (d "a" "v1" <> d "a" "v2")
 
+(* A kind is the entry's directory under the store root.  One that
+   names the root itself, its parent, the morgue or a deeper path would
+   put entries where [entry_count] and [clear] never look. *)
+let test_key_kind_stays_in_its_directory () =
+  List.iter
+    (fun kind ->
+      match Store.key ~kind [ "x" ] with
+      | _ -> Alcotest.failf "kind %S accepted" kind
+      | exception Invalid_argument _ -> ())
+    [ ""; "."; ".."; "corrupt"; "/"; "a/b"; "../a"; "a/" ];
+  List.iter
+    (fun kind -> ignore (Store.key ~kind [ "x" ]))
+    [ "context"; "..."; ".a"; "corrupted" ]
+
 let test_context_key_sensitivity () =
   let acrobat = app "Acrobat" in
   let base = Store.key_digest (Critics.Run.context_key acrobat) in
@@ -596,6 +610,8 @@ let () =
           Alcotest.test_case "length framing" `Quick test_key_framing;
           Alcotest.test_case "kind and code version" `Quick
             test_key_kind_and_code_version;
+          Alcotest.test_case "kind stays in its directory" `Quick
+            test_key_kind_stays_in_its_directory;
           Alcotest.test_case "context key sensitivity" `Quick
             test_context_key_sensitivity;
           Alcotest.test_case "config bytes invalidate" `Quick

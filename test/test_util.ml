@@ -235,10 +235,57 @@ let prop_decimal_put =
          | _ -> false
          | exception Invalid_argument _ -> true))
 
+(* [Json.parse] is total: any damage to a document parses to a value or
+   raises [Parse_error], never another exception.  Documents are random
+   values printed by [Json.to_string]. *)
+let json_value =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return Util.Json.Null;
+        map (fun b -> Util.Json.Bool b) bool;
+        map (fun f -> Util.Json.Num f) (float_range (-1e6) 1e6);
+        map (fun n -> Util.Json.Num (float_of_int n)) small_signed_int;
+        map (fun s -> Util.Json.Str s) (string_size ~gen:char (int_bound 12));
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (2, map (fun l -> Util.Json.Arr l)
+                     (list_size (int_bound 4) (self (n - 1))));
+               (2, map (fun l -> Util.Json.Obj l)
+                     (list_size (int_bound 4)
+                        (pair (string_size ~gen:printable (int_bound 6))
+                           (self (n - 1)))));
+             ])
+
+let prop_json_parse_total =
+  QCheck.Test.make ~name:"Json.parse is total over damaged documents"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (v, seed) ->
+         Printf.sprintf "%s, seed %d" (Util.Json.to_string v) seed)
+       QCheck.Gen.(pair json_value (int_bound 1_000_000)))
+    (fun (v, seed) ->
+      List.for_all
+        (fun text ->
+          match Util.Json.parse text with
+          | _ | (exception Util.Json.Parse_error _) -> true
+          | exception e ->
+            QCheck.Test.fail_reportf "input %S raised %s" text
+              (Printexc.to_string e))
+        (Damage.variants ~count:32 ~seed (Util.Json.to_string v)))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_rng_int_in_range; prop_percentile_monotone; prop_cdf_bounded;
-      prop_decimal_put ]
+      prop_decimal_put; prop_json_parse_total ]
 
 (* --------------------------- Atomic_io ---------------------------- *)
 
