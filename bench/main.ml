@@ -97,7 +97,6 @@ let json_results ~jobs ~store ~total_ms ?(telemetry = []) ?(fetch = [])
         | None -> ""
       in
       (* Fetch bandwidth over the artifact's job set: absent for
-         journal-resumed artifacts (their memo tables are gone) and for
          artifacts without simulation jobs. *)
       let fetch_json =
         match List.assoc_opt t.id fetch with
@@ -119,28 +118,13 @@ let json_results ~jobs ~store ~total_ms ?(telemetry = []) ?(fetch = [])
   Buffer.contents b
 
 let results_path = "BENCH_results.json"
-let journal_path = "BENCH_journal.jsonl"
 
-let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
+let tables ~jobs ~telemetry ~ablation ~policy_sweep () =
   Printf.printf
     "CritICs reproduction — regenerating every table and figure\n\
      (%d work instructions per app run; see EXPERIMENTS.md for the\n\
      paper-vs-measured discussion)\n"
     !instrs;
-  (* The journal is the resume contract: one flushed line per completed
-     artifact.  A fresh run starts it over; --resume trusts it and skips
-     the artifacts it names. *)
-  let skip =
-    if resume then Experiments.Journal.completed_ids journal_path
-    else begin
-      Experiments.Journal.reset journal_path;
-      []
-    end
-  in
-  let journaled = if resume then Experiments.Journal.load journal_path else [] in
-  if resume && skip <> [] then
-    Printf.eprintf "[bench] resume: skipping %d journaled artifact(s): %s\n%!"
-      (List.length skip) (String.concat " " skip);
   (* Prepared-context store: attached only when CRITICS_CACHE_DIR is
      set, so a default run stays hermetic and a cache-enabled repeat run
      skips the prewarm wall (contexts and completed simulations reload
@@ -176,14 +160,6 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
       }
     in
     timings := t :: !timings;
-    Experiments.Journal.append journal_path
-      {
-        Experiments.Journal.entry_id = id;
-        wall_ms;
-        minor_words = t.minor_words;
-        major_words = t.major_words;
-        top_heap_words = t.top_heap_words;
-      };
     r
   in
   (* Opt-in artifacts append after the paper's figure set, each behind
@@ -200,25 +176,19 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
         | _ -> ablation)
       Experiments.extra
   in
-  let entries =
-    List.filter
-      (fun (e : Experiments.entry) -> not (List.mem e.id skip))
-      (Experiments.all @ extra_entries)
-  in
+  let entries = Experiments.all @ extra_entries in
   let t_start = Unix.gettimeofday () in
-  (* Evaluate every (app × scheme × config) job of every remaining
-     artifact across the domain pool up front; the per-artifact renders
-     below then read from the memo tables (plus their own custom
-     analyses). *)
-  if not (List.mem "prewarm" skip && entries = []) then
-    time "prewarm" (fun () ->
-        Experiments.Harness.run_batch h
-          (List.concat_map (fun (e : Experiments.entry) -> e.jobs ()) entries));
+  (* Evaluate every (app × scheme × config) job of every artifact across
+     the domain pool up front; the per-artifact renders below then read
+     from the memo tables (plus their own custom analyses). *)
+  time "prewarm" (fun () ->
+      Experiments.Harness.run_batch h
+        (List.concat_map (fun (e : Experiments.entry) -> e.jobs ()) entries));
   List.iter
     (fun (e : Experiments.entry) ->
       Printf.printf "\n===== %s — %s =====\n" e.id e.title;
       (* Graceful degradation: one failing artifact is reported and the
-         rest of the batch still completes (and journals). *)
+         rest of the batch still completes. *)
       match time e.id (fun () -> print_string (e.render h)) with
       | () ->
         print_newline ();
@@ -238,27 +208,6 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
           (Util.Err.to_string err))
     entries;
   let total_ms = 1000.0 *. (Unix.gettimeofday () -. t_start) in
-  (* Merge: measurements journaled by the killed run first (canonical
-     artifact order), then this run's. *)
-  let merged =
-    let fresh = List.rev !timings in
-    let from_journal =
-      List.filter_map
-        (fun (j : Experiments.Journal.entry) ->
-          if List.exists (fun t -> t.id = j.entry_id) fresh then None
-          else
-            Some
-              {
-                id = j.entry_id;
-                wall_ms = j.wall_ms;
-                minor_words = j.minor_words;
-                major_words = j.major_words;
-                top_heap_words = j.top_heap_words;
-              })
-        journaled
-    in
-    from_journal @ fresh
-  in
   let cache_json =
     Option.map
       (fun st ->
@@ -290,7 +239,7 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
     json_results ~jobs ~store:store_state ~total_ms
       ~telemetry:(List.rev !telemetry_summaries)
       ~fetch:(List.rev !fetch_summaries) ?cache:cache_json
-      ?policy_lab:policy_lab_json merged
+      ?policy_lab:policy_lab_json (List.rev !timings)
   in
   (* Crash-safe write: a kill mid-write must never leave a truncated
      BENCH_results.json that [validate smoke] would half-parse. *)
@@ -317,15 +266,12 @@ let tables ~jobs ~resume ~telemetry ~ablation ~policy_sweep () =
 
 let usage () =
   prerr_endline
-    "usage: bench [--jobs N] [--instrs N] [--resume] [--telemetry] \
-     [--ablation] [--policy-sweep]\n\n\
+    "usage: bench [--jobs N] [--instrs N] [--telemetry] [--ablation] \
+     [--policy-sweep]\n\n\
      Regenerates every table and figure.\n\n\
     \  --jobs N    domain-pool width (default: recommended domain count,\n\
     \              or CRITICS_JOBS)\n\
     \  --instrs N  dynamic work instructions per app run (default: 100000)\n\
-    \  --resume    skip artifacts already journaled in BENCH_journal.jsonl\n\
-    \              (e.g. after a killed run) and merge their recorded\n\
-    \              measurements into BENCH_results.json\n\
     \  --telemetry attach cycle-attribution probes to every simulation and\n\
     \              embed per-artifact histogram summaries in\n\
     \              BENCH_results.json (off by default; stats are\n\
@@ -343,7 +289,6 @@ let () =
     Printf.eprintf "bench: bad %s value %S\n\n" what v;
     usage ()
   in
-  let resume = ref false in
   let telemetry = ref false in
   let ablation = ref false in
   let policy_sweep = ref false in
@@ -355,9 +300,6 @@ let () =
   in
   let rec parse = function
     | [] -> ()
-    | "--resume" :: rest ->
-      resume := true;
-      parse rest
     | "--telemetry" :: rest ->
       telemetry := true;
       parse rest
@@ -387,5 +329,5 @@ let () =
       usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  tables ~jobs:!jobs ~resume:!resume ~telemetry:!telemetry ~ablation:!ablation
+  tables ~jobs:!jobs ~telemetry:!telemetry ~ablation:!ablation
     ~policy_sweep:!policy_sweep ()

@@ -231,160 +231,6 @@ let experiment_cmd =
        ~doc:"Regenerate a table/figure of the paper (or `all')")
     Term.(const run $ id_arg $ instrs_arg $ jobs_arg)
 
-(* ------------------------------- sweep ---------------------------- *)
-
-let sweep_cmd =
-  let scheme_arg =
-    let doc =
-      "Scheme to sweep across every application: "
-      ^ String.concat ", " (List.map Critics.Scheme.name Critics.Scheme.all)
-    in
-    Arg.(value & opt string "critic" & info [ "scheme" ] ~doc)
-  in
-  let jobs_arg =
-    let doc = "Domains to evaluate simulations on." in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let retries_arg =
-    let doc = "Extra attempts granted to transient failures." in
-    Arg.(value & opt int 2 & info [ "retries" ] ~doc)
-  in
-  let fuel_arg =
-    let doc =
-      "Per-job simulation budget in cycles; a job exceeding it aborts \
-       with a timeout error."
-    in
-    Arg.(value & opt (some int) None & info [ "fuel" ] ~docv:"CYCLES" ~doc)
-  in
-  let deadline_arg =
-    let doc =
-      "Batch wall-clock deadline in seconds; pending jobs are skipped \
-       once it passes."
-    in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SEC" ~doc)
-  in
-  let quarantine_arg =
-    let doc = "Failures an app may accumulate before it is quarantined." in
-    Arg.(value & opt int 3 & info [ "quarantine-after" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Fault-injection seed (victims are drawn deterministically)." in
-    Arg.(value & opt int 0 & info [ "inject-seed" ] ~docv:"SEED" ~doc)
-  in
-  let inj n doc = Arg.(value & opt int 0 & info [ n ] ~docv:"N" ~doc) in
-  let transient_arg =
-    inj "inject-transient"
-      "Apps that raise a transient fault on their first attempt."
-  in
-  let fatal_arg = inj "inject-fatal" "Apps that fail fatally on every attempt." in
-  let stall_arg =
-    inj "inject-stall" "Apps whose jobs stall past the fuel watchdog."
-  in
-  let corrupt_arg =
-    inj "inject-corrupt" "Apps whose profile database is corrupted."
-  in
-  let expect_arg =
-    let doc =
-      "Exit 0 only if the batch outcome matches the fault plan exactly: \
-       persistently faulted apps fail or are quarantined, transiently \
-       faulted apps recover via retry, and everything else completes.  \
-       Used by the CI smoke job."
-    in
-    Arg.(value & flag & info [ "expect-injected" ] ~doc)
-  in
-  let run scheme instrs jobs retries fuel deadline quarantine seed transient
-      fatal stall corrupt expect =
-    let scheme =
-      match Critics.Scheme.of_string scheme with
-      | Some s -> s
-      | None ->
-        prerr_endline ("unknown scheme " ^ scheme);
-        exit 1
-    in
-    let apps = Workload.Apps.all in
-    let names = List.map (fun (p : Workload.Profile.t) -> p.name) apps in
-    let faults =
-      Workload.Fault.plan ~seed ~raise_transient:transient ~raise_fatal:fatal
-        ~stall ~corrupt_db:corrupt names
-    in
-    let policy =
-      {
-        Experiments.Harness.default_policy with
-        retries;
-        fuel;
-        wall_deadline_s = deadline;
-        quarantine_after = quarantine;
-      }
-    in
-    let h = Experiments.Harness.create ~instrs ?jobs () in
-    Printf.printf "supervised sweep: %d apps x %s (%d instrs, %d domains)\n"
-      (List.length apps)
-      (Critics.Scheme.name scheme)
-      instrs
-      (Experiments.Harness.jobs h);
-    Printf.printf "fault plan: %s\n\n" (Workload.Fault.to_string faults);
-    let report =
-      Experiments.Harness.run_batch_supervised ~policy ~faults h
-        (List.map (fun p -> Experiments.Harness.job p scheme) apps)
-    in
-    print_string (Experiments.Harness.render_report report);
-    if expect then begin
-      let module H = Experiments.Harness in
-      let persistent_victims =
-        List.filter_map
-          (fun (app, action) ->
-            match action with
-            | Workload.Fault.Raise_transient _ -> None
-            | _ -> Some app)
-          (Workload.Fault.victims faults)
-      in
-      let ok = ref true in
-      let complain fmt = Printf.ksprintf (fun m -> ok := false; prerr_endline m) fmt in
-      List.iter
-        (fun (r : H.job_report) ->
-          let persistent = List.mem r.report_app persistent_victims in
-          match (r.report_outcome, persistent) with
-          | H.Completed, true ->
-            complain "expected %s to fail (persistent fault) but it completed"
-              r.report_app
-          | (H.Failed _ | H.Quarantined _ | H.Skipped _), false ->
-            complain "expected %s to complete but it did not" r.report_app
-          | _ -> ())
-        report.H.reports;
-      (* Transient victims must have recovered via retry. *)
-      List.iter
-        (fun (app, action) ->
-          match action with
-          | Workload.Fault.Raise_transient _ ->
-            List.iter
-              (fun (r : H.job_report) ->
-                if r.report_app = app && r.report_attempts < 2 then
-                  complain "expected %s to retry (attempts >= 2), saw %d" app
-                    r.report_attempts)
-              report.H.reports
-          | _ -> ())
-        (Workload.Fault.victims faults);
-      if !ok then
-        print_endline "expect-injected: outcomes match the fault plan"
-      else begin
-        prerr_endline "expect-injected: MISMATCH";
-        exit 1
-      end
-    end
-    else if report.Experiments.Harness.failures <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Run a supervised batch over every application: per-job failures \
-          are contained, classified and reported; transient failures are \
-          retried; repeat offenders are quarantined.  Deterministic fault \
-          injection (--inject-*) exercises every supervision path.")
-    Term.(
-      const run $ scheme_arg $ instrs_arg $ jobs_arg $ retries_arg $ fuel_arg
-      $ deadline_arg $ quarantine_arg $ seed_arg $ transient_arg $ fatal_arg
-      $ stall_arg $ corrupt_arg $ expect_arg)
-
 (* ------------------------------- trace ---------------------------- *)
 
 let parse_scheme name =
@@ -714,8 +560,9 @@ let cache_cmd =
 
 (* The fleet-scale ingest service: a synthetic population of per-user
    profile uploads (Population) pushed through the crash-recoverable
-   sharded engine (Service.Engine) on the domain pool, with the
-   experiment harness's retry policy on contained failures. *)
+   sharded engine (Service.Engine) on the domain pool.  Each upload is
+   sent once: the engine refuses a bad payload on every attempt, and a
+   re-sent upload is a duplicate, so a rerun of serve is the retry. *)
 
 let serve_cmd =
   let dir_arg =
@@ -836,35 +683,18 @@ let serve_cmd =
           Mutex.unlock progress_lock
       in
       let pool = Parallel.Pool.create ?jobs () in
-      let policy = Experiments.Harness.default_policy in
       let t0 = Unix.gettimeofday () in
       let results_list =
-        Parallel.Pool.run_supervised pool
-          (List.map
-             (fun (u : Service.Chaos.upload) () ->
-               let rec attempt round =
-                 let t = Unix.gettimeofday () in
-                 match
-                   Service.Engine.ingest eng ~id:u.up_id ~app:u.up_app
-                     ~payload:u.up_payload
-                 with
-                 | Ok ack ->
+        Parallel.Pool.map_list ~chunk:1 pool
+          (fun (u : Service.Chaos.upload) ->
+            let t = Unix.gettimeofday () in
+            Service.Engine.ingest eng ~id:u.up_id ~app:u.up_app
+              ~payload:u.up_payload
+            |> Result.map (fun (ack : Service.Engine.ack) ->
                    note_ack ();
                    ( int_of_float ((Unix.gettimeofday () -. t) *. 1e6),
-                     ack.Service.Engine.ack_duplicate )
-                 | Error msg ->
-                   if round > policy.Experiments.Harness.retries then
-                     failwith msg
-                   else begin
-                     let d =
-                       Experiments.Harness.backoff_delay_s policy ~round
-                     in
-                     if d > 0.0 then Unix.sleepf d;
-                     attempt (round + 1)
-                   end
-               in
-               attempt 1)
-             uploads)
+                     ack.ack_duplicate )))
+          uploads
       in
       let wall_s = Unix.gettimeofday () -. t0 in
       let reg = Telemetry.Registry.create () in
@@ -876,9 +706,9 @@ let serve_cmd =
             Telemetry.Registry.observe lat us;
             incr ok;
             if dup then incr dups
-          | Error (e, _bt) ->
+          | Error msg ->
             incr failed;
-            Printf.eprintf "serve: upload failed: %s\n" (Printexc.to_string e))
+            Printf.eprintf "serve: upload failed: %s\n" msg)
         results_list;
       Service.Engine.checkpoint eng;
       let seqs = Service.Engine.shard_seqs eng in
@@ -1019,6 +849,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ apps_cmd; config_cmd; schemes_cmd; run_cmd; compare_cmd;
-            profile_cmd; characterize_cmd; experiment_cmd; sweep_cmd;
-            trace_cmd; report_cmd; check_cmd; cache_cmd; serve_cmd;
-            store_cmd ]))
+            profile_cmd; characterize_cmd; experiment_cmd; trace_cmd;
+            report_cmd; check_cmd; cache_cmd; serve_cmd; store_cmd ]))

@@ -168,7 +168,7 @@ let warm_state ctx scheme (mem : Mem.Hierarchy.config) =
       Pipeline.Cpu.warm h (stream ctx scheme);
       h)
 
-let stats ?(config = Pipeline.Config.table_i) ?fuel ?probe ctx scheme =
+let stats ?(config = Pipeline.Config.table_i) ?probe ctx scheme =
   (* The TRRIP policy is the one consumer of block temperatures; other
      policies ignore the hint, so the table is only computed (once per
      scheme) when it can matter.  The warm pass ignores hints, so TRRIP
@@ -180,7 +180,7 @@ let stats ?(config = Pipeline.Config.table_i) ?fuel ?probe ctx scheme =
       None
   in
   let hier = Mem.Hierarchy.copy (warm_state ctx scheme config.mem) in
-  Pipeline.Cpu.run_stream ~hier ?fuel ?probe ?itemp config (source ctx scheme)
+  Pipeline.Cpu.run_stream ~hier ?probe ?itemp config (source ctx scheme)
 
 let speedup ~base (st : Pipeline.Stats.t) =
   (float_of_int base.Pipeline.Stats.cycles /. float_of_int st.cycles) -. 1.0

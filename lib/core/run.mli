@@ -109,18 +109,15 @@ val heat : app_context -> Transform.Scheme.t -> int array
 
 val stats :
   ?config:Pipeline.Config.t ->
-  ?fuel:int ->
   ?probe:Telemetry.Probe.t ->
   app_context ->
   Transform.Scheme.t ->
   Pipeline.Stats.t
-(** Simulate a scheme (default machine: Table I), streaming.  [fuel]
-    bounds the run in simulated cycles; exceeding it raises
-    [Util.Err.Error] with kind [Timeout].  [probe] attaches a telemetry
-    observer; the returned stats are bit-identical with or without one
-    (see {!Pipeline.Cpu.run_stream}).  When the configuration selects
-    the TRRIP i-cache policy, the scheme's {!heat} table is computed
-    and threaded through automatically.
+(** Simulate a scheme (default machine: Table I), streaming.  [probe]
+    attaches a telemetry observer; the returned stats are bit-identical
+    with or without one (see {!Pipeline.Cpu.run_stream}).  When the
+    configuration selects the TRRIP i-cache policy, the scheme's {!heat}
+    table is computed and threaded through automatically.
 
     The warm pass ({!Pipeline.Cpu.warm}) runs once per (scheme,
     [config.mem]) while the scheme stays the context's most recently

@@ -4,7 +4,6 @@
     shared harness, which is what [bench/main.exe] prints. *)
 
 module Harness = Harness
-module Journal = Journal
 module Fig01 = Fig01
 module Fig03 = Fig03
 module Fig05 = Fig05

@@ -37,11 +37,11 @@ val create :
     are bit-identical with telemetry on or off.
 
     [store] attaches a prepared-artifact cache ({!Store}): prepared
-    contexts and completed default-fuel simulations are persisted, so a
-    warm harness loads them instead of recomputing.  Transformed
-    programs are not persisted; {!Critics.Run.transformed} compiles
-    them.  Telemetry-enabled simulations always run live (probes observe
-    the run itself). *)
+    contexts and completed simulations are persisted, so a warm harness
+    loads them instead of recomputing.  Transformed programs are not
+    persisted; {!Critics.Run.transformed} compiles them.
+    Telemetry-enabled simulations always run live (probes observe the
+    run itself). *)
 
 val instrs : t -> int
 
@@ -101,7 +101,7 @@ val probe_for :
   Telemetry.Probe.t option
 (** The probe memoized for (app, scheme, config), if the harness has
     telemetry enabled and that simulation has run.  Like the stats memo,
-    the first completed run wins; failed runs store nothing. *)
+    the first completed run wins. *)
 
 val telemetry_probes : t -> (string * Telemetry.Probe.t) list
 (** Every memoized probe with its memo key, sorted by key — a
@@ -142,86 +142,6 @@ val fetch_totals_for : t -> job list -> int * int
 (** [(fetch_bytes, cycles)] summed over the distinct simulations the
     given jobs name (memoized results only) — the fetch-bandwidth
     aggregate bench embeds per artifact in BENCH_results.json. *)
-
-(** {2 Supervised batch evaluation}
-
-    {!run_batch} is all-or-nothing: one poisoned job aborts the whole
-    sweep.  {!run_batch_supervised} instead contains every per-job
-    failure — classified through {!Util.Err} with (app, scheme) context
-    — retries transient ones with bounded deterministic backoff,
-    quarantines repeat offenders, enforces a per-job simulation-fuel
-    deadline and a batch wall-clock deadline, and reports exactly what
-    happened to every job while the rest of the sweep completes.
-    Successful results land in the same memo tables as {!run_batch}, so
-    surviving artifacts are bit-identical to a fault-free run. *)
-
-type policy = {
-  retries : int;  (** extra attempts granted to [Transient] failures *)
-  backoff_ms : float;
-      (** base delay before retry round [r], doubled per round; [0.]
-          disables waiting (the test default) *)
-  backoff_max_ms : float;  (** backoff cap *)
-  backoff_seed : int;  (** jitter seed — no ambient randomness *)
-  fuel : int option;
-      (** per-job simulated-cycle budget ({!Pipeline.Cpu.run_stream}'s
-          cooperative watchdog); [None] = unlimited *)
-  wall_deadline_s : float option;
-      (** batch wall-clock deadline, checked between rounds; pending
-          jobs are skipped as [Cancelled] once it passes *)
-  quarantine_after : int;
-      (** failed attempts (any job) an app may accumulate before its
-          remaining jobs are quarantined *)
-  stall_fuel : int;
-      (** fuel budget substituted for jobs the fault plan stalls *)
-}
-
-val default_policy : policy
-(** 2 retries, no backoff wait, no fuel or wall deadline, quarantine
-    after 3 failures. *)
-
-type outcome =
-  | Completed
-  | Failed of Util.Err.t  (** ran and gave up (after retries, if any) *)
-  | Quarantined of Util.Err.t
-      (** the app hit the quarantine threshold; this job was cut off *)
-  | Skipped of Util.Err.t  (** never decided: batch deadline passed *)
-
-type job_report = {
-  report_app : string;
-  report_scheme : string option;  (** [None] for context-only jobs *)
-  report_attempts : int;
-  report_outcome : outcome;
-}
-
-type batch_report = {
-  completed : int;
-  failures : job_report list;  (** non-[Completed] reports, input order *)
-  reports : job_report list;  (** every job, input order *)
-  rounds : int;  (** dispatch rounds executed (1 = no retries needed) *)
-}
-
-val run_batch_supervised :
-  ?policy:policy -> ?faults:Workload.Fault.plan -> t -> job list -> batch_report
-(** Evaluate a batch under supervision.  Jobs run across the harness's
-    domain pool in rounds; round results are folded in submission
-    order, so outcomes are identical at every [jobs] width.  [faults]
-    (default {!Workload.Fault.none}) injects the plan's deterministic
-    faults — used by the fault-injection test suite to prove
-    containment end-to-end.  Failed jobs write nothing to the memo
-    tables. *)
-
-val outcome_name : outcome -> string
-val outcome_err : outcome -> Util.Err.t option
-
-val backoff_delay_s : policy -> round:int -> float
-(** Delay (seconds) before retry round [round]: [backoff_ms] doubled
-    per round with seeded jitter in [0.5, 1.5), capped at
-    [backoff_max_ms].  Deterministic in the policy — exposed for the
-    test suite. *)
-
-val render_report : batch_report -> string
-(** Human-readable summary: completion counts plus one line per
-    non-completed job with its classified error. *)
 
 val mean : float list -> float
 

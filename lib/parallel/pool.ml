@@ -201,26 +201,6 @@ let run t thunks =
     Mutex.unlock t.lock;
     raise_collected batch.errs
 
-let run_supervised t thunks =
-  let n = List.length thunks in
-  let out = Array.make n None in
-  let wrapped =
-    List.mapi
-      (fun i f () ->
-        out.(i) <-
-          Some
-            (try Ok (f ())
-             with e -> Error (e, Printexc.get_backtrace ())))
-      thunks
-  in
-  run t wrapped;
-  Array.to_list
-    (Array.map
-       (function
-         | Some r -> r
-         | None -> assert false (* every wrapped thunk stores a result *))
-       out)
-
 let map ?chunk t f xs =
   let n = Array.length xs in
   if n = 0 then [||]

@@ -41,12 +41,6 @@ val run : t -> (unit -> unit) list -> unit
     pool job: the nested caller executes queued work itself rather than
     deadlocking. *)
 
-val run_supervised : t -> (unit -> 'a) list -> ('a, exn * string) result list
-(** Like {!run}, but never raises: result [i] is [Ok v] when job [i]
-    returned [v] and [Error (exn, backtrace)] when it raised.  The
-    supervision layer above classifies the captured exceptions
-    ({!Util.Err.of_exn}) and decides retry / quarantine per job. *)
-
 val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel map.  The input is split into contiguous
     chunks of [chunk] elements (default [n / (jobs * 8)], at least 1)

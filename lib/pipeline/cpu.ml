@@ -310,11 +310,8 @@ let warm hier (cursor : Prog.Trace.Stream.cursor) =
     lo := Prog.Trace.Stream.take cursor
   done
 
-let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
-    ?(itemp = no_itemp) (cfg : Config.t) (source : source) : Stats.t =
-  (match fuel with
-  | Some f when f <= 0 -> invalid_arg "Cpu.run_stream: fuel must be positive"
-  | _ -> ());
+let run_stream ?hier ?(checks = false) ?on_commit ?probe ?(itemp = no_itemp)
+    (cfg : Config.t) (source : source) : Stats.t =
   (* Block-temperature table for the TRRIP i-cache policy: indexed by
      block id, 0 hot .. 3 cold.  Empty = no hints (every lookup yields
      -1, the policies' "unknown"). *)
@@ -1195,22 +1192,7 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
     && iring_is_empty fetch_q && iring_is_empty decode_q
     && iring_is_empty rob
   in
-  (* Cooperative deadline: the fuel budget bounds simulated cycles, so a
-     runaway or stalled job aborts deterministically at the same cycle
-     on every run — the watchdog the supervised harness relies on. *)
-  let fuel_limit = match fuel with Some f -> f | None -> max_int in
   while not (finished ()) do
-    if !now >= fuel_limit then begin
-      (match probe with
-      | Some p ->
-        Telemetry.Probe.fault p ~cycle:!now ~kind:"fuel_exhausted";
-        Telemetry.Probe.finish p ~cycles:!now
-      | None -> ());
-      Util.Err.failf Timeout
-        "simulation fuel exhausted: %d cycles simulated, %d events pulled, \
-         %d committed"
-        !now !pulled !committed_total
-    end;
     if !now > (!pulled * 300) + 1_000_000 then
       failwith "Cpu.run: deadlock (cycle guard exceeded)";
     do_commit !now;
@@ -1298,7 +1280,7 @@ let run_stream ?hier ?(checks = false) ?fuel ?on_commit ?probe
     iopp_predictable = Mem.Hierarchy.iopp_predictable hier;
   }
 
-let run ?hier ?checks ?fuel ?on_commit ?probe ?itemp (cfg : Config.t)
+let run ?hier ?checks ?on_commit ?probe ?itemp (cfg : Config.t)
     (trace : Prog.Trace.t) : Stats.t =
-  run_stream ?hier ?checks ?fuel ?on_commit ?probe ?itemp cfg (fun () ->
+  run_stream ?hier ?checks ?on_commit ?probe ?itemp cfg (fun () ->
       Prog.Trace.Stream.of_trace trace)

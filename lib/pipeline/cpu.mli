@@ -72,7 +72,6 @@ val warm : Mem.Hierarchy.t -> Prog.Trace.Stream.cursor -> unit
 val run_stream :
   ?hier:Mem.Hierarchy.t ->
   ?checks:bool ->
-  ?fuel:int ->
   ?on_commit:(commit -> unit) ->
   ?probe:Telemetry.Probe.t ->
   ?itemp:int array ->
@@ -119,26 +118,19 @@ val run_stream :
     invariant.  Used by the differential test harness; costs a few
     percent of runtime.
 
-    [fuel] is a cooperative per-run deadline in simulated cycles: when
-    the main loop reaches that cycle the run aborts by raising
-    [Util.Err.Error] with kind [Timeout] (deterministically — the same
-    stream and configuration abort at the same cycle on every host).
-    The warm pass is not fuel-metered; it is linear in the stream.
-    Default: unlimited.  Raises [Invalid_argument] if [fuel <= 0].
-
     [on_commit] observes every ROB retirement in order — the hook the
     oracle differential harness lines up against the golden model's
     commit log.
 
     [probe] attaches a {!Telemetry.Probe}: it is fed one record per ROB
     retirement (with the exact stage-attribution values the stage
-    accumulators sum), one notification per CDP marker consumed at
-    decode, and a fault notification if the fuel watchdog trips; its
-    windows are flushed before the function returns.  The probe is
-    purely observational — the returned [Stats.t] is bit-identical with
-    or without one attached — and with [checks] on, the end-of-run
-    identities additionally assert that the probe's running totals equal
-    the stage accumulators for all three populations.
+    accumulators sum) and one notification per CDP marker consumed at
+    decode; its windows are flushed before the function returns.  The
+    probe is purely observational — the returned [Stats.t] is
+    bit-identical with or without one attached — and with [checks] on,
+    the end-of-run identities additionally assert that the probe's
+    running totals equal the stage accumulators for all three
+    populations.
 
     [itemp] is a per-block temperature table (indexed by
     [Prog.Trace.event.block_id]; 0 hot .. 3 cold) consulted on every
@@ -152,7 +144,6 @@ val run_stream :
 val run :
   ?hier:Mem.Hierarchy.t ->
   ?checks:bool ->
-  ?fuel:int ->
   ?on_commit:(commit -> unit) ->
   ?probe:Telemetry.Probe.t ->
   ?itemp:int array ->

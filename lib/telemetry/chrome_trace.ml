@@ -2,7 +2,6 @@ type event =
   | Counter of { ts : int; name : string; value : int }
   | Async_b of { ts : int; name : string; id : int }
   | Async_e of { ts : int; name : string; id : int }
-  | Instant of { ts : int; name : string; args : (string * string) list }
 
 type t = {
   ring : event array;
@@ -12,7 +11,7 @@ type t = {
   mutable dropped : int;
 }
 
-let dummy = Instant { ts = 0; name = ""; args = [] }
+let dummy = Counter { ts = 0; name = ""; value = 0 }
 
 let create ?(capacity = 65536) () =
   let capacity = max 16 capacity in
@@ -28,7 +27,6 @@ let push t ev =
 let counter t ~ts ~name ~value = push t (Counter { ts; name; value })
 let async_begin t ~ts ~name ~id = push t (Async_b { ts; name; id })
 let async_end t ~ts ~name ~id = push t (Async_e { ts; name; id })
-let instant t ~ts ~name ?(args = []) () = push t (Instant { ts; name; args })
 
 let length t = t.count
 let dropped t = t.dropped
@@ -80,14 +78,7 @@ let to_json t =
             Some
               (base ~name ~ph:"e" ~ts
                  [ ("cat", Str "chain"); ("id", Num (float_of_int id)) ])
-          else None
-        | Instant { ts; name; args } ->
-          Some
-            (base ~name ~ph:"i" ~ts
-               [
-                 ("s", Str "g");
-                 ("args", Obj (List.map (fun (k, v) -> (k, Str v)) args));
-               ]))
+          else None)
       evs
   in
   to_string

@@ -13,9 +13,7 @@
       stage name, value = stall cycles attributed in that window;
     - CritIC chain instances are ["b"]/["e"] async spans in category
       ["chain"], one unique [id] per instance so overlapping instances
-      of the same chain render as separate slices;
-    - fuel-watchdog and fault-injection hits are ["i"] (instant)
-      events.
+      of the same chain render as separate slices.
 
     Ring truncation can orphan the begin of an async pair; orphans are
     filtered at export so emitted JSON always validates. *)
@@ -31,10 +29,6 @@ val counter : t -> ts:int -> name:string -> value:int -> unit
 val async_begin : t -> ts:int -> name:string -> id:int -> unit
 val async_end : t -> ts:int -> name:string -> id:int -> unit
 (** Async span in category ["chain"]; pair by identical [name]/[id]. *)
-
-val instant : t -> ts:int -> name:string -> ?args:(string * string) list ->
-  unit -> unit
-(** Global instant event ([ph:"i"], [s:"g"]). *)
 
 val length : t -> int
 (** Events currently held (after ring truncation). *)

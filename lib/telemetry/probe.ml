@@ -267,14 +267,6 @@ let cdp_marker t ~cycle:_ ~penalty =
   Registry.incr (Registry.counter t.reg "cdp/markers");
   Registry.add (Registry.counter t.reg "cdp/decode_cycles") penalty
 
-let fault t ~cycle ~kind =
-  Registry.incr (Registry.counter t.reg ("fault/" ^ kind));
-  match t.tr with
-  | Some tr ->
-    Chrome_trace.instant tr ~ts:cycle ~name:("fault:" ^ kind)
-      ~args:[ ("kind", kind) ] ()
-  | None -> ()
-
 let finish t ~cycles =
   if not t.finished then begin
     t.finished <- true;

@@ -1,8 +1,8 @@
 (** Pipeline cycle-attribution observer.
 
     A probe is handed to [Pipeline.Cpu.run_stream ?probe] and fed one
-    {!retire} record per committed instruction (plus CDP-marker and
-    fault notifications).  It never feeds anything back: the simulator's
+    {!retire} record per committed instruction (plus CDP-marker
+    notifications).  It never feeds anything back: the simulator's
     architectural and timing state is bit-identical with or without a
     probe attached — the golden-digest suite runs both ways to prove
     it.
@@ -20,8 +20,8 @@
       commit of its last, observed into the ["chain/latency"] histogram
       and a per-chain-id ["chain/id/<n>/latency"] histogram.
     - {b trace events}: when created with [~trace], window flushes emit
-      stage counter-track samples, chain instances emit async spans and
-      faults emit instant events into the bounded {!Chrome_trace} ring.
+      stage counter-track samples and chain instances emit async spans
+      into the bounded {!Chrome_trace} ring.
 
     CDP markers retire at decode and never reach the commit stage, so
     they are reported separately ({!cdp_marker}) and appear in the
@@ -92,10 +92,6 @@ val retire : t -> retire -> unit
 val cdp_marker : t -> cycle:int -> penalty:int -> unit
 (** A CDP switch marker consumed at decode for [penalty] cycles. *)
 
-val fault : t -> cycle:int -> kind:string -> unit
-(** A fuel-watchdog trip or injected fault; counted under
-    ["fault/<kind>"] and emitted as an instant trace event. *)
-
 val finish : t -> cycles:int -> unit
 (** Flush the last open window and record end-of-run metrics.
     Idempotent; further [retire] calls after [finish] are a programming
@@ -115,4 +111,4 @@ val totals : t -> population -> stage_totals
 
 val registry : t -> Registry.t
 (** The probe's metric registry (chain latency histograms, per-window
-    stage histograms, cdp/fault counters, run gauges). *)
+    stage histograms, cdp counters, run gauges). *)

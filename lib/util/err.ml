@@ -1,83 +1,19 @@
-type kind = Transient | Fatal | Timeout | Corrupt_input | Cancelled
+type kind = Fatal | Corrupt_input
 
-type t = {
-  kind : kind;
-  msg : string;
-  app : string option;
-  scheme : string option;
-  config : string option;
-  attempts : int;
-  backtrace : string option;
-}
+type t = { kind : kind; msg : string }
 
 exception Error of t
 
-let make ?app ?scheme ?config ?backtrace ?(attempts = 0) kind msg =
-  { kind; msg; app; scheme; config; attempts; backtrace }
+let fail kind msg = raise (Error { kind; msg })
+let failf kind fmt = Printf.ksprintf (fail kind) fmt
 
-let error ?app ?scheme ?config ?backtrace ?attempts kind msg =
-  Error (make ?app ?scheme ?config ?backtrace ?attempts kind msg)
+let of_exn = function
+  | Error e -> e
+  | Failure msg -> { kind = Fatal; msg }
+  | exn -> { kind = Fatal; msg = Printexc.to_string exn }
 
-let fail ?app ?scheme ?config ?backtrace ?attempts kind msg =
-  raise (error ?app ?scheme ?config ?backtrace ?attempts kind msg)
-
-let failf ?app ?scheme ?config ?backtrace ?attempts kind fmt =
-  Printf.ksprintf
-    (fun msg -> fail ?app ?scheme ?config ?backtrace ?attempts kind msg)
-    fmt
-
-let kind_name = function
-  | Transient -> "transient"
-  | Fatal -> "fatal"
-  | Timeout -> "timeout"
-  | Corrupt_input -> "corrupt-input"
-  | Cancelled -> "cancelled"
-
-let with_context ?app ?scheme ?config ?attempts e =
-  let keep old fresh = match old with Some _ -> old | None -> fresh in
-  {
-    e with
-    app = keep e.app app;
-    scheme = keep e.scheme scheme;
-    config = keep e.config config;
-    attempts = (match attempts with Some a -> a | None -> e.attempts);
-  }
-
-let retryable e = e.kind = Transient
-
-let of_exn ?backtrace = function
-  | Error e ->
-    (match (e.backtrace, backtrace) with
-    | None, Some _ -> { e with backtrace }
-    | _ -> e)
-  | Failure msg -> make ?backtrace Fatal msg
-  | exn -> make ?backtrace Fatal (Printexc.to_string exn)
-
-let to_string e =
-  let b = Buffer.create 64 in
-  Buffer.add_char b '[';
-  Buffer.add_string b (kind_name e.kind);
-  Buffer.add_char b ']';
-  (match e.app with
-  | Some a ->
-    Buffer.add_string b " app=";
-    Buffer.add_string b a
-  | None -> ());
-  (match e.scheme with
-  | Some s ->
-    Buffer.add_string b " scheme=";
-    Buffer.add_string b s
-  | None -> ());
-  (match e.config with
-  | Some c ->
-    Buffer.add_string b " config=";
-    Buffer.add_string b c
-  | None -> ());
-  if e.attempts > 0 then
-    Buffer.add_string b (Printf.sprintf " attempts=%d" e.attempts);
-  Buffer.add_char b ' ';
-  Buffer.add_string b e.msg;
-  Buffer.contents b
+let kind_name = function Fatal -> "fatal" | Corrupt_input -> "corrupt-input"
+let to_string e = "[" ^ kind_name e.kind ^ "] " ^ e.msg
 
 let () =
   Printexc.register_printer (function

@@ -1,86 +1,30 @@
-(** Structured error taxonomy for supervised experiment execution.
+(** Classified errors: what failed, and whether the input was to blame.
 
-    Long multi-app sweeps must not abort wholesale when one job
-    misbehaves: the supervision layer (Pool.run_supervised /
-    Harness.run_batch_supervised) classifies every per-job failure into
-    one of five kinds and carries the (app, scheme, config) context it
-    occurred under, so a batch can retry what is retryable, quarantine
-    what is not, and report exactly what went wrong where. *)
+    Decoders of persistent artifacts (the profile database) raise
+    [Corrupt_input] naming the path and line they rejected; anything
+    else a caller catches is [Fatal].  The bench reports a failed
+    artifact as {!to_string} of {!of_exn}. *)
 
 type kind =
-  | Transient  (** expected to succeed on retry (flaky I/O, injected) *)
   | Fatal  (** deterministic failure; retrying cannot help *)
-  | Timeout  (** cooperative deadline exceeded (simulation fuel) *)
   | Corrupt_input  (** malformed persistent artifact (profile DB, ...) *)
-  | Cancelled  (** never ran: quarantine, batch deadline, or shutdown *)
 
-type t = {
-  kind : kind;
-  msg : string;
-  app : string option;  (** application the failing job ran on *)
-  scheme : string option;
-  config : string option;
-  attempts : int;  (** executions consumed when the job was given up *)
-  backtrace : string option;
-}
+type t = { kind : kind; msg : string }
 
 exception Error of t
-(** The carrier for every supervised path.  Raw exceptions escaping a
-    job are converted with {!of_exn}. *)
 
-val make :
-  ?app:string ->
-  ?scheme:string ->
-  ?config:string ->
-  ?backtrace:string ->
-  ?attempts:int ->
-  kind ->
-  string ->
-  t
+val fail : kind -> string -> 'a
+(** [raise (Error { kind; msg })]. *)
 
-val error :
-  ?app:string ->
-  ?scheme:string ->
-  ?config:string ->
-  ?backtrace:string ->
-  ?attempts:int ->
-  kind ->
-  string ->
-  exn
-(** [Error (make ...)], for [raise]. *)
-
-val fail :
-  ?app:string ->
-  ?scheme:string ->
-  ?config:string ->
-  ?backtrace:string ->
-  ?attempts:int ->
-  kind ->
-  string ->
-  'a
-
-val failf :
-  ?app:string ->
-  ?scheme:string ->
-  ?config:string ->
-  ?backtrace:string ->
-  ?attempts:int ->
-  kind ->
-  ('a, unit, string, 'b) format4 ->
-  'a
+val failf : kind -> ('a, unit, string, 'b) format4 -> 'a
 (** [fail] with a format string. *)
 
-val with_context :
-  ?app:string -> ?scheme:string -> ?config:string -> ?attempts:int -> t -> t
-(** Fill in context fields that are still [None] (existing context
-    wins); [attempts], when given, always overwrites. *)
-
-val of_exn : ?backtrace:string -> exn -> t
-(** [Error e] passes through (adopting [backtrace] if [e] has none);
+val of_exn : exn -> t
+(** [Error e] passes through; [Failure msg] becomes [Fatal] with [msg];
     anything else becomes [Fatal] with the printed exception. *)
 
-val retryable : t -> bool
-(** [true] iff [kind = Transient]. *)
-
 val kind_name : kind -> string
+(** ["fatal"] or ["corrupt-input"]. *)
+
 val to_string : t -> string
+(** ["[kind] msg"]. *)

@@ -62,11 +62,3 @@ let weighted_index t w =
       if x < acc then i else go (i + 1) acc
   in
   go 0 0.0
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

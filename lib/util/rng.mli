@@ -45,6 +45,3 @@ val pick : t -> 'a array -> 'a
 val weighted_index : t -> float array -> int
 (** [weighted_index t w] draws index [i] with probability proportional to
     [w.(i)].  Weights must be non-negative with a positive sum. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -71,33 +71,6 @@ let test_batch_failure_aggregates () =
           Parallel.Pool.run pool
             [ (fun () -> ()); (fun () -> failwith "alone"); (fun () -> ()) ]))
 
-let test_run_supervised () =
-  List.iter
-    (fun jobs ->
-      with_pool jobs (fun pool ->
-          let batch =
-            List.init 8 (fun i () ->
-                if i = 2 || i = 6 then failwith (Printf.sprintf "job-%d" i)
-                else i * 10)
-          in
-          let results = Parallel.Pool.run_supervised pool batch in
-          Alcotest.(check int) "one result per job" 8 (List.length results);
-          List.iteri
-            (fun i r ->
-              match r with
-              | Ok v ->
-                Alcotest.(check bool) "succeeding index" false (i = 2 || i = 6);
-                Alcotest.(check int) "value in submission slot" (i * 10) v
-              | Error (Failure m, _) ->
-                Alcotest.(check string) "failure carries its job"
-                  (Printf.sprintf "job-%d" i) m
-              | Error (e, _) -> raise e)
-            results;
-          (* the pool stays usable after a supervised batch *)
-          Alcotest.(check (list int)) "pool survives" [ 1; 2 ]
-            (Parallel.Pool.map_list pool succ [ 0; 1 ])))
-    [ 1; 4 ]
-
 let test_map_reduce () =
   with_pool 4 (fun pool ->
       let xs = List.init 1000 Fun.id in
@@ -157,7 +130,6 @@ let () =
           Alcotest.test_case "exceptions" `Quick test_exception_propagates;
           Alcotest.test_case "batch failure aggregation" `Quick
             test_batch_failure_aggregates;
-          Alcotest.test_case "run_supervised" `Quick test_run_supervised;
           Alcotest.test_case "map_reduce" `Quick test_map_reduce;
           Alcotest.test_case "default_jobs" `Quick test_default_jobs_env;
           Alcotest.test_case "transient map" `Quick test_transient_map;

@@ -93,16 +93,6 @@ let test_weighted_index () =
   Alcotest.(check bool) "heaviest bucket dominates" true
     (counts.(2) > counts.(1) && counts.(1) > counts.(0))
 
-let test_shuffle_permutation () =
-  let rng = Rng.create 10 in
-  let a = Array.init 50 Fun.id in
-  Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  check
-    Alcotest.(array int)
-    "is a permutation" (Array.init 50 Fun.id) sorted
-
 (* ------------------------------ Stats ----------------------------- *)
 
 let test_mean () =
@@ -393,6 +383,24 @@ let test_atomic_write_sweeps_crash_tmp () =
       Alcotest.(check int) "sweep is idempotent" 0
         (Util.Atomic_io.sweep_tmp dir))
 
+(* ------------------------------- Err ------------------------------ *)
+
+(* The line bench prints for a failed artifact: [kind] and message,
+   nothing else. *)
+let test_err_to_string () =
+  let printed f =
+    match f () with
+    | _ -> Alcotest.fail "expected an exception"
+    | exception e -> Util.Err.to_string (Util.Err.of_exn e)
+  in
+  check Alcotest.string "Failure is fatal" "[fatal] boom"
+    (printed (fun () -> failwith "boom"));
+  check Alcotest.string "Db_io names path and line"
+    "[corrupt-input] Db_io db.txt:3: negative site count"
+    (printed (fun () ->
+         Profiler.Db_io.of_string ~path:"db.txt"
+           "critics-db-1\ntotal_work 10\nsites -1\n"))
+
 let () =
   Alcotest.run "util"
     [
@@ -408,7 +416,6 @@ let () =
           Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
           Alcotest.test_case "geometric mean" `Slow test_rng_geometric_mean;
           Alcotest.test_case "weighted index" `Quick test_weighted_index;
-          Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
         ] );
       ( "stats",
         [
@@ -436,5 +443,6 @@ let () =
           Alcotest.test_case "crash tmp swept" `Quick
             test_atomic_write_sweeps_crash_tmp;
         ] );
+      ("err", [ Alcotest.test_case "to_string" `Quick test_err_to_string ]);
       ("properties", qcheck_cases);
     ]
