@@ -4,10 +4,9 @@
    experiment harness and prints them — this is the output
    recorded in bench_output.txt / EXPERIMENTS.md.  The harness evaluates
    its (app × scheme × config) jobs across a domain pool; `--jobs N`
-   (or CRITICS_JOBS) sets the width, default
-   Domain.recommended_domain_count.  Per-artifact wall-clock timings are
-   written to BENCH_results.json so successive PRs have a perf
-   trajectory to compare against. *)
+   sets the width, default Domain.recommended_domain_count.
+   Per-artifact wall-clock timings are written to BENCH_results.json so
+   successive PRs have a perf trajectory to compare against. *)
 
 let instrs = ref 100_000
 
@@ -269,8 +268,7 @@ let usage () =
     "usage: bench [--jobs N] [--instrs N] [--telemetry] [--ablation] \
      [--policy-sweep]\n\n\
      Regenerates every table and figure.\n\n\
-    \  --jobs N    domain-pool width (default: recommended domain count,\n\
-    \              or CRITICS_JOBS)\n\
+    \  --jobs N    domain-pool width (default: recommended domain count)\n\
     \  --instrs N  dynamic work instructions per app run (default: 100000)\n\
     \  --telemetry attach cycle-attribution probes to every simulation and\n\
     \              embed per-artifact histogram summaries in\n\

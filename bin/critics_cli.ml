@@ -203,9 +203,9 @@ let experiment_cmd =
   in
   let jobs_arg =
     let doc =
-      "Domains to evaluate simulations on (default: CRITICS_JOBS if set, \
-       else the machine's recommended domain count).  Results are \
-       bit-identical for every value."
+      "Domains to evaluate simulations on (default: the machine's \
+       recommended domain count).  Results are bit-identical for every \
+       value."
     in
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
@@ -404,23 +404,18 @@ let check_cmd =
     let doc = "Base fuzz seed; case $(i) uses seed SEED+$(i)." in
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let per_pass_arg =
-    let doc =
-      "Additionally run every nanopass pipeline variant with the \
-       architectural checker armed after every individual pass, \
-       attributing any divergence to the exact stage that introduced it."
-    in
-    Arg.(value & flag & info [ "per-pass" ] ~doc)
-  in
-  let run cases seed per_pass =
+  let run cases seed =
     let module D = Oracle.Differential in
     let failures = ref 0 in
     let events = ref 0 in
     let simulated = ref 0 in
     let pipelines = ref 0 in
+    let applications = ref 0 in
     let count (t : D.tally) =
       events := !events + t.compared;
-      simulated := !simulated + t.simulated
+      simulated := !simulated + t.simulated;
+      pipelines := !pipelines + t.pipelines;
+      applications := !applications + t.applications
     in
     let report label = function
       | Ok t -> count t
@@ -428,30 +423,16 @@ let check_cmd =
         incr failures;
         Printf.eprintf "FAIL %-24s %s\n%!" label msg
     in
-    (* [check_program] is [prepare] + [check_prepared]; preparing here
-       lets --per-pass reuse the walk/trace/profile for the pipeline
-       sweep without changing what the default mode runs. *)
-    let check_pipelines label prepared =
-      match D.check_pipelines prepared with
-      | Ok n -> pipelines := !pipelines + n
-      | Error msg ->
-        incr failures;
-        Printf.eprintf "FAIL %-24s %s\n%!" (label ^ " per-pass") msg
-    in
     Printf.printf
       "differential check: %d apps x %d machine configs, then %d fuzzed \
-       programs%s\n%!"
+       programs\n%!"
       (List.length Workload.Apps.all)
-      (List.length D.configs) cases
-      (if per_pass then " (per-pass pipeline checks on)" else "");
+      (List.length D.configs) cases;
     List.iter
       (fun (p : Workload.Profile.t) ->
-        let prepared =
-          D.prepare ~instrs:1_500 (Workload.Gen.program p)
-            ~seed:(p.seed lxor 0x5EED)
-        in
-        report p.name (D.check_prepared prepared);
-        if per_pass then check_pipelines p.name prepared)
+        report p.name
+          (D.check_program ~instrs:1_500 (Workload.Gen.program p)
+             ~seed:(p.seed lxor 0x5EED)))
       Workload.Apps.all;
     let fuzz_configs =
       List.filter
@@ -460,31 +441,26 @@ let check_cmd =
     in
     for i = 0 to cases - 1 do
       let s = seed + i in
-      let program = Workload.Fuzz.program_of_seed s in
-      let prepared = D.prepare ~instrs:500 program ~seed:((s * 7) + 1) in
-      (match
-         D.check_prepared ~configs:fuzz_configs ~variant_configs:fuzz_configs
-           prepared
-       with
+      match
+        D.check_program ~configs:fuzz_configs ~variant_configs:fuzz_configs
+          ~instrs:500 (Workload.Fuzz.program_of_seed s) ~seed:((s * 7) + 1)
+      with
       | Ok t -> count t
       | Error msg ->
         incr failures;
         Printf.eprintf "FAIL fuzz seed %d: %s\ngenome:\n%s\n%!" s msg
-          (Workload.Fuzz.to_string (Workload.Fuzz.spec_of_seed s)));
-      if per_pass then
-        check_pipelines (Printf.sprintf "fuzz seed %d" s) prepared
+          (Workload.Fuzz.to_string (Workload.Fuzz.spec_of_seed s))
     done;
     if !failures = 0 then begin
       (* A program equal to one already checked is credited, not
          re-simulated: the first count covers every (program, config)
-         pair, the second is the part simulated. *)
+         pair, the second is the part simulated.  Pass lists that share
+         a prefix apply it once: the last count is what was applied. *)
       Printf.printf
-        "ok: %d retirements compared (%d simulated), no divergence\n" !events
-        !simulated;
-      if per_pass then
-        Printf.printf
-          "per-pass: %d pipeline variants checked after every pass\n"
-          !pipelines
+        "ok: %d retirements compared (%d simulated), no divergence\n\
+         per-pass: %d pipeline variants checked after every pass (%d \
+         distinct pass applications)\n"
+        !events !simulated !pipelines !applications
     end
     else begin
       Printf.eprintf "%d check(s) failed\n" !failures;
@@ -495,8 +471,8 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:
          "Differentially test the simulator, the trace expander and every \
-          transform against the golden architectural model")
-    Term.(const run $ cases_arg $ seed_arg $ per_pass_arg)
+          transform pass against the golden architectural model")
+    Term.(const run $ cases_arg $ seed_arg)
 
 (* ------------------------------ cache ----------------------------- *)
 
@@ -585,7 +561,7 @@ let serve_cmd =
     Arg.(value & opt int 256 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
   in
   let jobs_arg =
-    let doc = "Ingest worker domains (default: CRITICS_JOBS or core count)." in
+    let doc = "Ingest worker domains (default: core count)." in
     Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
   in
   let chaos_arg =
@@ -605,13 +581,6 @@ let serve_cmd =
        know exactly what was promised)."
     in
     Arg.(value & opt (some string) None & info [ "progress" ] ~docv:"FILE" ~doc)
-  in
-  let results_arg =
-    let doc =
-      "Embed the throughput/latency summary as the \"serve\" member of \
-       this BENCH_results.json (created if missing)."
-    in
-    Arg.(value & opt (some string) None & info [ "results" ] ~docv:"FILE" ~doc)
   in
   let population users =
     List.map
@@ -633,23 +602,7 @@ let serve_cmd =
     print_string (Service.Chaos.render rep);
     if rep.rep_violations > 0 then exit 1
   in
-  let embed_results path ~summary =
-    let base =
-      if Sys.file_exists path then
-        try Util.Json.parse (Util.Atomic_io.read_file path)
-        with Util.Json.Parse_error _ -> Util.Json.Obj []
-      else Util.Json.Obj []
-    in
-    let members =
-      match base with Util.Json.Obj ms -> ms | _ -> []
-    in
-    let members =
-      List.remove_assoc "serve" members @ [ ("serve", summary) ]
-    in
-    Util.Atomic_io.write path (Util.Json.to_string (Util.Json.Obj members));
-    Printf.printf "serve summary embedded in %s\n" path
-  in
-  let serve dir users shards every jobs chaos progress results =
+  let serve dir users shards every jobs chaos progress =
     match chaos with
     | Some n -> run_chaos dir users shards every n
     | None ->
@@ -752,25 +705,6 @@ let serve_cmd =
           exit 1
         end);
       Printf.printf "state digest: %s\n%!" state_digest;
-      (match results with
-      | None -> ()
-      | Some path ->
-        let f x = Util.Json.Num x in
-        embed_results path
-          ~summary:
-            (Util.Json.Obj
-               [
-                 ("uploads", f (float_of_int !ok));
-                 ("duplicates", f (float_of_int !dups));
-                 ("failed", f (float_of_int !failed));
-                 ("wall_ms", f (wall_s *. 1000.0));
-                 ("uploads_per_s", f ups);
-                 ("p50_us", f (float_of_int p50));
-                 ("p99_us", f (float_of_int p99));
-                 ("shards", f (float_of_int shards));
-                 ("checkpoints", f (float_of_int (rt "service/checkpoints")));
-                 ("store_uploads", f (float_of_int total_uploads));
-               ]));
       if !failed > 0 then exit 1
   in
   Cmd.v
@@ -781,7 +715,7 @@ let serve_cmd =
           durability contract under deterministic fault injection)")
     Term.(
       const serve $ dir_arg $ users_arg $ shards_arg $ every_arg $ jobs_arg
-      $ chaos_arg $ progress_arg $ results_arg)
+      $ chaos_arg $ progress_arg)
 
 (* ------------------------------ store ----------------------------- *)
 

@@ -47,18 +47,11 @@ type app_context = {
 
 let default_instrs = 120_000
 
-(* Bump whenever the marshalled shape of the cached tuple — or of any
-   type reachable from it — changes.  [Store.code_version] already
-   invalidates on every commit; this constant covers dirty-worktree
-   edits, where the git description stays "<sha>-dirty" across edits. *)
-let context_format = "critics-ctx-2"
-
 let context_key ?(instrs = default_instrs) ?(sample = 0)
     ?(profile_window = 512) ?threshold ?(profile_fraction = 1.0)
     (profile : Workload.Profile.t) =
   Store.key ~kind:"context"
     [
-      context_format;
       Marshal.to_string profile [];
       string_of_int instrs;
       string_of_int sample;

@@ -14,7 +14,7 @@ type result = { lengths : length_point list; coverage : coverage_point list }
 let apply_critic ~max_len ctx db =
   let options, passes = Critics.Scheme.pipeline Critics.Scheme.Critic in
   fst
-    (Transform.Pipeline.run_exn
+    (Transform.Pipeline.run
        (Transform.Pass.env ~options:{ options with Transform.Pass.max_len } db)
        passes ctx.Critics.Run.program)
 

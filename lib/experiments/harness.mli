@@ -26,8 +26,7 @@ val create :
   t
 (** [instrs] is the work-instruction budget per application run
     (default {!Critics.Run.default_instrs}).  [jobs] is the parallelism
-    width for {!run_batch} (default {!Parallel.default_jobs}: the
-    [CRITICS_JOBS] environment variable, else
+    width for {!run_batch} (default {!Parallel.default_jobs}:
     [Domain.recommended_domain_count ()]); [jobs = 1] never spawns a
     domain and evaluates everything sequentially in the caller.
     [telemetry] enables cycle-attribution probes on every simulation

@@ -7,11 +7,11 @@
      Walk.path_for_instrs  ==  Interp's independent walk      (check_walk)
      Trace.expand          ==  Interp's commit-log entries    (check_trace)
      Cpu.run retirement    ==  Trace minus CDP markers        (check_cpu_trace)
-     transformed program   ==  original, per-block digests    (check_transform_pair)
+     every pass's output   ==  source, per-block digests      (check_pipelines)
 
    so a green [check_prepared] means the golden model, the trace
-   expander, the walk sampler, the cycle simulator and the compiler
-   passes all agree on the architectural behaviour of a program. *)
+   expander, the walk sampler, the cycle simulator and every compiler
+   pass agree on the architectural behaviour of a program. *)
 
 module T = Prog.Trace
 
@@ -172,9 +172,8 @@ let check_cpu_trace ~config trace =
       else Ok nexp
     end
 
-let check_transform_pair ~original ~transformed ~seed ~path =
-  let a = Interp.run_path original ~seed path in
-  let b = Interp.run_path transformed ~seed path in
+(* Golden-model equivalence of two runs over the same walk. *)
+let same_behaviour path (a : Interp.result) (b : Interp.result) =
   if Commit_log.arch_equivalent a.Interp.log b.Interp.log then Ok ()
   else
     match Commit_log.first_divergence a.Interp.log b.Interp.log with
@@ -189,6 +188,11 @@ let check_transform_pair ~original ~transformed ~seed ~path =
       Error
         (Printf.sprintf "oracle divergence at %d%s: %s vs %s" d.Commit_log.at
            where d.Commit_log.expected d.Commit_log.got)
+
+let check_transform_pair ~original ~transformed ~seed ~path =
+  same_behaviour path
+    (Interp.run_path original ~seed path)
+    (Interp.run_path transformed ~seed path)
 
 (* --------------------- whole-program check suite ------------------- *)
 
@@ -207,92 +211,127 @@ let prepare ?(instrs = 2_000) program ~seed =
   let db = Profiler.Profile_run.profile trace in
   { program; seed; instrs; path; trace; db }
 
-(* Both variant lists are every scheme that transforms anything, read
-   from the scheme table, so the oracle checks each scheme the bench
-   simulates. *)
+(* ---------------------- per-pass pipeline checks ------------------- *)
+
+(* One node per distinct pass prefix: the program the prefix produced,
+   and the prefixes one pass longer, keyed by the pass value itself. *)
+type node = {
+  out : Prog.Program.t;
+  mutable next : (Transform.Pass.t * node) list;
+}
+
+let root p = { out = p.program; next = [] }
+
+(* Every stage must stay equivalent to the *source* program: switch
+   markers are dataflow- and architecture-transparent, so both the
+   static per-block summaries and the golden model's commit digests
+   are stage invariants.  Checking against the source rather than the
+   previous stage pins divergence to the first pass that breaks.
+   [source] is the source program's golden-model run. *)
+let check_stage p ~source program =
+  let* _ = Transform.Verify.check_pass (fun _ -> (program, ())) p.program in
+  same_behaviour p.path source (Interp.run_path program ~seed:p.seed p.path)
+
+(* Walk [passes] down from [node], applying and checking only the
+   passes no earlier walk took from the same node.  Passes are matched
+   physically, so a substitute pass that shares a real pass's name
+   never reuses its result.  A pass that returns its input is not
+   checked again. *)
+let walk p ~source ~applications name env node passes =
+  let rec go node = function
+    | [] -> Ok node.out
+    | (pass : Transform.Pass.t) :: rest -> (
+      match List.assq_opt pass node.next with
+      | Some child -> go child rest
+      | None ->
+        incr applications;
+        let out, _ = pass.apply env node.out in
+        let* () =
+          if out == node.out then Ok ()
+          else
+            Result.map_error
+              (Printf.sprintf "[%s/%s] %s" name pass.name)
+              (check_stage p ~source out)
+        in
+        let child = { out; next = [] } in
+        node.next <- (pass, child) :: node.next;
+        go child rest)
+  in
+  go node passes
+
+let check_pipeline p (name, env, passes) =
+  let source = Interp.run_path p.program ~seed:p.seed p.path in
+  walk p ~source ~applications:(ref 0) name env (root p) passes
+
+type pipelines = {
+  finals : (string * Prog.Program.t) list;
+  applications : int;
+}
+
+(* Every scheme that transforms anything, read from the scheme table,
+   so the oracle checks each scheme the bench simulates. *)
 let transformed_schemes =
   List.filter
     (fun s -> not (List.is_empty (snd (Transform.Scheme.pipeline s))))
     Transform.Scheme.all
 
-let transform_variants p =
-  List.map
-    (fun s ->
-      (Transform.Scheme.name s, fst (Transform.Scheme.compile s p.db p.program)))
-    transformed_schemes
-
-(* ---------------------- per-pass pipeline checks ------------------- *)
-
-let pipeline_variants p =
-  List.map
-    (fun s ->
-      let options, passes = Transform.Scheme.pipeline s in
-      (Transform.Scheme.name s, Transform.Pass.env ~options p.db, passes))
-    transformed_schemes
-
-let pass_check p ~pass:_ ~before:_ ~after =
-  (* Every stage must stay equivalent to the *source* program: switch
-     markers are dataflow- and architecture-transparent, so both the
-     static per-block summaries and the golden model's commit digests
-     are stage invariants.  Checking against the source rather than the
-     previous stage pins divergence to the first pass that breaks. *)
-  let* () =
-    Result.map
-      (fun _ -> ())
-      (Transform.Verify.check_pass (fun _ -> (after, ())) p.program)
+(* Rows under equal options share one environment and one prefix
+   tree: Critic's four passes serve critic and opp16+critic, and its
+   chain-select serves narrow.only and critic.reorder. *)
+let run_pipelines p ~source =
+  let applications = ref 0 in
+  let trees = ref [] in
+  let tree options =
+    match List.assoc_opt options !trees with
+    | Some t -> t
+    | None ->
+      let t = (Transform.Pass.env ~options p.db, root p) in
+      trees := (options, t) :: !trees;
+      t
   in
-  check_transform_pair ~original:p.program ~transformed:after ~seed:p.seed
-    ~path:p.path
+  let* finals =
+    List.fold_left
+      (fun acc s ->
+        let* finals = acc in
+        let options, passes = Transform.Scheme.pipeline s in
+        let env, node = tree options in
+        let name = Transform.Scheme.name s in
+        let* final = walk p ~source ~applications name env node passes in
+        Ok ((name, final) :: finals))
+      (Ok []) transformed_schemes
+  in
+  Ok { finals = List.rev finals; applications = !applications }
 
-let check_pipeline p (name, env, passes) =
-  match
-    Transform.Pipeline.run ~check:(pass_check p) env passes p.program
-  with
-  | Ok (program', _) -> Ok program'
-  | Error e ->
-    Error
-      (Printf.sprintf "[%s/%s] %s" name e.Transform.Pipeline.failed_pass
-         e.Transform.Pipeline.detail)
-
-let check_pipelines ?(variants = pipeline_variants) p =
-  List.fold_left
-    (fun acc v ->
-      let* n = acc in
-      let* _ = check_pipeline p v in
-      Ok (n + 1))
-    (Ok 0) (variants p)
+let check_pipelines p =
+  run_pipelines p ~source:(Interp.run_path p.program ~seed:p.seed p.path)
 
 let in_context name r =
   Result.map_error (fun msg -> Printf.sprintf "[%s] %s" name msg) r
 
-let check_variant ?(configs = configs) p (name, program') =
-  let* () =
-    in_context name
-      (if Transform.Verify.program_equivalent p.program program' then Ok ()
-       else Error "Verify.program_equivalent failed")
-  in
-  let* () =
-    in_context name
-      (check_transform_pair ~original:p.program ~transformed:program'
-         ~seed:p.seed ~path:p.path)
-  in
+(* A final program differs from the source, and every pass that made it
+   was checked against the source: what remains is its own trace and
+   its simulation under every config. *)
+let check_final ~configs p (name, program') =
   let* _ = in_context name (check_trace program' ~seed:p.seed ~path:p.path) in
   let trace' = T.expand program' ~seed:p.seed p.path in
   List.fold_left
     (fun acc (cname, config) ->
       let* total = acc in
       let* n =
-        in_context
-          (name ^ "/" ^ cname)
-          (check_cpu_trace ~config trace')
+        in_context (name ^ "/" ^ cname) (check_cpu_trace ~config trace')
       in
       Ok (total + n))
     (Ok 0) configs
 
-type tally = { compared : int; simulated : int }
+type tally = {
+  compared : int;
+  simulated : int;
+  pipelines : int;
+  applications : int;
+}
 
-(* Equal programs behave identically under every check, so a variant
-   equal to a program already checked is credited, not re-checked.
+(* Equal programs behave identically under every check, so a final
+   program equal to one already checked is credited, not re-checked.
    Equality is decided, never assumed: the same entry and equal blocks,
    compared physically first (a scheme that finds nothing returns its
    input, and sparse compilation shares untouched blocks) and
@@ -308,10 +347,10 @@ let same_program a b =
      in
      go (Array.length ba - 1)
 
-let check_prepared ?(configs = configs) ?variant_configs ?(variants = true) p =
-  (* Baseline crosses the whole sweep; variants default to a cut-down
-     sweep (first + last entry) to keep fuzz loops fast, unless the
-     caller asks for more. *)
+let check_prepared ?(configs = configs) ?variant_configs p =
+  (* Baseline crosses the whole sweep; final programs default to a
+     cut-down sweep (first + last entry) to keep fuzz loops fast,
+     unless the caller asks for more. *)
   let variant_configs =
     match variant_configs with
     | Some cs -> cs
@@ -324,7 +363,7 @@ let check_prepared ?(configs = configs) ?variant_configs ?(variants = true) p =
   let* () =
     in_context "walk" (check_walk p.program ~seed:p.seed ~instrs:p.instrs)
   in
-  let* _ =
+  let* source =
     in_context "baseline" (check_trace p.program ~seed:p.seed ~path:p.path)
   in
   (* Retirements per config the baseline was checked under. *)
@@ -339,43 +378,51 @@ let check_prepared ?(configs = configs) ?variant_configs ?(variants = true) p =
       (Ok []) configs
   in
   let base_events = List.fold_left (fun t (_, n) -> t + n) 0 base in
-  let start = { compared = base_events; simulated = base_events } in
-  if not variants then Ok start
-  else
-    (* Programs checked so far with their credit under
-       [variant_configs]. *)
-    let checked = ref [] in
-    List.fold_left
-      (fun acc ((name, program') as variant) ->
-        let* t = acc in
-        if same_program program' p.program then
-          (* The baseline's checks cover this variant under every config
-             it was checked under; any other config is simulated. *)
-          List.fold_left
-            (fun acc (cname, config) ->
-              let* t = acc in
-              match List.assoc_opt config base with
-              | Some n -> Ok { t with compared = t.compared + n }
-              | None ->
-                let* n =
-                  in_context
-                    (name ^ "/" ^ cname)
-                    (check_cpu_trace ~config p.trace)
-                in
-                Ok { compared = t.compared + n; simulated = t.simulated + n })
-            (Ok t) variant_configs
-        else
-          match
-            List.find_opt (fun (q, _) -> same_program q program') !checked
-          with
-          | Some (_, n) -> Ok { t with compared = t.compared + n }
-          | None ->
-            let* n = check_variant ~configs:variant_configs p variant in
-            checked := (program', n) :: !checked;
-            Ok { compared = t.compared + n; simulated = t.simulated + n })
-      (Ok start) (transform_variants p)
+  let* r = run_pipelines p ~source in
+  let start =
+    {
+      compared = base_events;
+      simulated = base_events;
+      pipelines = List.length r.finals;
+      applications = r.applications;
+    }
+  in
+  (* Programs checked so far with their credit under
+     [variant_configs]. *)
+  let checked = ref [] in
+  List.fold_left
+    (fun acc ((name, program') as final) ->
+      let* t = acc in
+      if same_program program' p.program then
+        (* The baseline's checks cover this program under every config
+           it was checked under; any other config is simulated. *)
+        List.fold_left
+          (fun acc (cname, config) ->
+            let* t = acc in
+            match List.assoc_opt config base with
+            | Some n -> Ok { t with compared = t.compared + n }
+            | None ->
+              let* n =
+                in_context (name ^ "/" ^ cname)
+                  (check_cpu_trace ~config p.trace)
+              in
+              Ok
+                {
+                  t with
+                  compared = t.compared + n;
+                  simulated = t.simulated + n;
+                })
+          (Ok t) variant_configs
+      else
+        match
+          List.find_opt (fun (q, _) -> same_program q program') !checked
+        with
+        | Some (_, n) -> Ok { t with compared = t.compared + n }
+        | None ->
+          let* n = check_final ~configs:variant_configs p final in
+          checked := (program', n) :: !checked;
+          Ok { t with compared = t.compared + n; simulated = t.simulated + n })
+    (Ok start) r.finals
 
-let check_program ?configs ?variant_configs ?(variants = true) ?(instrs = 2_000)
-    program ~seed =
-  let p = prepare ~instrs program ~seed in
-  check_prepared ?configs ?variant_configs ~variants p
+let check_program ?configs ?variant_configs ?(instrs = 2_000) program ~seed =
+  check_prepared ?configs ?variant_configs (prepare ~instrs program ~seed)

@@ -11,8 +11,8 @@
     - {!check_cpu_trace}: {!Pipeline.Cpu.run} retirement stream (with
       [~checks:true] invariants armed) vs the trace minus CDP markers,
       plus statistics accounting identities;
-    - {!check_transform_pair}: per-block commit digests of a transformed
-      program vs its original. *)
+    - {!check_pipelines}: every pass of every scheme vs the source
+      program, by per-block dataflow and golden-model commit digests. *)
 
 val configs : (string * Pipeline.Config.t) list
 (** Named machine variants the sweep crosses programs with: Table I,
@@ -66,20 +66,6 @@ val prepare : ?instrs:int -> Prog.Program.t -> seed:int -> prepared
 (** Walk, expand and profile a program ([instrs] defaults to 2000 —
     fuzz-sized runs). *)
 
-val transform_variants : prepared -> (string * Prog.Program.t) list
-(** Every scheme of {!Transform.Scheme.all} that has passes (all but
-    baseline: ten), compiled from the scheme table
-    ({!Transform.Scheme.compile}) over the prepared program and named by
-    {!Transform.Scheme.name}.  Every scheme the bench simulates is in
-    this list by construction. *)
-
-val pipeline_variants :
-  prepared ->
-  (string * Transform.Pass.env * Transform.Pass.t list) list
-(** The same ten schemes for per-pass test: each scheme's pass list and
-    options from {!Transform.Scheme.pipeline}, the environment built over
-    the prepared database. *)
-
 val check_pipeline :
   prepared ->
   string * Transform.Pass.env * Transform.Pass.t list ->
@@ -88,59 +74,62 @@ val check_pipeline :
     {e every individual pass}: each intermediate program must be
     dataflow-equivalent to the source per block
     ({!Transform.Verify.check_pass}, which names the first divergent
-    block and uid) and golden-model equivalent over the prepared walk
-    ({!check_transform_pair}).  A failure is reported as
-    ["[variant/pass] detail"], attributing the divergence to the exact
-    stage that introduced it. *)
+    block and uid) and golden-model equivalent to it over the prepared
+    walk.  A pass that returns its input program ([==]) is not checked
+    again.  A failure is reported as ["[variant/pass] detail"],
+    attributing the divergence to the exact stage that introduced it.
+    Returns the final program. *)
 
-val check_pipelines :
-  ?variants:(prepared -> (string * Transform.Pass.env * Transform.Pass.t list) list) ->
-  prepared ->
-  (int, string) result
-(** {!check_pipeline} over every variant (default
-    {!pipeline_variants}); returns the number of pipelines checked. *)
+type pipelines = {
+  finals : (string * Prog.Program.t) list;
+      (** every scheme of {!Transform.Scheme.all} that has passes (all
+          but baseline: ten), named by {!Transform.Scheme.name}, with
+          its final program, in table order *)
+  applications : int;  (** distinct pass applications made *)
+}
 
-val check_variant :
-  ?configs:(string * Pipeline.Config.t) list ->
-  prepared ->
-  string * Prog.Program.t ->
-  (int, string) result
-(** Full differential for one transformed variant:
-    [Verify.program_equivalent], golden-model equivalence, trace
-    agreement, then simulator agreement per config.  Error messages are
-    prefixed with the variant (and config) name. *)
+val check_pipelines : prepared -> (pipelines, string) result
+(** {!check_pipeline} over every row of {!Transform.Scheme.pipeline}
+    that has passes, so every scheme the bench simulates is checked by
+    construction.  Each shared prefix is applied and checked once: rows
+    with equal {!Transform.Pass.options} share a prefix as far as their
+    pass lists hold physically the same {!Transform.Pass.t} values
+    (Critic's four passes serve critic, opp16+critic, and the
+    chain-select that narrow.only and critic.reorder start with).  The
+    source program runs through the golden model once.  A failure names
+    the first row, in table order, that reaches the failing pass. *)
 
 type tally = {
   compared : int;
       (** retirements compared: every (program, config) pair the suite
           covers, whether simulated or credited *)
   simulated : int;  (** of those, the retirements actually simulated *)
+  pipelines : int;  (** pass lists checked after every pass *)
+  applications : int;  (** distinct pass applications they took *)
 }
 
 val check_prepared :
   ?configs:(string * Pipeline.Config.t) list ->
   ?variant_configs:(string * Pipeline.Config.t) list ->
-  ?variants:bool ->
   prepared ->
   (tally, string) result
 (** The whole suite on one program: walk, baseline trace, baseline
-    simulation across [configs], and (unless [variants:false]) every
-    transform variant across [variant_configs] (default: first and last
-    of [configs]).
+    simulation across [configs], {!check_pipelines}, then each final
+    program's trace and its simulation across [variant_configs]
+    (default: first and last of [configs]).
 
-    Each distinct program is checked once.  A variant equal to the
-    baseline program or to an earlier variant — same entry, and every
-    block physically or structurally equal — is not checked again: its
-    retirements are credited from the earlier check.  A variant equal
-    to the baseline is credited only under configs the baseline was
-    checked under (matched by value) and simulated under any other.
-    [compared] is the same total that checking every variant would
-    return. *)
+    Each distinct final program is checked once.  One equal to the
+    baseline program or to an earlier final program — same entry, and
+    every block physically or structurally equal — is not checked
+    again: its retirements are credited from the earlier check.  One
+    equal to the baseline is credited only under configs the baseline
+    was checked under (matched by value) and simulated under any other.
+    [compared] is the same total that checking every final program
+    would return. *)
 
 val check_program :
   ?configs:(string * Pipeline.Config.t) list ->
   ?variant_configs:(string * Pipeline.Config.t) list ->
-  ?variants:bool ->
   ?instrs:int ->
   Prog.Program.t ->
   seed:int ->

@@ -36,13 +36,7 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-let default_jobs () =
-  match Sys.getenv_opt "CRITICS_JOBS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+let default_jobs () = Domain.recommended_domain_count ()
 
 (* One process-wide registry of live pools, drained by a single
    [at_exit] callback.  Registering a fresh closure per pool kept every

@@ -21,8 +21,7 @@ exception Batch_failure of (exn * string) list
     one failure re-raises that exception unchanged. *)
 
 val default_jobs : unit -> int
-(** [CRITICS_JOBS] from the environment when set to a positive integer,
-    otherwise [Domain.recommended_domain_count ()]. *)
+(** [Domain.recommended_domain_count ()]. *)
 
 val create : ?jobs:int -> unit -> t
 (** [jobs] (default {!default_jobs}) is the parallelism width: the pool

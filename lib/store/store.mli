@@ -37,10 +37,10 @@ val format_version : string
 (** Baked into every key; bump on any layout/serialization change. *)
 
 val code_version : unit -> string
-(** [git describe --always --dirty] of the running build, computed once
-    and cached; ["unknown"] when git is unavailable.  Baked into every
-    key so rebuilt code never reuses stale artifacts (conservative:
-    any new commit invalidates). *)
+(** Hex MD5 of the running executable ([Sys.executable_name]), read
+    once per process.  Baked into every key so rebuilt code never
+    reuses stale artifacts, in a checkout or outside one (conservative:
+    any rebuild that changes the binary invalidates). *)
 
 val open_dir :
   ?quarantine_limit:int -> ?inject:Util.Atomic_io.injector -> string -> t

@@ -87,15 +87,7 @@ let to_json t =
          ("traceEvents", Arr json_events); ("displayTimeUnit", Str "ms");
        ])
 
-let write_file t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_json t);
-      output_char oc '\n');
-  Sys.rename tmp path
+let write_file t path = Util.Atomic_io.write path (to_json t ^ "\n")
 
 let validate text =
   let open Util.Json in

@@ -41,7 +41,8 @@ val to_json : t -> string
     fell off the ring) are dropped from the output. *)
 
 val write_file : t -> string -> unit
-(** Atomic write (temp file + rename) of {!to_json}. *)
+(** {!to_json} and a newline, written with {!Util.Atomic_io.write}
+    (temp file + rename): a write that fails installs nothing. *)
 
 val validate : string -> (int, string) result
 (** Validate trace JSON text: parses, every event carries

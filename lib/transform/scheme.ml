@@ -78,4 +78,4 @@ let pipeline t =
 
 let compile t db program =
   let options, passes = pipeline t in
-  Pipeline.run_exn (Pass.env ~options db) passes program
+  Pipeline.run (Pass.env ~options db) passes program

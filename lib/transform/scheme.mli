@@ -35,8 +35,8 @@ val describe : t -> string
 
 val pipeline : t -> Pass.options * Pass.t list
 (** The options a scheme's passes run under and the passes, in order.
-    Every consumer of a scheme — the simulation runs, both oracle
-    variant lists, the experiments and the CLI — reads this table, so
+    Every consumer of a scheme — the simulation runs, the oracle's
+    per-pass check, the experiments and the CLI — reads this table, so
     a scheme is compiled one way everywhere.  [Baseline] is the empty
     list.  The CritIC schemes start with {!Chain_select}, whose choices
     depend on [options.mode] (only [Cdp] and [Branches] require
@@ -46,4 +46,4 @@ val pipeline : t -> Pass.options * Pass.t list
 val compile :
   t -> Profiler.Critic_db.t -> Prog.Program.t -> Prog.Program.t * Report.t
 (** Run the scheme's {!pipeline} over a program with the given profile
-    database: [Pipeline.run_exn (Pass.env ~options db) passes]. *)
+    database: [Pipeline.run (Pass.env ~options db) passes]. *)

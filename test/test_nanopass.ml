@@ -223,10 +223,35 @@ let test_apps_per_pass () =
       let seed = profile.seed lxor 0x9A55 in
       let p = D.prepare ~instrs:1_500 program ~seed in
       match D.check_pipelines p with
-      | Ok n ->
-        Alcotest.(check int) (profile.name ^ ": pipelines checked") 10 n
+      | Ok r ->
+        Alcotest.(check int) (profile.name ^ ": pipelines checked") 10
+          (List.length r.D.finals)
       | Error msg -> Alcotest.failf "%s: %s" profile.name msg)
     Workload.Apps.all
+
+(* Rows with equal options apply their common prefix once: the table's
+   31 passes take 24 applications.  Sharing changes nothing compiled:
+   every final program is the one [Scheme.compile] builds alone. *)
+let test_shared_prefixes () =
+  let profile = List.hd Workload.Apps.all in
+  let p =
+    D.prepare ~instrs:1_500 (Workload.Gen.program profile)
+      ~seed:(profile.seed lxor 0x9A55)
+  in
+  match D.check_pipelines p with
+  | Error msg -> Alcotest.fail msg
+  | Ok r ->
+    Alcotest.(check int) "passes in the table" 31
+      (List.fold_left (fun n s -> n + List.length (snd (S.pipeline s))) 0 S.all);
+    Alcotest.(check int) "distinct pass applications" 24 r.D.applications;
+    List.iter
+      (fun (name, program) ->
+        let s = Option.get (S.of_string name) in
+        check (name ^ " = Scheme.compile") true
+          (program = fst (S.compile s p.D.db p.D.program)))
+      r.D.finals;
+    check "critic transforms the program" false
+      (List.assoc "critic" r.D.finals == p.D.program)
 
 (* 300 fixed-seed fuzzed programs through the same per-pass harness,
    with a coverage floor so corpus drift cannot quietly turn the test
@@ -339,7 +364,7 @@ let mode_cases =
   ]
 
 let apply ~options scheme db program =
-  Pl.run_exn (Pa.env ~options db) (snd (S.pipeline scheme)) program
+  Pl.run (Pa.env ~options db) (snd (S.pipeline scheme)) program
 
 (* The scheme table's pass lists reproduce the monolithic seed
    semantics — program and report — in every switch mode. *)
@@ -425,7 +450,7 @@ let prop_reorder_commutes =
       let program = F.build spec in
       let p = D.prepare ~instrs:300 program ~seed:37 in
       let run passes =
-        fst (Pl.run_exn (Pa.env p.D.db) passes p.D.program)
+        fst (Pl.run (Pa.env p.D.db) passes p.D.program)
       in
       digest_program (run (snd (S.pipeline S.Critic)))
       = digest_program (run (snd (S.pipeline S.Critic_reorder))))
@@ -569,6 +594,8 @@ let () =
           Alcotest.test_case "all apps, all pipelines" `Quick
             test_apps_per_pass;
           Alcotest.test_case "300 fuzzed programs" `Quick test_fuzz_per_pass;
+          Alcotest.test_case "shared prefixes applied once" `Quick
+            test_shared_prefixes;
           Alcotest.test_case "injected pass bug caught, attributed, shrunk"
             `Quick test_injected_pass_bug;
         ] );

@@ -51,27 +51,15 @@ let test_fuzz_corpus () =
   done;
   check "compared many retirements" true (!events > 100_000)
 
-(* QCheck property: the full transform pipeline stays both
+(* QCheck property: every pass of every scheme stays both
    Verify-equivalent and oracle-equivalent on arbitrary programs. *)
 let prop_transforms_preserve_semantics =
   QCheck.Test.make ~name:"transform pipeline preserves oracle semantics"
     ~count:60 F.arbitrary (fun spec ->
       let program = F.build spec in
-      let p = D.prepare ~instrs:300 program ~seed:11 in
-      List.for_all
-        (fun (name, program') ->
-          if not (Transform.Verify.program_equivalent p.D.program program')
-          then
-            QCheck.Test.fail_reportf "%s: Verify.program_equivalent failed"
-              name
-          else
-            match
-              D.check_transform_pair ~original:p.D.program
-                ~transformed:program' ~seed:p.D.seed ~path:p.D.path
-            with
-            | Ok () -> true
-            | Error msg -> QCheck.Test.fail_reportf "%s: %s" name msg)
-        (D.transform_variants p))
+      match D.check_pipelines (D.prepare ~instrs:300 program ~seed:11) with
+      | Ok _ -> true
+      | Error msg -> QCheck.Test.fail_reportf "%s" msg)
 
 (* QCheck property: simulator agrees with the oracle on arbitrary
    programs under a seed-sampled machine configuration. *)

@@ -293,7 +293,12 @@ let compiled_programs genome seed =
   let p =
     Oracle.Differential.prepare ~instrs:500 (Workload.Fuzz.build genome) ~seed
   in
-  (p, ("baseline", p.program) :: Oracle.Differential.transform_variants p)
+  ( p,
+    List.map
+      (fun s ->
+        ( Transform.Scheme.name s,
+          fst (Transform.Scheme.compile s p.db p.program) ))
+      Transform.Scheme.all )
 
 (* property: the stream keys a memory instruction's address on its
    block's visit count; the old definition counted executions per uid.

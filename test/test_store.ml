@@ -50,6 +50,13 @@ let test_key_kind_and_code_version () =
     "code version changes digest" true
     (d "a" "v1" <> d "a" "v2")
 
+(* Every rebuild that changes the binary changes every key, in a
+   checkout or outside one. *)
+let test_code_version_is_executable_digest () =
+  Alcotest.(check string) "MD5 of the running executable"
+    (Digest.to_hex (Digest.file Sys.executable_name))
+    (Store.code_version ())
+
 (* A kind is the entry's directory under the store root.  One that
    names the root itself, its parent, the morgue or a deeper path would
    put entries where [entry_count] and [clear] never look. *)
@@ -610,6 +617,8 @@ let () =
           Alcotest.test_case "length framing" `Quick test_key_framing;
           Alcotest.test_case "kind and code version" `Quick
             test_key_kind_and_code_version;
+          Alcotest.test_case "code version is the executable's digest"
+            `Quick test_code_version_is_executable_digest;
           Alcotest.test_case "kind stays in its directory" `Quick
             test_key_kind_stays_in_its_directory;
           Alcotest.test_case "context key sensitivity" `Quick
