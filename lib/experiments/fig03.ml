@@ -26,8 +26,8 @@ let long_latency_fraction ctx =
         (* Loads count as long-latency when they typically leave the L1,
            approximated by the profile's working-set size. *)
         let is_long =
-          Isa.Opcode.is_long_latency e.instr.opcode
-          || (e.instr.opcode = Isa.Opcode.Load
+          Isa.Opcode.is_long_latency (Isa.Instr.opcode e.instr)
+          || (Isa.Instr.opcode e.instr = Isa.Opcode.Load
               && ctx.Critics.Run.profile.load_working_set > 256 * 1024)
         in
         if is_long then incr long

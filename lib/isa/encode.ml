@@ -75,16 +75,18 @@ let field16 r =
   if i <= Reg.thumb_limit then i else -(16 + i)
 
 let pack16 (i : Instr.t) =
-  if i.opcode = Opcode.Cdp_switch then
-    if i.cdp_count >= 1 && i.cdp_count <= 9 then
-      (0xF lsl 12) lor (i.cdp_count - 1)
-    else -1
+  let opcode = Instr.opcode i in
+  if opcode = Opcode.Cdp_switch then
+    let n = Instr.cdp_count i in
+    if n >= 1 && n <= 9 then (0xF lsl 12) lor (n - 1) else -1
   else if Instr.is_predicated i then -2
   else
-    match op_index i.opcode with
+    match op_index opcode with
     | None -> -3
     | Some op -> (
-      let dst = match i.dst with None -> absent | Some r -> field16 r in
+      let dst =
+        match Instr.dst i with None -> absent | Some r -> field16 r
+      in
       match i.srcs with
       | _ when dst < 0 -> dst
       | _ :: _ :: _ :: _ -> -4
@@ -115,7 +117,7 @@ let ( let* ) = Result.bind
      [19:16] dst  (0 when absent)
      [15:12] src1  [11:8] src2  [7:4] src3  [3:0] src4 (0 when absent) *)
 let encode32 (i : Instr.t) =
-  match op_index i.opcode with
+  match op_index (Instr.opcode i) with
   | None -> Error "the CDP marker is 16-bit only"
   | Some op ->
     let nsrcs = List.length i.srcs in
@@ -124,10 +126,10 @@ let encode32 (i : Instr.t) =
       let srcs = Array.make 4 0 in
       List.iteri (fun k r -> srcs.(k) <- Reg.index r) i.srcs;
       let hd, dst =
-        match i.dst with None -> (0, 0) | Some r -> (1, Reg.index r)
+        match Instr.dst i with None -> (0, 0) | Some r -> (1, Reg.index r)
       in
       Ok
-        ((cond_bits i.cond lsl 28)
+        ((cond_bits (Instr.cond i) lsl 28)
         lor (op lsl 24)
         lor (nsrcs lsl 21)
         lor (hd lsl 20)
@@ -142,7 +144,7 @@ let le_bytes n width =
   String.init width (fun k -> Char.chr ((n lsr (8 * k)) land 0xFF))
 
 let encode (i : Instr.t) =
-  match i.encoding with
+  match Instr.encoding i with
   | Instr.Fused -> Ok ""
   | Instr.Thumb16 ->
     let* h = encode16 i in
@@ -152,4 +154,4 @@ let encode (i : Instr.t) =
     Ok (le_bytes w 4)
 
 let thumb_convertible (i : Instr.t) =
-  i.opcode <> Opcode.Cdp_switch && pack16 i >= 0
+  Instr.opcode i <> Opcode.Cdp_switch && pack16 i >= 0

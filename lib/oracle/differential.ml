@@ -105,7 +105,8 @@ let check_cpu_trace ~config trace =
   let expected =
     Array.of_seq
       (Seq.filter
-         (fun (e : T.event) -> e.T.instr.Isa.Instr.opcode <> Isa.Opcode.Cdp_switch)
+         (fun (e : T.event) ->
+           Isa.Instr.opcode e.T.instr <> Isa.Opcode.Cdp_switch)
          (Array.to_seq trace))
   in
   let nexp = Array.length expected in
@@ -146,7 +147,7 @@ let check_cpu_trace ~config trace =
       let cdp =
         Array.fold_left
           (fun acc (e : T.event) ->
-            if e.T.instr.Isa.Instr.opcode = Isa.Opcode.Cdp_switch then acc + 1
+            if Isa.Instr.opcode e.T.instr = Isa.Opcode.Cdp_switch then acc + 1
             else acc)
           0 trace
       in

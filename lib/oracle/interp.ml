@@ -47,8 +47,8 @@ let cond_index = function
   | I.Le -> 6
 
 let opcode_salt (ins : I.t) =
-  L.mix_int (L.mix_int 0x0CA11L (opcode_index ins.opcode))
-    (cond_index ins.cond)
+  L.mix_int (L.mix_int 0x0CA11L (opcode_index (I.opcode ins)))
+    (cond_index (I.cond ins))
 
 let initial_reg i = L.mix64 (Int64.of_int (0x5EED_0000 + i))
 let fresh_mem_value addr = L.mix64 (Int64.of_int (addr lxor 0x4D45_4D00))
@@ -125,18 +125,17 @@ let combine_srcs salt vals = List.fold_left L.mix2 salt vals
 
 (* Execute one body instruction; returns its size in bytes. *)
 let exec_instr m ~block_id ~pc (ins : I.t) =
-  let is_work =
-    ins.opcode <> Op.Cdp_switch && not (Op.is_control ins.opcode)
-  in
+  let opcode = I.opcode ins in
+  let is_work = opcode <> Op.Cdp_switch && not (Op.is_control opcode) in
   if is_work then m.work <- m.work + 1;
-  (match ins.opcode with
+  (match opcode with
   | Op.Cdp_switch ->
     (* Format-switch marker: decoder metadata, no architectural effect. *)
-    emit m ~uid:ins.uid ~pc ~block_id ~opcode:ins.opcode []
+    emit m ~uid:ins.uid ~pc ~block_id ~opcode []
   | Op.Branch | Op.Call | Op.Return ->
     (* Body control (Approach-1 switch branches): unconditional,
        always taken, no dataflow. *)
-    emit m ~uid:ins.uid ~pc ~block_id ~opcode:ins.opcode
+    emit m ~uid:ins.uid ~pc ~block_id ~opcode
       [ L.Branch_out { taken = true } ]
   | Op.Load when ins.mem <> None ->
     let msig = Option.get ins.mem in
@@ -147,13 +146,13 @@ let exec_instr m ~block_id ~pc (ins : I.t) =
     let effects =
       L.Mem_read { addr; value }
       ::
-      (match ins.dst with
+      (match I.dst ins with
       | None -> []
       | Some d ->
         m.regs.(Isa.Reg.index d) <- value;
         [ L.Reg_write { reg = Isa.Reg.index d; value } ])
     in
-    emit m ~uid:ins.uid ~pc ~block_id ~opcode:ins.opcode effects
+    emit m ~uid:ins.uid ~pc ~block_id ~opcode effects
   | Op.Store when ins.mem <> None ->
     let msig = Option.get ins.mem in
     let addr =
@@ -168,7 +167,7 @@ let exec_instr m ~block_id ~pc (ins : I.t) =
     Hashtbl.replace m.mem addr value;
     m.store_acc <-
       Int64.logxor m.store_acc (L.mix2 (Int64.of_int addr) value);
-    emit m ~uid:ins.uid ~pc ~block_id ~opcode:ins.opcode
+    emit m ~uid:ins.uid ~pc ~block_id ~opcode
       [ L.Mem_write { addr; value } ]
   | _ ->
     (* Generic compute (including a Load/Store without a memory
@@ -186,7 +185,7 @@ let exec_instr m ~block_id ~pc (ins : I.t) =
             L.Reg_write { reg = Isa.Reg.index d; value })
           writes
     in
-    emit m ~uid:ins.uid ~pc ~block_id ~opcode:ins.opcode effects);
+    emit m ~uid:ins.uid ~pc ~block_id ~opcode effects);
   I.size_bytes ins
 
 let terminator_opcode = function

@@ -9,7 +9,7 @@ let mem_conflict (m : I.t) (s : I.t) =
     (* Moving a load past a load is harmless; anything involving a
        store to the same region is not. *)
     let either_store =
-      m.opcode = Isa.Opcode.Store || s.opcode = Isa.Opcode.Store
+      I.opcode m = Isa.Opcode.Store || I.opcode s = Isa.Opcode.Store
     in
     either_store && mm.region = sm.region
   | _ -> false

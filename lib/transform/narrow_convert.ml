@@ -16,7 +16,7 @@ let apply (env : Pass.env) program =
     Prog.Program.update_blocks
       (Chains.rewrite_tagged (fun (ins : I.t) _ ->
            incr converted;
-           if ins.I.encoding = I.Thumb16 then ins
+           if I.encoding ins = I.Thumb16 then ins
            else if env.Pass.options.ideal then I.force_thumb ins
            else I.with_encoding I.Thumb16 ins))
       env.Pass.blocks program

@@ -2,8 +2,9 @@ module I = Isa.Instr
 
 (* Marker instructions inserted by the passes: they carry no dataflow. *)
 let is_marker (i : I.t) =
-  i.opcode = Isa.Opcode.Cdp_switch
-  || (Isa.Opcode.is_control i.opcode && i.dst = None && i.srcs = [])
+  let op = I.opcode i in
+  op = Isa.Opcode.Cdp_switch
+  || (Isa.Opcode.is_control op && I.dst i = None && i.srcs = [])
 
 (* For every non-marker instruction: (uid, source reg, producer uid or
    -1 when the value comes from outside the block), plus the block's

@@ -26,13 +26,13 @@ let of_trace (trace : Prog.Trace.t) =
   let prev = ref None in
   Array.iter
     (fun (e : Prog.Trace.event) ->
-      let key = Isa.Opcode.to_string e.instr.opcode in
+      let key = Isa.Opcode.to_string (Isa.Instr.opcode e.instr) in
       Hashtbl.replace mix_counts key
         (1 + Option.value ~default:0 (Hashtbl.find_opt mix_counts key));
       Hashtbl.replace blocks e.block_id ();
       Hashtbl.replace funcs e.func ();
       Hashtbl.replace lines (e.pc lsr 6) ();
-      if Isa.Opcode.is_control e.instr.opcode then begin
+      if Isa.Opcode.is_control (Isa.Instr.opcode e.instr) then begin
         incr control;
         if e.is_cond_branch then incr cond;
         if e.taken then incr taken

@@ -87,7 +87,7 @@ let test_thumb_reduces_fetch_pressure () =
   let thumb_events =
     Array.fold_left
       (fun acc (e : Prog.Trace.event) ->
-        if e.instr.I.encoding = I.Thumb16 then acc + 1 else acc)
+        if I.encoding e.instr = I.Thumb16 then acc + 1 else acc)
       0 thumb
   in
   Alcotest.(check int) "thumb instructions counted" thumb_events

@@ -147,11 +147,11 @@ let test_convert_run () =
   Alcotest.(check int) "one cdp" 1 report.R.cdp_inserted;
   match Array.to_list out with
   | cdp :: rest ->
-    Alcotest.(check bool) "first is cdp" true (cdp.I.opcode = Op.Cdp_switch);
-    Alcotest.(check int) "cdp count" 2 cdp.I.cdp_count;
+    Alcotest.(check bool) "first is cdp" true (I.opcode cdp = Op.Cdp_switch);
+    Alcotest.(check int) "cdp count" 2 (I.cdp_count cdp);
     List.iter
       (fun (i : I.t) ->
-        Alcotest.(check bool) "thumb encoded" true (i.encoding = I.Thumb16))
+        Alcotest.(check bool) "thumb encoded" true (I.encoding i = I.Thumb16))
       rest
   | [] -> Alcotest.fail "empty output"
 
@@ -249,7 +249,7 @@ let test_critic_branches_mode () =
   Alcotest.(check bool) "program has body branches" true
     (let found = ref false in
      P.iter_instrs
-       (fun _ i -> if i.I.opcode = Op.Branch then found := true)
+       (fun _ i -> if I.opcode i = Op.Branch then found := true)
        program';
      !found)
 
