@@ -65,9 +65,12 @@ val warm : Mem.Hierarchy.t -> Prog.Trace.Stream.cursor -> unit
     ({!Mem.Hierarchy.touch_i}/{!Mem.Hierarchy.touch_d}), reading only
     the cursor's [pc] and [mem_addr] columns.  Touches are fills, so
     they count in the caches' [fills]/[prefetch_fills]; they carry no
-    replacement hint and reach neither DRAM nor a prefetcher.  The
-    result depends only on the stream and the hierarchy's
-    configuration. *)
+    replacement hint and reach neither DRAM nor a prefetcher.  A run of
+    fetches from one line with no data access between them is touched
+    twice at most: later repeats would hit the line the second touch
+    left most recent, in the state it left, and change nothing.  The
+    result depends only on the stream and the
+    hierarchy's configuration. *)
 
 val run_stream :
   ?hier:Mem.Hierarchy.t ->
