@@ -455,6 +455,37 @@ let program_cases () =
 let test_programs_match_recorded () =
   check_table ~what:"program" golden_programs (program_cases ())
 
+(* Sweeps: the MD5 of the marshalled result of each artifact that
+   derives its own databases — Fig. 12's chain-length and coverage
+   sweeps, the threshold and metric ablations, Fig. 5a's wide-window
+   chain shapes — run on one harness at a 6000-instruction budget.  The
+   bytes hold every float's bits, so a sweep that reaches its numbers
+   another way must reach the same ones.  Recorded before the sweeps
+   became harness jobs; never re-record them. *)
+let golden_sweeps =
+  [
+    ("fig12", "0b5e64495f7ac1f9a1c2cd1530021b75");
+    ("ablations", "62f6a8870938d514f37e34c7f0f49518");
+    ("fig5", "6801d3af205db090e54f75b9208e549c");
+  ]
+
+let sweep_cases () =
+  let h = Experiments.Harness.create ~instrs:6_000 ~jobs:1 () in
+  let digest r = Digest.to_hex (Digest.string (Marshal.to_string r [])) in
+  [
+    ("fig12", digest (Experiments.Fig12.run h));
+    ("ablations", digest (Experiments.Ablations.run h));
+    ("fig5", digest (Experiments.Fig05.run h));
+  ]
+
+let test_sweeps_match_recorded () =
+  let actual = sweep_cases () in
+  if print_mode () then
+    List.iter (fun (id, d) -> Printf.printf "    (%S, %S);\n" id d) actual
+  else
+    Alcotest.(check (list (pair string string)))
+      "sweep result digests" golden_sweeps actual
+
 let () =
   Alcotest.run "golden"
     [
@@ -471,5 +502,10 @@ let () =
         [
           Alcotest.test_case "30 (app x scheme) program digests" `Slow
             test_programs_match_recorded;
+        ] );
+      ( "sweeps vs recorded results",
+        [
+          Alcotest.test_case "fig12, ablations and fig5 digests" `Slow
+            test_sweeps_match_recorded;
         ] );
     ]
