@@ -1,5 +1,26 @@
 module Scheme = Transform.Scheme
 
+type variant = {
+  window : int;
+  threshold : float;
+  fraction : float;
+  metric : Profiler.Metric.t;
+  exact : int option;
+}
+
+let prepared =
+  {
+    window = 512;
+    threshold = 4.0;
+    fraction = 1.0;
+    metric = Profiler.Metric.Average_fanout;
+    exact = None;
+  }
+
+(* What a transformed program is compiled from on its context: the
+   scheme and the database variant. *)
+type build = Scheme.t * variant
+
 type scheme_cache = {
   cache_lock : Mutex.t;
   (* The last transformed program, if any.  Transformed programs of
@@ -9,19 +30,19 @@ type scheme_cache = {
      interleaved with baseline, which needs no slot) at the price of
      re-running a cheap compiler pass when a context alternates between
      transformed schemes. *)
-  mutable slot : (Scheme.t * Prog.Program.t) option;
+  mutable slot : (build * Prog.Program.t) option;
   mutable transforms : int;
-  (* Per-scheme block-temperature tables for the TRRIP i-cache policy:
+  (* Per-build block-temperature tables for the TRRIP i-cache policy:
      a few bytes per block, so not bounded.  Derived state, never
      marshalled with the context payload. *)
-  mutable heats : (Scheme.t * int array) list;
-  (* Warmed memory hierarchies of the most recently simulated scheme,
+  mutable heats : (build * int array) list;
+  (* Warmed memory hierarchies of the most recently simulated build,
      one per [Config.mem] (keyed by its marshalled bytes).  A warm pass
      depends only on the stream and the memory configuration, so every
      machine that shares one reuses it: each run simulates on a copy.
-     Dropped when another scheme is simulated, so the cache holds one
-     scheme's states at a time. *)
-  mutable warm_scheme : Scheme.t option;
+     Dropped when another build is simulated, so the cache holds one
+     build's states at a time. *)
+  mutable warm_build : build option;
   mutable warm : (string * Mem.Hierarchy.t) list;
 }
 
@@ -48,19 +69,13 @@ type app_context = {
 let default_instrs = 120_000
 
 let context_key ?(instrs = default_instrs) ?(sample = 0)
-    ?(profile_window = 512) ?threshold ?(profile_fraction = 1.0)
     (profile : Workload.Profile.t) =
   Store.key ~kind:"context"
-    [
-      Marshal.to_string profile [];
-      string_of_int instrs;
-      string_of_int sample;
-      string_of_int profile_window;
-      (match threshold with
-      | None -> "default"
-      | Some f -> Printf.sprintf "%h" f);
-      Printf.sprintf "%h" profile_fraction;
-    ]
+    [ Marshal.to_string profile []; string_of_int instrs; string_of_int sample ]
+
+let profile_db v ~total_events stream =
+  Profiler.Profile_run.profile_stream ~window:v.window ~threshold:v.threshold
+    ~fraction:v.fraction ~metric:v.metric ~total_events stream
 
 (* The tuple a context entry marshals: everything [prepare] derives.
    The scheme cache is rebuilt fresh (it holds a mutex). *)
@@ -68,20 +83,15 @@ type context_payload =
   Prog.Program.t * int * Prog.Walk.path * int * Profiler.Critic_db.t
 
 let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
-    ?(profile_window = 512) ?threshold ?(profile_fraction = 1.0)
     (profile : Workload.Profile.t) =
-  let key =
-    context_key ~instrs ~sample ~profile_window ?threshold ~profile_fraction
-      profile
-  in
+  let key = context_key ~instrs ~sample profile in
   let build () : context_payload =
     let program = Workload.Gen.program profile in
     let seed = (profile.seed lxor 0x5EED) + (sample * 0x1000193) in
     let path = Prog.Walk.path_for_instrs program ~seed ~instrs in
     let event_count = Prog.Trace.length_of_path program path in
     let db =
-      Profiler.Profile_run.profile_stream ~window:profile_window ?threshold
-        ~fraction:profile_fraction ~total_events:event_count
+      profile_db prepared ~total_events:event_count
         (Prog.Trace.Stream.of_program program ~seed path)
     in
     (program, seed, path, event_count, db)
@@ -100,80 +110,115 @@ let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
         slot = None;
         transforms = 0;
         heats = [];
-        warm_scheme = None;
+        warm_build = None;
         warm = [];
       };
     ckey = Store.key_digest key;
   }
 
+let program_stream ctx program =
+  Prog.Trace.Stream.of_program program ~seed:ctx.seed ctx.path
+
+(* The prepared profile is the context's own database: only another
+   profile re-reads the baseline stream. *)
+let database ctx v =
+  let db =
+    if { v with exact = None } = prepared then ctx.db
+    else
+      profile_db v ~total_events:ctx.event_count
+        (program_stream ctx ctx.program)
+  in
+  match v.exact with
+  | None -> db
+  | Some n -> Profiler.Critic_db.exact_length n db
+
 (* A scheme with no passes (Baseline) is the context's own program and
    takes no slot. *)
-let transformed ctx (scheme : Scheme.t) =
+let transformed ?(variant = prepared) ctx (scheme : Scheme.t) =
   match Scheme.pipeline scheme with
   | _, [] -> ctx.program
-  | _ ->
+  | options, passes ->
+    let build = (scheme, variant) in
     find_or_add ctx.scheme_cache
       ~find:(fun c ->
-        match c.slot with Some (s, p) when s = scheme -> Some p | _ -> None)
+        match c.slot with Some (b, p) when b = build -> Some p | _ -> None)
       ~add:(fun c p ->
         c.transforms <- c.transforms + 1;
-        c.slot <- Some (scheme, p))
-      (fun () -> fst (Scheme.compile scheme ctx.db ctx.program))
+        c.slot <- Some (build, p))
+      (fun () ->
+        let options =
+          match variant.exact with
+          | None -> options
+          | Some max_len -> { options with Transform.Pass.max_len }
+        in
+        fst
+          (Transform.Pipeline.run
+             (Transform.Pass.env ~options (database ctx variant))
+             passes ctx.program))
 
 let transform_count ctx = ctx.scheme_cache.transforms
 
-let stream ctx scheme =
-  Prog.Trace.Stream.of_program (transformed ctx scheme) ~seed:ctx.seed
-    ctx.path
+let build_stream ctx (scheme, variant) =
+  program_stream ctx (transformed ~variant ctx scheme)
+
+let stream ctx scheme = build_stream ctx (scheme, prepared)
 
 let source ctx scheme : Pipeline.Cpu.source = fun () -> stream ctx scheme
 
 let trace_of ctx scheme =
   Prog.Trace.expand (transformed ctx scheme) ~seed:ctx.seed ctx.path
 
-(* Block temperatures of a scheme's dynamic stream (Profiler.Heat),
-   memoized per scheme. *)
-let heat ctx scheme =
+(* Block temperatures of a build's dynamic stream (Profiler.Heat),
+   memoized per build. *)
+let build_heat ctx build =
   find_or_add ctx.scheme_cache
-    ~find:(fun c -> List.assoc_opt scheme c.heats)
-    ~add:(fun c t -> c.heats <- (scheme, t) :: c.heats)
+    ~find:(fun c -> List.assoc_opt build c.heats)
+    ~add:(fun c t -> c.heats <- (build, t) :: c.heats)
     (fun () ->
-      let num_blocks = Prog.Program.num_blocks (transformed ctx scheme) in
+      let scheme, variant = build in
+      let num_blocks =
+        Prog.Program.num_blocks (transformed ~variant ctx scheme)
+      in
       Profiler.Heat.temperatures
-        (Profiler.Heat.profile ~num_blocks (stream ctx scheme)))
+        (Profiler.Heat.profile ~num_blocks (build_stream ctx build)))
 
-(* The hierarchy a run of [scheme] under memory configuration [mem]
+let heat ctx scheme = build_heat ctx (scheme, prepared)
+
+(* The hierarchy a run of [build] under memory configuration [mem]
    starts from, warmed once and shared: never simulate on it directly,
    only on a {!Mem.Hierarchy.copy}. *)
-let warm_state ctx scheme (mem : Mem.Hierarchy.config) =
+let warm_state ctx build (mem : Mem.Hierarchy.config) =
   let key = Marshal.to_string mem [] in
   find_or_add ctx.scheme_cache
     ~find:(fun c ->
-      if c.warm_scheme = Some scheme then List.assoc_opt key c.warm else None)
+      if c.warm_build = Some build then List.assoc_opt key c.warm else None)
     ~add:(fun c h ->
-      if c.warm_scheme <> Some scheme then begin
-        c.warm_scheme <- Some scheme;
+      if c.warm_build <> Some build then begin
+        c.warm_build <- Some build;
         c.warm <- []
       end;
       c.warm <- (key, h) :: c.warm)
     (fun () ->
       let h = Mem.Hierarchy.create mem in
-      Pipeline.Cpu.warm h (stream ctx scheme);
+      Pipeline.Cpu.warm h (build_stream ctx build);
       h)
 
-let stats ?(config = Pipeline.Config.table_i) ?probe ctx scheme =
+let stats ?(config = Pipeline.Config.table_i) ?probe ?(variant = prepared) ctx
+    scheme =
+  let build = (scheme, variant) in
   (* The TRRIP policy is the one consumer of block temperatures; other
      policies ignore the hint, so the table is only computed (once per
-     scheme) when it can matter.  The warm pass ignores hints, so TRRIP
+     build) when it can matter.  The warm pass ignores hints, so TRRIP
      machines share warm states like any other. *)
   let itemp =
     match config.Pipeline.Config.mem.Mem.Hierarchy.l1i_policy with
-    | Mem.Replacement.Trrip -> Some (heat ctx scheme)
+    | Mem.Replacement.Trrip -> Some (build_heat ctx build)
     | Mem.Replacement.Lru | Mem.Replacement.Srrip | Mem.Replacement.Brrip ->
       None
   in
-  let hier = Mem.Hierarchy.copy (warm_state ctx scheme config.mem) in
-  Pipeline.Cpu.run_stream ~hier ?probe ?itemp config (source ctx scheme)
+  let hier = Mem.Hierarchy.copy (warm_state ctx build config.mem) in
+  Pipeline.Cpu.run_stream ~hier ?probe ?itemp config (fun () ->
+      build_stream ctx build)
 
 let speedup ~base (st : Pipeline.Stats.t) =
   (float_of_int base.Pipeline.Stats.cycles /. float_of_int st.cycles) -. 1.0

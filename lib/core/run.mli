@@ -9,14 +9,35 @@
     context's footprint following it.  {!stats} evaluates any scheme on
     any machine configuration. *)
 
+type variant = {
+  window : int;  (** profiler analysis window *)
+  threshold : float;  (** minimum chain criticality *)
+  fraction : float;  (** leading share of the stream profiled *)
+  metric : Profiler.Metric.t;  (** chain-criticality score *)
+  exact : int option;
+      (** [Some n]: keep only chains of [n] or more members, cut to
+          exactly [n] ({!Profiler.Critic_db.exact_length}), and compile
+          with the chain length capped at [n] *)
+}
+(** A database variant of a prepared context: how a CritIC database is
+    derived from the context's own baseline stream, and so which
+    database a scheme compiles from.  The sensitivity sweeps and
+    ablations vary it; every other run uses {!prepared}. *)
+
+val prepared : variant
+(** The variant {!prepare} profiles with: window 512, threshold 4.0,
+    fraction 1.0, [Average_fanout], no exact length — the profiler's
+    defaults ({!Profiler.Profile_run.profile}). *)
+
 type scheme_cache
-(** Derived per-scheme state: one slot holding the last transformed
-    program, sized for the hot access pattern — one scheme re-simulated
-    across machine configurations, interleaved with the baseline, which
-    needs no slot; the TRRIP heat tables; and the warmed memory
-    hierarchies of the most recently simulated scheme, one per
-    [Config.mem].  Mutex-protected so contexts can be shared across
-    domains by the parallel experiment harness. *)
+(** Derived per-build state, where a build is a (scheme, variant) pair:
+    one slot holding the last transformed program, sized for the hot
+    access pattern — one build re-simulated across machine
+    configurations, interleaved with the baseline, which needs no slot;
+    the TRRIP heat tables; and the warmed memory hierarchies of the most
+    recently simulated build, one per [Config.mem].  Mutex-protected so
+    contexts can be shared across domains by the parallel experiment
+    harness. *)
 
 type app_context = {
   profile : Workload.Profile.t;
@@ -24,7 +45,7 @@ type app_context = {
   seed : int;
   path : Prog.Walk.path;
   event_count : int;      (** events the baseline stream yields *)
-  db : Profiler.Critic_db.t;
+  db : Profiler.Critic_db.t;  (** the {!prepared} variant's database *)
   scheme_cache : scheme_cache;
   ckey : string;
       (** content fingerprint of everything this context was prepared
@@ -41,12 +62,11 @@ val prepare :
   ?store:Store.t ->
   ?instrs:int ->
   ?sample:int ->
-  ?profile_window:int ->
-  ?threshold:float ->
-  ?profile_fraction:float ->
   Workload.Profile.t ->
   app_context
-(** Generate, walk and profile one application.  [sample] (default 0)
+(** Generate, walk and profile (with {!prepared}) one application.
+    Other database variants are derived from the prepared context
+    ({!database}), never prepared.  [sample] (default 0)
     selects one of the independent execution samples of the same
     program — the equivalent of the paper's 100 random samples per app:
     different control-flow walk, same code.
@@ -59,27 +79,30 @@ val prepare :
     is consulted here only: transformed programs are never persisted,
     because compiling one costs less than reading it back. *)
 
-val context_key :
-  ?instrs:int ->
-  ?sample:int ->
-  ?profile_window:int ->
-  ?threshold:float ->
-  ?profile_fraction:float ->
-  Workload.Profile.t ->
-  Store.key
+val context_key : ?instrs:int -> ?sample:int -> Workload.Profile.t -> Store.key
 (** The store key {!prepare} uses for these inputs — exposed so tests
     and tools can probe or invalidate specific entries. *)
 
-val transformed : app_context -> Transform.Scheme.t -> Prog.Program.t
+val database : app_context -> variant -> Profiler.Critic_db.t
+(** The variant's database: the context's own [db] when the variant
+    profiles as {!prepared} does, else a fresh profile of the context's
+    baseline stream with the variant's window, threshold, fraction and
+    metric; then cut to [exact] chains if set.  Not memoized. *)
+
+val transformed :
+  ?variant:variant -> app_context -> Transform.Scheme.t -> Prog.Program.t
 (** The program a scheme's compiler pipeline
-    ({!Transform.Scheme.pipeline}) produces.  The context's one slot
-    keeps the last transformed program: repeated requests for the same
-    scheme — e.g. under several machine configurations, or from
-    concurrent harness jobs — run the compiler pipeline once, and a
-    request for another transformed scheme compiles its whole pass list
-    and takes the slot ([Opp16_critic] included: it compiles [Critic]'s
-    passes itself rather than reading [Critic] from the slot).
-    Baseline, the scheme with no passes, is the context's own program
+    ({!Transform.Scheme.pipeline}) produces from the [variant]'s
+    {!database} (default {!prepared}: the context's own).  This is the
+    one place an [exact n] variant caps the pipeline's [max_len] at
+    [n].  The context's one slot keeps the last transformed program:
+    repeated requests for the same (scheme, variant) — e.g. under
+    several machine configurations, or from concurrent harness jobs —
+    run the compiler pipeline once, and a request for another
+    transformed build compiles its whole pass list and takes the slot
+    ([Opp16_critic] included: it compiles [Critic]'s passes itself
+    rather than reading [Critic] from the slot).  Baseline, the scheme
+    with no passes, is the context's own program whatever the variant
     and never occupies the slot. *)
 
 val transform_count : app_context -> int
@@ -110,20 +133,22 @@ val heat : app_context -> Transform.Scheme.t -> int array
 val stats :
   ?config:Pipeline.Config.t ->
   ?probe:Telemetry.Probe.t ->
+  ?variant:variant ->
   app_context ->
   Transform.Scheme.t ->
   Pipeline.Stats.t
-(** Simulate a scheme (default machine: Table I), streaming.  [probe]
+(** Simulate a scheme (default machine: Table I), streaming, as
+    compiled from the [variant]'s database (default {!prepared}).  [probe]
     attaches a telemetry observer; the returned stats are bit-identical
     with or without one (see {!Pipeline.Cpu.run_stream}).  When the
     configuration selects the TRRIP i-cache policy, the scheme's {!heat}
     table is computed and threaded through automatically.
 
     The warm pass ({!Pipeline.Cpu.warm}) runs once per (scheme,
-    [config.mem]) while the scheme stays the context's most recently
-    simulated one; every run simulates on a {!Mem.Hierarchy.copy} of
-    that state, so the statistics equal a run that warms its own
-    hierarchy. *)
+    variant, [config.mem]) while that build stays the context's most
+    recently simulated one; every run simulates on a
+    {!Mem.Hierarchy.copy} of that state, so the statistics equal a run
+    that warms its own hierarchy. *)
 
 val speedup : base:Pipeline.Stats.t -> Pipeline.Stats.t -> float
 (** Fractional cycle-count improvement over [base] for the same work. *)

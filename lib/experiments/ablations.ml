@@ -46,47 +46,40 @@ let jobs ?apps () =
         ])
     apps
 
+(* The profiler settings swept, each a database variant of Critic. *)
+let threshold_points =
+  List.map
+    (fun t ->
+      ( Printf.sprintf "threshold %.0f" t,
+        Critics.Run.{ prepared with threshold = t } ))
+    [ 2.0; 3.0; 4.0; 6.0; 8.0 ]
+
+let metric_points =
+  List.map
+    (fun m ->
+      (Profiler.Metric.name m, Critics.Run.{ prepared with metric = m }))
+    Profiler.Metric.all
+
 let run ?apps h =
   let apps = match apps with Some a -> a | None -> default_apps () in
   let mean_over f = Harness.mean (List.map f apps) in
-  (* Fan settings × apps out over the harness pool: each task profiles
-     the trace afresh and runs a full simulation. *)
-  let sweep settings label speedup_of =
-    List.map
-      (fun (s, group) -> { label = label s; speedup = Harness.mean group })
-      (Harness.fan_out h settings apps speedup_of)
+  Harness.run_batch h
+    (List.concat_map
+       (fun app ->
+         List.map
+           (fun (_, variant) -> Harness.job ~variant app Critics.Scheme.Critic)
+           (threshold_points @ metric_points))
+       apps);
+  let critic_point (label, variant) =
+    {
+      label;
+      speedup =
+        mean_over (fun app ->
+            Harness.speedup h ~variant app Critics.Scheme.Critic);
+    }
   in
-  let critic_speedup_with_db make_db (app : Workload.Profile.t) =
-    let ctx = Harness.context h app in
-    let base = Harness.stats h app Critics.Scheme.Baseline in
-    let db = make_db ctx in
-    let program =
-      fst
-        (Critics.Scheme.compile Critics.Scheme.Critic db
-           ctx.Critics.Run.program)
-    in
-    let st =
-      Pipeline.Cpu.run_stream Pipeline.Config.table_i (fun () ->
-          Prog.Trace.Stream.of_program program ~seed:ctx.seed ctx.path)
-    in
-    Critics.Run.speedup ~base st
-  in
-  let threshold =
-    sweep [ 2.0; 3.0; 4.0; 6.0; 8.0 ]
-      (fun t -> Printf.sprintf "threshold %.0f" t)
-      (fun t ->
-        critic_speedup_with_db (fun ctx ->
-            Profiler.Profile_run.profile_stream ~threshold:t
-              ~total_events:ctx.Critics.Run.event_count
-              (Critics.Run.stream ctx Critics.Scheme.Baseline)))
-  in
-  let metric =
-    sweep Profiler.Metric.all Profiler.Metric.name (fun m ->
-        critic_speedup_with_db (fun ctx ->
-            Profiler.Profile_run.profile_stream ~metric:m
-              ~total_events:ctx.Critics.Run.event_count
-              (Critics.Run.stream ctx Critics.Scheme.Baseline)))
-  in
+  let threshold = List.map critic_point threshold_points in
+  let metric = List.map critic_point metric_points in
   let cdp_penalty =
     List.map
       (fun p ->

@@ -23,8 +23,10 @@ type result = {
 }
 
 val jobs : ?apps:Workload.Profile.t list -> unit -> Harness.job list
-(** Every memoized simulation [run] needs, for {!Harness.run_batch}
-    prewarming (the profiler sweeps are fanned out by [run] itself). *)
+(** The prepared-database simulations [run] reads, for
+    {!Harness.run_batch} prewarming.  The threshold and metric sweeps
+    are database variants ({!Critics.Run.variant}) that [run] batches
+    itself. *)
 
 val run : ?apps:Workload.Profile.t list -> Harness.t -> result
 (** Defaults to three representative mobile apps to bound runtime. *)

@@ -31,20 +31,19 @@ let percentile_of_histogram h p =
   end
 
 let run ?(window = 2048) h =
-  (* Large-window profiles are computed separately from the harness's
-     compiler-oriented databases: the figure is about raw IC shapes. *)
-  let wide_db app =
-    let ctx = Harness.context h app in
-    Profiler.Profile_run.profile_stream ~window
-      ~total_events:ctx.Critics.Run.event_count
-      (Critics.Run.stream ctx Critics.Scheme.Baseline)
-  in
+  (* Large-window profiles, apart from the compiler-oriented prepared
+     databases: the figure is about raw IC shapes.  One variant
+     database per app, batched on the harness; per-suite grouping and
+     order are preserved. *)
+  let wide = Critics.Run.{ prepared with window } in
+  Harness.run_batch h
+    (List.concat_map
+       (fun (_, apps) -> List.map (Harness.context_job ~variant:wide) apps)
+       Harness.suites);
   let dbs =
-    (* One wide-window profile per app, fanned out over the harness
-       pool; per-suite grouping and order are preserved. *)
     List.map
       (fun (suite, apps) ->
-        (suite, Parallel.Pool.map_list ~chunk:1 (Harness.pool h) wide_db apps))
+        (suite, List.map (fun app -> Harness.database h app wide) apps))
       Harness.suites
   in
   let rows =

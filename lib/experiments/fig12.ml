@@ -9,69 +9,58 @@ type coverage_point = { fraction : float; speedup : float }
 
 type result = { lengths : length_point list; coverage : coverage_point list }
 
-(* Critic's passes and options from the scheme table, with the chain
-   length cap replaced by [max_len]. *)
-let apply_critic ~max_len ctx db =
-  let options, passes = Critics.Scheme.pipeline Critics.Scheme.Critic in
-  fst
-    (Transform.Pipeline.run
-       (Transform.Pass.env ~options:{ options with Transform.Pass.max_len } db)
-       passes ctx.Critics.Run.program)
-
-let run_transformed (ctx : Critics.Run.app_context) program =
-  Pipeline.Cpu.run_stream Pipeline.Config.table_i (fun () ->
-      Prog.Trace.Stream.of_program program ~seed:ctx.seed ctx.path)
+let chain_lengths = [ 2; 3; 4; 5; 6; 7; 8; 9 ]
+let fractions = [ 0.125; 0.25; 0.375; 0.5; 0.75; 1.0 ]
+let exact n = Critics.Run.{ prepared with exact = Some n }
+let covering fraction = Critics.Run.{ prepared with fraction }
 
 let run h =
   let mobile = List.assoc "Mobile" Harness.suites in
-  (* Both sensitivity sweeps re-transform and re-simulate per (setting,
-     app): independent work, fanned out over the harness pool. *)
-  let fan settings per_point = Harness.fan_out h settings mobile per_point in
+  let critic = Critics.Scheme.Critic in
+  (* Every point of both sweeps is Critic compiled from a database
+     variant: harness cells, batched, memoized and stored like any
+     other. *)
+  Harness.run_batch h
+    (List.concat_map
+       (fun app ->
+         Harness.job app Critics.Scheme.Baseline
+         :: List.map
+              (fun variant -> Harness.job ~variant app critic)
+              (List.map exact chain_lengths @ List.map covering fractions))
+       mobile);
+  let mean_over f = Harness.mean (List.map f mobile) in
   let lengths =
     List.map
-      (fun (n, per_app) ->
+      (fun n ->
+        let variant = exact n in
         {
           n;
-          speedup = Harness.mean (List.map (fun (s, _, _) -> s) per_app);
-          fetch_saving = Harness.mean (List.map (fun (_, f, _) -> f) per_app);
-          coverage = Harness.mean (List.map (fun (_, _, c) -> c) per_app);
+          speedup =
+            mean_over (fun app -> Harness.speedup h ~variant app critic);
+          fetch_saving =
+            mean_over (fun app ->
+                let base = Harness.stats h app Critics.Scheme.Baseline in
+                let st = Harness.stats h ~variant app critic in
+                float_of_int
+                  (base.Pipeline.Stats.fetch_idle_supply
+                  - st.Pipeline.Stats.fetch_idle_supply)
+                /. float_of_int base.Pipeline.Stats.cycles);
+          coverage =
+            mean_over (fun app ->
+                Profiler.Critic_db.coverage (Harness.database h app variant));
         })
-      (fan
-         [ 2; 3; 4; 5; 6; 7; 8; 9 ]
-         (fun n app ->
-           let ctx = Harness.context h app in
-           let base = Harness.stats h app Critics.Scheme.Baseline in
-           let db = Profiler.Critic_db.exact_length n ctx.db in
-           let st = run_transformed ctx (apply_critic ~max_len:n ctx db) in
-           let cyc = float_of_int base.Pipeline.Stats.cycles in
-           ( Critics.Run.speedup ~base st,
-             float_of_int
-               (base.Pipeline.Stats.fetch_idle_supply
-               - st.Pipeline.Stats.fetch_idle_supply)
-             /. cyc,
-             Profiler.Critic_db.coverage db )))
+      chain_lengths
   in
   let coverage =
     List.map
-      (fun (fraction, per_app) ->
-        { fraction; speedup = Harness.mean per_app })
-      (fan
-         [ 0.125; 0.25; 0.375; 0.5; 0.75; 1.0 ]
-         (fun fraction app ->
-           let ctx = Harness.context h app in
-           let base = Harness.stats h app Critics.Scheme.Baseline in
-           let db =
-             Profiler.Profile_run.profile_stream ~fraction
-               ~total_events:ctx.Critics.Run.event_count
-               (Critics.Run.stream ctx Critics.Scheme.Baseline)
-           in
-           let st =
-             run_transformed ctx
-               (fst
-                  (Critics.Scheme.compile Critics.Scheme.Critic db
-                     ctx.Critics.Run.program))
-           in
-           Critics.Run.speedup ~base st))
+      (fun fraction ->
+        {
+          fraction;
+          speedup =
+            mean_over (fun app ->
+                Harness.speedup h ~variant:(covering fraction) app critic);
+        })
+      fractions
   in
   { lengths; coverage }
 

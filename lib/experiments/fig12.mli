@@ -6,7 +6,12 @@
     intermediate length (n = 5 in the paper).
 
     (b) Profiling coverage: the speedup as a function of the fraction
-    of the execution that was profiled before compiling. *)
+    of the execution that was profiled before compiling.
+
+    Every point is Critic compiled from a database variant of the
+    prepared context ({!Critics.Run.variant}: [exact = Some n] for (a),
+    [fraction] for (b)), simulated as a harness cell, so the store
+    keeps it and a warm run reads it back. *)
 
 type length_point = {
   n : int;

@@ -2,16 +2,17 @@ type job = {
   job_profile : Workload.Profile.t;
   job_scheme : Critics.Scheme.t option; (* None: prepare the context only *)
   job_config : Pipeline.Config.t;
+  job_variant : Critics.Run.variant;
 }
 
 type t = {
   instrs : int;
-  jobs : int;
   telemetry : int option; (* probe window size; None = probes disabled *)
   store : Store.t option; (* prepared-artifact cache; None = hermetic *)
   pool : Parallel.Pool.t Lazy.t;
   lock : Mutex.t;
   contexts : (string, Critics.Run.app_context) Hashtbl.t;
+  databases : (string, Profiler.Critic_db.t) Hashtbl.t;
   results : (string, Pipeline.Stats.t) Hashtbl.t;
   probes : (string, Telemetry.Probe.t) Hashtbl.t;
 }
@@ -22,47 +23,40 @@ let create ?(instrs = Critics.Run.default_instrs) ?jobs ?telemetry ?store () =
   in
   {
     instrs;
-    jobs;
     telemetry;
     store;
     pool = lazy (Parallel.Pool.create ~jobs ());
     lock = Mutex.create ();
     contexts = Hashtbl.create 32;
+    databases = Hashtbl.create 32;
     results = Hashtbl.create 256;
     probes = Hashtbl.create 256;
   }
 
-let instrs t = t.instrs
-let jobs t = t.jobs
-let store t = t.store
-let pool t = Lazy.force t.pool
+(* The memoization key depends on the *actual* machine configuration
+   and database variant: both are pure data records, so a digest of the
+   marshalled bytes is a canonical fingerprint.  Distinct values never
+   collide, and structurally equal ones share one entry. *)
+let fingerprint v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
-let fan_out t settings apps f =
-  let per =
-    Array.of_list
-      (Parallel.Pool.map_list ~chunk:1 (pool t)
-         (fun (s, app) -> f s app)
-         (List.concat_map (fun s -> List.map (fun a -> (s, a)) apps) settings))
-  in
-  let n = List.length apps in
-  List.mapi (fun i s -> (s, Array.to_list (Array.sub per (i * n) n))) settings
-
-(* The memoization key depends on the *actual* machine configuration:
-   Config.t is a pure data record, so a digest of its marshalled bytes
-   is a canonical fingerprint.  Distinct configs never collide, and
-   structurally equal ones share one entry. *)
-let config_fingerprint (config : Pipeline.Config.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string config []))
-
-let default_fingerprint = config_fingerprint Pipeline.Config.table_i
+let default_fingerprint = fingerprint Pipeline.Config.table_i
 
 let fingerprint_of = function
   | None -> default_fingerprint
-  | Some c -> config_fingerprint c
+  | Some c -> fingerprint c
 
-let result_key (profile : Workload.Profile.t) scheme fingerprint =
-  Printf.sprintf "%s/%s/%s" profile.name (Critics.Scheme.name scheme)
-    fingerprint
+(* Any other variant appends its fingerprint; the prepared one adds
+   nothing, so a prepared cell's key stays app/scheme/<config digest>. *)
+let variant_parts (v : Critics.Run.variant) =
+  if v = Critics.Run.prepared then [] else [ fingerprint v ]
+
+let result_key (profile : Workload.Profile.t) scheme fingerprint variant =
+  String.concat "/"
+    (profile.name :: Critics.Scheme.name scheme :: fingerprint
+   :: variant_parts variant)
+
+let database_key (profile : Workload.Profile.t) variant =
+  String.concat "/" (profile.name :: variant_parts variant)
 
 (* The one path into the harness's memo tables (Util.Memo): the first
    insert wins, so every caller shares one value — one context and its
@@ -76,41 +70,49 @@ let context t (profile : Workload.Profile.t) =
   find_or_add t t.contexts profile.name (fun () ->
       Critics.Run.prepare ?store:t.store ~instrs:t.instrs profile)
 
+(* A variant's database, kept for the harness's lifetime: only what an
+   artifact reads back itself comes through here.  A simulation derives
+   its own database and keeps none. *)
+let database t profile variant =
+  find_or_add t t.databases (database_key profile variant) (fun () ->
+      Critics.Run.database (context t profile) variant)
+
 (* One simulation, under the stats memo.  With telemetry enabled it
    attaches a fresh probe and — only if the run completes — stores it
    under the same memo key as the stats, first insert winning.  Every
    job is deterministic, so a lost race stores an identical probe. *)
-let simulate t ?config ~key ctx scheme =
+let simulate t ?config ~variant ~key ctx scheme =
   match t.telemetry with
   | None ->
     (* Store-backed layer under the in-memory memo: a completed
        simulation is a deterministic function of the prepared context
-       (ckey), the scheme and the machine configuration, so warm runs
-       deserialize the stats instead of simulating.  Without a store
-       this just simulates. *)
+       (ckey), the scheme, the machine configuration and the database
+       variant, so warm runs deserialize the stats instead of
+       simulating.  Without a store this just simulates. *)
     Store.memo t.store
       (Store.key ~kind:"stats"
-         [
-           ctx.Critics.Run.ckey;
-           Critics.Scheme.name scheme;
-           fingerprint_of config;
-         ])
-      (fun () : Pipeline.Stats.t -> Critics.Run.stats ?config ctx scheme)
+         (ctx.Critics.Run.ckey :: Critics.Scheme.name scheme
+        :: fingerprint_of config :: variant_parts variant))
+      (fun () : Pipeline.Stats.t ->
+        Critics.Run.stats ?config ~variant ctx scheme)
   | Some window ->
     let probe = Telemetry.Probe.create ~window () in
-    let st = Critics.Run.stats ?config ~probe ctx scheme in
+    let st = Critics.Run.stats ?config ~probe ~variant ctx scheme in
     Mutex.lock t.lock;
     if not (Hashtbl.mem t.probes key) then Hashtbl.replace t.probes key probe;
     Mutex.unlock t.lock;
     st
 
-let stats t ?config (profile : Workload.Profile.t) scheme =
-  let key = result_key profile scheme (fingerprint_of config) in
+let stats t ?config ?(variant = Critics.Run.prepared)
+    (profile : Workload.Profile.t) scheme =
+  let key = result_key profile scheme (fingerprint_of config) variant in
   find_or_add t t.results key (fun () ->
-      simulate t ?config ~key (context t profile) scheme)
+      simulate t ?config ~variant ~key (context t profile) scheme)
 
 let probe_for t ?config (profile : Workload.Profile.t) scheme =
-  let key = result_key profile scheme (fingerprint_of config) in
+  let key =
+    result_key profile scheme (fingerprint_of config) Critics.Run.prepared
+  in
   Mutex.lock t.lock;
   let p = Hashtbl.find_opt t.probes key in
   Mutex.unlock t.lock;
@@ -130,12 +132,24 @@ let simulations jobs =
     (fun j ->
       Option.map
         (fun scheme ->
-          ( result_key j.job_profile scheme (config_fingerprint j.job_config),
+          ( result_key j.job_profile scheme (fingerprint j.job_config)
+              j.job_variant,
             j,
             scheme ))
         j.job_scheme)
     jobs
   |> List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b)
+
+(* The distinct databases a job list's context-only jobs name beyond
+   the prepared one, as (memo key, job), sorted by key. *)
+let databases jobs =
+  List.filter_map
+    (fun j ->
+      if j.job_scheme = None && j.job_variant <> Critics.Run.prepared then
+        Some (database_key j.job_profile j.job_variant, j)
+      else None)
+    jobs
+  |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
 
 let telemetry_registry_for t jobs =
   let into = Telemetry.Registry.create () in
@@ -178,42 +192,48 @@ let telemetry_registry t =
     (telemetry_probes t);
   into
 
-let speedup t ?config profile scheme =
+let speedup t ?config ?variant profile scheme =
   let base = stats t profile Critics.Scheme.Baseline in
-  Critics.Run.speedup ~base (stats t ?config profile scheme)
+  Critics.Run.speedup ~base (stats t ?config ?variant profile scheme)
 
 (* ------------------------------ batches --------------------------- *)
 
-let job ?config profile scheme =
+let job ?(config = Pipeline.Config.table_i) ?(variant = Critics.Run.prepared)
+    profile scheme =
   {
     job_profile = profile;
     job_scheme = Some scheme;
-    job_config = (match config with Some c -> c | None -> Pipeline.Config.table_i);
+    job_config = config;
+    job_variant = variant;
   }
 
-let context_job profile =
+let context_job ?(variant = Critics.Run.prepared) profile =
   {
     job_profile = profile;
     job_scheme = None;
     job_config = Pipeline.Config.table_i;
+    job_variant = variant;
   }
 
 let run_batch t jobs =
+  let map f xs =
+    ignore (Parallel.Pool.map_list ~chunk:1 (Lazy.force t.pool) f xs)
+  in
   (* Phase 1: every application's context, one parallel task per
-     application (chunk 1: preparation cost is uneven across apps). *)
-  ignore
-    (Parallel.Pool.map_list ~chunk:1 (pool t) (context t)
-       (List.sort_uniq
-          (fun (a : Workload.Profile.t) b -> compare a.name b.name)
-          (List.map (fun j -> j.job_profile) jobs)));
-  (* Phase 2: every distinct (app, scheme, config) simulation.  Key order
-     groups an app's jobs by scheme, so consecutive simulations share the
-     context's transform slot. *)
-  ignore
-    (Parallel.Pool.map_list ~chunk:1 (pool t)
-       (fun (_, j, scheme) ->
-         stats t ~config:j.job_config j.job_profile scheme)
-       (simulations jobs))
+     application (preparation cost is uneven across apps). *)
+  map (context t)
+    (List.sort_uniq
+       (fun (a : Workload.Profile.t) b -> compare a.name b.name)
+       (List.map (fun j -> j.job_profile) jobs));
+  (* Phase 2: every distinct (app, scheme, config, variant) simulation.
+     Key order groups an app's jobs by scheme, so consecutive
+     simulations share the context's transform slot. *)
+  map
+    (fun (_, j, scheme) ->
+      stats t ~config:j.job_config ~variant:j.job_variant j.job_profile scheme)
+    (simulations jobs);
+  (* Phase 3: every variant database a context-only job names. *)
+  map (fun (_, j) -> database t j.job_profile j.job_variant) (databases jobs)
 
 let mean = Util.Stats.mean
 

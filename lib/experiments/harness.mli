@@ -2,10 +2,13 @@
 
     Prepares each application once (program, path, trace, CritIC
     database) and memoizes simulation results keyed by
-    (app, scheme, machine-configuration fingerprint), so the figure
-    modules can freely share runs.  All experiments in this library draw
-    from one harness instance; [dune exec bench/main.exe] builds a
-    single harness and regenerates every table and figure from it.
+    (app, scheme, machine-configuration fingerprint, database variant),
+    so the figure modules can freely share runs.  All experiments in
+    this library draw from one harness instance; [dune exec
+    bench/main.exe] builds a single harness and regenerates every table
+    and figure from it.  No experiment profiles, compiles or simulates
+    outside it: a sweep over profiler settings is a list of
+    {!Critics.Run.variant} jobs.
 
     Independent (app × scheme × config) jobs can be evaluated across a
     pool of OCaml 5 domains: enqueue them with {!run_batch} and the
@@ -36,59 +39,47 @@ val create :
     are bit-identical with telemetry on or off.
 
     [store] attaches a prepared-artifact cache ({!Store}): prepared
-    contexts and completed simulations are persisted, so a warm harness
-    loads them instead of recomputing.  Transformed programs are not
-    persisted; {!Critics.Run.transformed} compiles them.
+    contexts and completed simulations, variant ones included, are
+    persisted, so a warm harness loads them instead of recomputing.
+    Transformed programs and variant databases are not persisted;
+    {!Critics.Run.transformed} and {!Critics.Run.database} derive them.
     Telemetry-enabled simulations always run live (probes observe the
     run itself). *)
-
-val instrs : t -> int
-
-val jobs : t -> int
-(** Parallelism width this harness was created with. *)
-
-val store : t -> Store.t option
-(** The attached prepared-artifact store, if any. *)
-
-val pool : t -> Parallel.Pool.t
-(** The harness's domain pool, for experiment modules that parallelize
-    custom per-app computations beyond the memoized simulations.  Do not
-    call pool operations from inside tasks already running on it. *)
-
-val fan_out :
-  t ->
-  'a list ->
-  Workload.Profile.t list ->
-  ('a -> Workload.Profile.t -> 'b) ->
-  ('a * 'b list) list
-(** [fan_out t settings apps f] evaluates [f s app] for every setting ×
-    app as one task each on the {!pool}, and returns each setting with
-    its results in [apps] order, settings in input order — so a mean
-    over a group equals a sequential run's. *)
 
 val context : t -> Workload.Profile.t -> Critics.Run.app_context
 (** Cached per-application context (thread-safe).  Every context a
     harness prepares stays resident for the harness's lifetime. *)
 
+val database :
+  t -> Workload.Profile.t -> Critics.Run.variant -> Profiler.Critic_db.t
+(** Cached {!Critics.Run.database} (thread-safe), kept for the
+    harness's lifetime: for artifacts that read a variant's database
+    themselves.  A simulation derives its database without it. *)
+
 val stats :
   t ->
   ?config:Pipeline.Config.t ->
+  ?variant:Critics.Run.variant ->
   Workload.Profile.t ->
   Critics.Scheme.t ->
   Pipeline.Stats.t
-(** Cached simulation (thread-safe).  The memo key is derived from the
-    *actual* [config] value (a digest of the configuration record), so
-    distinct configurations never collide and structurally equal ones
-    share one entry. *)
+(** Cached simulation (thread-safe) of the scheme compiled from the
+    [variant]'s database (default {!Critics.Run.prepared}).  The memo
+    key is [app/scheme/<config digest>], derived from the *actual*
+    [config] value, so distinct configurations never collide and
+    structurally equal ones share one entry; a variant other than the
+    prepared one appends [/<variant digest>].  A variant equal to
+    {!Critics.Run.prepared} field by field is the prepared cell. *)
 
 val speedup :
   t ->
   ?config:Pipeline.Config.t ->
+  ?variant:Critics.Run.variant ->
   Workload.Profile.t ->
   Critics.Scheme.t ->
   float
-(** Speedup of (scheme, config) over (Baseline, default config) for the
-    same application and work. *)
+(** Speedup of (scheme, config, variant) over (Baseline, default
+    config, prepared variant) for the same application and work. *)
 
 (** {2 Telemetry} *)
 
@@ -115,22 +106,29 @@ val telemetry_registry : t -> Telemetry.Registry.t
 
 type job
 (** One unit of work: prepare an application and, unless it is a
-    context-only job, simulate one (scheme, config) on it. *)
+    context-only job, simulate one (scheme, config, variant) on it. *)
 
 val job :
-  ?config:Pipeline.Config.t -> Workload.Profile.t -> Critics.Scheme.t -> job
-(** A simulation job ([config] defaults to Table I). *)
+  ?config:Pipeline.Config.t ->
+  ?variant:Critics.Run.variant ->
+  Workload.Profile.t ->
+  Critics.Scheme.t ->
+  job
+(** A simulation job ([config] defaults to Table I, [variant] to
+    {!Critics.Run.prepared}). *)
 
-val context_job : Workload.Profile.t -> job
+val context_job : ?variant:Critics.Run.variant -> Workload.Profile.t -> job
 (** Prepare the application context only (program, trace, CritIC
-    database) — for experiments that consume contexts directly. *)
+    database) — for experiments that consume contexts directly — and,
+    for a [variant] other than the prepared one, its {!database}. *)
 
 val run_batch : t -> job list -> unit
 (** Evaluate every not-yet-memoized job across the harness's domain
     pool and store the results: first all missing application contexts
-    in parallel, then all missing simulations in parallel.  Duplicate
-    and already-cached jobs are skipped.  Subsequent {!stats} /
-    {!context} calls are cache hits. *)
+    in parallel, then all missing simulations in parallel, then all
+    missing variant databases in parallel.  Duplicate and
+    already-cached jobs are skipped.  Subsequent {!stats} /
+    {!context} / {!database} calls are cache hits. *)
 
 val telemetry_registry_for : t -> job list -> Telemetry.Registry.t
 (** The probe registries of the given jobs' memo keys merged (duplicate

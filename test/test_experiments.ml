@@ -146,6 +146,38 @@ let test_memo_key_uses_config () =
   Alcotest.(check bool) "equal configs share one memo entry" true
     (explicit_stats == again)
 
+(* A database variant is keyed like a config: one equal to the
+   prepared variant field by field is the prepared cell, under its
+   app/scheme/<config digest> key; any other is an entry of its own.
+   The probe table, enabled by telemetry, lists the memo's keys. *)
+let test_memo_key_uses_variant () =
+  let h = Experiments.Harness.create ~instrs:8_000 ~jobs:1 ~telemetry:1024 () in
+  let app = Option.get (Workload.Apps.find "Music") in
+  let keys () = List.map fst (Experiments.Harness.telemetry_probes h) in
+  let stats ?variant () =
+    Experiments.Harness.stats h ?variant app Critics.Scheme.Critic
+  in
+  let prepared = stats () in
+  let prepared_key =
+    "Music/critic/"
+    ^ Digest.to_hex
+        (Digest.string (Marshal.to_string Pipeline.Config.table_i []))
+  in
+  Alcotest.(check (list string)) "prepared key" [ prepared_key ] (keys ());
+  let same = stats ~variant:Critics.Run.{ prepared with threshold = 4.0 } () in
+  Alcotest.(check bool) "equal variant is the prepared cell" true
+    (same == prepared);
+  Alcotest.(check (list string)) "memo gains no key" [ prepared_key ] (keys ());
+  let other = stats ~variant:Critics.Run.{ prepared with threshold = 2.0 } () in
+  (match keys () with
+  | [ a; b ] ->
+    Alcotest.(check string) "prepared key kept" prepared_key a;
+    Alcotest.(check bool) "variant key extends it" true
+      (String.length b > String.length a
+      && String.sub b 0 (String.length a + 1) = a ^ "/")
+  | ks -> Alcotest.failf "expected two memo keys, got %d" (List.length ks));
+  Alcotest.(check bool) "other variant, other stats" true (other <> prepared)
+
 let test_policy_lab_default_cell_shares_memo () =
   (* The policy lab's (lru, next_line) machine is structurally equal to
      table_i, so its cells must come from the same memo entries as a
@@ -222,6 +254,8 @@ let () =
             test_parallel_determinism;
           Alcotest.test_case "memo key uses config" `Quick
             test_memo_key_uses_config;
+          Alcotest.test_case "memo key uses variant" `Quick
+            test_memo_key_uses_variant;
         ] );
       ( "policy lab",
         [

@@ -482,7 +482,32 @@ let test_db_golden () =
   Alcotest.(check (list (pair string string)))
     "default databases" golden_defaults defaults;
   Alcotest.(check (list (pair string string)))
-    "parameter variants" golden_variants variant_digests
+    "parameter variants" golden_variants variant_digests;
+  (* The same databases derived as a context's variants. *)
+  let run_variants =
+    Critics.Run.
+      [
+        ("window 256", { prepared with window = 256 });
+        ("window 2048", { prepared with window = 2048 });
+        ( "threshold 2.0 fraction 0.3",
+          { prepared with threshold = 2.0; fraction = 0.3 } );
+        ( "tail-weighted",
+          { prepared with metric = Profiler.Metric.Tail_weighted } );
+        ("minimum", { prepared with metric = Profiler.Metric.Minimum_fanout });
+      ]
+  in
+  List.iter
+    (fun name ->
+      let ctx = List.assoc name ctxs in
+      List.iter
+        (fun (what, variant) ->
+          let id = name ^ " " ^ what in
+          Alcotest.(check string)
+            (id ^ " through Run.database")
+            (List.assoc id golden_variants)
+            (db_digest (Critics.Run.database ctx variant)))
+        run_variants)
+    golden_variant_apps
 
 let () =
   Alcotest.run "profiler"

@@ -84,13 +84,6 @@ let test_context_key_sensitivity () =
           (Critics.Run.context_key { acrobat with seed = acrobat.seed + 1 }) );
       ("instrs", Store.key_digest (Critics.Run.context_key ~instrs:7 acrobat));
       ("sample", Store.key_digest (Critics.Run.context_key ~sample:3 acrobat));
-      ( "profile_window",
-        Store.key_digest (Critics.Run.context_key ~profile_window:64 acrobat) );
-      ( "threshold",
-        Store.key_digest (Critics.Run.context_key ~threshold:9.5 acrobat) );
-      ( "profile_fraction",
-        Store.key_digest (Critics.Run.context_key ~profile_fraction:0.5 acrobat)
-      );
     ]
   in
   List.iter
@@ -551,7 +544,33 @@ let test_store_holds_contexts_and_stats_only () =
         "warm context compiles Critic once" 1
         (Critics.Run.transform_count warm);
       Alcotest.(check string) "identical transformed program"
-        (program_digest p_cold) (program_digest p_warm))
+        (program_digest p_cold) (program_digest p_warm);
+      (* A database variant's simulation is one more stats entry, read
+         back by the next harness. *)
+      let variant = Critics.Run.{ prepared with threshold = 2.0 } in
+      let stats_entries () =
+        Array.length (Sys.readdir (Filename.concat dir "stats"))
+      in
+      let entries = stats_entries () and writes = (Store.stats st).writes in
+      let v_cold =
+        Experiments.Harness.stats h2 ~variant email Critics.Scheme.Critic
+      in
+      Alcotest.(check int) "one variant stats entry" (entries + 1)
+        (stats_entries ());
+      Alcotest.(check int) "one variant write" (writes + 1)
+        (Store.stats st).writes;
+      let h3 =
+        Experiments.Harness.create ~instrs:small_instrs ~jobs:1 ~store:st ()
+      in
+      let hits = (Store.stats st).hits in
+      let v_warm =
+        Experiments.Harness.stats h3 ~variant email Critics.Scheme.Critic
+      in
+      Alcotest.(check int) "context and variant stats hit" (hits + 2)
+        (Store.stats st).hits;
+      Alcotest.(check int) "variant read writes nothing" (writes + 1)
+        (Store.stats st).writes;
+      Alcotest.(check bool) "variant stats read back" true (v_cold = v_warm))
 
 let test_harness_warm_stats () =
   with_store (fun _dir st ->
