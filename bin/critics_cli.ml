@@ -638,7 +638,7 @@ let serve_cmd =
       let pool = Parallel.Pool.create ?jobs () in
       let t0 = Unix.gettimeofday () in
       let results_list =
-        Parallel.Pool.map_list ~chunk:1 pool
+        Parallel.Pool.map_list pool
           (fun (u : Service.Chaos.upload) ->
             let t = Unix.gettimeofday () in
             Service.Engine.ingest eng ~id:u.up_id ~app:u.up_app

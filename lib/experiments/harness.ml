@@ -216,9 +216,7 @@ let context_job ?(variant = Critics.Run.prepared) profile =
   }
 
 let run_batch t jobs =
-  let map f xs =
-    ignore (Parallel.Pool.map_list ~chunk:1 (Lazy.force t.pool) f xs)
-  in
+  let map f xs = ignore (Parallel.Pool.map_list (Lazy.force t.pool) f xs) in
   (* Phase 1: every application's context, one parallel task per
      application (preparation cost is uneven across apps). *)
   map (context t)

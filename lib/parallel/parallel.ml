@@ -1,14 +1,6 @@
-(** Multicore fan-out for embarrassingly parallel experiment sweeps.
-
-    [Pool] is the reusable domain pool; the toplevel helpers cover the
-    one-shot case. *)
+(** Multicore fan-out for embarrassingly parallel experiment sweeps:
+    the reusable domain pool. *)
 
 module Pool = Pool
 
 let default_jobs = Pool.default_jobs
-
-let map ?jobs f xs =
-  let pool = Pool.create ?jobs () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () -> Pool.map_list pool f xs)

@@ -195,35 +195,11 @@ let run t thunks =
     Mutex.unlock t.lock;
     raise_collected batch.errs
 
-let map ?chunk t f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else if t.jobs <= 1 || n = 1 then Array.map f xs
-  else begin
-    let chunk =
-      match chunk with
-      | Some c -> max 1 c
-      | None -> max 1 (n / (t.jobs * 8))
-    in
-    let out = Array.make n None in
-    let nchunks = (n + chunk - 1) / chunk in
-    let thunks =
-      List.init nchunks (fun c ->
-          let lo = c * chunk in
-          let hi = min n (lo + chunk) in
-          fun () ->
-            for i = lo to hi - 1 do
-              out.(i) <- Some (f xs.(i))
-            done)
-    in
-    run t thunks;
-    Array.map
-      (function Some v -> v | None -> assert false (* run would have raised *))
-      out
-  end
-
-let map_list ?chunk t f xs =
-  Array.to_list (map ?chunk t f (Array.of_list xs))
-
-let map_reduce ?chunk t ~map:f ~reduce ~init xs =
-  List.fold_left reduce init (map_list ?chunk t f xs)
+let map_list t f xs =
+  match xs with
+  | _ :: _ :: _ when t.jobs > 1 ->
+    let out = Array.make (List.length xs) None in
+    run t (List.mapi (fun i x () -> out.(i) <- Some (f x)) xs);
+    (* Every slot is filled: [run] raises otherwise. *)
+    List.map Option.get (Array.to_list out)
+  | _ -> List.map f xs

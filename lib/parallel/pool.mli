@@ -6,16 +6,15 @@
     calling domain, so code written against the pool degrades gracefully
     on single-core hosts ([Domain.recommended_domain_count () = 1]).
 
-    Determinism: [map]/[map_list]/[map_reduce] are order-preserving —
-    result [i] is [f input(i)] regardless of which domain evaluated it,
-    and [map_reduce] folds the mapped results left-to-right — so a
-    parallel run returns exactly what the sequential fallback returns
-    whenever [f] itself is deterministic. *)
+    Determinism: {!map_list} is order-preserving — result [i] is
+    [f input(i)] regardless of which domain evaluated it — so a parallel
+    run returns exactly what the sequential fallback returns whenever
+    [f] itself is deterministic. *)
 
 type t
 
 exception Batch_failure of (exn * string) list
-(** Raised by {!run} (and the [map] family) when {e more than one} job
+(** Raised by {!run} (and {!map_list}) when {e more than one} job
     of a batch failed: every failure, in submission order, paired with
     the backtrace captured where it was caught.  A batch with exactly
     one failure re-raises that exception unchanged. *)
@@ -40,22 +39,11 @@ val run : t -> (unit -> unit) list -> unit
     pool job: the nested caller executes queued work itself rather than
     deadlocking. *)
 
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving parallel map.  The input is split into contiguous
-    chunks of [chunk] elements (default [n / (jobs * 8)], at least 1)
-    that are load-balanced over the pool. *)
-
-val map_list : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-
-val map_reduce :
-  ?chunk:int ->
-  t ->
-  map:('a -> 'b) ->
-  reduce:('c -> 'b -> 'c) ->
-  init:'c ->
-  'a list ->
-  'c
-(** [map] in parallel, then fold the results in input order. *)
+val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
+(** Order-preserving parallel map, one task per element: the callers'
+    elements (an app to prepare, a simulation, an upload) are few and
+    uneven in cost, so each is balanced over the pool on its own.  With
+    [jobs = 1] it is [List.map]. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains, and drop the pool from the global
