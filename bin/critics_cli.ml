@@ -44,6 +44,13 @@ let config_cmd =
 
 (* ------------------------------- run ----------------------------- *)
 
+let parse_scheme name =
+  match Critics.Scheme.of_string name with
+  | Some s -> s
+  | None ->
+    prerr_endline ("unknown scheme " ^ name);
+    exit 1
+
 let scheme_arg =
   let doc =
     "Scheme: " ^ String.concat ", " (List.map Critics.Scheme.name Critics.Scheme.all)
@@ -53,13 +60,7 @@ let scheme_arg =
 let run_cmd =
   let run app scheme instrs =
     let profile = or_die (lookup_app app) in
-    let scheme =
-      match Critics.Scheme.of_string scheme with
-      | Some s -> s
-      | None ->
-        prerr_endline ("unknown scheme " ^ scheme);
-        exit 1
-    in
+    let scheme = parse_scheme scheme in
     let ctx = Critics.Run.prepare ~instrs profile in
     let base = Critics.Run.stats ctx Critics.Scheme.Baseline in
     let st = Critics.Run.stats ctx scheme in
@@ -232,13 +233,6 @@ let experiment_cmd =
     Term.(const run $ id_arg $ instrs_arg $ jobs_arg)
 
 (* ------------------------------- trace ---------------------------- *)
-
-let parse_scheme name =
-  match Critics.Scheme.of_string name with
-  | Some s -> s
-  | None ->
-    prerr_endline ("unknown scheme " ^ name);
-    exit 1
 
 let window_arg =
   let doc = "Telemetry attribution window in cycles." in
