@@ -129,10 +129,9 @@ let ensure_workers t =
     Mutex.unlock t.lock
   end
 
-(* Re-raise policy shared by the sequential and parallel paths: one
-   failed job re-raises its own exception (existing behavior callers
-   match on); several raise the composite so no failure is silently
-   dropped. *)
+(* Re-raise policy: one failed job re-raises its own exception
+   (existing behavior callers match on); several raise the composite
+   so no failure is silently dropped. *)
 let raise_collected errs =
   match errs with
   | [] -> ()
@@ -150,15 +149,6 @@ let run t thunks =
   match thunks with
   | [] -> ()
   | [ f ] -> f ()
-  | _ when t.jobs <= 1 ->
-    let errs = ref [] in
-    List.iteri
-      (fun i f ->
-        try f ()
-        with e ->
-          errs := (i, e, Printexc.get_backtrace ()) :: !errs)
-      thunks;
-    raise_collected !errs
   | _ ->
     ensure_workers t;
     let batch = { remaining = List.length thunks; errs = [] } in
