@@ -178,9 +178,8 @@ let tables ~jobs ~telemetry ~ablation ~policy_sweep () =
   let entries = Experiments.all @ extra_entries in
   let t_start = Unix.gettimeofday () in
   (* Evaluate every (app × scheme × config) job of every artifact across
-     the domain pool up front; the per-artifact renders below then read
-     from the memo tables, and the sweeps batch their database variants
-     on the same harness. *)
+     the domain pool up front; the renders below read the memo tables
+     (the sweeps batch their database variants there first). *)
   time "prewarm" (fun () ->
       Experiments.Harness.run_batch h
         (List.concat_map (fun (e : Experiments.entry) -> e.jobs ()) entries));

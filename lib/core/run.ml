@@ -36,13 +36,13 @@ type scheme_cache = {
      a few bytes per block, so not bounded.  Derived state, never
      marshalled with the context payload. *)
   mutable heats : (build * int array) list;
-  (* Warmed memory hierarchies of the most recently simulated build,
+  (* Warmed memory hierarchies of the most recently simulated scheme,
      one per [Config.mem] (keyed by its marshalled bytes).  A warm pass
      depends only on the stream and the memory configuration, so every
      machine that shares one reuses it: each run simulates on a copy.
-     Dropped when another build is simulated, so the cache holds one
-     build's states at a time. *)
-  mutable warm_build : build option;
+     Dropped when another scheme is simulated, so the cache holds one
+     scheme's states at a time. *)
+  mutable warm_scheme : Scheme.t option;
   mutable warm : (string * Mem.Hierarchy.t) list;
 }
 
@@ -110,7 +110,7 @@ let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
         slot = None;
         transforms = 0;
         heats = [];
-        warm_build = None;
+        warm_scheme = None;
         warm = [];
       };
     ckey = Store.key_digest key;
@@ -170,7 +170,7 @@ let trace_of ctx scheme =
 
 (* Block temperatures of a build's dynamic stream (Profiler.Heat),
    memoized per build. *)
-let build_heat ctx build =
+let heat ctx build =
   find_or_add ctx.scheme_cache
     ~find:(fun c -> List.assoc_opt build c.heats)
     ~add:(fun c t -> c.heats <- (build, t) :: c.heats)
@@ -182,25 +182,23 @@ let build_heat ctx build =
       Profiler.Heat.temperatures
         (Profiler.Heat.profile ~num_blocks (build_stream ctx build)))
 
-let heat ctx scheme = build_heat ctx (scheme, prepared)
-
-(* The hierarchy a run of [build] under memory configuration [mem]
+(* The hierarchy a run of [scheme] under memory configuration [mem]
    starts from, warmed once and shared: never simulate on it directly,
    only on a {!Mem.Hierarchy.copy}. *)
-let warm_state ctx build (mem : Mem.Hierarchy.config) =
+let warm_state ctx scheme (mem : Mem.Hierarchy.config) =
   let key = Marshal.to_string mem [] in
   find_or_add ctx.scheme_cache
     ~find:(fun c ->
-      if c.warm_build = Some build then List.assoc_opt key c.warm else None)
+      if c.warm_scheme = Some scheme then List.assoc_opt key c.warm else None)
     ~add:(fun c h ->
-      if c.warm_build <> Some build then begin
-        c.warm_build <- Some build;
+      if c.warm_scheme <> Some scheme then begin
+        c.warm_scheme <- Some scheme;
         c.warm <- []
       end;
       c.warm <- (key, h) :: c.warm)
     (fun () ->
       let h = Mem.Hierarchy.create mem in
-      Pipeline.Cpu.warm h (build_stream ctx build);
+      Pipeline.Cpu.warm h (stream ctx scheme);
       h)
 
 let stats ?(config = Pipeline.Config.table_i) ?probe ?(variant = prepared) ctx
@@ -212,12 +210,19 @@ let stats ?(config = Pipeline.Config.table_i) ?probe ?(variant = prepared) ctx
      machines share warm states like any other. *)
   let itemp =
     match config.Pipeline.Config.mem.Mem.Hierarchy.l1i_policy with
-    | Mem.Replacement.Trrip -> Some (build_heat ctx build)
+    | Mem.Replacement.Trrip -> Some (heat ctx build)
     | Mem.Replacement.Lru | Mem.Replacement.Srrip | Mem.Replacement.Brrip ->
       None
   in
-  let hier = Mem.Hierarchy.copy (warm_state ctx build config.mem) in
-  Pipeline.Cpu.run_stream ~hier ?probe ?itemp config (fun () ->
+  (* Warm states are shared by the machines a prepared scheme runs on.
+     A variant build is one sweep point, simulated once: it warms a
+     hierarchy of its own and leaves the context's states in place. *)
+  let hier =
+    if variant = prepared then
+      Some (Mem.Hierarchy.copy (warm_state ctx scheme config.mem))
+    else None
+  in
+  Pipeline.Cpu.run_stream ?hier ?probe ?itemp config (fun () ->
       build_stream ctx build)
 
 let speedup ~base (st : Pipeline.Stats.t) =

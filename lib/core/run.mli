@@ -10,19 +10,18 @@
     any machine configuration. *)
 
 type variant = {
-  window : int;  (** profiler analysis window *)
-  threshold : float;  (** minimum chain criticality *)
-  fraction : float;  (** leading share of the stream profiled *)
-  metric : Profiler.Metric.t;  (** chain-criticality score *)
+  window : int;
+  threshold : float;
+  fraction : float;
+  metric : Profiler.Metric.t;
   exact : int option;
-      (** [Some n]: keep only chains of [n] or more members, cut to
-          exactly [n] ({!Profiler.Critic_db.exact_length}), and compile
-          with the chain length capped at [n] *)
 }
-(** A database variant of a prepared context: how a CritIC database is
-    derived from the context's own baseline stream, and so which
-    database a scheme compiles from.  The sensitivity sweeps and
-    ablations vary it; every other run uses {!prepared}. *)
+(** A database variant of a prepared context: the profiler's window,
+    threshold, fraction and metric ({!Profiler.Profile_run.profile}),
+    and an optional exact chain length [n] (chains cut to [n] by
+    {!Profiler.Critic_db.exact_length}, and compiled with the chain
+    length capped at [n]).  The sensitivity sweeps and ablations vary
+    it; every other run uses {!prepared}. *)
 
 val prepared : variant
 (** The variant {!prepare} profiles with: window 512, threshold 4.0,
@@ -35,9 +34,9 @@ type scheme_cache
     access pattern — one build re-simulated across machine
     configurations, interleaved with the baseline, which needs no slot;
     the TRRIP heat tables; and the warmed memory hierarchies of the most
-    recently simulated build, one per [Config.mem].  Mutex-protected so
-    contexts can be shared across domains by the parallel experiment
-    harness. *)
+    recently simulated {!prepared} scheme, one per [Config.mem].
+    Mutex-protected so contexts can be shared across domains by the
+    parallel experiment harness. *)
 
 type app_context = {
   profile : Workload.Profile.t;
@@ -124,12 +123,6 @@ val trace_of : app_context -> Transform.Scheme.t -> Prog.Trace.t
     characterization).  O(trace) memory and uncached: transient use
     only. *)
 
-val heat : app_context -> Transform.Scheme.t -> int array
-(** Per-block temperatures (0 hot .. 3 cold) of the scheme's dynamic
-    stream, from {!Profiler.Heat} — the table TRRIP configurations feed
-    to {!Pipeline.Cpu.run_stream} as [?itemp].  Memoized per scheme on
-    the context. *)
-
 val stats :
   ?config:Pipeline.Config.t ->
   ?probe:Telemetry.Probe.t ->
@@ -138,17 +131,19 @@ val stats :
   Transform.Scheme.t ->
   Pipeline.Stats.t
 (** Simulate a scheme (default machine: Table I), streaming, as
-    compiled from the [variant]'s database (default {!prepared}).  [probe]
-    attaches a telemetry observer; the returned stats are bit-identical
-    with or without one (see {!Pipeline.Cpu.run_stream}).  When the
-    configuration selects the TRRIP i-cache policy, the scheme's {!heat}
-    table is computed and threaded through automatically.
+    compiled from the [variant]'s database (default {!prepared}).
+    [probe] attaches a telemetry observer; the returned stats are
+    bit-identical with or without one (see {!Pipeline.Cpu.run_stream}).
+    When the configuration selects the TRRIP i-cache policy, the
+    build's per-block temperatures ({!Profiler.Heat}, 0 hot .. 3 cold)
+    are computed once and passed as [?itemp].
 
-    The warm pass ({!Pipeline.Cpu.warm}) runs once per (scheme,
-    variant, [config.mem]) while that build stays the context's most
-    recently simulated one; every run simulates on a
+    For the {!prepared} variant the warm pass ({!Pipeline.Cpu.warm})
+    runs once per (scheme, [config.mem]) while the scheme stays the
+    context's most recently simulated one; every run simulates on a
     {!Mem.Hierarchy.copy} of that state, so the statistics equal a run
-    that warms its own hierarchy. *)
+    that warms its own hierarchy — which is what a run of any other
+    variant does. *)
 
 val speedup : base:Pipeline.Stats.t -> Pipeline.Stats.t -> float
 (** Fractional cycle-count improvement over [base] for the same work. *)

@@ -24,9 +24,8 @@ type result = {
 
 val jobs : ?apps:Workload.Profile.t list -> unit -> Harness.job list
 (** The prepared-database simulations [run] reads, for
-    {!Harness.run_batch} prewarming.  The threshold and metric sweeps
-    are database variants ({!Critics.Run.variant}) that [run] batches
-    itself. *)
+    {!Harness.run_batch} prewarming ([run] batches the threshold and
+    metric sweeps' database variants itself). *)
 
 val run : ?apps:Workload.Profile.t list -> Harness.t -> result
 (** Defaults to three representative mobile apps to bound runtime. *)

@@ -8,10 +8,9 @@
     (b) Profiling coverage: the speedup as a function of the fraction
     of the execution that was profiled before compiling.
 
-    Every point is Critic compiled from a database variant of the
-    prepared context ({!Critics.Run.variant}: [exact = Some n] for (a),
-    [fraction] for (b)), simulated as a harness cell, so the store
-    keeps it and a warm run reads it back. *)
+    Every point is a harness cell: Critic compiled from a database
+    variant ({!Critics.Run.variant}: [exact] for (a), [fraction] for
+    (b)). *)
 
 type length_point = {
   n : int;

@@ -46,7 +46,7 @@ let fingerprint_of = function
   | Some c -> fingerprint c
 
 (* Any other variant appends its fingerprint; the prepared one adds
-   nothing, so a prepared cell's key stays app/scheme/<config digest>. *)
+   nothing, so a prepared cell's key is app/scheme/<config digest>. *)
 let variant_parts (v : Critics.Run.variant) =
   if v = Critics.Run.prepared then [] else [ fingerprint v ]
 
@@ -140,17 +140,6 @@ let simulations jobs =
     jobs
   |> List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b)
 
-(* The distinct databases a job list's context-only jobs name beyond
-   the prepared one, as (memo key, job), sorted by key. *)
-let databases jobs =
-  List.filter_map
-    (fun j ->
-      if j.job_scheme = None && j.job_variant <> Critics.Run.prepared then
-        Some (database_key j.job_profile j.job_variant, j)
-      else None)
-    jobs
-  |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
-
 let telemetry_registry_for t jobs =
   let into = Telemetry.Registry.create () in
   List.iter
@@ -230,8 +219,17 @@ let run_batch t jobs =
     (fun (_, j, scheme) ->
       stats t ~config:j.job_config ~variant:j.job_variant j.job_profile scheme)
     (simulations jobs);
-  (* Phase 3: every variant database a context-only job names. *)
-  map (fun (_, j) -> database t j.job_profile j.job_variant) (databases jobs)
+  (* Phase 3: every distinct database a context-only job names beyond
+     the context's own. *)
+  map
+    (fun (profile, variant) -> database t profile variant)
+    (List.sort_uniq compare
+       (List.filter_map
+          (fun j ->
+            if j.job_scheme = None && j.job_variant <> Critics.Run.prepared
+            then Some (j.job_profile, j.job_variant)
+            else None)
+          jobs))
 
 let mean = Util.Stats.mean
 

@@ -183,7 +183,7 @@ let hybrid_schemes =
 (* Non-default i-cache replacement policies (PR 10), recorded the day
    the policy laboratory landed, same loop and 6000-instruction budget.
    Two machines: Table I with SRRIP, and with TRRIP (whose fill hints
-   come from the profiler's block-heat tiers via Run.heat).  These lock
+   come from the profiler's block-heat tiers via Run.stats).  These lock
    the RRIP family against silent drift the same way the tables above
    lock the engine; the reference-model properties in test_mem lock the
    policies against their specs. *)
