@@ -186,10 +186,7 @@ let run t thunks =
     raise_collected batch.errs
 
 let map_list t f xs =
-  match xs with
-  | _ :: _ :: _ when t.jobs > 1 ->
-    let out = Array.make (List.length xs) None in
-    run t (List.mapi (fun i x () -> out.(i) <- Some (f x)) xs);
-    (* Every slot is filled: [run] raises otherwise. *)
-    List.map Option.get (Array.to_list out)
-  | _ -> List.map f xs
+  let out = Array.make (List.length xs) None in
+  run t (List.mapi (fun i x () -> out.(i) <- Some (f x)) xs);
+  (* Every slot is filled: [run] raises otherwise. *)
+  List.map Option.get (Array.to_list out)

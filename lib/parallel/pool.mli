@@ -40,10 +40,10 @@ val run : t -> (unit -> unit) list -> unit
     deadlocking. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map, one task per element: the callers'
-    elements (an app to prepare, a simulation, an upload) are few and
-    uneven in cost, so each is balanced over the pool on its own.  With
-    [jobs = 1] it is [List.map]. *)
+(** Order-preserving parallel map, one {!run} task per element: the
+    callers' elements (an app to prepare, a simulation, an upload) are
+    few and uneven in cost, so each is balanced over the pool on its
+    own. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains, and drop the pool from the global
