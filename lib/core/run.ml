@@ -17,10 +17,6 @@ let prepared =
     exact = None;
   }
 
-(* What a transformed program is compiled from on its context: the
-   scheme and the database variant. *)
-type build = Scheme.t * variant
-
 type scheme_cache = {
   cache_lock : Mutex.t;
   (* The last transformed program, if any.  Transformed programs of
@@ -30,12 +26,12 @@ type scheme_cache = {
      interleaved with baseline, which needs no slot) at the price of
      re-running a cheap compiler pass when a context alternates between
      transformed schemes. *)
-  mutable slot : (build * Prog.Program.t) option;
+  mutable slot : ((Scheme.t * variant) * Prog.Program.t) option;
   mutable transforms : int;
-  (* Per-build block-temperature tables for the TRRIP i-cache policy:
-     a few bytes per block, so not bounded.  Derived state, never
-     marshalled with the context payload. *)
-  mutable heats : (build * int array) list;
+  (* Per-(scheme, variant) block-temperature tables for the TRRIP
+     i-cache policy: a few bytes per block, so not bounded.  Derived
+     state, never marshalled with the context payload. *)
+  mutable heats : ((Scheme.t * variant) * int array) list;
   (* Warmed memory hierarchies of the most recently simulated scheme,
      one per [Config.mem] (keyed by its marshalled bytes).  A warm pass
      depends only on the stream and the memory configuration, so every
@@ -158,34 +154,29 @@ let transformed ?(variant = prepared) ctx (scheme : Scheme.t) =
 
 let transform_count ctx = ctx.scheme_cache.transforms
 
-let build_stream ctx (scheme, variant) =
-  program_stream ctx (transformed ~variant ctx scheme)
-
-let stream ctx scheme = build_stream ctx (scheme, prepared)
+let stream ?variant ctx scheme =
+  program_stream ctx (transformed ?variant ctx scheme)
 
 let source ctx scheme : Pipeline.Cpu.source = fun () -> stream ctx scheme
 
 let trace_of ctx scheme =
   Prog.Trace.expand (transformed ctx scheme) ~seed:ctx.seed ctx.path
 
-(* Block temperatures of a build's dynamic stream (Profiler.Heat),
-   memoized per build. *)
-let heat ctx build =
+(* Block temperatures of a (scheme, variant) build's dynamic stream
+   (Profiler.Heat), memoized per build. *)
+let heat ctx build program =
   find_or_add ctx.scheme_cache
     ~find:(fun c -> List.assoc_opt build c.heats)
     ~add:(fun c t -> c.heats <- (build, t) :: c.heats)
     (fun () ->
-      let scheme, variant = build in
-      let num_blocks =
-        Prog.Program.num_blocks (transformed ~variant ctx scheme)
-      in
+      let num_blocks = Prog.Program.num_blocks program in
       Profiler.Heat.temperatures
-        (Profiler.Heat.profile ~num_blocks (build_stream ctx build)))
+        (Profiler.Heat.profile ~num_blocks (program_stream ctx program)))
 
-(* The hierarchy a run of [scheme] under memory configuration [mem]
-   starts from, warmed once and shared: never simulate on it directly,
-   only on a {!Mem.Hierarchy.copy}. *)
-let warm_state ctx scheme (mem : Mem.Hierarchy.config) =
+(* The hierarchy a run of [scheme]'s [program] under memory
+   configuration [mem] starts from, warmed once and shared: never
+   simulate on it directly, only on a {!Mem.Hierarchy.copy}. *)
+let warm_state ctx scheme program (mem : Mem.Hierarchy.config) =
   let key = Marshal.to_string mem [] in
   find_or_add ctx.scheme_cache
     ~find:(fun c ->
@@ -198,19 +189,21 @@ let warm_state ctx scheme (mem : Mem.Hierarchy.config) =
       c.warm <- (key, h) :: c.warm)
     (fun () ->
       let h = Mem.Hierarchy.create mem in
-      Pipeline.Cpu.warm h (stream ctx scheme);
+      Pipeline.Cpu.warm h (program_stream ctx program);
       h)
 
 let stats ?(config = Pipeline.Config.table_i) ?probe ?(variant = prepared) ctx
     scheme =
-  let build = (scheme, variant) in
+  (* One slot lookup per run: a stream pulled again later could find
+     the slot taken by another domain's build and compile again. *)
+  let program = transformed ~variant ctx scheme in
   (* The TRRIP policy is the one consumer of block temperatures; other
      policies ignore the hint, so the table is only computed (once per
      build) when it can matter.  The warm pass ignores hints, so TRRIP
      machines share warm states like any other. *)
   let itemp =
     match config.Pipeline.Config.mem.Mem.Hierarchy.l1i_policy with
-    | Mem.Replacement.Trrip -> Some (heat ctx build)
+    | Mem.Replacement.Trrip -> Some (heat ctx (scheme, variant) program)
     | Mem.Replacement.Lru | Mem.Replacement.Srrip | Mem.Replacement.Brrip ->
       None
   in
@@ -219,11 +212,11 @@ let stats ?(config = Pipeline.Config.table_i) ?probe ?(variant = prepared) ctx
      hierarchy of its own and leaves the context's states in place. *)
   let hier =
     if variant = prepared then
-      Some (Mem.Hierarchy.copy (warm_state ctx scheme config.mem))
+      Some (Mem.Hierarchy.copy (warm_state ctx scheme program config.mem))
     else None
   in
   Pipeline.Cpu.run_stream ?hier ?probe ?itemp config (fun () ->
-      build_stream ctx build)
+      program_stream ctx program)
 
 let speedup ~base (st : Pipeline.Stats.t) =
   (float_of_int base.Pipeline.Stats.cycles /. float_of_int st.cycles) -. 1.0

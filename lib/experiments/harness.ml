@@ -109,10 +109,9 @@ let stats t ?config ?(variant = Critics.Run.prepared)
   find_or_add t t.results key (fun () ->
       simulate t ?config ~variant ~key (context t profile) scheme)
 
-let probe_for t ?config (profile : Workload.Profile.t) scheme =
-  let key =
-    result_key profile scheme (fingerprint_of config) Critics.Run.prepared
-  in
+let probe_for t ?config ?(variant = Critics.Run.prepared)
+    (profile : Workload.Profile.t) scheme =
+  let key = result_key profile scheme (fingerprint_of config) variant in
   Mutex.lock t.lock;
   let p = Hashtbl.find_opt t.probes key in
   Mutex.unlock t.lock;
@@ -219,15 +218,13 @@ let run_batch t jobs =
     (fun (_, j, scheme) ->
       stats t ~config:j.job_config ~variant:j.job_variant j.job_profile scheme)
     (simulations jobs);
-  (* Phase 3: every distinct database a context-only job names beyond
-     the context's own. *)
+  (* Phase 3: every distinct database a context-only job names. *)
   map
     (fun (profile, variant) -> database t profile variant)
     (List.sort_uniq compare
        (List.filter_map
           (fun j ->
-            if j.job_scheme = None && j.job_variant <> Critics.Run.prepared
-            then Some (j.job_profile, j.job_variant)
+            if j.job_scheme = None then Some (j.job_profile, j.job_variant)
             else None)
           jobs))
 
