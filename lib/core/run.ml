@@ -154,8 +154,7 @@ let transformed ?(variant = prepared) ctx (scheme : Scheme.t) =
 
 let transform_count ctx = ctx.scheme_cache.transforms
 
-let stream ?variant ctx scheme =
-  program_stream ctx (transformed ?variant ctx scheme)
+let stream ctx scheme = program_stream ctx (transformed ctx scheme)
 
 let source ctx scheme : Pipeline.Cpu.source = fun () -> stream ctx scheme
 

@@ -108,14 +108,9 @@ val transform_count : app_context -> int
 (** Number of compiler-pipeline executions this context has performed —
     the cache-effectiveness observable used by the regression tests. *)
 
-val stream :
-  ?variant:variant ->
-  app_context ->
-  Transform.Scheme.t ->
-  Prog.Trace.Stream.cursor
-(** A fresh cursor over the scheme's event stream — its {!transformed}
-    program ([variant] defaults to {!prepared}) expanded lazily over
-    the *same* block path.  Always the
+val stream : app_context -> Transform.Scheme.t -> Prog.Trace.Stream.cursor
+(** A fresh cursor over the scheme's event stream — the scheme's
+    program expanded lazily over the *same* block path.  Always the
     live walk ({!Prog.Trace.Stream.of_program}), the stream's one
     source: streams are never cached or recorded. *)
 

@@ -109,9 +109,10 @@ let stats t ?config ?(variant = Critics.Run.prepared)
   find_or_add t t.results key (fun () ->
       simulate t ?config ~variant ~key (context t profile) scheme)
 
-let probe_for t ?config ?(variant = Critics.Run.prepared)
-    (profile : Workload.Profile.t) scheme =
-  let key = result_key profile scheme (fingerprint_of config) variant in
+let probe_for t ?config (profile : Workload.Profile.t) scheme =
+  let key =
+    result_key profile scheme (fingerprint_of config) Critics.Run.prepared
+  in
   Mutex.lock t.lock;
   let p = Hashtbl.find_opt t.probes key in
   Mutex.unlock t.lock;

@@ -86,12 +86,11 @@ val speedup :
 val probe_for :
   t ->
   ?config:Pipeline.Config.t ->
-  ?variant:Critics.Run.variant ->
   Workload.Profile.t ->
   Critics.Scheme.t ->
   Telemetry.Probe.t option
-(** The probe memoized for (app, scheme, config, variant), if the
-    harness has telemetry enabled and that simulation has run.  Like the stats memo,
+(** The probe memoized for (app, scheme, config), if the harness has
+    telemetry enabled and that simulation has run.  Like the stats memo,
     the first completed run wins. *)
 
 val telemetry_probes : t -> (string * Telemetry.Probe.t) list
