@@ -41,31 +41,8 @@ let provenance () =
     (Filename.chop_suffix raw "-dirty", true)
   else (raw, false)
 
-(* Per-artifact histogram summaries (telemetry mode): the merged
-   registry of the artifact's job set, histograms only, per-chain-id
-   series elided (one line per chain id would swamp the file). *)
-let telemetry_json registry =
-  let entries =
-    List.filter_map
-      (fun (name, v) ->
-        match v with
-        | Telemetry.Registry.Histogram_v { count; sum; max; p50; p90; p99 }
-          when not
-                 (String.length name >= 9 && String.sub name 0 9 = "chain/id/")
-          ->
-          Some
-            (Printf.sprintf
-               "\"%s\": { \"count\": %d, \"sum\": %d, \"max\": %d, \
-                \"p50\": %d, \"p90\": %d, \"p99\": %d }"
-               (Util.Json.escape_string name)
-               count sum max p50 p90 p99)
-        | _ -> None)
-      (Telemetry.Registry.snapshot registry)
-  in
-  "{ " ^ String.concat ", " entries ^ " }"
-
-let json_results ~jobs ~store ~total_ms ?(telemetry = []) ?(fetch = [])
-    ?cache ?policy_lab timings =
+let json_results ~jobs ~store ~total_ms ?(fetch = []) ?cache ?policy_lab
+    timings =
   let gc = Gc.quick_stat () in
   let git, dirty = provenance () in
   let b = Buffer.create 1024 in
@@ -90,11 +67,6 @@ let json_results ~jobs ~store ~total_ms ?(telemetry = []) ?(fetch = [])
   Buffer.add_string b "  \"artifacts\": [\n";
   List.iteri
     (fun i t ->
-      let telem =
-        match List.assoc_opt t.id telemetry with
-        | Some json -> Printf.sprintf ", \"telemetry\": %s" json
-        | None -> ""
-      in
       (* Fetch bandwidth over the artifact's job set: absent for
          artifacts without simulation jobs. *)
       let fetch_json =
@@ -108,8 +80,8 @@ let json_results ~jobs ~store ~total_ms ?(telemetry = []) ?(fetch = [])
       Buffer.add_string b
         (Printf.sprintf
            "    { \"id\": %S, \"wall_ms\": %.1f, \"minor_words\": %.0f, \
-            \"major_words\": %.0f, \"top_heap_words\": %d%s%s }%s\n"
-           t.id t.wall_ms t.minor_words t.major_words t.top_heap_words telem
+            \"major_words\": %.0f, \"top_heap_words\": %d%s }%s\n"
+           t.id t.wall_ms t.minor_words t.major_words t.top_heap_words
            fetch_json
            (if i = List.length timings - 1 then "" else ",")))
     timings;
@@ -118,7 +90,7 @@ let json_results ~jobs ~store ~total_ms ?(telemetry = []) ?(fetch = [])
 
 let results_path = "BENCH_results.json"
 
-let tables ~jobs ~telemetry ~ablation ~policy_sweep () =
+let tables ~jobs ~ablation ~policy_sweep () =
   Printf.printf
     "CritICs reproduction — regenerating every table and figure\n\
      (%d work instructions per app run; see EXPERIMENTS.md for the\n\
@@ -134,13 +106,8 @@ let tables ~jobs ~telemetry ~ablation ~policy_sweep () =
     Printf.eprintf "[bench] cache: %s (%d entries)\n%!" (Store.dir st)
       (Store.entry_count st)
   | None -> ());
-  let h =
-    Experiments.Harness.create ~instrs:!instrs ~jobs
-      ?telemetry:(if telemetry then Some 1024 else None)
-      ?store:cache ()
-  in
+  let h = Experiments.Harness.create ~instrs:!instrs ~jobs ?store:cache () in
   let timings = ref [] in
-  let telemetry_summaries = ref [] in
   let fetch_summaries = ref [] in
   let failed = ref [] in
   let time id f =
@@ -193,13 +160,7 @@ let tables ~jobs ~telemetry ~ablation ~policy_sweep () =
         print_newline ();
         fetch_summaries :=
           (e.id, Experiments.Harness.fetch_totals_for h (e.jobs ()))
-          :: !fetch_summaries;
-        if telemetry then begin
-          let reg = Experiments.Harness.telemetry_registry_for h (e.jobs ()) in
-          if not (Telemetry.Registry.is_empty reg) then
-            telemetry_summaries :=
-              (e.id, telemetry_json reg) :: !telemetry_summaries
-        end
+          :: !fetch_summaries
       | exception exn ->
         let err = Util.Err.of_exn exn in
         failed := (e.id, err) :: !failed;
@@ -236,7 +197,6 @@ let tables ~jobs ~telemetry ~ablation ~policy_sweep () =
   in
   let json =
     json_results ~jobs ~store:store_state ~total_ms
-      ~telemetry:(List.rev !telemetry_summaries)
       ~fetch:(List.rev !fetch_summaries) ?cache:cache_json
       ?policy_lab:policy_lab_json (List.rev !timings)
   in
@@ -265,15 +225,10 @@ let tables ~jobs ~telemetry ~ablation ~policy_sweep () =
 
 let usage () =
   prerr_endline
-    "usage: bench [--jobs N] [--instrs N] [--telemetry] [--ablation] \
-     [--policy-sweep]\n\n\
+    "usage: bench [--jobs N] [--instrs N] [--ablation] [--policy-sweep]\n\n\
      Regenerates every table and figure.\n\n\
     \  --jobs N    domain-pool width (default: recommended domain count)\n\
     \  --instrs N  dynamic work instructions per app run (default: 100000)\n\
-    \  --telemetry attach cycle-attribution probes to every simulation and\n\
-    \              embed per-artifact histogram summaries in\n\
-    \              BENCH_results.json (off by default; stats are\n\
-    \              bit-identical either way)\n\
     \  --ablation  also regenerate the opt-in artifacts beyond the paper's\n\
     \              figure set (the nanopass pass-list ablations); the\n\
     \              default artifact list is unchanged without it\n\
@@ -287,7 +242,6 @@ let () =
     Printf.eprintf "bench: bad %s value %S\n\n" what v;
     usage ()
   in
-  let telemetry = ref false in
   let ablation = ref false in
   let policy_sweep = ref false in
   let jobs = ref (Parallel.default_jobs ()) in
@@ -298,9 +252,6 @@ let () =
   in
   let rec parse = function
     | [] -> ()
-    | "--telemetry" :: rest ->
-      telemetry := true;
-      parse rest
     | "--ablation" :: rest ->
       ablation := true;
       parse rest
@@ -327,5 +278,4 @@ let () =
       usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  tables ~jobs:!jobs ~telemetry:!telemetry ~ablation:!ablation
-    ~policy_sweep:!policy_sweep ()
+  tables ~jobs:!jobs ~ablation:!ablation ~policy_sweep:!policy_sweep ()

@@ -220,7 +220,6 @@ let stats ?(config = Pipeline.Config.table_i) ?probe ?(variant = prepared) ctx
 let speedup ~base (st : Pipeline.Stats.t) =
   (float_of_int base.Pipeline.Stats.cycles /. float_of_int st.cycles) -. 1.0
 
-let energy ?params ~base st =
-  Energy.Model.saving
-    ~base:(Energy.Model.of_stats ?params base)
-    ~optimized:(Energy.Model.of_stats ?params st)
+let energy ~base st =
+  Energy.Model.saving ~base:(Energy.Model.of_stats base)
+    ~optimized:(Energy.Model.of_stats st)

@@ -49,7 +49,8 @@ type app_context = {
   ckey : string;
       (** content fingerprint of everything this context was prepared
           from (app profile bytes, preparation parameters, code
-          version) — the key the harness's stored stats chain from *)
+          version) — the key the harness's stored cells and
+          databases chain from *)
 }
 
 val default_instrs : int
@@ -148,8 +149,4 @@ val stats :
 val speedup : base:Pipeline.Stats.t -> Pipeline.Stats.t -> float
 (** Fractional cycle-count improvement over [base] for the same work. *)
 
-val energy :
-  ?params:Energy.Model.params ->
-  base:Pipeline.Stats.t ->
-  Pipeline.Stats.t ->
-  Energy.Model.saving
+val energy : base:Pipeline.Stats.t -> Pipeline.Stats.t -> Energy.Model.saving

@@ -1,14 +1,18 @@
+(* Per-event energies, calibrated to the Nexus-7-class breakdown. *)
 type params = {
-  core_dynamic_nj : float;
-  core_static_nj : float;
-  l1_access_nj : float;
+  core_dynamic_nj : float;  (* per committed instruction *)
+  core_static_nj : float;  (* per cycle (leakage + clock tree) *)
+  l1_access_nj : float;  (* per i-cache or d-cache access *)
   l2_access_nj : float;
   dram_access_nj : float;
-  rest_of_soc_nj : float;
+  rest_of_soc_nj : float;  (* per unit of work: display, radios, ASICs *)
   cdp_logic_nj : float;
+      (* per CDP marker: the Synopsys synthesis of the switch logic
+         reports 58 µW dynamic / 414 nW leakage on 80 µm², i.e.
+         effectively negligible *)
 }
 
-let default =
+let params =
   {
     core_dynamic_nj = 0.08;
     core_static_nj = 0.35;
@@ -34,7 +38,7 @@ type breakdown = {
   total : float;
 }
 
-let of_stats ?(params = default) (s : Pipeline.Stats.t) =
+let of_stats (s : Pipeline.Stats.t) =
   let fi = float_of_int in
   let cpu =
     (params.core_dynamic_nj *. fi s.committed_total)

@@ -9,15 +9,15 @@ type result = {
   wrong_path : point list;
 }
 
-let default_apps () =
+(* Three representative mobile apps, to bound runtime. *)
+let apps () =
   List.filter_map Workload.Apps.find [ "Acrobat"; "Browser"; "Youtube" ]
 
 let cdp_penalties = [ 0; 1; 2 ]
 let iq_sizes = [ 16; 24; 48; 96 ]
 let fetch_queues = [ 8; 16; 24; 48 ]
 
-let jobs ?apps () =
-  let apps = match apps with Some a -> a | None -> default_apps () in
+let jobs () =
   List.concat_map
     (fun app ->
       (Harness.job app Critics.Scheme.Baseline
@@ -44,7 +44,7 @@ let jobs ?apps () =
             ~config:{ Pipeline.Config.table_i with wrong_path_fetch = true }
             app Critics.Scheme.Baseline;
         ])
-    apps
+    (apps ())
 
 (* The profiler settings swept, each a database variant of Critic. *)
 let threshold_points =
@@ -60,8 +60,8 @@ let metric_points =
       (Profiler.Metric.name m, Critics.Run.{ prepared with metric = m }))
     Profiler.Metric.all
 
-let run ?apps h =
-  let apps = match apps with Some a -> a | None -> default_apps () in
+let run h =
+  let apps = apps () in
   let mean_over f = Harness.mean (List.map f apps) in
   Harness.run_batch h
     (List.concat_map

@@ -22,12 +22,13 @@ type result = {
           pollution after mispredictions *)
 }
 
-val jobs : ?apps:Workload.Profile.t list -> unit -> Harness.job list
+val jobs : unit -> Harness.job list
 (** The prepared-database simulations [run] reads, for
     {!Harness.run_batch} prewarming ([run] batches the threshold and
     metric sweeps' database variants itself). *)
 
-val run : ?apps:Workload.Profile.t list -> Harness.t -> result
-(** Defaults to three representative mobile apps to bound runtime. *)
+val run : Harness.t -> result
+(** Over three representative mobile apps (Acrobat, Browser, Youtube),
+    to bound runtime. *)
 
 val render : result -> string

@@ -89,7 +89,7 @@ let all : entry list =
             Critics.Scheme.Macro_ideal ] };
     { id = "ablations"; title = "Reproduction ablations";
       render = (fun h -> Ablations.render (Ablations.run h));
-      jobs = (fun () -> Ablations.jobs ()) };
+      jobs = Ablations.jobs };
   ]
 
 (* Opt-in artifacts beyond the paper's figure set.  Kept out of [all]
@@ -100,7 +100,7 @@ let extra : entry list =
   [
     { id = "nanopass"; title = "Pass-list ablations (nanopass pipeline)";
       render = (fun h -> Nanopass_study.render (Nanopass_study.run h));
-      jobs = (fun () -> Nanopass_study.jobs ()) };
+      jobs = Nanopass_study.jobs };
     { id = "policy-lab";
       title = "Front-end policy laboratory (replacement x i-prefetch)";
       render = (fun h -> Policy_lab.render (Policy_lab.run h));

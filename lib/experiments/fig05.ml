@@ -30,12 +30,14 @@ let percentile_of_histogram h p =
     go 0 bins
   end
 
-let run ?(window = 2048) h =
-  (* Large-window profiles, apart from the compiler-oriented prepared
-     databases: the figure is about raw IC shapes.  One variant
-     database per app, batched on the harness; per-suite grouping and
-     order are preserved. *)
-  let wide = Critics.Run.{ prepared with window } in
+(* Large-window profiles, apart from the compiler-oriented prepared
+   databases: the figure is about raw IC shapes, and 2048 instructions
+   are enough to expose SPEC's long loop-carried chains. *)
+let wide = Critics.Run.{ prepared with window = 2048 }
+
+let run h =
+  (* One variant database per app, batched and stored by the harness;
+     per-suite grouping and order are preserved. *)
   Harness.run_batch h
     (List.concat_map
        (fun (_, apps) -> List.map (Harness.context_job ~variant:wide) apps)

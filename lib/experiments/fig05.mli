@@ -30,8 +30,10 @@ type result = {
       (** share of unique CritIC sites that are fully convertible *)
 }
 
-val run : ?window:int -> Harness.t -> result
-(** [window] is the offline analysis window (default 2048 — large
-    enough to expose SPEC's long loop-carried chains). *)
+val run : Harness.t -> result
+(** Fig. 5a profiles each app with a 2048-instruction analysis window
+    (a {!Critics.Run.variant} database, stored by the harness) — large
+    enough to expose SPEC's long loop-carried chains; Fig. 5b reads the
+    prepared databases. *)
 
 val render : result -> string

@@ -46,8 +46,11 @@ let run h =
                   - st.Pipeline.Stats.fetch_idle_supply)
                 /. float_of_int base.Pipeline.Stats.cycles);
           coverage =
+            (* The context's own database cut to exactly n: nothing is
+               profiled, so nothing is memoized or stored. *)
             mean_over (fun app ->
-                Profiler.Critic_db.coverage (Harness.database h app variant));
+                Profiler.Critic_db.coverage
+                  (Critics.Run.database (Harness.context h app) variant));
         })
       chain_lengths
   in

@@ -5,6 +5,10 @@ type job = {
   job_variant : Critics.Run.variant;
 }
 
+(* One simulated cell: its stats and, with telemetry on, the probe
+   that observed the run. *)
+type cell = { stats : Pipeline.Stats.t; probe : Telemetry.Probe.t option }
+
 type t = {
   instrs : int;
   telemetry : int option; (* probe window size; None = probes disabled *)
@@ -13,8 +17,7 @@ type t = {
   lock : Mutex.t;
   contexts : (string, Critics.Run.app_context) Hashtbl.t;
   databases : (string, Profiler.Critic_db.t) Hashtbl.t;
-  results : (string, Pipeline.Stats.t) Hashtbl.t;
-  probes : (string, Telemetry.Probe.t) Hashtbl.t;
+  cells : (string, cell) Hashtbl.t;
 }
 
 let create ?(instrs = Critics.Run.default_instrs) ?jobs ?telemetry ?store () =
@@ -29,8 +32,7 @@ let create ?(instrs = Critics.Run.default_instrs) ?jobs ?telemetry ?store () =
     lock = Mutex.create ();
     contexts = Hashtbl.create 32;
     databases = Hashtbl.create 32;
-    results = Hashtbl.create 256;
-    probes = Hashtbl.create 256;
+    cells = Hashtbl.create 256;
   }
 
 (* The memoization key depends on the *actual* machine configuration
@@ -50,7 +52,7 @@ let fingerprint_of = function
 let variant_parts (v : Critics.Run.variant) =
   if v = Critics.Run.prepared then [] else [ fingerprint v ]
 
-let result_key (profile : Workload.Profile.t) scheme fingerprint variant =
+let cell_key (profile : Workload.Profile.t) scheme fingerprint variant =
   String.concat "/"
     (profile.name :: Critics.Scheme.name scheme :: fingerprint
    :: variant_parts variant)
@@ -60,7 +62,7 @@ let database_key (profile : Workload.Profile.t) variant =
 
 (* The one path into the harness's memo tables (Util.Memo): the first
    insert wins, so every caller shares one value — one context and its
-   transform slot, one stats record. *)
+   transform slot, one database, one cell. *)
 let find_or_add t table key compute =
   Util.Memo.find_or_add t.lock
     ~find:(fun () -> Hashtbl.find_opt table key)
@@ -70,59 +72,70 @@ let context t (profile : Workload.Profile.t) =
   find_or_add t t.contexts profile.name (fun () ->
       Critics.Run.prepare ?store:t.store ~instrs:t.instrs profile)
 
-(* A variant's database, kept for the harness's lifetime: only what an
-   artifact reads back itself comes through here.  A simulation derives
-   its own database and keeps none. *)
-let database t profile variant =
-  find_or_add t t.databases (database_key profile variant) (fun () ->
-      Critics.Run.database (context t profile) variant)
+(* Store-backed layer under an in-memory memo: what the harness derives
+   from a prepared context is a deterministic function of that context
+   (ckey) and of what its memo key names, so every store key is the
+   pair. *)
+let stored t ~kind ctx key compute =
+  Store.memo t.store (Store.key ~kind [ ctx.Critics.Run.ckey; key ]) compute
 
-(* One simulation, under the stats memo.  With telemetry enabled it
-   attaches a fresh probe and — only if the run completes — stores it
-   under the same memo key as the stats, first insert winning.  Every
-   job is deterministic, so a lost race stores an identical probe. *)
+(* The prepared variant's database is the context's own; any other is
+   kept for the harness's lifetime and stored, for artifacts that read
+   a variant's database themselves.  A simulation derives its own
+   database and keeps none. *)
+let database t profile variant =
+  let ctx = context t profile in
+  if variant = Critics.Run.prepared then ctx.Critics.Run.db
+  else
+    let key = database_key profile variant in
+    find_or_add t t.databases key (fun () ->
+        stored t ~kind:"database" ctx key (fun () ->
+            Critics.Run.database ctx variant))
+
+(* One simulation.  Without telemetry a warm run deserializes the
+   stats instead of simulating (without a store it just simulates);
+   with telemetry it always runs live, since a probe observes the run
+   itself. *)
 let simulate t ?config ~variant ~key ctx scheme =
   match t.telemetry with
   | None ->
-    (* Store-backed layer under the in-memory memo: a completed
-       simulation is a deterministic function of the prepared context
-       (ckey), the scheme, the machine configuration and the database
-       variant, so warm runs deserialize the stats instead of
-       simulating.  Without a store this just simulates. *)
-    Store.memo t.store
-      (Store.key ~kind:"stats"
-         (ctx.Critics.Run.ckey :: Critics.Scheme.name scheme
-        :: fingerprint_of config :: variant_parts variant))
-      (fun () : Pipeline.Stats.t ->
-        Critics.Run.stats ?config ~variant ctx scheme)
+    {
+      stats =
+        stored t ~kind:"stats" ctx key (fun () : Pipeline.Stats.t ->
+            Critics.Run.stats ?config ~variant ctx scheme);
+      probe = None;
+    }
   | Some window ->
     let probe = Telemetry.Probe.create ~window () in
-    let st = Critics.Run.stats ?config ~probe ~variant ctx scheme in
-    Mutex.lock t.lock;
-    if not (Hashtbl.mem t.probes key) then Hashtbl.replace t.probes key probe;
-    Mutex.unlock t.lock;
-    st
+    {
+      stats = Critics.Run.stats ?config ~probe ~variant ctx scheme;
+      probe = Some probe;
+    }
 
-let stats t ?config ?(variant = Critics.Run.prepared)
-    (profile : Workload.Profile.t) scheme =
-  let key = result_key profile scheme (fingerprint_of config) variant in
-  find_or_add t t.results key (fun () ->
-      simulate t ?config ~variant ~key (context t profile) scheme)
-
-let probe_for t ?config (profile : Workload.Profile.t) scheme =
-  let key =
-    result_key profile scheme (fingerprint_of config) Critics.Run.prepared
+let stats t ?config ?(variant = Critics.Run.prepared) profile scheme =
+  let key = cell_key profile scheme (fingerprint_of config) variant in
+  let cell =
+    find_or_add t t.cells key (fun () ->
+        simulate t ?config ~variant ~key (context t profile) scheme)
   in
-  Mutex.lock t.lock;
-  let p = Hashtbl.find_opt t.probes key in
-  Mutex.unlock t.lock;
-  p
+  cell.stats
+
+let find_cell t key =
+  Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.cells key)
+
+let probe_for t ?config profile scheme =
+  let key =
+    cell_key profile scheme (fingerprint_of config) Critics.Run.prepared
+  in
+  Option.bind (find_cell t key) (fun c -> c.probe)
 
 let telemetry_probes t =
-  Mutex.lock t.lock;
-  let l = Hashtbl.fold (fun k p acc -> (k, p) :: acc) t.probes [] in
-  Mutex.unlock t.lock;
-  List.sort (fun (a, _) (b, _) -> compare a b) l
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.fold
+        (fun key c acc ->
+          match c.probe with Some p -> (key, p) :: acc | None -> acc)
+        t.cells [])
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* The distinct simulations a job list names, as (memo key, job,
    scheme), sorted by key: grouped by app, then scheme.  Context-only
@@ -132,7 +145,7 @@ let simulations jobs =
     (fun j ->
       Option.map
         (fun scheme ->
-          ( result_key j.job_profile scheme (fingerprint j.job_config)
+          ( cell_key j.job_profile scheme (fingerprint j.job_config)
               j.job_variant,
             j,
             scheme ))
@@ -140,46 +153,17 @@ let simulations jobs =
     jobs
   |> List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b)
 
-let telemetry_registry_for t jobs =
-  let into = Telemetry.Registry.create () in
-  List.iter
-    (fun (key, _, _) ->
-      Mutex.lock t.lock;
-      let p = Hashtbl.find_opt t.probes key in
-      Mutex.unlock t.lock;
-      match p with
-      | Some p ->
-        Telemetry.Registry.merge_into ~into (Telemetry.Probe.registry p)
-      | None -> ())
-    (simulations jobs);
-  into
-
-(* Fetch-bandwidth aggregate over a job set's memoized results: total
+(* Fetch-bandwidth aggregate over a job set's memoized cells: total
    instruction bytes delivered and total simulated cycles, summed over
    the distinct (app, scheme, config) simulations the jobs name.  Jobs
    not yet simulated contribute nothing. *)
 let fetch_totals_for t jobs =
   List.fold_left
     (fun (bytes, cycles) (key, _, _) ->
-      Mutex.lock t.lock;
-      let st = Hashtbl.find_opt t.results key in
-      Mutex.unlock t.lock;
-      match st with
-      | Some (s : Pipeline.Stats.t) ->
-        (bytes + s.fetch_bytes, cycles + s.cycles)
+      match find_cell t key with
+      | Some { stats = s; _ } -> (bytes + s.fetch_bytes, cycles + s.cycles)
       | None -> (bytes, cycles))
     (0, 0) (simulations jobs)
-
-let telemetry_registry t =
-  let into = Telemetry.Registry.create () in
-  (* Sorted memo-key order: the aggregate is independent of the pool's
-     completion order by construction (and merge is order-insensitive
-     anyway — the qcheck suite checks both). *)
-  List.iter
-    (fun (_, p) ->
-      Telemetry.Registry.merge_into ~into (Telemetry.Probe.registry p))
-    (telemetry_probes t);
-  into
 
 let speedup t ?config ?variant profile scheme =
   let base = stats t profile Critics.Scheme.Baseline in
@@ -219,13 +203,15 @@ let run_batch t jobs =
     (fun (_, j, scheme) ->
       stats t ~config:j.job_config ~variant:j.job_variant j.job_profile scheme)
     (simulations jobs);
-  (* Phase 3: every distinct database a context-only job names. *)
+  (* Phase 3: every distinct database a context-only job names; a
+     prepared one is its context's own. *)
   map
     (fun (profile, variant) -> database t profile variant)
     (List.sort_uniq compare
        (List.filter_map
           (fun j ->
-            if j.job_scheme = None then Some (j.job_profile, j.job_variant)
+            if j.job_scheme = None && j.job_variant <> Critics.Run.prepared
+            then Some (j.job_profile, j.job_variant)
             else None)
           jobs))
 

@@ -1,7 +1,8 @@
 (** Shared experiment harness: a parallel batch engine.
 
     Prepares each application once (program, path, trace, CritIC
-    database) and memoizes simulation results keyed by
+    database) and memoizes one cell per simulation — its stats and,
+    with telemetry on, its probe — keyed by
     (app, scheme, machine-configuration fingerprint, database variant),
     so the figure modules can freely share runs.  All experiments in
     this library draw from one harness instance; [dune exec
@@ -16,7 +17,13 @@
     hits.  Results are bit-identical to a sequential run — every job is
     deterministic (per-context seeded RNG, no shared mutable simulation
     state) and the memo tables are mutex-protected — which the test
-    suite asserts. *)
+    suite asserts.
+
+    Besides the contexts {!Critics.Run.prepare} stores, every artifact
+    the harness stores is keyed by the prepared context's key
+    ({!Critics.Run.app_context}[.ckey]) and the artifact's memo key,
+    under one of two kinds: [stats] (a cell) and [database] (a variant
+    database). *)
 
 type t
 
@@ -33,18 +40,17 @@ val create :
     [Domain.recommended_domain_count ()]); [jobs = 1] never spawns a
     domain and evaluates everything sequentially in the caller.
     [telemetry] enables cycle-attribution probes on every simulation
-    the harness runs, with the given window size in cycles; the probes
-    are memoized alongside the stats ({!probe_for}) and their registries
-    merge deterministically ({!telemetry_registry}).  Simulation results
-    are bit-identical with telemetry on or off.
+    the harness runs, with the given window size in cycles; each cell
+    keeps the probe that observed it ({!probe_for}).  Simulation
+    results are bit-identical with telemetry on or off.
 
     [store] attaches a prepared-artifact cache ({!Store}): prepared
-    contexts and completed simulations, variant ones included, are
-    persisted, so a warm harness loads them instead of recomputing.
-    Transformed programs and variant databases are not persisted;
-    {!Critics.Run.transformed} and {!Critics.Run.database} derive them.
-    Telemetry-enabled simulations always run live (probes observe the
-    run itself). *)
+    contexts, completed simulations (variant ones included) and the
+    variant databases {!database} returns are persisted, so a warm
+    harness loads them instead of recomputing.  Transformed programs
+    are not persisted; {!Critics.Run.transformed} compiles them again.
+    Telemetry-enabled simulations always run live and neither read nor
+    write a stored cell (probes observe the run itself). *)
 
 val context : t -> Workload.Profile.t -> Critics.Run.app_context
 (** Cached per-application context (thread-safe).  Every context a
@@ -52,9 +58,11 @@ val context : t -> Workload.Profile.t -> Critics.Run.app_context
 
 val database :
   t -> Workload.Profile.t -> Critics.Run.variant -> Profiler.Critic_db.t
-(** Cached {!Critics.Run.database} (thread-safe), kept for the
-    harness's lifetime: for artifacts that read a variant's database
-    themselves.  A simulation derives its database without it. *)
+(** {!Critics.Run.database} for artifacts that read a variant's
+    database themselves (thread-safe).  The {!Critics.Run.prepared}
+    variant's is the context's own [db], returned as is; any other is
+    kept for the harness's lifetime and, with a store, stored under the
+    [database] kind.  A simulation derives its database without it. *)
 
 val stats :
   t ->
@@ -63,13 +71,16 @@ val stats :
   Workload.Profile.t ->
   Critics.Scheme.t ->
   Pipeline.Stats.t
-(** Cached simulation (thread-safe) of the scheme compiled from the
-    [variant]'s database (default {!Critics.Run.prepared}).  The memo
-    key is [app/scheme/<config digest>], derived from the *actual*
-    [config] value, so distinct configurations never collide and
-    structurally equal ones share one entry; a variant other than the
-    prepared one appends [/<variant digest>].  A variant equal to
-    {!Critics.Run.prepared} field by field is the prepared cell. *)
+(** The stats of the memoized cell (thread-safe): the scheme compiled
+    from the [variant]'s database (default {!Critics.Run.prepared}) and
+    simulated on [config].  The memo key is
+    [app/scheme/<config digest>], derived from the *actual* [config]
+    value, so distinct configurations never collide and structurally
+    equal ones share one entry; a variant other than the prepared one
+    appends [/<variant digest>].  A variant equal to
+    {!Critics.Run.prepared} field by field is the prepared cell.  With a
+    store (and telemetry off) the stats are stored under
+    [ckey; memo key]. *)
 
 val speedup :
   t ->
@@ -89,18 +100,13 @@ val probe_for :
   Workload.Profile.t ->
   Critics.Scheme.t ->
   Telemetry.Probe.t option
-(** The probe memoized for (app, scheme, config), if the harness has
-    telemetry enabled and that simulation has run.  Like the stats memo,
-    the first completed run wins. *)
+(** The probe of the prepared cell (app, scheme, config), if the
+    harness has telemetry enabled and that simulation has run.  Like
+    the cell's stats, the first completed run wins. *)
 
 val telemetry_probes : t -> (string * Telemetry.Probe.t) list
-(** Every memoized probe with its memo key, sorted by key — a
+(** Every cell's probe with the cell's memo key, sorted by key — a
     deterministic enumeration regardless of pool completion order. *)
-
-val telemetry_registry : t -> Telemetry.Registry.t
-(** All probe registries merged, in sorted-key order.  Because registry
-    merge is commutative and associative, the aggregate is identical at
-    every [jobs] width and job submission order. *)
 
 (** {2 Batch evaluation} *)
 
@@ -126,14 +132,9 @@ val run_batch : t -> job list -> unit
 (** Evaluate every not-yet-memoized job across the harness's domain
     pool and store the results: first all missing application contexts
     in parallel, then all missing simulations in parallel, then all
-    missing variant databases in parallel.  Duplicate and
-    already-cached jobs are skipped.  Subsequent {!stats} /
+    missing databases of non-prepared variants in parallel.  Duplicate
+    and already-cached jobs are skipped.  Subsequent {!stats} /
     {!context} / {!database} calls are cache hits. *)
-
-val telemetry_registry_for : t -> job list -> Telemetry.Registry.t
-(** The probe registries of the given jobs' memo keys merged (duplicate
-    keys counted once, sorted-key order) — how bench scopes histogram
-    summaries to one artifact's job set. *)
 
 val fetch_totals_for : t -> job list -> int * int
 (** [(fetch_bytes, cycles)] summed over the distinct simulations the

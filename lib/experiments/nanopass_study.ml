@@ -8,20 +8,20 @@ let schemes =
   [ Critics.Scheme.Hoist; Critics.Scheme.Narrow_only;
     Critics.Scheme.Critic_reorder; Critics.Scheme.Critic ]
 
-let default_apps () =
+(* Three representative mobile apps, to bound runtime. *)
+let apps () =
   List.filter_map Workload.Apps.find [ "Acrobat"; "Browser"; "Youtube" ]
 
-let jobs ?apps () =
-  let apps = match apps with Some a -> a | None -> default_apps () in
+let jobs () =
   List.concat_map
     (fun app ->
       List.map
         (fun s -> Harness.job app s)
         (Critics.Scheme.Baseline :: schemes))
-    apps
+    (apps ())
 
-let run ?apps h =
-  let apps = match apps with Some a -> a | None -> default_apps () in
+let run h =
+  let apps = apps () in
   let speedups =
     List.map
       (fun s ->

@@ -29,11 +29,12 @@ val schemes : Critics.Scheme.t list
 (** The ablated pass-list variants, in increasing completeness:
     hoist, narrow.only, critic.reorder, critic. *)
 
-val jobs : ?apps:Workload.Profile.t list -> unit -> Harness.job list
+val jobs : unit -> Harness.job list
 (** Every memoized simulation [run] needs (baseline + each variant per
     app), for {!Harness.run_batch} prewarming. *)
 
-val run : ?apps:Workload.Profile.t list -> Harness.t -> result
-(** Defaults to three representative mobile apps to bound runtime. *)
+val run : Harness.t -> result
+(** Over three representative mobile apps (Acrobat, Browser, Youtube),
+    to bound runtime. *)
 
 val render : result -> string

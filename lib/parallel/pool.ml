@@ -94,8 +94,6 @@ let create ?jobs () =
   register t;
   t
 
-let jobs t = t.jobs
-
 let rec worker_loop t =
   Mutex.lock t.lock;
   let rec next () =

@@ -28,8 +28,6 @@ val create : ?jobs:int -> unit -> t
     works through the queue while its batch is outstanding.  The pool is
     shut down automatically at process exit. *)
 
-val jobs : t -> int
-
 val run : t -> (unit -> unit) list -> unit
 (** Execute a batch of jobs on the pool, blocking until all complete.
     If exactly one job raised, its exception is re-raised in the caller

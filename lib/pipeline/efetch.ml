@@ -1,6 +1,5 @@
 type t = {
   table : int array; (* signature slot -> predicted call target; 0 = cold *)
-  lines_ahead : int;
   line_bytes : int;
   mutable signature : int;
   mutable last_prediction : int;
@@ -8,10 +7,12 @@ type t = {
   mutable correct : int;
 }
 
-let create ?(entries = 4096) ?(lines_ahead = 4) ?(line_bytes = 64) () =
+(* Leading lines of the predicted function prefetched per call. *)
+let lines_ahead = 4
+
+let create ?(line_bytes = 64) () =
   {
-    table = Array.make entries 0;
-    lines_ahead;
+    table = Array.make 4096 0;
     line_bytes;
     signature = 0;
     last_prediction = 0;
@@ -38,7 +39,7 @@ let on_call t ~target =
   t.last_prediction <- next;
   ignore predicted;
   if next = 0 then []
-  else List.init t.lines_ahead (fun k -> next + (k * t.line_bytes))
+  else List.init lines_ahead (fun k -> next + (k * t.line_bytes))
 
 let predictions t = t.predictions
 let correct t = t.correct

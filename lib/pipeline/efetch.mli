@@ -8,9 +8,9 @@
 
 type t
 
-val create : ?entries:int -> ?lines_ahead:int -> ?line_bytes:int -> unit -> t
-(** [lines_ahead] is how many leading lines of the predicted function to
-    prefetch (default 4); [line_bytes] is the i-cache line size the
+val create : ?line_bytes:int -> unit -> t
+(** A cold 4096-entry predictor that prefetches the leading 4 lines of
+    the predicted function.  [line_bytes] is the i-cache line size the
     prefetch addresses stride by (default 64, matching Table I — pass
     the configuration's [mem.line_bytes] so prefetches stay
     line-aligned on non-default hierarchies). *)

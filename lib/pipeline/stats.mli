@@ -22,9 +22,6 @@ type stage_summary = {
 
 val empty_summary : stage_summary
 
-val summary_total : stage_summary -> int
-(** Sum of all stage cycles. *)
-
 val summary_shares : stage_summary -> (string * float) list
 (** Normalized per-stage shares, in pipeline order.  An empty population
     (zero total stage cycles) yields all-zero shares. *)

@@ -20,9 +20,6 @@ val profile : num_blocks:int -> Prog.Trace.Stream.cursor -> t
     one instruction; events with out-of-range block ids are ignored)
     and derive temperatures. *)
 
-val of_counts : int array -> t
-(** Derive temperatures from precomputed per-block dynamic counts. *)
-
 val temperature : t -> int -> int
 (** Temperature of a block id; 3 (cold) when out of range. *)
 

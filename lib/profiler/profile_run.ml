@@ -78,9 +78,17 @@ let count t h v =
     t.counts.(v) <- t.counts.(v) + 1
   end
 
-let profile_stream ?(window = 512) ?(threshold = 4.0) ?(max_len = 9)
-    ?(fanout_threshold = 4) ?(fraction = 1.0) ?(max_paths_per_window = 512)
-    ?(metric = Metric.Average_fanout) ~total_events
+(* The longest chain prefix recorded as a compiler candidate: one CDP
+   covers at most 9 instructions. *)
+let max_len = 9
+
+(* The fanout at which one instruction counts as high-fanout for the
+   Fig. 1b gap histogram, matching the default threshold. *)
+let fanout_threshold = 4
+
+let profile_stream ?(window = 512) ?(threshold = 4.0) ?(fraction = 1.0)
+    ?(max_paths_per_window = 512) ?(metric = Metric.Average_fanout)
+    ~total_events
     (cursor : Prog.Trace.Stream.cursor) : Critic_db.t =
   let n = total_events in
   let limit =
@@ -267,8 +275,8 @@ let profile_stream ?(window = 512) ?(threshold = 4.0) ?(max_len = 9)
   { Critic_db.sites; total_work = !total_work; ic_lengths; ic_spreads;
     chain_gaps }
 
-let profile ?window ?threshold ?max_len ?fanout_threshold ?fraction
-    ?max_paths_per_window ?metric (trace : Prog.Trace.t) : Critic_db.t =
-  profile_stream ?window ?threshold ?max_len ?fanout_threshold ?fraction
-    ?max_paths_per_window ?metric ~total_events:(Array.length trace)
+let profile ?window ?threshold ?fraction ?max_paths_per_window ?metric
+    (trace : Prog.Trace.t) : Critic_db.t =
+  profile_stream ?window ?threshold ?fraction ?max_paths_per_window ?metric
+    ~total_events:(Array.length trace)
     (Prog.Trace.Stream.of_trace trace)

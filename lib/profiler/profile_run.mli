@@ -12,8 +12,6 @@
 val profile_stream :
   ?window:int ->
   ?threshold:float ->
-  ?max_len:int ->
-  ?fanout_threshold:int ->
   ?fraction:float ->
   ?max_paths_per_window:int ->
   ?metric:Metric.t ->
@@ -30,8 +28,6 @@ val profile_stream :
 val profile :
   ?window:int ->
   ?threshold:float ->
-  ?max_len:int ->
-  ?fanout_threshold:int ->
   ?fraction:float ->
   ?max_paths_per_window:int ->
   ?metric:Metric.t ->
@@ -47,11 +43,6 @@ val profile :
       compressed fanout scale, so the default (4) is chosen to select
       the same population — the top decile of instructions by fanout
       (see DESIGN.md);
-    - [max_len]: longest chain prefix recorded as a compiler candidate
-      (default 9 — one CDP covers at most 9 instructions);
-    - [fanout_threshold]: fanout at which a single instruction counts as
-      high-fanout for the Fig. 1b gap histogram (default 4, matching
-      [threshold]);
     - [fraction]: profile only the leading fraction of the trace — the
       partial-profiling axis of Fig. 12b (default 1.0);
     - [max_paths_per_window]: IC enumeration budget per window;
@@ -60,5 +51,9 @@ val profile :
 
     Candidate chains are the single-block, single-visit segments of the
     enumerated ICs (the hoisting compiler pass works within a basic
-    block); the length/spread histograms are computed over unrestricted
-    maximal ICs, which is what Fig. 5a reports. *)
+    block), at most 9 instructions each — one CDP covers at most 9; a
+    longer chain becomes several consecutive sites.  The length/spread
+    histograms are computed over unrestricted maximal ICs, which is
+    what Fig. 5a reports.  An instruction with a fanout of at least 4
+    counts as high-fanout for the Fig. 1b gap histogram, matching the
+    default [threshold]. *)

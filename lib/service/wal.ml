@@ -23,8 +23,6 @@ let fd_exn t =
   | Some fd -> fd
   | None -> invalid_arg "Wal: closed writer"
 
-let size t = (Unix.fstat (fd_exn t)).Unix.st_size
-
 let close t =
   match t.fd with
   | None -> ()

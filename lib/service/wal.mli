@@ -50,9 +50,6 @@ val append : t -> seq:int -> id:string -> payload:string -> unit
     An injected crash leaves the torn tail in place, as a real crash
     would. *)
 
-val size : t -> int
-(** Current byte size of the log. *)
-
 val close : t -> unit
 (** Close the fd (idempotent). *)
 

@@ -135,8 +135,6 @@ let create ?(window = 1024) ?trace () =
     finished = false;
   }
 
-let window t = t.win
-let trace t = t.tr
 let registry t = t.reg
 let samples t = List.rev t.rev_samples
 

@@ -80,9 +80,6 @@ val create : ?window:int -> ?trace:Chrome_trace.t -> unit -> t
 (** [window] is the attribution window size in cycles (default 1024,
     min 1).  [trace] attaches a Chrome-trace ring. *)
 
-val window : t -> int
-val trace : t -> Chrome_trace.t option
-
 (** {2 Feeding (called by the simulator)} *)
 
 val retire : t -> retire -> unit

@@ -18,7 +18,6 @@ type metric =
 type t = { tbl : (string, metric) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 64 }
-let is_empty t = Hashtbl.length t.tbl = 0
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -388,18 +387,3 @@ let of_bytes text =
     done;
     Ok t
   with Wire msg | Invalid_argument msg -> Error msg
-
-let render t =
-  let rows =
-    List.map
-      (fun (name, v) ->
-        ( name,
-          match v with
-          | Counter_v c -> string_of_int c
-          | Gauge_v g -> string_of_int g
-          | Histogram_v { count; max; p50; p90; p99; _ } ->
-            Printf.sprintf "n=%d p50=%d p90=%d p99=%d max=%d" count p50 p90
-              p99 max ))
-      (snapshot t)
-  in
-  if rows = [] then "(empty registry)\n" else Util.Text_table.render_kv rows

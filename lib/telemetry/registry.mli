@@ -1,15 +1,15 @@
 (** Typed metric registry: counters, gauges and log-bucketed histograms.
 
     The registry is the aggregation substrate of the observability
-    layer: every {!Probe} owns one, the experiment harness merges the
-    per-job registries of a sweep, and bench embeds histogram summaries
-    in BENCH_results.json.  Design constraints, in order:
+    layer: every {!Probe} owns one, and the profile-ingest service
+    merges uploaded registries into its shards.  Design constraints, in
+    order:
 
     - {b O(1) record.}  [incr]/[add]/[set]/[observe] touch one mutable
       record; [observe] additionally computes a power-of-two bucket
       index with a constant number of shifts.  Recording never
       allocates.
-    - {b Deterministic snapshots.}  [snapshot]/[to_json]/[render] sort
+    - {b Deterministic snapshots.}  [snapshot]/[to_json]/[to_bytes] sort
       metrics by name, so two registries with equal contents produce
       byte-identical output regardless of creation or merge order.
     - {b Order-insensitive merge.}  Counter merge adds, gauge merge
@@ -99,9 +99,6 @@ val to_json : t -> string
     ["histograms"] members, names sorted.  Equal snapshots produce
     byte-identical strings. *)
 
-val render : t -> string
-(** Human-readable two-column table (sorted). *)
-
 val to_bytes : t -> string
 (** Full-fidelity deterministic serialization (every histogram bucket,
     metrics sorted by name): two registries with equal contents produce
@@ -145,4 +142,3 @@ val of_bytes : string -> (t, string) result
     in place and the rest handed to [int_of_string_opt], so a decode
     allocates little more than the registry it returns. *)
 
-val is_empty : t -> bool

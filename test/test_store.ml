@@ -572,6 +572,92 @@ let test_store_holds_contexts_and_stats_only () =
         (Store.stats st).writes;
       Alcotest.(check bool) "variant stats read back" true (v_cold = v_warm))
 
+(* A variant's database is stored under [database/] and read back by
+   the next harness; the prepared variant's is the context's own and
+   is never stored. *)
+let test_variant_database_stored () =
+  let email = app "Email" in
+  let wide = Critics.Run.{ prepared with window = 2048 } in
+  with_store (fun dir st ->
+      let entries kind =
+        let d = Filename.concat dir kind in
+        if Sys.file_exists d then Array.length (Sys.readdir d) else 0
+      in
+      let harness () =
+        Experiments.Harness.create ~instrs:small_instrs ~jobs:1 ~store:st ()
+      in
+      let h1 = harness () in
+      Experiments.Harness.run_batch h1
+        [ Experiments.Harness.context_job email ];
+      Alcotest.(check int) "prepared context job stores no database" 0
+        (entries "database");
+      Alcotest.(check bool) "prepared database is the context's own" true
+        (Experiments.Harness.database h1 email Critics.Run.prepared
+        == (Experiments.Harness.context h1 email).db);
+      Alcotest.(check int) "and is never stored" 0 (entries "database");
+      Experiments.Harness.run_batch h1
+        [ Experiments.Harness.context_job ~variant:wide email ];
+      Alcotest.(check int) "variant context job stores its database" 1
+        (entries "database");
+      let cold = Experiments.Harness.database h1 email wide in
+      let s0 = Store.stats st in
+      let warm = Experiments.Harness.database (harness ()) email wide in
+      let s1 = Store.stats st in
+      Alcotest.(check int) "context and database hit" (s0.hits + 2) s1.hits;
+      Alcotest.(check int) "warm read misses nothing" s0.misses s1.misses;
+      Alcotest.(check int) "warm read writes nothing" s0.writes s1.writes;
+      Alcotest.(check bool) "equal database read back" true (cold = warm))
+
+(* Telemetry cells run live: a probe observes the run itself, so a
+   telemetry harness neither reads nor writes stored stats, keeps a
+   probe on every cell, and returns the stats a stored cell holds. *)
+let test_telemetry_cells_run_live () =
+  let email = app "Email" in
+  let schemes = Critics.Scheme.[ Baseline; Critic; Opp16_critic ] in
+  let jobs = List.map (Experiments.Harness.job email) schemes in
+  with_store (fun dir st ->
+      let stats_entries () =
+        let d = Filename.concat dir "stats" in
+        if Sys.file_exists d then Array.length (Sys.readdir d) else 0
+      in
+      let counters () =
+        let s = Store.stats st in
+        (s.hits, s.misses, s.writes)
+      in
+      let run ?telemetry () =
+        let h =
+          Experiments.Harness.create ~instrs:small_instrs ~jobs:1 ?telemetry
+            ~store:st ()
+        in
+        Experiments.Harness.run_batch h jobs;
+        h
+      in
+      let counts = Alcotest.(triple int int int) in
+      let live = run ~telemetry:256 () in
+      Alcotest.check counts "live cells write their context only" (0, 1, 1)
+        (counters ());
+      Alcotest.(check int) "no stats entry" 0 (stats_entries ());
+      let stored = run () in
+      Alcotest.check counts "stored cells: context hit, three stats written"
+        (1, 4, 4) (counters ());
+      let live' = run ~telemetry:256 () in
+      Alcotest.check counts "live cells read their context only" (2, 4, 4)
+        (counters ());
+      List.iter
+        (fun h ->
+          Alcotest.(check int) "a probe on every cell" (List.length schemes)
+            (List.length (Experiments.Harness.telemetry_probes h));
+          List.iter
+            (fun scheme ->
+              let name = Critics.Scheme.name scheme in
+              Alcotest.(check bool) (name ^ ": probe kept") true
+                (Experiments.Harness.probe_for h email scheme <> None);
+              Alcotest.(check bool) (name ^ ": stats = stored cell's") true
+                (Experiments.Harness.stats h email scheme
+                = Experiments.Harness.stats stored email scheme))
+            schemes)
+        [ live; live' ])
+
 let test_harness_warm_stats () =
   with_store (fun _dir st ->
       let stats h =
@@ -690,6 +776,10 @@ let () =
           Alcotest.test_case "store holds contexts and stats only" `Quick
             test_store_holds_contexts_and_stats_only;
           Alcotest.test_case "harness warm stats" `Quick test_harness_warm_stats;
+          Alcotest.test_case "variant database stored, prepared one not"
+            `Quick test_variant_database_stored;
+          Alcotest.test_case "telemetry cells run live" `Quick
+            test_telemetry_cells_run_live;
         ] );
       ( "alloc",
         [

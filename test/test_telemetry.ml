@@ -112,9 +112,9 @@ let check_contract h =
 
 (* Every application x scheme at the smoke budget, through the batch
    harness at width 1 and width 4.  Both widths must satisfy the
-   accounting contract, and their merged registries must be
-   byte-identical — histogram merge is order-insensitive, so job
-   scheduling order cannot leak into the aggregate. *)
+   accounting contract and hold the same cells, each with a
+   byte-identical probe registry: job scheduling order cannot leak into
+   any cell's probe. *)
 let test_accounting_contract () =
   let mk jobs =
     let h = H.create ~instrs:smoke_instrs ~jobs ~telemetry:probe_window () in
@@ -125,12 +125,17 @@ let test_accounting_contract () =
   let h4 = mk 4 in
   check_contract h1;
   check_contract h4;
-  Alcotest.(check string) "jobs=1 and jobs=4 merged registries agree"
-    (R.to_json (H.telemetry_registry h1))
-    (R.to_json (H.telemetry_registry h4));
-  Alcotest.(check string) "job-scoped aggregate matches the full registry"
-    (R.to_json (H.telemetry_registry h1))
-    (R.to_json (H.telemetry_registry_for h1 (all_jobs ())))
+  let registries h =
+    List.map
+      (fun (key, p) -> (key, R.to_json (P.registry p)))
+      (H.telemetry_probes h)
+  in
+  let r1 = registries h1 in
+  Alcotest.(check int) "one probe per cell"
+    (List.length Workload.Apps.all * List.length schemes)
+    (List.length r1);
+  Alcotest.(check (list (pair string string)))
+    "jobs=1 and jobs=4 probe registries agree key by key" r1 (registries h4)
 
 (* --------------------- observational purity ----------------------- *)
 
