@@ -159,9 +159,11 @@ let profile_cmd =
 let characterize_cmd =
   let run app instrs =
     let profile = or_die (lookup_app app) in
-    let _, trace = Workload.Gen.trace ~instrs profile in
+    let ctx = Critics.Run.prepare ~instrs profile in
     Printf.printf "%s — %s\n\n%s\n" profile.name profile.activity
-      (Workload.Characterize.render (Workload.Characterize.of_trace trace))
+      (Workload.Characterize.render
+         (Workload.Characterize.of_stream
+            (Critics.Run.stream ctx Critics.Scheme.Baseline)))
   in
   Cmd.v
     (Cmd.info "characterize"

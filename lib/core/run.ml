@@ -158,9 +158,6 @@ let stream ctx scheme = program_stream ctx (transformed ctx scheme)
 
 let source ctx scheme : Pipeline.Cpu.source = fun () -> stream ctx scheme
 
-let trace_of ctx scheme =
-  Prog.Trace.expand (transformed ctx scheme) ~seed:ctx.seed ctx.path
-
 (* Block temperatures of a (scheme, variant) build's dynamic stream
    (Profiler.Heat), memoized per build. *)
 let heat ctx build program =

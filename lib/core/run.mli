@@ -3,11 +3,11 @@
     An {!app_context} packages everything derived once per application:
     the generated program, the control-flow path (fixed across schemes,
     so every scheme replays identical work) and the CritIC database.
-    Traces are never materialized on this path — profiling and
-    simulation both pull the event stream ({!Prog.Trace.Stream}) and run
-    in O(window) memory, so the instruction budget can grow without the
-    context's footprint following it.  {!stats} evaluates any scheme on
-    any machine configuration. *)
+    Traces are never materialized — profiling, simulation, Fig. 3's
+    fanout count and characterization all pull the event stream
+    ({!stream}) and run in O(window) memory, so the instruction budget
+    can grow without the context's footprint following it.  {!stats}
+    evaluates any scheme on any machine configuration. *)
 
 type variant = {
   window : int;
@@ -117,12 +117,6 @@ val stream : app_context -> Transform.Scheme.t -> Prog.Trace.Stream.cursor
 
 val source : app_context -> Transform.Scheme.t -> Pipeline.Cpu.source
 (** The replayable form of {!stream}, as the simulator consumes it. *)
-
-val trace_of : app_context -> Transform.Scheme.t -> Prog.Trace.t
-(** Materialize the scheme's event stream into an array — the adapter
-    for consumers that genuinely need random access (whole-trace DFGs,
-    characterization).  O(trace) memory and uncached: transient use
-    only. *)
 
 val stats :
   ?config:Pipeline.Config.t ->

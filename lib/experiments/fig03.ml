@@ -8,32 +8,68 @@ type row = {
 
 type result = row list
 
+(* One pass over the cursor's [instr] column that keeps, per register,
+   the fanout and class of its live producer.  An instruction writes at
+   most one register ([Isa.Instr.regs_written]), so its fanout is final
+   when that register is written again or the stream ends; a consumer
+   counts once per distinct register it reads, as [Dfg.load] counts
+   each producer once. *)
+let critical_counts ~is_long cur =
+  let n = Isa.Reg.count in
+  let fanout = Array.make n (-1) (* -1: no live producer *)
+  and long = Array.make n false
+  and read_by = Array.make n (-1) in
+  let critical = ref 0 and long_critical = ref 0 in
+  let retire r =
+    if fanout.(r) >= 4 then begin
+      incr critical;
+      if long.(r) then incr long_critical
+    end
+  in
+  let rec drain () =
+    let first = Prog.Trace.Stream.take cur in
+    if first >= 0 then begin
+      for k = first to cur.lim - 1 do
+        let ins = cur.instr.(k) in
+        List.iter
+          (fun r ->
+            let r = Isa.Reg.index r in
+            if fanout.(r) >= 0 && read_by.(r) <> cur.seq.(k) then begin
+              read_by.(r) <- cur.seq.(k);
+              fanout.(r) <- fanout.(r) + 1
+            end)
+          (Isa.Instr.regs_read ins);
+        List.iter
+          (fun r ->
+            let r = Isa.Reg.index r in
+            retire r;
+            fanout.(r) <- 0;
+            long.(r) <- is_long ins)
+          (Isa.Instr.regs_written ins)
+      done;
+      drain ()
+    end
+  in
+  drain ();
+  for r = 0 to n - 1 do
+    retire r
+  done;
+  (!critical, !long_critical)
+
 (* Fraction of committed critical instructions with a multi-cycle
-   execution, approximated from the DFG: high-fanout events whose
-   opcode class is long-latency (loads count as long only in suites
-   where they typically miss; we classify by opcode latency class,
-   which the paper's Fig. 3c also does). *)
+   execution: loads count as long-latency when they typically leave the
+   L1, approximated by the profile's working-set size (we classify by
+   opcode latency class, which the paper's Fig. 3c also does). *)
 let long_latency_fraction ctx =
-  (* The figure classifies events by whole-trace fanout, which needs
-     random access — materialize transiently, scoped to this figure. *)
-  let trace = Critics.Run.trace_of ctx Critics.Scheme.Baseline in
-  let dfg = Dfg.of_events trace in
-  let critical = ref 0 and long = ref 0 in
-  Array.iteri
-    (fun i (e : Prog.Trace.event) ->
-      if Dfg.fanout dfg i >= 4 then begin
-        incr critical;
-        (* Loads count as long-latency when they typically leave the L1,
-           approximated by the profile's working-set size. *)
-        let is_long =
-          Isa.Opcode.is_long_latency (Isa.Instr.opcode e.instr)
-          || (Isa.Instr.opcode e.instr = Isa.Opcode.Load
-              && ctx.Critics.Run.profile.load_working_set > 256 * 1024)
-        in
-        if is_long then incr long
-      end)
-    trace;
-  float_of_int !long /. float_of_int (max 1 !critical)
+  let big_loads = ctx.Critics.Run.profile.load_working_set > 256 * 1024 in
+  let is_long ins =
+    let op = Isa.Instr.opcode ins in
+    Isa.Opcode.is_long_latency op || (big_loads && op = Isa.Opcode.Load)
+  in
+  let critical, long =
+    critical_counts ~is_long (Critics.Run.stream ctx Critics.Scheme.Baseline)
+  in
+  float_of_int long /. float_of_int (max 1 critical)
 
 let suite_summary h apps =
   (* Aggregate critical-population stage cycles across the suite. *)

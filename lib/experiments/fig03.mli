@@ -22,5 +22,15 @@ type row = {
 
 type result = row list
 
+val critical_counts :
+  is_long:(Isa.Instr.t -> bool) -> Prog.Trace.Stream.cursor -> int * int
+(** [(critical, long)]: the stream's instructions with fanout at least 4
+    (direct dependents, as {!Dfg.fanout} counts them over the whole
+    stream), and how many of them [is_long] holds for.  One pass over
+    the cursor in O(registers) space: no trace is materialized.
+    Fig. 3c runs it on each app's Baseline stream ({!Critics.Run.stream}),
+    counting as long-latency a long-latency opcode class, and a load when
+    the profile's load working set exceeds 256 KB. *)
+
 val run : Harness.t -> result
 val render : result -> string

@@ -18,23 +18,28 @@ let config ?(shards = 4) ?(checkpoint_every = 256) ?(dedup_window = 65536)
 
 let meta_magic = "CRTSRV01"
 
+(* A shard's durable state: what [replay] rebuilds from its directory
+   and [ingest] advances. *)
+type state = {
+  mutable applied : int;  (* last applied sequence number *)
+  mutable ckpt_seq : int;  (* sequence covered by the last checkpoint *)
+  mutable since_ckpt : int;
+  ids : (string, int) Hashtbl.t;  (* applied upload id -> seq *)
+  (* [ids] in checkpoint order, as the last checkpoint wrote it.  The
+     next checkpoint merges the two fields below into it, so the
+     per-upload path stays one Hashtbl lookup and one cons. *)
+  mutable table : Checkpoint.table;
+  mutable fresh : (string * int) list;  (* applied since, newest first *)
+  mutable pruned_to : int;  (* floor of the last prune since, or 0 *)
+  agg : Registry.t;
+}
+
 type shard = {
   id : int;
   shard_dir : string;
   lock : Mutex.t;
   mutable wal : Wal.t;
-  mutable applied : int;  (* last applied sequence number *)
-  mutable ckpt_seq : int;  (* sequence covered by the last checkpoint *)
-  mutable since_ckpt : int;
-  ids : (string, int) Hashtbl.t;  (* applied upload id -> seq *)
-  (* [ids] in checkpoint order, as the last checkpoint wrote it (or
-     recovery rebuilt it).  The next checkpoint merges the two fields
-     below into it, so the per-upload path stays one Hashtbl lookup and
-     one cons. *)
-  mutable table : Checkpoint.table;
-  mutable fresh : (string * int) list;  (* applied since, newest first *)
-  mutable pruned_to : int;  (* floor of the last prune since, or 0 *)
-  agg : Registry.t;
+  st : state;
 }
 
 type t = {
@@ -52,18 +57,6 @@ type recovery = {
   rec_torn_tails : int;
   rec_uploads : int;
 }
-
-let mkdir_p path =
-  let rec go path =
-    if not (Sys.file_exists path) then begin
-      go (Filename.dirname path);
-      try Unix.mkdir path 0o755
-      with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go path;
-  if not (Sys.is_directory path) then
-    raise (Sys_error (path ^ ": not a directory"))
 
 let shard_dirname i = Printf.sprintf "shard-%03d" i
 let wal_path dir = Filename.concat dir "wal.log"
@@ -105,9 +98,10 @@ let load_meta path =
    (one O(table) sweep per ~window/8 inserts) so pruning is amortized
    O(1) per applied record.  Returns the floor it pruned to: every id
    at or below it is gone, every id above it stays; 0 if it did not
-   prune. *)
+   prune.  The test subtracts rather than adds, so [window = max_int]
+   never prunes. *)
 let prune_ids ~window ~applied ids =
-  if Hashtbl.length ids > window + max 8 (window / 8) then begin
+  if Hashtbl.length ids - window > max 8 (window / 8) then begin
     let floor = applied - window in
     let stale =
       Hashtbl.fold
@@ -138,112 +132,115 @@ let merger ~agg ~applied reg =
     | Error _ as e -> e
     | Ok _ -> merge
 
-let merge_upload agg merge =
+(* One acknowledged upload's effect on a shard's state: [merge] is its
+   delta's checked merge into [st.agg]. *)
+let apply_record st ~window ~seq ~id merge =
   merge ();
-  Registry.incr (Registry.counter agg "service/uploads")
+  Registry.incr (Registry.counter st.agg "service/uploads");
+  Hashtbl.replace st.ids id seq;
+  st.fresh <- (id, seq) :: st.fresh;
+  let floor = prune_ids ~window ~applied:seq st.ids in
+  if floor > 0 then st.pruned_to <- floor;
+  st.applied <- seq;
+  st.since_ckpt <- st.since_ckpt + 1
 
-(* One acknowledged upload's effect on a live shard: [merge] is its
-   delta's checked merge into [shard.agg]. *)
-let apply_record shard ~window ~seq ~id merge =
-  merge_upload shard.agg merge;
-  Hashtbl.replace shard.ids id seq;
-  shard.fresh <- (id, seq) :: shard.fresh;
-  let floor = prune_ids ~window ~applied:seq shard.ids in
-  if floor > 0 then shard.pruned_to <- floor;
-  shard.applied <- seq;
-  shard.since_ckpt <- shard.since_ckpt + 1
+(* ----------------------------- replay ----------------------------- *)
 
-(* --------------------------- recovery ----------------------------- *)
+type replay = {
+  state : state;
+  ckpt : bool;  (* a checkpoint was loaded *)
+  wal_records : int;
+  stale : int;  (* records at or below the sequence already applied *)
+  good_bytes : int;
+  torn_bytes : int;
+}
 
-let recover_shard ?inject ~dir ~window ~i () =
-  let sdir = Filename.concat dir (shard_dirname i) in
-  mkdir_p sdir;
-  ignore (Util.Atomic_io.sweep_tmp sdir);
-  let agg = Registry.create () in
-  let ids = Hashtbl.create 256 in
-  let ckpt_seq, replayed, skipped, truncated =
-    let ckpt =
-      match Checkpoint.load (ckpt_path sdir) with
-      | Ok c -> c
-      | Error msg -> failwith ("Engine: corrupt checkpoint: " ^ msg)
-    in
-    let ckpt_seq =
-      match ckpt with
-      | None -> 0
-      | Some c ->
-        (match Registry.of_bytes c.Checkpoint.registry with
-        | Ok reg -> Registry.merge_into ~into:agg reg
-        | Error msg ->
-          failwith ("Engine: corrupt checkpoint registry: " ^ msg));
-        List.iter (fun (id, seq) -> Hashtbl.replace ids id seq) c.ids;
-        c.seq
-    in
-    let scan =
-      match Wal.scan (wal_path sdir) with
-      | Ok s -> s
-      | Error msg -> failwith ("Engine: " ^ msg)
-    in
-    let applied = ref ckpt_seq in
-    let replayed = ref 0 in
-    let skipped = ref 0 in
-    List.iter
-      (fun { Wal.seq; id; payload } ->
-        if seq <= !applied then incr skipped
-        else if seq = !applied + 1 then begin
-          (* Digest-verified record that does not decode or apply: the
-             writer checked both before appending, so this is wild
-             corruption that happens to re-verify — refuse. *)
-          let bad msg =
-            failwith
-              (Printf.sprintf "Engine: shard %d seq %d: bad payload: %s" i
-                 seq msg)
-          in
-          (match Registry.of_bytes payload with
-          | Error msg -> bad msg
-          | Ok reg -> (
-            match merger ~agg ~applied:!applied reg with
-            | Error msg -> bad msg
-            | Ok merge ->
-              merge_upload agg merge;
-              Hashtbl.replace ids id seq;
-              ignore (prune_ids ~window ~applied:seq ids)));
-          applied := seq;
-          incr replayed
-        end
-        else
-          failwith
-            (Printf.sprintf
-               "Engine: shard %d: sequence gap (%d after %d) — WAL records \
-                lost"
-               i seq !applied))
-      scan.records;
-    if scan.torn_bytes > 0 then
-      Wal.truncate_to (wal_path sdir) scan.good_bytes;
-    (ckpt_seq, (!applied, !replayed), !skipped, scan.torn_bytes)
+(* A shard directory's state: its checkpoint, then every WAL record
+   above it decoded, checked by [merger] and applied by [apply_record],
+   as [ingest] applied it.  A replayed record counts in [since_ckpt]
+   like an ingested one, since it too lives only in the WAL, so the
+   next checkpoint stays on schedule.  Reads only; [Error] names the
+   first thing recovery cannot apply.  [window] is the dedup window
+   the state prunes to. *)
+let replay ~window sdir =
+  let ( let* ) = Result.bind in
+  let* ckpt =
+    Result.map_error (( ^ ) "corrupt checkpoint: ")
+      (Checkpoint.load (ckpt_path sdir))
   in
-  let applied, replayed = replayed in
-  let wal = Wal.open_writer ?inject (wal_path sdir) in
-  ( {
-      id = i;
-      shard_dir = sdir;
-      lock = Mutex.create ();
-      wal;
-      applied;
-      ckpt_seq;
-      (* Records above the checkpoint still live in the WAL; counting
-         them keeps the next checkpoint on schedule after recovery. *)
-      since_ckpt = applied - ckpt_seq;
-      ids;
-      table =
-        Checkpoint.table (Hashtbl.fold (fun id seq l -> (id, seq) :: l) ids []);
+  let* seq, ids, reg =
+    match ckpt with
+    | None -> Ok (0, [], Registry.create ())
+    | Some c -> (
+      match Registry.of_bytes c.registry with
+      | Ok reg -> Ok (c.seq, c.ids, reg)
+      | Error msg -> Error ("checkpoint registry unparseable: " ^ msg))
+  in
+  (* [merger]'s [applied > 0] shortcut assumes that the aggregate then
+     holds [service/uploads] as a counter, and [apply_record] that it
+     never holds it as anything else. *)
+  let* () =
+    match List.assoc_opt "service/uploads" (Registry.snapshot reg) with
+    | Some (Registry.Counter_v _) -> Ok ()
+    | None when seq <= 0 -> Ok ()
+    | _ -> Error "checkpoint registry has no service/uploads counter"
+  in
+  let st =
+    {
+      applied = seq;
+      ckpt_seq = seq;
+      since_ckpt = 0;
+      ids = Hashtbl.create 256;
+      table = Checkpoint.table ids;
       fresh = [];
       pruned_to = 0;
-      agg;
-    },
-    (replayed, skipped, truncated) )
+      agg = Registry.create ();
+    }
+  in
+  Registry.merge_into ~into:st.agg reg;
+  List.iter (fun (id, seq) -> Hashtbl.replace st.ids id seq) ids;
+  let* scan = Wal.scan (wal_path sdir) in
+  let rec go stale = function
+    | [] ->
+      Ok
+        {
+          state = st;
+          ckpt = Option.is_some ckpt;
+          wal_records = List.length scan.records;
+          stale;
+          good_bytes = scan.good_bytes;
+          torn_bytes = scan.torn_bytes;
+        }
+    | { Wal.seq; _ } :: rest when seq <= st.applied -> go (stale + 1) rest
+    | { Wal.seq; id; payload } :: rest -> (
+      if seq > st.applied + 1 then
+        Error
+          (Printf.sprintf "sequence gap: record %d follows %d" seq st.applied)
+      else
+        match
+          Result.bind (Registry.of_bytes payload)
+            (merger ~agg:st.agg ~applied:st.applied)
+        with
+        | Error msg -> Error (Printf.sprintf "record %d: %s" seq msg)
+        | Ok merge ->
+          apply_record st ~window ~seq ~id merge;
+          go stale rest)
+  in
+  go 0 scan.records
+
+let open_shard ?inject ~dir ~window i =
+  let sdir = Filename.concat dir (shard_dirname i) in
+  Util.Atomic_io.mkdir_p sdir;
+  ignore (Util.Atomic_io.sweep_tmp sdir);
+  match replay ~window sdir with
+  | Error msg -> failwith (Printf.sprintf "Engine: shard %d: %s" i msg)
+  | Ok r ->
+    if r.torn_bytes > 0 then Wal.truncate_to (wal_path sdir) r.good_bytes;
+    let wal = Wal.open_writer ?inject (wal_path sdir) in
+    ({ id = i; shard_dir = sdir; lock = Mutex.create (); wal; st = r.state }, r)
 
 let open_ ?inject cfg =
-  mkdir_p cfg.dir;
+  Util.Atomic_io.mkdir_p cfg.dir;
   (match load_meta (meta_path cfg.dir) with
   | Ok None ->
     Util.Atomic_io.write ~durable:true (meta_path cfg.dir) (meta_contents cfg)
@@ -255,37 +252,24 @@ let open_ ?inject cfg =
             resharding is not supported"
            cfg.dir shards cfg.shards)
   | Error msg -> failwith ("Engine: " ^ msg));
-  let replayed = ref 0 in
-  let skipped = ref 0 in
-  let truncated = ref 0 in
-  let torn_tails = ref 0 in
-  let shard_arr =
-    Array.init cfg.shards (fun i ->
-        let shard, (r, s, tb) =
-          recover_shard ?inject ~dir:cfg.dir ~window:cfg.dedup_window ~i ()
-        in
-        replayed := !replayed + r;
-        skipped := !skipped + s;
-        truncated := !truncated + tb;
-        if tb > 0 then incr torn_tails;
-        shard)
+  let opened =
+    Array.init cfg.shards
+      (open_shard ?inject ~dir:cfg.dir ~window:cfg.dedup_window)
   in
-  let uploads =
-    Array.fold_left (fun n s -> n + Hashtbl.length s.ids) 0 shard_arr
-  in
+  let sum f = Array.fold_left (fun n (_, r) -> n + f r) 0 opened in
   ( {
       cfg;
-      shard_arr;
+      shard_arr = Array.map fst opened;
       inject;
       run = Registry.create ();
       run_lock = Mutex.create ();
     },
     {
-      rec_replayed = !replayed;
-      rec_skipped = !skipped;
-      rec_truncated_bytes = !truncated;
-      rec_torn_tails = !torn_tails;
-      rec_uploads = uploads;
+      rec_replayed = sum (fun r -> r.state.since_ckpt);
+      rec_skipped = sum (fun r -> r.stale);
+      rec_truncated_bytes = sum (fun r -> r.torn_bytes);
+      rec_torn_tails = sum (fun r -> Bool.to_int (r.torn_bytes > 0));
+      rec_uploads = sum (fun r -> Hashtbl.length r.state.ids);
     } )
 
 (* ---------------------------- runtime ----------------------------- *)
@@ -307,16 +291,15 @@ let runtime t = t.run
 let checkpoint_locked t shard =
   (* Every id at or below the last prune's floor is gone from [ids], and
      every later one is above it: floors only rise. *)
-  let table =
-    Checkpoint.merge shard.table ~applied:shard.fresh ~floor:shard.pruned_to
-  in
+  let st = shard.st in
+  let table = Checkpoint.merge st.table ~applied:st.fresh ~floor:st.pruned_to in
   Checkpoint.save_table ?inject:t.inject (ckpt_path shard.shard_dir)
-    ~seq:shard.applied table ~registry:(Registry.to_bytes shard.agg);
-  shard.table <- table;
-  shard.fresh <- [];
-  shard.pruned_to <- 0;
-  shard.ckpt_seq <- shard.applied;
-  shard.since_ckpt <- 0;
+    ~seq:st.applied table ~registry:(Registry.to_bytes st.agg);
+  st.table <- table;
+  st.fresh <- [];
+  st.pruned_to <- 0;
+  st.ckpt_seq <- st.applied;
+  st.since_ckpt <- 0;
   count t "service/checkpoints";
   Wal.close shard.wal;
   (try
@@ -329,13 +312,13 @@ let checkpoint_locked t shard =
   shard.wal <- Wal.open_writer ?inject:t.inject (wal_path shard.shard_dir)
 
 let maybe_checkpoint_locked t shard =
-  if shard.since_ckpt >= t.cfg.checkpoint_every then
+  if shard.st.since_ckpt >= t.cfg.checkpoint_every then
     try checkpoint_locked t shard
     with Unix.Unix_error _ | Sys_error _ ->
       (* Checkpoint failure is not data loss — the WAL has everything.
          Reset the countdown so we retry after another interval rather
          than on every upload. *)
-      shard.since_ckpt <- 0;
+      shard.st.since_ckpt <- 0;
       count t "service/checkpoint_failures"
 
 (* ----------------------------- ingest ----------------------------- *)
@@ -370,7 +353,7 @@ let ingest t ~id ~app ~payload =
   | Ok payload_reg -> (
     let shard = t.shard_arr.(shard_of t ~app) in
     Mutex.lock shard.lock;
-    match Hashtbl.find_opt shard.ids id with
+    match Hashtbl.find_opt shard.st.ids id with
     | Some seq ->
       Mutex.unlock shard.lock;
       count t "service/duplicates";
@@ -379,13 +362,13 @@ let ingest t ~id ~app ~payload =
       (* A delta that binds a name to another kind than the shard's
          aggregate holds would decode, append and then fail to merge,
          and replay likewise: refuse it before the WAL sees it. *)
-      match merger ~agg:shard.agg ~applied:shard.applied payload_reg with
+      match merger ~agg:shard.st.agg ~applied:shard.st.applied payload_reg with
       | Error msg ->
         Mutex.unlock shard.lock;
         count t "service/rejects";
         Error ("inapplicable payload: " ^ msg)
       | Ok merge -> (
-        let seq = shard.applied + 1 in
+        let seq = shard.st.applied + 1 in
         match Wal.append shard.wal ~seq ~id ~payload with
         | exception (Util.Atomic_io.Injected_crash _ as e) ->
           (* Injected crash: simulated process death — do not release
@@ -402,7 +385,7 @@ let ingest t ~id ~app ~payload =
         | () ->
           (* The record is durable: this is the acknowledgement point.
              Everything below re-derives from the WAL on recovery. *)
-          apply_record shard ~window:t.cfg.dedup_window ~seq ~id merge;
+          apply_record shard.st ~window:t.cfg.dedup_window ~seq ~id merge;
           let r =
             { ack_shard = shard.id; ack_seq = seq; ack_duplicate = false }
           in
@@ -421,22 +404,22 @@ let with_shards t f =
 
 let uploads t =
   with_shards t (fun arr ->
-      Array.fold_left (fun n s -> n + Hashtbl.length s.ids) 0 arr)
+      Array.fold_left (fun n s -> n + Hashtbl.length s.st.ids) 0 arr)
 
 let mem t ~id =
   with_shards t (fun arr ->
-      Array.exists (fun s -> Hashtbl.mem s.ids id) arr)
+      Array.exists (fun s -> Hashtbl.mem s.st.ids id) arr)
 
 let snapshot t =
   let into = Registry.create () in
   with_shards t (fun arr ->
-      Array.iter (fun s -> Registry.merge_into ~into s.agg) arr);
+      Array.iter (fun s -> Registry.merge_into ~into s.st.agg) arr);
   into
 
 let snapshot_bytes t = Registry.to_bytes (snapshot t)
 
 let shard_seqs t =
-  with_shards t (fun arr -> Array.map (fun s -> s.applied) arr)
+  with_shards t (fun arr -> Array.map (fun s -> s.st.applied) arr)
 
 let checkpoint t =
   Array.iter
@@ -445,7 +428,7 @@ let checkpoint t =
       Fun.protect
         ~finally:(fun () -> Mutex.unlock s.lock)
         (fun () ->
-          if s.since_ckpt > 0 || s.ckpt_seq < s.applied then
+          if s.st.since_ckpt > 0 || s.st.ckpt_seq < s.st.applied then
             checkpoint_locked t s))
     t.shard_arr
 
@@ -460,7 +443,7 @@ type shard_report = {
   fs_stale : int;
   fs_uploads : int;
   fs_torn_bytes : int;
-  fs_errors : string list;
+  fs_error : string option;
 }
 
 type report = {
@@ -471,56 +454,22 @@ type report = {
   corrupt : int;
 }
 
+(* [replay] without the writes, and with a window that forgets no id. *)
 let fsck_shard ~dir i =
-  let sdir = Filename.concat dir (shard_dirname i) in
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  let ids = Hashtbl.create 64 in
-  let ckpt_seq =
-    match Checkpoint.load (ckpt_path sdir) with
-    | Ok None -> -1
-    | Ok (Some c) ->
-      (match Registry.of_bytes c.Checkpoint.registry with
-      | Ok _ -> ()
-      | Error msg -> err "checkpoint registry unparseable: %s" msg);
-      List.iter (fun (id, seq) -> Hashtbl.replace ids id seq) c.ids;
-      c.seq
-    | Error msg ->
-      err "corrupt checkpoint: %s" msg;
-      -1
-  in
-  let wal_records, stale, torn_bytes =
-    match Wal.scan (wal_path sdir) with
-    | Error msg ->
-      err "%s" msg;
-      (0, 0, 0)
-    | Ok scan ->
-      let applied = ref (max ckpt_seq 0) in
-      let stale = ref 0 in
-      List.iter
-        (fun { Wal.seq; id; payload } ->
-          if seq <= !applied then incr stale
-          else begin
-            if seq <> !applied + 1 then
-              err "sequence gap: record %d follows %d" seq !applied;
-            (match Registry.of_bytes payload with
-            | Ok _ -> ()
-            | Error msg -> err "record %d payload unparseable: %s" seq msg);
-            Hashtbl.replace ids id seq;
-            applied := seq
-          end)
-        scan.records;
-        (List.length scan.records, !stale, scan.torn_bytes)
-  in
-  {
-    fs_shard = i;
-    fs_ckpt_seq = ckpt_seq;
-    fs_wal_records = wal_records;
-    fs_stale = stale;
-    fs_uploads = Hashtbl.length ids;
-    fs_torn_bytes = torn_bytes;
-    fs_errors = List.rev !errors;
-  }
+  match replay ~window:max_int (Filename.concat dir (shard_dirname i)) with
+  | Error msg ->
+    { fs_shard = i; fs_ckpt_seq = -1; fs_wal_records = 0; fs_stale = 0;
+      fs_uploads = 0; fs_torn_bytes = 0; fs_error = Some msg }
+  | Ok r ->
+    {
+      fs_shard = i;
+      fs_ckpt_seq = (if r.ckpt then r.state.ckpt_seq else -1);
+      fs_wal_records = r.wal_records;
+      fs_stale = r.stale;
+      fs_uploads = Hashtbl.length r.state.ids;
+      fs_torn_bytes = r.torn_bytes;
+      fs_error = None;
+    }
 
 let fsck dir =
   if not (Sys.file_exists dir) then Error (dir ^ ": no such directory")
@@ -530,20 +479,14 @@ let fsck dir =
     | Ok None -> Error (dir ^ ": no META — not a service directory")
     | Ok (Some shards) ->
       let shard_reports = List.init shards (fsck_shard ~dir) in
+      let sum f = List.fold_left (fun n r -> n + f r) 0 shard_reports in
       Ok
         {
           shards_checked = shards;
           shard_reports;
-          total_uploads =
-            List.fold_left (fun n r -> n + r.fs_uploads) 0 shard_reports;
-          torn_tails =
-            List.fold_left
-              (fun n r -> n + if r.fs_torn_bytes > 0 then 1 else 0)
-              0 shard_reports;
-          corrupt =
-            List.fold_left
-              (fun n r -> n + if r.fs_errors <> [] then 1 else 0)
-              0 shard_reports;
+          total_uploads = sum (fun r -> r.fs_uploads);
+          torn_tails = sum (fun r -> Bool.to_int (r.fs_torn_bytes > 0));
+          corrupt = sum (fun r -> Bool.to_int (r.fs_error <> None));
         }
 
 let clean ?(strict = false) r =
@@ -557,16 +500,16 @@ let render r =
   List.iter
     (fun s ->
       Buffer.add_string b
-        (Printf.sprintf
-           "  shard %03d: ckpt seq %d, wal records %d (%d stale), uploads \
-            %d%s%s\n"
-           s.fs_shard s.fs_ckpt_seq s.fs_wal_records s.fs_stale s.fs_uploads
-           (if s.fs_torn_bytes > 0 then
-              Printf.sprintf ", TORN TAIL %d bytes" s.fs_torn_bytes
-            else "")
-           (match s.fs_errors with
-           | [] -> ""
-           | errs -> ", ERRORS: " ^ String.concat "; " errs)))
+        (match s.fs_error with
+        | Some msg -> Printf.sprintf "  shard %03d: CORRUPT: %s\n" s.fs_shard msg
+        | None ->
+          Printf.sprintf
+            "  shard %03d: ckpt seq %d, wal records %d (%d stale), uploads \
+             %d%s\n"
+            s.fs_shard s.fs_ckpt_seq s.fs_wal_records s.fs_stale s.fs_uploads
+            (if s.fs_torn_bytes > 0 then
+               Printf.sprintf ", TORN TAIL %d bytes" s.fs_torn_bytes
+             else "")))
     r.shard_reports;
   Buffer.add_string b
     (if clean ~strict:true r then "fsck: clean\n"

@@ -71,10 +71,16 @@ type recovery = {
 
 val open_ : ?inject:Util.Atomic_io.injector -> config -> t * recovery
 (** Open (creating or recovering) the engine rooted at [config.dir].
-    Raises [Failure] on unrecoverable states: corrupt checkpoint,
-    sequence gap, shard-count mismatch with the on-disk META.
-    [inject] arms the chaos fault seam on every subsequent IO
-    (tests only). *)
+    Recovery is one replay per shard, the one {!fsck} runs: load the
+    checkpoint, then decode, check and apply every WAL record above it
+    as {!ingest} applied it; then truncate a torn tail and reopen the
+    WAL.  Whatever the directory's bytes hold, the only exception is
+    [Failure], naming the fault {!fsck} reports: a corrupt checkpoint,
+    a checkpoint aggregate without its [service/uploads] counter, a
+    sequence gap, a record that does not decode or apply, a bad or
+    mismatched META.  Host I/O errors surface as [Unix.Unix_error] or
+    [Sys_error].  [inject] arms the chaos fault seam on every
+    subsequent IO (tests only). *)
 
 type ack = { ack_shard : int; ack_seq : int; ack_duplicate : bool }
 
@@ -136,7 +142,9 @@ type shard_report = {
   fs_stale : int;  (** records at or below the checkpoint sequence *)
   fs_uploads : int;  (** distinct uploads visible in this shard *)
   fs_torn_bytes : int;
-  fs_errors : string list;
+  fs_error : string option;
+      (** the first thing recovery cannot apply; the counts above are
+          then 0 (and [fs_ckpt_seq] -1) *)
 }
 
 type report = {
@@ -148,10 +156,12 @@ type report = {
 }
 
 val fsck : string -> (report, string) result
-(** Read-only integrity walk of a service directory: META, every
-    shard's checkpoint (digest, parse), every WAL record (frame +
-    digest), sequence continuity, id-table/registry parseability.
-    Never modifies anything; safe on a live or crashed directory. *)
+(** Read-only integrity check of a service directory: META, then
+    {!open_}'s replay of every shard without its writes (no torn-tail
+    repair) and without the dedup window (every id in the checkpoint
+    and the WAL counts in [fs_uploads]).  So a shard is corrupt exactly
+    when [open_] would fail on it, and [fsck] never raises on what the
+    shard files hold.  Safe on a live or crashed directory. *)
 
 val clean : ?strict:bool -> report -> bool
 (** No corruption and no sequence gaps.  [strict] (default [false])

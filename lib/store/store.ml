@@ -22,22 +22,10 @@ type t = {
   inject : Util.Atomic_io.injector option;
 }
 
-let mkdir_p path =
-  let rec go path =
-    if not (Sys.file_exists path) then begin
-      go (Filename.dirname path);
-      try Unix.mkdir path 0o755
-      with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go path;
-  if not (Sys.is_directory path) then
-    raise (Sys_error (path ^ ": not a directory"))
-
 let default_quarantine_limit = 32
 
 let open_dir ?(quarantine_limit = default_quarantine_limit) ?inject dir =
-  mkdir_p dir;
+  Util.Atomic_io.mkdir_p dir;
   ignore (Util.Atomic_io.sweep_tmp dir);
   Array.iter
     (fun name ->
@@ -149,7 +137,7 @@ let quarantined t =
 let quarantine t k =
   let dir = quarantine_dir t in
   try
-    mkdir_p dir;
+    Util.Atomic_io.mkdir_p dir;
     Sys.rename (path_of t k) (Filename.concat dir (k.kind ^ "." ^ k.digest));
     (* Bound the morgue: evict oldest-first (mtime, then name) past the
        limit so a corruption storm cannot fill the disk. *)
@@ -233,7 +221,7 @@ let find t k = read t k Bytes.sub_string
 
 let add t k payload =
   try
-    mkdir_p (Filename.concat t.dir k.kind);
+    Util.Atomic_io.mkdir_p (Filename.concat t.dir k.kind);
     (* Durable: an installed entry that evaporates on power loss is
        harmless (a future miss), but a *named, empty* entry is a
        guaranteed corrupt-count on every later run — pay the fsync. *)

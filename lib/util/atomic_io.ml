@@ -84,6 +84,18 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let mkdir_p path =
+  let rec go path =
+    if not (Sys.file_exists path) then begin
+      go (Filename.dirname path);
+      try Unix.mkdir path 0o755
+      with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    end
+  in
+  go path;
+  if not (Sys.is_directory path) then
+    raise (Sys_error (path ^ ": not a directory"))
+
 let sweep_tmp dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> 0

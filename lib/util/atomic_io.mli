@@ -74,6 +74,10 @@ val fsync_dir : ?inject:injector -> string -> unit
 val read_file : string -> string
 (** Whole-file read (binary).  Raises [Sys_error] if unreadable. *)
 
+val mkdir_p : string -> unit
+(** Create the directory and any missing parents (mode 0o755).  Raises
+    [Sys_error] if the path exists and is not a directory. *)
+
 val sweep_tmp : string -> int
 (** Remove every [*.tmp] orphan left in the directory by interrupted
     {!write}s.  Returns the number removed; 0 for a missing directory.

@@ -12,8 +12,9 @@ type t = {
   thumb_convertible_share : float;
 }
 
-let of_trace (trace : Prog.Trace.t) =
-  let n = Array.length trace in
+let of_stream cur =
+  let n = ref 0 in
+  let work = ref 0 in
   let mix_counts : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let blocks = Hashtbl.create 256 in
   let funcs = Hashtbl.create 64 in
@@ -24,8 +25,10 @@ let of_trace (trace : Prog.Trace.t) =
   let convertible = ref 0 in
   let block_visits = ref 0 in
   let prev = ref None in
-  Array.iter
+  Prog.Trace.Stream.iter
     (fun (e : Prog.Trace.event) ->
+      incr n;
+      if Prog.Trace.is_work e then incr work;
       let key = Isa.Opcode.to_string (Isa.Instr.opcode e.instr) in
       Hashtbl.replace mix_counts key
         (1 + Option.value ~default:0 (Hashtbl.find_opt mix_counts key));
@@ -46,14 +49,14 @@ let of_trace (trace : Prog.Trace.t) =
         ()
       | _ -> incr block_visits);
       prev := Some (e.block_id, e.body_index))
-    trace;
-  let fn = float_of_int (max 1 n) in
+    cur;
+  let fn = float_of_int (max 1 !n) in
   let mix =
     Hashtbl.fold (fun k c acc -> (k, float_of_int c /. fn) :: acc) mix_counts []
     |> List.sort (fun (_, a) (_, b) -> compare b a)
   in
   {
-    work_instructions = Prog.Trace.work_count trace;
+    work_instructions = !work;
     mix;
     control_share = float_of_int !control /. fn;
     cond_branch_share = float_of_int !cond /. fn;

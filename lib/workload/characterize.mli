@@ -1,6 +1,6 @@
 (** Workload characterization.
 
-    Summarizes a dynamic trace the way the paper's workload sections
+    Summarizes a dynamic event stream the way the paper's workload sections
     (and the authors' companion IISWC'17 characterization) do: the
     instruction mix, control behaviour, code footprint and basic-block
     shape that explain *why* an app behaves as it does on the machine.
@@ -23,5 +23,9 @@ type t = {
       (** instructions directly representable in the 16-bit format *)
 }
 
-val of_trace : Prog.Trace.t -> t
+val of_stream : Prog.Trace.Stream.cursor -> t
+(** Drain the cursor in one fold, counting its events and work
+    instructions ({!Prog.Trace.is_work}) as it goes: no trace is
+    materialized. *)
+
 val render : t -> string

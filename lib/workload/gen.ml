@@ -387,9 +387,3 @@ let program p =
     done
   done;
   Prog.Program.make ~entry:0 ~blocks:(List.rev !blocks)
-
-let trace ?(instrs = 100_000) ?seed p =
-  let program = program p in
-  let seed = Option.value ~default:(p.seed lxor 0x5EED) seed in
-  let path = Prog.Walk.path_for_instrs program ~seed ~instrs in
-  (program, Prog.Trace.expand program ~seed path)

@@ -15,9 +15,5 @@
       non-Thumb-convertible *)
 
 val program : Profile.t -> Prog.Program.t
-
-val trace :
-  ?instrs:int -> ?seed:int -> Profile.t -> Prog.Program.t * Prog.Trace.t
-(** Convenience: generate the program, walk it for at least [instrs]
-    (default 100_000) work instructions and expand the trace.  [seed]
-    defaults to a value derived from the profile seed. *)
+(** The program alone.  [Critics.Run.prepare] walks it, from the one
+    seed formula, and [Critics.Run.stream] expands the walk. *)

@@ -234,6 +234,49 @@ let test_suites_structure () =
       Alcotest.(check bool) (name ^ " non-empty") true (apps <> []))
     Experiments.Harness.suites
 
+(* Fig. 3's one pass over a stream against the whole-trace DFG it
+   replaced: every node of the materialized trace's graph with fanout
+   >= 4, and how many of them [is_long] holds for.  Every app's Baseline
+   stream at 6 000 instructions, classified as the figure classifies
+   it, and fuzzed programs, whose instructions may read a register
+   twice. *)
+let test_fig3_pass_matches_dfg () =
+  let check what ~is_long program ~seed path =
+    let trace = Prog.Trace.expand program ~seed path in
+    let dfg = Dfg.of_events trace in
+    let critical = ref 0 and long = ref 0 in
+    Array.iteri
+      (fun i (e : Prog.Trace.event) ->
+        if Dfg.fanout dfg i >= 4 then begin
+          incr critical;
+          if is_long e.instr then incr long
+        end)
+      trace;
+    Alcotest.(check (pair int int))
+      (what ^ " critical and long-latency counts")
+      (!critical, !long)
+      (Experiments.Fig03.critical_counts ~is_long
+         (Prog.Trace.Stream.of_program program ~seed path))
+  in
+  let long_op ins = Isa.Opcode.is_long_latency (Isa.Instr.opcode ins) in
+  List.iter
+    (fun (app : Workload.Profile.t) ->
+      let ctx = Critics.Run.prepare ~instrs:6_000 app in
+      let is_long ins =
+        long_op ins
+        || (Isa.Instr.opcode ins = Isa.Opcode.Load
+            && app.load_working_set > 256 * 1024)
+      in
+      check app.name ~is_long ctx.program ~seed:ctx.seed ctx.path)
+    Workload.Apps.all;
+  for seed = 0 to 99 do
+    let p = Workload.Fuzz.program_of_seed seed in
+    check
+      (Printf.sprintf "fuzz seed %d" seed)
+      ~is_long:long_op p ~seed
+      (Prog.Walk.path_for_instrs p ~seed ~instrs:2_000)
+  done
+
 let () =
   Alcotest.run "experiments"
     [
@@ -247,6 +290,8 @@ let () =
           Alcotest.test_case "baseline speedup" `Quick
             test_harness_speedup_zero_for_baseline;
           Alcotest.test_case "suites" `Quick test_suites_structure;
+          Alcotest.test_case "fig3 pass = whole-trace DFG" `Quick
+            test_fig3_pass_matches_dfg;
         ] );
       ( "batch engine",
         [

@@ -224,15 +224,10 @@ let policy_configs =
 
 let policy_schemes = [ Critics.Scheme.Baseline; Critics.Scheme.Critic ]
 
-(* CRITICS_TELEMETRY=1 re-runs the whole suite with a cycle-attribution
-   probe attached to every simulation.  The digests must not change:
-   the probe is observational, and this is the proof at golden-contract
-   strength.  CI runs the suite both ways. *)
-let probe () =
-  match Sys.getenv_opt "CRITICS_TELEMETRY" with
-  | None | Some "" | Some "0" -> None
-  | Some _ -> Some (Telemetry.Probe.create ~window:256 ())
-
+(* Every case is simulated twice, bare and with a fresh
+   cycle-attribution probe attached, and the two digests must be equal
+   before the bare one is compared with the recording: the probe is
+   observational, and this is the proof at golden-contract strength. *)
 let cases ~configs schemes =
   List.concat_map
     (fun app ->
@@ -244,10 +239,14 @@ let cases ~configs schemes =
         (fun scheme ->
           List.map
             (fun (cname, config) ->
-              ( app,
-                Critics.Scheme.name scheme,
-                cname,
-                digest (Critics.Run.stats ~config ?probe:(probe ()) ctx scheme) ))
+              let name = Critics.Scheme.name scheme in
+              let bare = digest (Critics.Run.stats ~config ctx scheme) in
+              let probe = Telemetry.Probe.create ~window:256 () in
+              Alcotest.(check string)
+                (Printf.sprintf "%s/%s/%s digest with a probe" app name cname)
+                bare
+                (digest (Critics.Run.stats ~config ~probe ctx scheme));
+              (app, name, cname, bare))
             configs)
         schemes)
     [ "Acrobat"; "Music"; "lbm" ]

@@ -138,8 +138,8 @@ let test_apps_table () =
 let test_characterize () =
   let ctx = Lazy.force mobile_ctx in
   let c =
-    Workload.Characterize.of_trace
-      (Critics.Run.trace_of ctx Critics.Scheme.Baseline)
+    Workload.Characterize.of_stream
+      (Critics.Run.stream ctx Critics.Scheme.Baseline)
   in
   Alcotest.(check bool) "mix sums to ~1" true
     (abs_float (List.fold_left (fun a (_, v) -> a +. v) 0.0 c.mix -. 1.0)

@@ -31,6 +31,11 @@ let payload_of_counter name v =
   Registry.add (Registry.counter reg name) v;
   Registry.to_bytes reg
 
+let payload_of_gauge name v =
+  let reg = Registry.create () in
+  Registry.set (Registry.gauge reg name) v;
+  Registry.to_bytes reg
+
 (* ------------------------------------------------------------------ *)
 (* WAL                                                                *)
 
@@ -466,11 +471,7 @@ let test_engine_dedup_window () =
    before the WAL now, and so is a first upload that binds the engine's
    own [service/uploads] to a gauge. *)
 let test_engine_inapplicable_refused () =
-  let gauge name =
-    let reg = Registry.create () in
-    Registry.set (Registry.gauge reg name) 3;
-    Registry.to_bytes reg
-  in
+  let gauge name = payload_of_gauge name 3 in
   let refused eng ~id payload =
     match Service.Engine.ingest eng ~id ~app:"maps" ~payload with
     | Ok _ -> Alcotest.failf "%s acked" id
@@ -521,6 +522,159 @@ let test_engine_shard_mismatch_is_loud () =
   | eng, _ ->
     Service.Engine.close eng;
     Alcotest.fail "resharding silently accepted"
+
+(* [fsck] and [open_] read a shard through one replay, so they agree on
+   what applies.  Each one-shard directory below is digest-valid, and
+   fsck once called each clean while open_ refused it: for (1) with a
+   [Failure], for (2) and (3) with an [Invalid_argument] out of the
+   upload counter, bound as a gauge by the checkpoint or by a record
+   above a checkpoint that lacks it. *)
+let test_fsck_agrees_with_open () =
+  let case what ?ckpt records =
+    with_dir @@ fun dir ->
+    let cfg = Service.Engine.config ~shards:1 dir in
+    Service.Engine.close (fst (Service.Engine.open_ cfg));
+    let sdir = Filename.concat dir "shard-000" in
+    Option.iter (Service.Checkpoint.save (Filename.concat sdir "ckpt.bin")) ckpt;
+    let w = Service.Wal.open_writer (Filename.concat sdir "wal.log") in
+    List.iter
+      (fun (seq, payload) ->
+        Service.Wal.append w ~seq ~id:(Printf.sprintf "u%d" seq) ~payload)
+      records;
+    Service.Wal.close w;
+    let fault =
+      match Service.Engine.fsck dir with
+      | Ok { Service.Engine.shard_reports = [ { fs_error = Some f; _ } ]; _ } -> f
+      | Ok rep -> Alcotest.failf "%s: fsck says\n%s" what (Service.Engine.render rep)
+      | Error msg -> Alcotest.failf "%s: fsck: %s" what msg
+    in
+    match Service.Engine.open_ cfg with
+    | exception Failure msg ->
+      if not (String.ends_with ~suffix:fault msg) then
+        Alcotest.failf "%s: open_ failed with %S, fsck reports %S" what msg fault
+    | exception e ->
+      Alcotest.failf "%s: open_ raised %s" what (Printexc.to_string e)
+    | eng, _ ->
+      Service.Engine.close eng;
+      Alcotest.failf "%s: open_ succeeded" what
+  in
+  let ckpt registry =
+    { Service.Checkpoint.seq = 1; ids = [ ("u1", 1) ]; registry }
+  in
+  case "x rebound as a gauge"
+    [ (1, payload_of_counter "x" 1); (2, payload_of_gauge "x" 3) ];
+  case "uploads counted in a gauge"
+    ~ckpt:(ckpt (payload_of_gauge "service/uploads" 1))
+    [ (2, payload_of_counter "x" 1) ];
+  case "no upload counter"
+    ~ckpt:(ckpt (payload_of_counter "x" 1))
+    [ (2, payload_of_gauge "service/uploads" 3) ]
+
+(* The files of a healthy one-shard directory: a checkpoint, the WAL of
+   the records above it, and the checkpoint as loaded; then a WAL above
+   the same checkpoint whose first and last records the engine would
+   refuse. *)
+let shard_files =
+  lazy
+    (with_dir @@ fun dir ->
+     let eng, _ =
+       Service.Engine.open_
+         (Service.Engine.config ~shards:1 ~checkpoint_every:1000 dir)
+     in
+     let send id payload = ignore (ingest_exn eng ~id ~app:"maps" ~payload) in
+     send "u1" (payload_of_counter "x" 1);
+     send "u2" (payload_of_gauge "g" 4);
+     Service.Engine.checkpoint eng;
+     send "u3" (payload_of_counter "x" 2);
+     send "u1" (payload_of_counter "x" 5);
+     send "u4" (payload_of_counter "service/uploads" 1);
+     Service.Engine.close eng;
+     let path name = Filename.concat dir ("shard-000/" ^ name) in
+     let hostile = Filename.concat dir "hostile.log" in
+     let w = Service.Wal.open_writer hostile in
+     List.iter
+       (fun (seq, payload) -> Service.Wal.append w ~seq ~id:"h" ~payload)
+       [ (3, payload_of_gauge "service/uploads" 1);
+         (4, payload_of_counter "y" 1); (5, payload_of_gauge "x" 1) ];
+     Service.Wal.close w;
+     let read = Util.Atomic_io.read_file in
+     ( read (path "ckpt.bin"),
+       Option.get (Result.get_ok (Service.Checkpoint.load (path "ckpt.bin"))),
+       [| read (path "wal.log"); read hostile |] ))
+
+(* Damaged shard directories.  The checkpoint is missing, intact, a
+   damaged copy of its file ([Damage.variants]), or a digest-valid one
+   at a nearby sequence number holding the registry or a damaged copy
+   of it.  The WAL is one of the two above, damaged zero to two times
+   as [prop_wal_scan_total] damages.  [fsck] must never raise, and must
+   call a directory clean exactly when [open_] opens it, and strictly
+   clean exactly when [open_] also finds no torn tail; [open_] raises
+   only [Failure]; and the two count the same uploads. *)
+let prop_fsck_total =
+  QCheck.Test.make ~name:"fsck is total and agrees with open_" ~count:40
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let file, c, wals = Lazy.force shard_files in
+      let logs = Array.append (Lazy.force wal_logs) wals in
+      let rand = Random.State.make [| seed |] in
+      let write text path = Util.Atomic_io.write path text in
+      let save registry path =
+        Service.Checkpoint.save path
+          { c with seq = c.seq - 1 + Random.State.int rand 3; registry }
+      in
+      let ckpts =
+        (fun _ -> ())
+        :: write file
+        :: List.map write (Damage.variants ~count:2 ~seed file)
+        @ List.map save
+            ([ c.registry; c.registry; c.registry ]
+            @ Damage.variants ~count:3 ~seed c.registry)
+      in
+      List.for_all
+        (fun write_ckpt ->
+          with_dir @@ fun dir ->
+          let cfg = Service.Engine.config ~shards:1 dir in
+          Service.Engine.close (fst (Service.Engine.open_ cfg));
+          let path name = Filename.concat dir ("shard-000/" ^ name) in
+          write_ckpt (path "ckpt.bin");
+          let rec chain s k =
+            if k = 0 then s else chain (damage rand logs s) (k - 1)
+          in
+          write
+            (chain wals.(Random.State.int rand 2) (Random.State.int rand 3))
+            (path "wal.log");
+          let rep =
+            match Service.Engine.fsck dir with
+            | exception e ->
+              QCheck.Test.fail_reportf "fsck raised %s" (Printexc.to_string e)
+            | Error msg -> QCheck.Test.fail_reportf "fsck: %s" msg
+            | Ok rep -> rep
+          in
+          let opened =
+            match Service.Engine.open_ cfg with
+            | exception Failure _ -> None
+            | exception e ->
+              QCheck.Test.fail_reportf "open_ raised %s" (Printexc.to_string e)
+            | eng, r ->
+              Service.Engine.close eng;
+              Some r
+          in
+          let fail what =
+            QCheck.Test.fail_reportf "%s; open_ %s; fsck says\n%s" what
+              (if opened = None then "failed" else "opened")
+              (Service.Engine.render rep)
+          in
+          (Service.Engine.clean rep = (opened <> None) || fail "tolerant")
+          && (Service.Engine.clean ~strict:true rep
+              = (match opened with
+                | Some r -> r.rec_torn_tails = 0
+                | None -> false)
+             || fail "strict")
+          && ((match opened with
+              | Some r -> r.rec_uploads = rep.total_uploads
+              | None -> true)
+             || fail "uploads"))
+        ckpts)
 
 (* The engine's checkpoints, byte for byte.  [Reference] is the path
    they were written by before the engine kept its id table in
@@ -934,6 +1088,9 @@ let () =
             test_engine_shard_mismatch_is_loud;
           Alcotest.test_case "inapplicable payload refused" `Quick
             test_engine_inapplicable_refused;
+          Alcotest.test_case "fsck agrees with open_" `Quick
+            test_fsck_agrees_with_open;
+          QCheck_alcotest.to_alcotest prop_fsck_total;
         ] );
       ( "population",
         [

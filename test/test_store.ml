@@ -687,7 +687,7 @@ let test_window_loop_allocation_free () =
      words/event) leaves room for the miss-driven Hashtbl bookkeeping
      while failing loudly if any per-cycle allocation returns. *)
   let ctx = Critics.Run.prepare ~instrs:20_000 (app "Acrobat") in
-  let trace = Critics.Run.trace_of ctx Critics.Scheme.Baseline in
+  let trace = Prog.Trace.expand ctx.program ~seed:ctx.seed ctx.path in
   let big = Array.concat [ trace; trace; trace; trace ] in
   let cfg = Pipeline.Config.table_i in
   let run tr =
