@@ -159,11 +159,11 @@ let profile_cmd =
 let characterize_cmd =
   let run app instrs =
     let profile = or_die (lookup_app app) in
-    let ctx = Critics.Run.prepare ~instrs profile in
+    let program, seed, path = Critics.Run.walk ~instrs profile in
     Printf.printf "%s — %s\n\n%s\n" profile.name profile.activity
       (Workload.Characterize.render
          (Workload.Characterize.of_stream
-            (Critics.Run.stream ctx Critics.Scheme.Baseline)))
+            (Prog.Trace.Stream.of_program program ~seed path)))
   in
   Cmd.v
     (Cmd.info "characterize"
@@ -321,10 +321,8 @@ let report_cmd =
     let stack_table pop_name pop =
       let rows =
         List.map
-          (fun (scheme, (st : Pipeline.Stats.t), probe) ->
-            let t : Telemetry.Probe.stage_totals =
-              Telemetry.Probe.totals probe pop
-            in
+          (fun (scheme, (st : Pipeline.Stats.t), _) ->
+            let t : Pipeline.Stats.stage_summary = pop st in
             let per x =
               if t.count = 0 then "-"
               else Printf.sprintf "%.3f" (float_of_int x /. float_of_int t.count)
@@ -350,9 +348,9 @@ let report_cmd =
                "decode"; "rename"; "issue"; "execute"; "commit" ]
            rows)
     in
-    stack_table "all" Telemetry.Probe.All;
-    stack_table "critical" Telemetry.Probe.Critical;
-    stack_table "chain" Telemetry.Probe.Chain;
+    stack_table "all" (fun st -> st.stage_all);
+    stack_table "critical" (fun st -> st.stage_critical);
+    stack_table "chain" (fun st -> st.stage_chain);
     let chain_rows =
       List.filter_map
         (fun (scheme, _, probe) ->
@@ -382,8 +380,9 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Print per-population CPI stacks and CritIC chain-latency \
-          quantiles from the cycle-attribution telemetry")
+         "Print per-population CPI stacks from the simulator's stage \
+          summaries and CritIC chain-latency quantiles from the \
+          cycle-attribution telemetry")
     Term.(const run $ app_opt_arg $ instrs_arg $ window_arg $ schemes_arg)
 
 (* ------------------------------- check ---------------------------- *)

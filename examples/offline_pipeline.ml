@@ -39,7 +39,7 @@ let () =
 
   let base =
     Critics.Pipeline.Cpu.run_stream Critics.Pipeline.Config.table_i
-      (Critics.Run.source device_ctx Critics.Scheme.Baseline)
+      (fun () -> Critics.Run.stream device_ctx Critics.Scheme.Baseline)
   in
   let critic =
     Critics.Pipeline.Cpu.run_stream Critics.Pipeline.Config.table_i

@@ -68,7 +68,3 @@ let predict_and_update t ~pc ~taken =
   correct
 
 let stats t = { lookups = t.lookups; mispredicts = t.mispredicts }
-
-let accuracy t =
-  if t.lookups = 0 then 1.0
-  else 1.0 -. (float_of_int t.mispredicts /. float_of_int t.lookups)

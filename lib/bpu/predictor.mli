@@ -26,5 +26,3 @@ val predict_and_update : t -> pc:int -> taken:bool -> bool
     prediction was correct. *)
 
 val stats : t -> stats
-val accuracy : t -> float
-(** Fraction of correct predictions; 1.0 when never consulted. *)

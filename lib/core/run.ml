@@ -78,13 +78,17 @@ let profile_db v ~total_events stream =
 type context_payload =
   Prog.Program.t * int * Prog.Walk.path * int * Profiler.Critic_db.t
 
+let walk ?(instrs = default_instrs) ?(sample = 0)
+    (profile : Workload.Profile.t) =
+  let program = Workload.Gen.program profile in
+  let seed = (profile.seed lxor 0x5EED) + (sample * 0x1000193) in
+  (program, seed, Prog.Walk.path_for_instrs program ~seed ~instrs)
+
 let prepare ?store ?(instrs = default_instrs) ?(sample = 0)
     (profile : Workload.Profile.t) =
   let key = context_key ~instrs ~sample profile in
   let build () : context_payload =
-    let program = Workload.Gen.program profile in
-    let seed = (profile.seed lxor 0x5EED) + (sample * 0x1000193) in
-    let path = Prog.Walk.path_for_instrs program ~seed ~instrs in
+    let program, seed, path = walk ~instrs ~sample profile in
     let event_count = Prog.Trace.length_of_path program path in
     let db =
       profile_db prepared ~total_events:event_count
@@ -155,8 +159,6 @@ let transformed ?(variant = prepared) ctx (scheme : Scheme.t) =
 let transform_count ctx = ctx.scheme_cache.transforms
 
 let stream ctx scheme = program_stream ctx (transformed ctx scheme)
-
-let source ctx scheme : Pipeline.Cpu.source = fun () -> stream ctx scheme
 
 (* Block temperatures of a (scheme, variant) build's dynamic stream
    (Profiler.Heat), memoized per build. *)

@@ -5,9 +5,10 @@
     so every scheme replays identical work) and the CritIC database.
     Traces are never materialized — profiling, simulation, Fig. 3's
     fanout count and characterization all pull the event stream
-    ({!stream}) and run in O(window) memory, so the instruction budget
-    can grow without the context's footprint following it.  {!stats}
-    evaluates any scheme on any machine configuration. *)
+    ({!stream}, or {!walk}'s path) and run in O(window) memory, so the
+    instruction budget can grow without the context's footprint
+    following it.  {!stats} evaluates any scheme on any machine
+    configuration. *)
 
 type variant = {
   window : int;
@@ -17,7 +18,7 @@ type variant = {
   exact : int option;
 }
 (** A database variant of a prepared context: the profiler's window,
-    threshold, fraction and metric ({!Profiler.Profile_run.profile}),
+    threshold, fraction and metric ({!Profiler.Profile_run.profile_stream}),
     and an optional exact chain length [n] (chains cut to [n] by
     {!Profiler.Critic_db.exact_length}, and compiled with the chain
     length capped at [n]).  The sensitivity sweeps and ablations vary
@@ -26,7 +27,7 @@ type variant = {
 val prepared : variant
 (** The variant {!prepare} profiles with: window 512, threshold 4.0,
     fraction 1.0, [Average_fanout], no exact length — the profiler's
-    defaults ({!Profiler.Profile_run.profile}). *)
+    defaults ({!Profiler.Profile_run.profile_stream}). *)
 
 type scheme_cache
 (** Derived per-build state, where a build is a (scheme, variant) pair:
@@ -58,15 +59,28 @@ val default_instrs : int
     paper's 100 execution samples, after our 4× trace-length scale-down
     for laptop turnaround (documented in DESIGN.md). *)
 
+val walk :
+  ?instrs:int ->
+  ?sample:int ->
+  Workload.Profile.t ->
+  Prog.Program.t * int * Prog.Walk.path
+(** [(program, seed, path)]: the application's generated program, the
+    profile seed of execution sample [sample] (default 0) and the block
+    path of [instrs] work instructions (default {!default_instrs}) —
+    the stream {!prepare} profiles, without profiling it.  A caller
+    that reads only the baseline stream pulls
+    [Prog.Trace.Stream.of_program program ~seed path] and pays for no
+    profile, as [critics_cli characterize] does. *)
+
 val prepare :
   ?store:Store.t ->
   ?instrs:int ->
   ?sample:int ->
   Workload.Profile.t ->
   app_context
-(** Generate, walk and profile (with {!prepared}) one application.
-    Other database variants are derived from the prepared context
-    ({!database}), never prepared.  [sample] (default 0)
+(** Generate and walk ({!walk}), then profile (with {!prepared}), one
+    application.  Other database variants are derived from the prepared
+    context ({!database}), never prepared.  [sample] (default 0)
     selects one of the independent execution samples of the same
     program — the equivalent of the paper's 100 random samples per app:
     different control-flow walk, same code.
@@ -114,9 +128,6 @@ val stream : app_context -> Transform.Scheme.t -> Prog.Trace.Stream.cursor
     program expanded lazily over the *same* block path.  Always the
     live walk ({!Prog.Trace.Stream.of_program}), the stream's one
     source: streams are never cached or recorded. *)
-
-val source : app_context -> Transform.Scheme.t -> Pipeline.Cpu.source
-(** The replayable form of {!stream}, as the simulator consumes it. *)
 
 val stats :
   ?config:Pipeline.Config.t ->

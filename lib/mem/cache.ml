@@ -211,7 +211,3 @@ let stats t =
     prefetch_fills = t.prefetch_fills;
     writebacks = t.writebacks;
   }
-
-let miss_rate t =
-  if t.accesses = 0 then 0.0
-  else float_of_int t.misses /. float_of_int t.accesses

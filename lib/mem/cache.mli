@@ -91,6 +91,3 @@ val invalidate_all : t -> unit
     pending victim report all return to the post-{!create} state. *)
 
 val stats : t -> stats
-
-val miss_rate : t -> float
-(** Misses per access; 0 when never accessed. *)

@@ -6,12 +6,16 @@
 
      Walk.path_for_instrs  ==  Interp's independent walk      (check_walk)
      Trace.expand          ==  Interp's commit-log entries    (check_trace)
-     Cpu.run retirement    ==  Trace minus CDP markers        (check_cpu_trace)
+     Cpu.run_stream over
+       Stream.of_program   ==  Trace.expand minus CDP markers (check_cpu_trace)
      every pass's output   ==  source, per-block digests      (check_pipelines)
 
    so a green [check_prepared] means the golden model, the trace
    expander, the walk sampler, the cycle simulator and every compiler
-   pass agree on the architectural behaviour of a program. *)
+   pass agree on the architectural behaviour of a program.  The
+   simulator and the profiler read the live stream, in the batches
+   production pulls, so a core that mishandles a batch boundary
+   diverges here. *)
 
 module T = Prog.Trace
 
@@ -101,7 +105,8 @@ let check_trace program ~seed ~path =
       else Ok oracle
   end
 
-let check_cpu_trace ~config trace =
+let check_cpu_trace ~config program ~seed ~path =
+  let trace = T.expand program ~seed path in
   let expected =
     Array.of_seq
       (Seq.filter
@@ -136,7 +141,10 @@ let check_cpu_trace ~config trace =
       incr pos
     end
   in
-  let stats = Pipeline.Cpu.run ~checks:true ~on_commit config trace in
+  let stats =
+    Pipeline.Cpu.run_stream ~checks:true ~on_commit config (fun () ->
+        T.Stream.of_program program ~seed path)
+  in
   match !err with
   | Some msg -> Error ("cpu divergence: " ^ msg)
   | None ->
@@ -202,15 +210,17 @@ type prepared = {
   seed : int;
   instrs : int;
   path : Prog.Walk.path;
-  trace : T.t;
   db : Profiler.Critic_db.t;
 }
 
 let prepare ?(instrs = 2_000) program ~seed =
   let path = Prog.Walk.path_for_instrs program ~seed ~instrs in
-  let trace = T.expand program ~seed path in
-  let db = Profiler.Profile_run.profile trace in
-  { program; seed; instrs; path; trace; db }
+  let db =
+    Profiler.Profile_run.profile_stream
+      ~total_events:(T.length_of_path program path)
+      (T.Stream.of_program program ~seed path)
+  in
+  { program; seed; instrs; path; db }
 
 (* ---------------------- per-pass pipeline checks ------------------- *)
 
@@ -314,12 +324,12 @@ let in_context name r =
    its simulation under every config. *)
 let check_final ~configs p (name, program') =
   let* _ = in_context name (check_trace program' ~seed:p.seed ~path:p.path) in
-  let trace' = T.expand program' ~seed:p.seed p.path in
   List.fold_left
     (fun acc (cname, config) ->
       let* total = acc in
       let* n =
-        in_context (name ^ "/" ^ cname) (check_cpu_trace ~config trace')
+        in_context (name ^ "/" ^ cname)
+          (check_cpu_trace ~config program' ~seed:p.seed ~path:p.path)
       in
       Ok (total + n))
     (Ok 0) configs
@@ -373,7 +383,8 @@ let check_prepared ?(configs = configs) ?variant_configs p =
       (fun acc (cname, config) ->
         let* counts = acc in
         let* n =
-          in_context ("baseline/" ^ cname) (check_cpu_trace ~config p.trace)
+          in_context ("baseline/" ^ cname)
+            (check_cpu_trace ~config p.program ~seed:p.seed ~path:p.path)
         in
         Ok ((config, n) :: counts))
       (Ok []) configs
@@ -405,7 +416,8 @@ let check_prepared ?(configs = configs) ?variant_configs p =
             | None ->
               let* n =
                 in_context (name ^ "/" ^ cname)
-                  (check_cpu_trace ~config p.trace)
+                  (check_cpu_trace ~config p.program ~seed:p.seed
+                     ~path:p.path)
               in
               Ok
                 {

@@ -8,9 +8,10 @@
       independent walk;
     - {!check_trace}: {!Prog.Trace.expand} vs the golden model's commit
       log (pcs, uids, memory addresses, branch outcomes, work counts);
-    - {!check_cpu_trace}: {!Pipeline.Cpu.run} retirement stream (with
-      [~checks:true] invariants armed) vs the trace minus CDP markers,
-      plus statistics accounting identities;
+    - {!check_cpu_trace}: the {!Pipeline.Cpu.run_stream} retirement
+      stream over the live {!Prog.Trace.Stream.of_program} cursor (with
+      [~checks:true] invariants armed) vs {!Prog.Trace.expand} minus
+      CDP markers, plus statistics accounting identities;
     - {!check_pipelines}: every pass of every scheme vs the source
       program, by per-block dataflow and golden-model commit digests. *)
 
@@ -36,12 +37,16 @@ val check_trace :
 
 val check_cpu_trace :
   config:Pipeline.Config.t ->
-  Prog.Trace.t ->
+  Prog.Program.t ->
+  seed:int ->
+  path:Prog.Walk.path ->
   (int, string) result
-(** Simulate with invariants armed and the commit observer attached;
-    the retirement stream must be exactly the trace minus CDP markers,
-    in order, and the statistics must satisfy the accounting
-    identities.  Returns the number of retirements compared. *)
+(** Simulate the program's live stream over [path], in the batches
+    {!Prog.Trace.Stream.of_program} yields, with invariants armed and
+    the commit observer attached; the retirement stream must be
+    exactly the expanded trace minus CDP markers, in order, and the
+    statistics must satisfy the accounting identities.  Returns the
+    number of retirements compared. *)
 
 val check_transform_pair :
   original:Prog.Program.t ->
@@ -58,13 +63,13 @@ type prepared = {
   seed : int;
   instrs : int;
   path : Prog.Walk.path;
-  trace : Prog.Trace.t;
   db : Profiler.Critic_db.t;
 }
 
 val prepare : ?instrs:int -> Prog.Program.t -> seed:int -> prepared
-(** Walk, expand and profile a program ([instrs] defaults to 2000 —
-    fuzz-sized runs). *)
+(** Walk a program and profile its stream
+    ({!Profiler.Profile_run.profile_stream}; [instrs] defaults to
+    2000 — fuzz-sized runs). *)
 
 val check_pipeline :
   prepared ->

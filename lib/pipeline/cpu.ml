@@ -455,7 +455,7 @@ let run_stream ?hier ?(checks = false) ?on_commit ?probe ?(itemp = no_itemp)
 
   let invariant_fail fmt =
     Printf.ksprintf
-      (fun msg -> failwith ("Cpu.run invariant violated: " ^ msg))
+      (fun msg -> failwith ("Cpu.run_stream invariant violated: " ^ msg))
       fmt
   in
 
@@ -1226,8 +1226,7 @@ let run_stream ?hier ?(checks = false) ?on_commit ?probe ?(itemp = no_itemp)
   in
 
   (* ------------------------------ main loop ------------------------ *)
-  (* Prime the head so an empty stream finishes in zero cycles, exactly
-     as the materialized path always has. *)
+  (* Prime the head so an empty stream finishes in zero cycles. *)
   ignore (peek_head ());
   let now = ref 0 in
   let finished () =
@@ -1238,7 +1237,7 @@ let run_stream ?hier ?(checks = false) ?on_commit ?probe ?(itemp = no_itemp)
   in
   while not (finished ()) do
     if !now > (!pulled * 300) + 1_000_000 then
-      failwith "Cpu.run: deadlock (cycle guard exceeded)";
+      failwith "Cpu.run_stream: deadlock (cycle guard exceeded)";
     do_commit !now;
     do_completions !now;
     do_issue !now;
@@ -1272,28 +1271,7 @@ let run_stream ?hier ?(checks = false) ?on_commit ?probe ?(itemp = no_itemp)
       invariant_fail
         "fetch accounting: %d live cycles <> %d active + %d supply-stall + \
          %d backpressure-stall"
-        !fetch_live !fetch_active !idle_supply !idle_backpressure;
-    (* Telemetry accounting contract: the probe's running totals must
-       reproduce the stage accumulators field-for-field. *)
-    match probe with
-    | None -> ()
-    | Some p ->
-      let check_pop name pop (a : acc) =
-        let t : Telemetry.Probe.stage_totals = Telemetry.Probe.totals p pop in
-        if
-          t.count <> a.count || t.fetch_i <> a.fetch_i
-          || t.fetch_rd <> a.fetch_rd || t.decode <> a.decode
-          || t.rename <> a.rename || t.issue_wait <> a.issue_wait
-          || t.execute <> a.execute || t.commit_wait <> a.commit_wait
-        then
-          invariant_fail
-            "telemetry totals diverge from stage accounting for the %s \
-             population (probe count %d vs %d)"
-            name t.count a.count
-      in
-      check_pop "all" Telemetry.Probe.All acc_all;
-      check_pop "critical" Telemetry.Probe.Critical acc_crit;
-      check_pop "chain" Telemetry.Probe.Chain acc_chain
+        !fetch_live !fetch_active !idle_supply !idle_backpressure
   end;
   (match probe with
   | Some p -> Telemetry.Probe.finish p ~cycles:!now
@@ -1323,8 +1301,3 @@ let run_stream ?hier ?(checks = false) ?on_commit ?probe ?(itemp = no_itemp)
     iopp_misses = Mem.Hierarchy.iopp_misses hier;
     iopp_predictable = Mem.Hierarchy.iopp_predictable hier;
   }
-
-let run ?hier ?checks ?on_commit ?probe ?itemp (cfg : Config.t)
-    (trace : Prog.Trace.t) : Stats.t =
-  run_stream ?hier ?checks ?on_commit ?probe ?itemp cfg (fun () ->
-      Prog.Trace.Stream.of_trace trace)

@@ -118,8 +118,11 @@ val run_stream :
     ready list and pending wheel, and the completion calendar drained;
     stage counts = committed − CDP markers; fetch-stall split covers
     every live fetch cycle).  A violation raises [Failure] naming the
-    invariant.  Used by the differential test harness; costs a few
-    percent of runtime.
+    invariant.  The checks read only the simulator's own state: the
+    accounting contract between a probe's windows and the stage
+    summaries is the tests' to check ([test_telemetry],
+    [test_pipeline]).  Used by the differential test harness; costs a
+    few percent of runtime.
 
     [on_commit] observes every ROB retirement in order — the hook the
     oracle differential harness lines up against the golden model's
@@ -129,11 +132,9 @@ val run_stream :
     retirement (with the exact stage-attribution values the stage
     accumulators sum) and one notification per CDP marker consumed at
     decode; its windows are flushed before the function returns.  The
-    probe is purely observational — the returned [Stats.t] is
-    bit-identical with or without one attached — and with [checks] on,
-    the end-of-run identities additionally assert that the probe's
-    running totals equal the stage accumulators for all three
-    populations.
+    probe is purely observational: nothing is read back from it, and
+    the returned [Stats.t] is bit-identical with or without one
+    attached.
 
     [itemp] is a per-block temperature table (indexed by
     [Prog.Trace.event.block_id]; 0 hot .. 3 cold) consulted on every
@@ -143,16 +144,3 @@ val run_stream :
     empty table) yield -1, "unknown".  Policies other than TRRIP
     ignore the hint, so passing a table under the default
     configuration changes nothing. *)
-
-val run :
-  ?hier:Mem.Hierarchy.t ->
-  ?checks:bool ->
-  ?on_commit:(commit -> unit) ->
-  ?probe:Telemetry.Probe.t ->
-  ?itemp:int array ->
-  Config.t ->
-  Prog.Trace.t ->
-  Stats.t
-(** {!run_stream} over a materialized trace — bit-identical statistics.
-    Kept as the convenient entry point for tests and callers that
-    already hold arrays. *)

@@ -274,9 +274,3 @@ let profile_stream ?(window = 512) ?(threshold = 4.0) ?(fraction = 1.0)
   in
   { Critic_db.sites; total_work = !total_work; ic_lengths; ic_spreads;
     chain_gaps }
-
-let profile ?window ?threshold ?fraction ?max_paths_per_window ?metric
-    (trace : Prog.Trace.t) : Critic_db.t =
-  profile_stream ?window ?threshold ?fraction ?max_paths_per_window ?metric
-    ~total_events:(Array.length trace)
-    (Prog.Trace.Stream.of_trace trace)

@@ -1,4 +1,4 @@
-(** Offline profiling: trace → CritIC database.
+(** Offline profiling: event stream → CritIC database.
 
     This mirrors the paper's Sec. III-A2 flow (QEMU trace → GEM5 fanout
     tracking → Spark aggregation): the dynamic stream is cut into
@@ -18,23 +18,12 @@ val profile_stream :
   total_events:int ->
   Prog.Trace.Stream.cursor ->
   Critic_db.t
-(** Profile a pull-based event stream in O(window) memory: events are
-    staged one analysis window at a time in a reused buffer, so the
-    trace is never materialized.  [total_events] is the stream's total
-    event count (see {!Prog.Trace.length_of_path}), needed up front to
-    resolve [fraction].  Produces the same database {!profile} would on
-    the materialized trace. *)
-
-val profile :
-  ?window:int ->
-  ?threshold:float ->
-  ?fraction:float ->
-  ?max_paths_per_window:int ->
-  ?metric:Metric.t ->
-  Prog.Trace.t ->
-  Critic_db.t
-(** [profile trace] analyses the stream and returns the CritIC database
-    ({!profile_stream} over the materialized events).
+(** [profile_stream ~total_events cursor] analyses the stream and
+    returns the CritIC database, in O(window) memory: events are staged
+    one analysis window at a time in a reused buffer, so the trace is
+    never materialized.  [total_events] is the stream's total event
+    count (see {!Prog.Trace.length_of_path}), needed up front to
+    resolve [fraction].
 
     - [window]: analysis window in dynamic instructions (default 512);
     - [threshold]: minimum average fanout per instruction for a chain to

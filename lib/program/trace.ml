@@ -343,33 +343,6 @@ module Stream = struct
     refill c;
     c
 
-  let of_trace (tr : t) =
-    let c =
-      empty_cursor (fun c ->
-          c.pos <- 0;
-          c.lim <- 0)
-    in
-    let n = Array.length tr in
-    reserve c n;
-    Array.iteri
-      (fun k (e : event) ->
-        c.seq.(k) <- e.seq;
-        c.pc.(k) <- e.pc;
-        c.size.(k) <- e.size;
-        c.instr.(k) <- e.instr;
-        c.block_id.(k) <- e.block_id;
-        c.body_index.(k) <- e.body_index;
-        c.func.(k) <- e.func;
-        c.mem_addr.(k) <- e.mem_addr;
-        c.next_pc.(k) <- e.next_pc;
-        c.flags.(k) <-
-          ((if e.is_cond_branch then flag_cond else 0)
-          lor (if e.taken then flag_taken else 0)
-          lor if e.fetch_break then flag_break else 0))
-      tr;
-    c.lim <- n;
-    c
-
   (* Column index of the first unconsumed event, refilling a drained
      batch; -1 at end of stream. *)
   let current c =

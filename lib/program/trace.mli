@@ -27,25 +27,27 @@ type event = {
 type t = event array
 
 module Stream : sig
-  (** Pull-based event cursor: the same dynamic stream {!expand}
-      materializes, produced in O(batch) space plus two per-cursor
-      tables of one entry per block: a visit counter and the block's
-      shared terminator instruction.  Nothing in a cursor is sized by
-      the program's uids.  A memory instruction's access count (the
+  (** Pull-based event cursor: the one source of the dynamic stream.
+      {!of_program} is its only constructor, and everything that reads
+      events — the simulator, the profiler, [Heat], characterization,
+      Fig. 3's fanout count — pulls a cursor; {!expand} materializes
+      the same stream.  A cursor takes O(batch) space plus two tables
+      of one entry per block: a visit counter and the block's shared
+      terminator instruction.  Nothing in a cursor is sized by the
+      program's uids.  A memory instruction's access count (the
       [count] its address is keyed on) is its block's visit count at
       the visit, which equals its number of earlier executions because
-      a uid occurs at most once in a program ({!Program.t}).  [expand]
-      itself is implemented by materializing this stream, so the two
-      can never diverge.
+      a uid occurs at most once in a program ({!Program.t}).
 
       Events live in columns.  One refill expands block visits until
       the batch holds at least 256 events (or the path ends), writing
       one int per column per event and a pointer to the event's static
-      instruction; no record is built.  The simulator reads the columns
-      directly through {!take}.  The record adapters ({!next},
-      {!iter}, {!fold}) remain for the profiler, [Heat], the oracle,
-      the exporters and the tests: each builds a fresh {!event} record
-      per delivered event, so they allocate. *)
+      instruction; no record is built.  Batches differ in length, so a
+      reader must take each batch's limit afresh.  The simulator reads
+      the columns directly through {!take}.  The record adapters
+      ({!next}, {!iter}, {!fold}) serve the profiler, [Heat],
+      characterization, {!expand} and the tests: each builds a fresh
+      {!event} record per delivered event, so they allocate. *)
 
   type cursor = private {
     mutable seq : int array;
@@ -77,11 +79,6 @@ module Stream : sig
   (** Expand lazily over [path].  Batching resolves each visit's
       [next_pc]/[fetch_break] without lookahead events. *)
 
-  val of_trace : t -> cursor
-  (** Replay an already-materialized trace: loads every event into the
-      columns at once.  Used by tests and by callers that still hold
-      arrays. *)
-
   val take : cursor -> int
   (** Claim every unconsumed event of the current batch, refilling
       first when it is drained.  Returns the column index of the first
@@ -100,7 +97,9 @@ val expand : Program.t -> seed:int -> Walk.path -> t
 (** Expand a block path into the dynamic event stream.  Synthetic
     control-transfer instructions are appended per block terminator
     (conditional branch, jump, call, return); [Fallthrough] appends
-    nothing.  Equivalent to materializing {!Stream.of_program}. *)
+    nothing.  Implemented by materializing {!Stream.of_program}, so the
+    two never diverge; the oracle's expected retirement order, the DFG
+    tests and the chain explorer read it. *)
 
 val length_of_path : Program.t -> Walk.path -> int
 (** Number of events {!expand} would produce for [path] — body

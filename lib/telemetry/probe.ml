@@ -21,42 +21,6 @@ type retire = {
   commit_wait : int;
 }
 
-type window_sample = {
-  w_index : int;
-  w_pop : population;
-  w_count : int;
-  w_fetch_i : int;
-  w_fetch_rd : int;
-  w_decode : int;
-  w_rename : int;
-  w_issue_wait : int;
-  w_execute : int;
-  w_commit_wait : int;
-}
-
-type stage_totals = {
-  count : int;
-  fetch_i : int;
-  fetch_rd : int;
-  decode : int;
-  rename : int;
-  issue_wait : int;
-  execute : int;
-  commit_wait : int;
-}
-
-let zero_totals =
-  {
-    count = 0;
-    fetch_i = 0;
-    fetch_rd = 0;
-    decode = 0;
-    rename = 0;
-    issue_wait = 0;
-    execute = 0;
-    commit_wait = 0;
-  }
-
 (* Mutable per-window accumulator, one per population. *)
 type wacc = {
   mutable a_count : int;
@@ -99,10 +63,6 @@ type t = {
   acc_all : wacc;
   acc_crit : wacc;
   acc_chain : wacc;
-  mutable tot_all : stage_totals;
-  mutable tot_crit : stage_totals;
-  mutable tot_chain : stage_totals;
-  mutable rev_samples : window_sample list;
   chain_starts : (int, int) Hashtbl.t; (* chain id -> dispatch of member 0 *)
   mutable next_span : int; (* unique async-span id per chain instance *)
   retired : Registry.counter;
@@ -123,10 +83,6 @@ let create ?(window = 1024) ?trace () =
     acc_all = fresh_wacc ();
     acc_crit = fresh_wacc ();
     acc_chain = fresh_wacc ();
-    tot_all = zero_totals;
-    tot_crit = zero_totals;
-    tot_chain = zero_totals;
-    rev_samples = [];
     chain_starts = Hashtbl.create 16;
     next_span = 0;
     retired = Registry.counter reg "retired";
@@ -136,13 +92,6 @@ let create ?(window = 1024) ?trace () =
   }
 
 let registry t = t.reg
-let samples t = List.rev t.rev_samples
-
-let totals t pop =
-  match pop with
-  | All -> t.tot_all
-  | Critical -> t.tot_crit
-  | Chain -> t.tot_chain
 
 let stage_names =
   [
@@ -159,20 +108,6 @@ let wacc_fields a =
 let flush_window t =
   let flush_pop pop a =
     if a.a_count > 0 then begin
-      t.rev_samples <-
-        {
-          w_index = t.cur_w;
-          w_pop = pop;
-          w_count = a.a_count;
-          w_fetch_i = a.a_fetch_i;
-          w_fetch_rd = a.a_fetch_rd;
-          w_decode = a.a_decode;
-          w_rename = a.a_rename;
-          w_issue_wait = a.a_issue_wait;
-          w_execute = a.a_execute;
-          w_commit_wait = a.a_commit_wait;
-        }
-        :: t.rev_samples;
       let prefix = "window/" ^ population_name pop ^ "/" in
       Registry.observe (Registry.histogram t.reg (prefix ^ "count")) a.a_count;
       List.iter2
@@ -194,18 +129,6 @@ let flush_window t =
   flush_pop Critical t.acc_crit;
   flush_pop Chain t.acc_chain
 
-let bump_totals tot (r : retire) =
-  {
-    count = tot.count + 1;
-    fetch_i = tot.fetch_i + r.fetch_i;
-    fetch_rd = tot.fetch_rd + r.fetch_rd;
-    decode = tot.decode + r.decode;
-    rename = tot.rename + r.rename;
-    issue_wait = tot.issue_wait + r.issue_wait;
-    execute = tot.execute + r.execute;
-    commit_wait = tot.commit_wait + r.commit_wait;
-  }
-
 let bump_wacc a (r : retire) =
   a.a_count <- a.a_count + 1;
   a.a_fetch_i <- a.a_fetch_i + r.fetch_i;
@@ -226,14 +149,9 @@ let retire t r =
   end;
   Registry.incr t.retired;
   bump_wacc t.acc_all r;
-  t.tot_all <- bump_totals t.tot_all r;
-  if r.critical then begin
-    bump_wacc t.acc_crit r;
-    t.tot_crit <- bump_totals t.tot_crit r
-  end;
+  if r.critical then bump_wacc t.acc_crit r;
   if r.chain_id >= 0 then begin
     bump_wacc t.acc_chain r;
-    t.tot_chain <- bump_totals t.tot_chain r;
     if r.chain_pos = 0 then Hashtbl.replace t.chain_starts r.chain_id
         r.dispatch;
     if r.chain_pos = r.chain_len - 1 then begin

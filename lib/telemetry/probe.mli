@@ -12,10 +12,15 @@
 
     - {b windowed cycle attribution}: an instruction belongs to window
       [commit_cycle / window]; per window and per population (all /
-      critical / CritIC-chain-tagged) the seven stage-residency fields
-      are summed.  Summing a population's windows reproduces the
-      corresponding [Pipeline.Stats.stage_summary] field-for-field —
-      the accounting contract locked down in [test_telemetry.ml].
+      critical / CritIC-chain-tagged) the instruction count and the
+      seven stage-residency fields are summed, and each non-empty
+      window's sums are observed into the ["window/<pop>/count"] and
+      ["window/<pop>/<stage>"] histograms.  The probe keeps no run
+      totals: those are [Pipeline.Stats.stage_all], [stage_critical]
+      and [stage_chain].  A population's histogram sums reproduce its
+      stage summary field for field — the accounting contract, checked
+      by the tests that attach a probe ([test_telemetry.ml],
+      [test_pipeline.ml]).
     - {b per-chain latencies}: dispatch of a chain's first member to
       commit of its last, observed into the ["chain/latency"] histogram
       and a per-chain-id ["chain/id/<n>/latency"] histogram.
@@ -50,30 +55,6 @@ type retire = {
   commit_wait : int;
 }
 
-type window_sample = {
-  w_index : int;  (** window number, [commit_cycle / window] *)
-  w_pop : population;
-  w_count : int;  (** instructions committed in this window *)
-  w_fetch_i : int;
-  w_fetch_rd : int;
-  w_decode : int;
-  w_rename : int;
-  w_issue_wait : int;
-  w_execute : int;
-  w_commit_wait : int;
-}
-
-type stage_totals = {
-  count : int;
-  fetch_i : int;
-  fetch_rd : int;
-  decode : int;
-  rename : int;
-  issue_wait : int;
-  execute : int;
-  commit_wait : int;
-}
-
 type t
 
 val create : ?window:int -> ?trace:Chrome_trace.t -> unit -> t
@@ -95,16 +76,6 @@ val finish : t -> cycles:int -> unit
     error. *)
 
 (** {2 Reading} *)
-
-val samples : t -> window_sample list
-(** Flushed window samples in emission order (window index ascending,
-    population order all/critical/chain within a window); zero-count
-    windows are skipped. *)
-
-val totals : t -> population -> stage_totals
-(** Running per-population totals — equals the field-wise sum of
-    {!samples} for that population, and must equal the simulator's
-    [Stats.stage_summary]. *)
 
 val registry : t -> Registry.t
 (** The probe's metric registry (chain latency histograms, per-window

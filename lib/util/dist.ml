@@ -16,21 +16,6 @@ module Histogram = struct
   let max_value h =
     Hashtbl.fold (fun v n acc -> if n > 0 then max v acc else acc) h.counts 0
 
-  let fraction h v =
-    if h.total = 0 then 0.0
-    else float_of_int (get h v) /. float_of_int h.total
-
-  let fraction_at_least h v =
-    if h.total = 0 then 0.0
-    else begin
-      let n =
-        Hashtbl.fold
-          (fun value c acc -> if value >= v then acc + c else acc)
-          h.counts 0
-      in
-      float_of_int n /. float_of_int h.total
-    end
-
   let bins h =
     Hashtbl.fold (fun v n acc -> (v, n) :: acc) h.counts []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -43,47 +28,4 @@ module Histogram = struct
       in
       s /. float_of_int h.total
     end
-end
-
-module Cdf = struct
-  type t = { points : (float * float) array }
-  (* Support values paired with cumulative probability, ascending. *)
-
-  let of_weighted = function
-    | [] -> invalid_arg "Cdf.of_weighted: empty"
-    | pts ->
-      let sorted = List.sort (fun (a, _) (b, _) -> compare a b) pts in
-      let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 sorted in
-      if total <= 0.0 then invalid_arg "Cdf.of_weighted: zero total weight";
-      let acc = ref 0.0 in
-      let points =
-        List.map
-          (fun (v, w) ->
-            acc := !acc +. w;
-            (v, !acc /. total))
-          sorted
-        |> Array.of_list
-      in
-      { points }
-
-  let eval c x =
-    let n = Array.length c.points in
-    (* Largest support point <= x, by binary search. *)
-    if x < fst c.points.(0) then 0.0
-    else begin
-      let rec go lo hi =
-        if lo >= hi then lo
-        else
-          let mid = (lo + hi + 1) / 2 in
-          if fst c.points.(mid) <= x then go mid hi else go lo (mid - 1)
-      in
-      snd c.points.(go 0 (n - 1))
-    end
-
-  let quantile c q =
-    let n = Array.length c.points in
-    let rec go i = if i >= n - 1 || snd c.points.(i) >= q then fst c.points.(i) else go (i + 1) in
-    go 0
-
-  let points c = Array.to_list c.points
 end

@@ -1,7 +1,7 @@
-(** Empirical distributions: integer histograms and CDFs.
+(** Empirical distributions: integer histograms.
 
     Used to report the paper's distribution figures (Fig. 1b chain-gap
-    histogram, Fig. 5 IC length/spread and coverage CDFs). *)
+    histogram, Fig. 5 IC length and spread). *)
 
 module Histogram : sig
   type t
@@ -21,35 +21,8 @@ module Histogram : sig
   val max_value : t -> int
   (** Largest observed value; 0 when empty. *)
 
-  val fraction : t -> int -> float
-  (** [fraction h v] is the share of observations equal to [v]. *)
-
-  val fraction_at_least : t -> int -> float
-  (** Share of observations [>= v]. *)
-
   val bins : t -> (int * int) list
   (** All (value, count) pairs in increasing value order. *)
 
   val mean : t -> float
-end
-
-module Cdf : sig
-  type t
-  (** Piecewise-constant empirical CDF over float-valued points with
-      attached weights. *)
-
-  val of_weighted : (float * float) list -> t
-  (** [of_weighted pts] builds a CDF from (value, weight) pairs.  Weights
-      need not be normalised.  Raises on an empty list or non-positive
-      total weight. *)
-
-  val eval : t -> float -> float
-  (** [eval c x] is P(value <= x) in [0,1]. *)
-
-  val quantile : t -> float -> float
-  (** [quantile c q] is the smallest value [v] with [eval c v >= q];
-      [q] in [0,1]. *)
-
-  val points : t -> (float * float) list
-  (** The (value, cumulative-probability) support points. *)
 end

@@ -4,22 +4,6 @@ let mean = function
   | [] -> 0.0
   | xs -> sum xs /. float_of_int (List.length xs)
 
-let geomean = function
-  | [] -> 0.0
-  | xs ->
-    let logs = List.map (fun x ->
-      if x <= 0.0 then invalid_arg "Stats.geomean: non-positive input"
-      else log x) xs
-    in
-    exp (mean logs)
-
-let stddev = function
-  | [] | [ _ ] -> 0.0
-  | xs ->
-    let m = mean xs in
-    let sq = List.map (fun x -> (x -. m) *. (x -. m)) xs in
-    sqrt (mean sq)
-
 let percentile p = function
   | [] -> invalid_arg "Stats.percentile: empty list"
   | xs ->
@@ -35,24 +19,4 @@ let percentile p = function
       (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
     end
 
-let speedup ~baseline ~optimized =
-  if optimized <= 0.0 then invalid_arg "Stats.speedup: non-positive time";
-  (baseline /. optimized) -. 1.0
-
 let pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
-
-module Running = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
-
-  let count t = t.n
-  let mean t = t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int t.n
-end

@@ -4,33 +4,11 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 for the empty list. *)
 
-val geomean : float list -> float
-(** Geometric mean; 0 for the empty list.  All inputs must be positive. *)
-
-val stddev : float list -> float
-(** Population standard deviation; 0 for fewer than two samples. *)
-
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [0,100], linear interpolation between
     order statistics.  Raises [Invalid_argument] on the empty list. *)
 
 val sum : float list -> float
 
-val speedup : baseline:float -> optimized:float -> float
-(** [speedup ~baseline ~optimized] is the fractional improvement
-    [(baseline /. optimized) -. 1.], e.g. 0.126 for a 12.6 % speedup. *)
-
 val pct : float -> string
 (** Render a fraction as a percentage with one decimal, e.g. ["12.6%"]. *)
-
-module Running : sig
-  (** Online mean/variance accumulator (Welford). *)
-
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val variance : t -> float
-end

@@ -73,7 +73,7 @@ let prop_cpu_matches_oracle =
       match
         let ( let* ) = Result.bind in
         let* _ = D.check_trace p.D.program ~seed:p.D.seed ~path:p.D.path in
-        D.check_cpu_trace ~config p.D.trace
+        D.check_cpu_trace ~config p.D.program ~seed:p.D.seed ~path:p.D.path
       with
       | Ok _ -> true
       | Error msg -> QCheck.Test.fail_reportf "%s" msg)

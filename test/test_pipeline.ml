@@ -11,9 +11,17 @@ let r = Isa.Reg.r
 let mk uid ?dst ?(srcs = []) ?cond ?encoding ?mem op =
   I.make ~uid ~opcode:op ?dst ~srcs ?cond ?encoding ?mem ()
 
-let trace_of_blocks ?(visits = 4) ?(seed = 1) blocks =
+(* A block program with its seed and block path.  Tests simulate its
+   live stream and expand it only to count events. *)
+let walk_of_blocks ?(visits = 4) ?(seed = 1) blocks =
   let p = P.make ~entry:0 ~blocks in
-  Prog.Trace.expand p ~seed (Prog.Walk.path_visits p ~seed ~visits)
+  (p, seed, Prog.Walk.path_visits p ~seed ~visits)
+
+let simulate ?hier cfg (p, seed, path) =
+  Pipeline.Cpu.run_stream ?hier cfg (fun () ->
+      Prog.Trace.Stream.of_program p ~seed path)
+
+let expand (p, seed, path) = Prog.Trace.expand p ~seed path
 
 let alu_block ?(n = 16) ?(term = B.Jump 0) id =
   B.make ~id ~func:0
@@ -21,21 +29,23 @@ let alu_block ?(n = 16) ?(term = B.Jump 0) id =
     ~term
 
 let test_commits_everything () =
-  let t = trace_of_blocks [ alu_block 0 ] in
-  let st = Pipeline.Cpu.run Cfg.table_i t in
-  Alcotest.(check int) "all events retire" (Array.length t) st.committed_total;
-  Alcotest.(check int) "work matches trace" (Prog.Trace.work_count t)
+  let t = walk_of_blocks [ alu_block 0 ] in
+  let st = simulate Cfg.table_i t in
+  let events = expand t in
+  Alcotest.(check int) "all events retire" (Array.length events)
+    st.committed_total;
+  Alcotest.(check int) "work matches trace" (Prog.Trace.work_count events)
     st.committed_work
 
 let test_deterministic () =
-  let t = trace_of_blocks [ alu_block 0 ] in
-  let a = Pipeline.Cpu.run Cfg.table_i t in
-  let b = Pipeline.Cpu.run Cfg.table_i t in
+  let t = walk_of_blocks [ alu_block 0 ] in
+  let a = simulate Cfg.table_i t in
+  let b = simulate Cfg.table_i t in
   Alcotest.(check int) "same cycles" a.cycles b.cycles
 
 let test_ipc_bounded_by_width () =
-  let t = trace_of_blocks ~visits:50 [ alu_block 0 ] in
-  let st = Pipeline.Cpu.run Cfg.table_i t in
+  let t = walk_of_blocks ~visits:50 [ alu_block 0 ] in
+  let st = simulate Cfg.table_i t in
   Alcotest.(check bool) "IPC <= width" true
     (Pipeline.Stats.ipc st <= float_of_int Cfg.table_i.width)
 
@@ -49,10 +59,10 @@ let test_dependence_serializes () =
              else mk i ~dst:(r 0) ~srcs:[ r 0 ] Op.Alu))
       ~term:(B.Jump 0)
   in
-  let t_serial = trace_of_blocks ~visits:8 [ serial ] in
-  let t_parallel = trace_of_blocks ~visits:8 [ alu_block ~n:32 0 ] in
-  let s1 = Pipeline.Cpu.run Cfg.table_i t_serial in
-  let s2 = Pipeline.Cpu.run Cfg.table_i t_parallel in
+  let t_serial = walk_of_blocks ~visits:8 [ serial ] in
+  let t_parallel = walk_of_blocks ~visits:8 [ alu_block ~n:32 0 ] in
+  let s1 = simulate Cfg.table_i t_serial in
+  let s2 = simulate Cfg.table_i t_parallel in
   Alcotest.(check bool) "serial slower" true (s1.cycles > s2.cycles)
 
 let test_long_latency_ops_cost () =
@@ -61,17 +71,17 @@ let test_long_latency_ops_cost () =
       ~body:(Array.init 16 (fun i -> mk i ~dst:(r (i mod 8)) Op.Div))
       ~term:(B.Jump 0)
   in
-  let t_div = trace_of_blocks ~visits:4 [ divs ] in
-  let t_alu = trace_of_blocks ~visits:4 [ alu_block 0 ] in
-  let s_div = Pipeline.Cpu.run Cfg.table_i t_div in
-  let s_alu = Pipeline.Cpu.run Cfg.table_i t_alu in
+  let t_div = walk_of_blocks ~visits:4 [ divs ] in
+  let t_alu = walk_of_blocks ~visits:4 [ alu_block 0 ] in
+  let s_div = simulate Cfg.table_i t_div in
+  let s_alu = simulate Cfg.table_i t_alu in
   Alcotest.(check bool) "div-heavy slower" true (s_div.cycles > s_alu.cycles)
 
 let test_thumb_reduces_fetch_pressure () =
   (* identical work, half the bytes: never slower, and with a narrow
      fetch group strictly faster *)
   let narrow = { Cfg.table_i with Cfg.fetch_bytes = 8 } in
-  let arm = trace_of_blocks ~visits:40 [ alu_block ~n:24 0 ] in
+  let arm = walk_of_blocks ~visits:40 [ alu_block ~n:24 0 ] in
   let thumb_block =
     B.make ~id:0 ~func:0
       ~body:
@@ -79,16 +89,16 @@ let test_thumb_reduces_fetch_pressure () =
              mk i ~dst:(r (i mod 8)) ~encoding:I.Thumb16 Op.Alu))
       ~term:(B.Jump 0)
   in
-  let thumb = trace_of_blocks ~visits:40 [ thumb_block ] in
-  let s_arm = Pipeline.Cpu.run narrow arm in
-  let s_thumb = Pipeline.Cpu.run narrow thumb in
+  let thumb = walk_of_blocks ~visits:40 [ thumb_block ] in
+  let s_arm = simulate narrow arm in
+  let s_thumb = simulate narrow thumb in
   Alcotest.(check bool) "thumb faster under fetch pressure" true
     (s_thumb.cycles < s_arm.cycles);
   let thumb_events =
     Array.fold_left
       (fun acc (e : Prog.Trace.event) ->
         if I.encoding e.instr = I.Thumb16 then acc + 1 else acc)
-      0 thumb
+      0 (expand thumb)
   in
   Alcotest.(check int) "thumb instructions counted" thumb_events
     s_thumb.thumb_committed
@@ -102,13 +112,15 @@ let test_cdp_markers_retire_at_decode () =
     |]
   in
   let t =
-    trace_of_blocks ~visits:5 [ B.make ~id:0 ~func:0 ~body ~term:(B.Jump 0) ]
+    walk_of_blocks ~visits:5 [ B.make ~id:0 ~func:0 ~body ~term:(B.Jump 0) ]
   in
-  let st = Pipeline.Cpu.run Cfg.table_i t in
+  let st = simulate Cfg.table_i t in
   Alcotest.(check int) "cdp markers counted" 5 st.cdp_markers;
-  Alcotest.(check int) "everything retires" (Array.length t) st.committed_total;
+  let events = expand t in
+  Alcotest.(check int) "everything retires" (Array.length events)
+    st.committed_total;
   (* CDP markers are not work *)
-  Alcotest.(check int) "work excludes CDP" (Prog.Trace.work_count t)
+  Alcotest.(check int) "work excludes CDP" (Prog.Trace.work_count events)
     st.committed_work
 
 let test_mispredicts_cost_cycles () =
@@ -121,10 +133,10 @@ let test_mispredicts_cost_cycles () =
     ]
   in
   (* bias 0.5 is unpredictable; bias 0.99 is easy *)
-  let t_hard = trace_of_blocks ~visits:400 ~seed:7 (blocks 0.5) in
-  let t_easy = trace_of_blocks ~visits:400 ~seed:7 (blocks 0.99) in
-  let hard = Pipeline.Cpu.run Cfg.table_i t_hard in
-  let easy = Pipeline.Cpu.run Cfg.table_i t_easy in
+  let t_hard = walk_of_blocks ~visits:400 ~seed:7 (blocks 0.5) in
+  let t_easy = walk_of_blocks ~visits:400 ~seed:7 (blocks 0.99) in
+  let hard = simulate Cfg.table_i t_hard in
+  let easy = simulate Cfg.table_i t_easy in
   let cpi (s : Pipeline.Stats.t) =
     float_of_int s.cycles /. float_of_int s.committed_work
   in
@@ -133,9 +145,9 @@ let test_mispredicts_cost_cycles () =
   Alcotest.(check bool) "mispredicts recorded" true (hard.bpu.mispredicts > 0)
 
 let test_perfect_branch_never_slower () =
-  let t = trace_of_blocks ~visits:100 [ alu_block 0 ] in
-  let base = Pipeline.Cpu.run Cfg.table_i t in
-  let perfect = Pipeline.Cpu.run (Cfg.with_perfect_branch Cfg.table_i) t in
+  let t = walk_of_blocks ~visits:100 [ alu_block 0 ] in
+  let base = simulate Cfg.table_i t in
+  let perfect = simulate (Cfg.with_perfect_branch Cfg.table_i) t in
   Alcotest.(check bool) "perfect bp never slower" true
     (perfect.cycles <= base.cycles)
 
@@ -147,11 +159,11 @@ let test_warm_faster_than_cold () =
         else mk i ~dst:(r 1) ~srcs:[ r 0 ] Op.Alu)
   in
   let t =
-    trace_of_blocks ~visits:16 [ B.make ~id:0 ~func:0 ~body ~term:(B.Jump 0) ]
+    walk_of_blocks ~visits:16 [ B.make ~id:0 ~func:0 ~body ~term:(B.Jump 0) ]
   in
-  let warm = Pipeline.Cpu.run Cfg.table_i t in
+  let warm = simulate Cfg.table_i t in
   let cold =
-    Pipeline.Cpu.run ~hier:(Mem.Hierarchy.create Cfg.table_i.mem) Cfg.table_i t
+    simulate ~hier:(Mem.Hierarchy.create Cfg.table_i.mem) Cfg.table_i t
   in
   Alcotest.(check bool) "warm run not slower" true (warm.cycles <= cold.cycles)
 
@@ -164,18 +176,18 @@ let test_wrong_path_fetch_pollutes () =
       alu_block ~n:8 ~term:(B.Jump 0) 1;
     ]
   in
-  let t = trace_of_blocks ~visits:400 ~seed:7 blocks in
-  let base = Pipeline.Cpu.run Cfg.table_i t in
+  let t = walk_of_blocks ~visits:400 ~seed:7 blocks in
+  let base = simulate Cfg.table_i t in
   let wp =
-    Pipeline.Cpu.run { Cfg.table_i with Cfg.wrong_path_fetch = true } t
+    simulate { Cfg.table_i with Cfg.wrong_path_fetch = true } t
   in
   Alcotest.(check bool) "wrong path adds i-cache traffic" true
     (wp.l1i.accesses > base.l1i.accesses);
   Alcotest.(check int) "work unchanged" base.committed_work wp.committed_work
 
 let test_stage_accounting_consistent () =
-  let t = trace_of_blocks ~visits:20 [ alu_block 0 ] in
-  let st = Pipeline.Cpu.run Cfg.table_i t in
+  let t = walk_of_blocks ~visits:20 [ alu_block 0 ] in
+  let st = simulate Cfg.table_i t in
   let s = st.stage_all in
   Alcotest.(check int) "population = committed total minus markers"
     st.committed_total s.count;
@@ -266,16 +278,18 @@ let prop_perfect_predictor_never_mispredicts =
    everything else runs on the fields decoded at pull.  The statistics
    must not depend on which path ran: a bare run equals one with every
    observer attached and the invariants armed, under each machine of
-   the differential sweep. *)
+   the differential sweep.  The probe's windows must sum to those
+   statistics (the accounting contract). *)
 let same_stats_bare_and_observed cfg p ~seed path =
   let source () = Prog.Trace.Stream.of_program p ~seed path in
   let bare = Pipeline.Cpu.run_stream cfg source in
+  let probe = Telemetry.Probe.create () in
   let observed =
     Pipeline.Cpu.run_stream ~checks:true
       ~on_commit:(fun _ -> ())
-      ~probe:(Telemetry.Probe.create ()) cfg source
+      ~probe cfg source
   in
-  bare = observed
+  bare = observed && Accounting.holds probe observed
 
 let prop_bare_equals_observed =
   QCheck.Test.make ~name:"bare run = observed run, every machine" ~count:25
@@ -295,7 +309,10 @@ let prop_bare_equals_observed =
           List.for_all
             (fun p ->
               same_stats_bare_and_observed cfg p ~seed d.path
-              || QCheck.Test.fail_reportf "%s: stats differ" name)
+              || QCheck.Test.fail_reportf
+                   "%s: stats differ, or the probe's windows do not sum to \
+                    them"
+                   name)
             [ d.program; critic ])
         Oracle.Differential.configs)
 

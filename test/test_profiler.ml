@@ -7,20 +7,23 @@ let small_ctx () =
     { (Option.get (Workload.Apps.find "Email")) with seed = 77 }
   in
   let program = Workload.Gen.program app in
-  let path = Prog.Walk.path_for_instrs program ~seed:7 ~instrs:20_000 in
-  let trace = Prog.Trace.expand program ~seed:7 path in
-  (program, trace)
+  (program, 7, Prog.Walk.path_for_instrs program ~seed:7 ~instrs:20_000)
+
+(* Profile a program's live stream over a block path. *)
+let profile ?window ?threshold ?fraction ?metric (program, seed, path) =
+  Profiler.Profile_run.profile_stream ?window ?threshold ?fraction ?metric
+    ~total_events:(Prog.Trace.length_of_path program path)
+    (Prog.Trace.Stream.of_program program ~seed path)
 
 let test_profile_finds_chains () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let db = profile (small_ctx ()) in
   Alcotest.(check bool) "finds sites" true (List.length db.sites > 0);
   Alcotest.(check bool) "coverage positive" true (Db.coverage db > 0.0);
   Alcotest.(check bool) "coverage bounded" true (Db.coverage db <= 1.0)
 
 let test_sites_well_formed () =
-  let program, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let ((program, _, _) as ctx) = small_ctx () in
+  let db = profile ctx in
   List.iter
     (fun (s : Db.site) ->
       Alcotest.(check bool) "length >= 2" true (Db.site_length s >= 2);
@@ -44,8 +47,7 @@ let test_sites_well_formed () =
     db.sites
 
 let test_sites_nonoverlapping_ranges () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let db = profile (small_ctx ()) in
   let by_block = Hashtbl.create 32 in
   List.iter
     (fun (s : Db.site) ->
@@ -62,8 +64,7 @@ let test_sites_nonoverlapping_ranges () =
     db.sites
 
 let test_restrict_length () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let db = profile (small_ctx ()) in
   let db5 = Db.restrict_length 3 db in
   List.iter
     (fun s ->
@@ -73,8 +74,7 @@ let test_restrict_length () =
     (List.length db5.sites)
 
 let test_exact_length () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let db = profile (small_ctx ()) in
   let db4 = Db.exact_length 4 db in
   List.iter
     (fun s ->
@@ -82,8 +82,7 @@ let test_exact_length () =
     db4.sites
 
 let test_coverage_cdf_monotone () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let db = profile (small_ctx ()) in
   let pts = Db.coverage_cdf db in
   let rec check_monotone = function
     | (r1, c1) :: ((r2, c2) :: _ as rest) ->
@@ -99,28 +98,26 @@ let test_coverage_cdf_monotone () =
     pts
 
 let test_convertible_coverage_bounded () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let db = profile (small_ctx ()) in
   Alcotest.(check bool) "convertible <= total" true
     (Db.convertible_coverage db <= Db.coverage db)
 
 let test_fraction_profiles_less () =
-  let _, trace = small_ctx () in
-  let full = Profiler.Profile_run.profile trace in
-  let half = Profiler.Profile_run.profile ~fraction:0.3 trace in
+  let ctx = small_ctx () in
+  let full = profile ctx in
+  let half = profile ~fraction:0.3 ctx in
   Alcotest.(check bool) "partial profile sees fewer or equal sites" true
     (List.length half.sites <= List.length full.sites)
 
 let test_threshold_monotone () =
-  let _, trace = small_ctx () in
-  let lo = Profiler.Profile_run.profile ~threshold:2.0 trace in
-  let hi = Profiler.Profile_run.profile ~threshold:8.0 trace in
+  let ctx = small_ctx () in
+  let lo = profile ~threshold:2.0 ctx in
+  let hi = profile ~threshold:8.0 ctx in
   Alcotest.(check bool) "higher threshold selects fewer chains" true
     (List.length hi.sites <= List.length lo.sites)
 
 let test_histograms_populated () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let db = profile (small_ctx ()) in
   Alcotest.(check bool) "lengths recorded" true
     (Util.Dist.Histogram.count db.ic_lengths > 0);
   Alcotest.(check bool) "spreads recorded" true
@@ -129,8 +126,7 @@ let test_histograms_populated () =
     (Util.Dist.Histogram.count db.chain_gaps > 0)
 
 let test_mobile_chains_short () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile ~window:2048 trace in
+  let db = profile ~window:2048 (small_ctx ()) in
   (* the paper's mobile bound: chains of tens, spreads of hundreds *)
   Alcotest.(check bool) "mobile IC lengths bounded" true
     (Util.Dist.Histogram.max_value db.ic_lengths < 100)
@@ -138,8 +134,7 @@ let test_mobile_chains_short () =
 (* ------------------------------ Db_io ------------------------------ *)
 
 let test_db_roundtrip () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let db = profile (small_ctx ()) in
   let db' = Profiler.Db_io.of_string (Profiler.Db_io.to_string db) in
   Alcotest.(check int) "site count" (List.length db.sites)
     (List.length db'.sites);
@@ -161,8 +156,7 @@ let test_db_roundtrip () =
     (Util.Dist.Histogram.bins db'.ic_lengths)
 
 let test_db_file_roundtrip () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let db = profile (small_ctx ()) in
   let path = Filename.temp_file "critics" ".db" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -188,8 +182,7 @@ let test_db_rejects_garbage () =
     (corrupt_err (fun () -> Profiler.Db_io.of_string "") <> None)
 
 let test_db_corrupt_file_names_path () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let db = profile (small_ctx ()) in
   let path = Filename.temp_file "critics" ".db" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -215,8 +208,7 @@ let test_db_corrupt_file_names_path () =
            contains 0))
 
 let test_db_save_atomic () =
-  let _, trace = small_ctx () in
-  let db = Profiler.Profile_run.profile trace in
+  let db = profile (small_ctx ()) in
   let path = Filename.temp_file "critics" ".db" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -273,9 +265,7 @@ let prop_db_io_total =
     (fun seed ->
       let program = Workload.Fuzz.program_of_seed seed in
       let path = Prog.Walk.path_for_instrs program ~seed ~instrs:1_000 in
-      let db =
-        Profiler.Profile_run.profile (Prog.Trace.expand program ~seed path)
-      in
+      let db = profile (program, seed, path) in
       List.for_all
         (fun text ->
           match Profiler.Db_io.of_string ~path:"damaged.db" text with
@@ -325,10 +315,10 @@ let test_metric_roundtrip () =
     (Profiler.Metric.score Profiler.Metric.Average_fanout [])
 
 let test_profile_with_metric () =
-  let _, trace = small_ctx () in
+  let ctx = small_ctx () in
   List.iter
     (fun m ->
-      let db = Profiler.Profile_run.profile ~metric:m trace in
+      let db = profile ~metric:m ctx in
       Alcotest.(check bool)
         (Profiler.Metric.name m ^ " produces a valid db")
         true
@@ -344,8 +334,7 @@ let prop_db_io_roundtrip =
     (fun seed ->
       let program = Workload.Fuzz.program_of_seed seed in
       let path = Prog.Walk.path_for_instrs program ~seed ~instrs:1_000 in
-      let trace = Prog.Trace.expand program ~seed path in
-      let db = Profiler.Profile_run.profile trace in
+      let db = profile (program, seed, path) in
       let db' = Profiler.Db_io.of_string (Profiler.Db_io.to_string db) in
       db.total_work = db'.total_work
       && List.length db.sites = List.length db'.sites

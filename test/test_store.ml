@@ -682,30 +682,32 @@ let test_harness_warm_stats () =
 let test_window_loop_allocation_free () =
   (* The per-cycle loop must be GC-silent: minor allocation for a run is
      a setup constant plus a miss-bounded residue, not O(cycles).  Run
-     the same recorded trace at 1x and 4x length — setup is identical,
-     so the delta difference is the per-event cost.  The bound (0.5
-     words/event) leaves room for the miss-driven Hashtbl bookkeeping
-     while failing loudly if any per-cycle allocation returns. *)
+     the live stream of one block path and of that path four times over
+     — setup is identical, so the delta difference is the per-event
+     cost.  The bound (0.5 words/event) leaves room for the miss-driven
+     Hashtbl bookkeeping while failing loudly if any per-cycle
+     allocation returns. *)
   let ctx = Critics.Run.prepare ~instrs:20_000 (app "Acrobat") in
-  let trace = Prog.Trace.expand ctx.program ~seed:ctx.seed ctx.path in
-  let big = Array.concat [ trace; trace; trace; trace ] in
+  let path = ctx.path in
+  let big = Array.concat [ path; path; path; path ] in
   let cfg = Pipeline.Config.table_i in
-  let run tr =
+  let run path =
     ignore
-      (Pipeline.Cpu.run_stream cfg (fun () -> Prog.Trace.Stream.of_trace tr))
+      (Pipeline.Cpu.run_stream cfg (fun () ->
+           Prog.Trace.Stream.of_program ctx.program ~seed:ctx.seed path))
   in
-  run trace;
+  run path;
   (* warm code paths *)
-  let measure tr =
+  let measure path =
     (* A major cycle ending inside the window would add its own words. *)
     Gc.full_major ();
     let g0 = Gc.minor_words () in
-    run tr;
+    run path;
     Gc.minor_words () -. g0
   in
-  let d1 = measure trace in
+  let d1 = measure path in
   let d4 = measure big in
-  let extra_events = 3 * Array.length trace in
+  let extra_events = 3 * ctx.event_count in
   let per_event = (d4 -. d1) /. float_of_int extra_events in
   if per_event >= 0.5 then
     Alcotest.failf

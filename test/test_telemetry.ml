@@ -2,10 +2,11 @@
 
    Three contracts are locked down here:
 
-   - the {e accounting contract}: the probe's windowed cycle-attribution
-     samples, summed per population, reproduce the simulator's own
-     [Stats.stage_summary] field for field, for every seed application
-     and scheme, at every harness parallelism width;
+   - the {e accounting contract}: the probe's per-window stage
+     histograms, summed per population, reproduce the simulator's own
+     [Stats.stage_summary] field for field ([Accounting]), for every
+     seed application and scheme, at every harness parallelism width,
+     and on arbitrary fuzzed programs;
    - {e observational purity}: attaching a probe (and a trace ring)
      changes neither the returned [Stats.t] nor the commit log, on
      arbitrary fuzzed programs;
@@ -37,40 +38,6 @@ let all_jobs () =
     (fun p -> List.map (fun s -> H.job p s) schemes)
     Workload.Apps.all
 
-let stage_labels =
-  [
-    "count"; "fetch_i"; "fetch_rd"; "decode"; "rename"; "issue_wait";
-    "execute"; "commit_wait";
-  ]
-
-let totals_fields (t : P.stage_totals) =
-  [
-    t.count; t.fetch_i; t.fetch_rd; t.decode; t.rename; t.issue_wait;
-    t.execute; t.commit_wait;
-  ]
-
-let summary_fields (s : Pipeline.Stats.stage_summary) =
-  [
-    s.count; s.fetch_i; s.fetch_rd; s.decode; s.rename; s.issue_wait;
-    s.execute; s.commit_wait;
-  ]
-
-let sample_fields (w : P.window_sample) =
-  [
-    w.w_count; w.w_fetch_i; w.w_fetch_rd; w.w_decode; w.w_rename;
-    w.w_issue_wait; w.w_execute; w.w_commit_wait;
-  ]
-
-let labeled fields = List.combine stage_labels fields
-
-(* Sum of the flushed window samples of one population. *)
-let sum_samples probe pop =
-  List.fold_left
-    (fun acc w ->
-      if w.P.w_pop = pop then List.map2 ( + ) acc (sample_fields w) else acc)
-    [ 0; 0; 0; 0; 0; 0; 0; 0 ]
-    (P.samples probe)
-
 let check_contract h =
   List.iter
     (fun (profile : Workload.Profile.t) ->
@@ -84,29 +51,11 @@ let check_contract h =
               Alcotest.failf "%s/%s: no probe memoized" profile.name
                 (Critics.Scheme.name scheme)
           in
-          let pops =
-            [
-              (P.All, st.Pipeline.Stats.stage_all);
-              (P.Critical, st.Pipeline.Stats.stage_critical);
-              (P.Chain, st.Pipeline.Stats.stage_chain);
-            ]
-          in
-          List.iter
-            (fun (pop, summary) ->
-              let label what =
-                Printf.sprintf "%s/%s/%s: %s" profile.name
-                  (Critics.Scheme.name scheme) (P.population_name pop) what
-              in
-              let want = summary_fields summary in
-              Alcotest.(check (list (pair string int)))
-                (label "probe totals = stage summary")
-                (labeled want)
-                (labeled (totals_fields (P.totals probe pop)));
-              Alcotest.(check (list (pair string int)))
-                (label "window samples sum to stage summary")
-                (labeled want)
-                (labeled (sum_samples probe pop)))
-            pops)
+          let stats, windows = Accounting.sides probe st in
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "%s/%s: window sums = stage summary" profile.name
+               (Critics.Scheme.name scheme))
+            stats windows)
         schemes)
     Workload.Apps.all
 
@@ -142,9 +91,8 @@ let test_accounting_contract () =
 let digest_stats (st : Pipeline.Stats.t) =
   Digest.to_hex (Digest.string (Marshal.to_string st []))
 
-(* One fuzzed run: stats digest + commit-log digest, with runtime
-   invariants armed (which, with a probe attached, also asserts the
-   probe's totals against the simulator's accumulators). *)
+(* One fuzzed run, with runtime invariants armed: its stats and its
+   commit-log digest. *)
 let run_fuzzed ?probe spec =
   let program = F.build spec in
   let path = Prog.Walk.path_for_instrs program ~seed:17 ~instrs:300 in
@@ -160,20 +108,22 @@ let run_fuzzed ?probe spec =
       Pipeline.Config.table_i (fun () ->
         Prog.Trace.Stream.of_program program ~seed:17 path)
   in
-  (digest_stats st, Digest.to_hex (Digest.string (Buffer.contents b)))
+  (st, Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let prop_probe_is_observational =
   QCheck.Test.make
     ~name:"telemetry on vs off: identical stats and commit log" ~count:50
     F.arbitrary (fun spec ->
-      let off = run_fuzzed spec in
+      let st_off, log_off = run_fuzzed spec in
       let probe =
         P.create ~window:64 ~trace:(CT.create ~capacity:1024 ()) ()
       in
-      let on = run_fuzzed ~probe spec in
-      if off <> on then
+      let st_on, log_on = run_fuzzed ~probe spec in
+      if digest_stats st_off <> digest_stats st_on || log_off <> log_on then
         QCheck.Test.fail_reportf
           "stats or commit log diverged with a probe attached"
+      else if not (Accounting.holds probe st_on) then
+        QCheck.Test.fail_reportf "the probe's windows do not sum to the stats"
       else true)
 
 (* --------------------- registry merge algebra --------------------- *)

@@ -196,8 +196,11 @@ let profiled_program () =
   let app = { (Option.get (Workload.Apps.find "Maps")) with seed = 55 } in
   let program = Workload.Gen.program app in
   let path = Prog.Walk.path_for_instrs program ~seed:5 ~instrs:20_000 in
-  let trace = Prog.Trace.expand program ~seed:5 path in
-  let db = Profiler.Profile_run.profile trace in
+  let db =
+    Profiler.Profile_run.profile_stream
+      ~total_events:(Prog.Trace.length_of_path program path)
+      (Prog.Trace.Stream.of_program program ~seed:5 path)
+  in
   (program, db, path)
 
 let test_critic_pass_applies () =

@@ -99,30 +99,10 @@ let test_mean () =
   checkf "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
   checkf "empty mean" 0.0 (Stats.mean [])
 
-let test_geomean () =
-  checkf "geomean" 2.0 (Stats.geomean [ 1.0; 2.0; 4.0 ]);
-  Alcotest.check_raises "rejects non-positive"
-    (Invalid_argument "Stats.geomean: non-positive input") (fun () ->
-      ignore (Stats.geomean [ 1.0; 0.0 ]))
-
-let test_stddev () =
-  checkf "constant has zero stddev" 0.0 (Stats.stddev [ 5.0; 5.0; 5.0 ]);
-  checkf "known stddev" 2.0 (Stats.stddev [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ])
-
 let test_percentile () =
   checkf "median" 2.0 (Stats.percentile 50.0 [ 1.0; 2.0; 3.0 ]);
   checkf "min" 1.0 (Stats.percentile 0.0 [ 3.0; 1.0; 2.0 ]);
   checkf "max" 3.0 (Stats.percentile 100.0 [ 3.0; 1.0; 2.0 ])
-
-let test_speedup () =
-  checkf "20% faster" 0.25 (Stats.speedup ~baseline:100.0 ~optimized:80.0)
-
-let test_running () =
-  let r = Stats.Running.create () in
-  List.iter (Stats.Running.add r) [ 1.0; 2.0; 3.0; 4.0 ];
-  check Alcotest.int "count" 4 (Stats.Running.count r);
-  checkf "mean" 2.5 (Stats.Running.mean r);
-  checkf "variance" 1.25 (Stats.Running.variance r)
 
 (* ------------------------------- Dist ----------------------------- *)
 
@@ -134,20 +114,10 @@ let test_histogram () =
   check Alcotest.int "count" 6 (Dist.Histogram.count h);
   check Alcotest.int "get 3" 2 (Dist.Histogram.get h 3);
   check Alcotest.int "max value" 5 (Dist.Histogram.max_value h);
-  checkf "fraction" (2.0 /. 6.0) (Dist.Histogram.fraction h 3);
-  checkf "at least 4" (4.0 /. 6.0) (Dist.Histogram.fraction_at_least h 4);
   check
     Alcotest.(list (pair int int))
     "bins sorted" [ (3, 2); (5, 4) ] (Dist.Histogram.bins h);
   checkf "mean" ((6.0 +. 20.0) /. 6.0) (Dist.Histogram.mean h)
-
-let test_cdf () =
-  let c = Dist.Cdf.of_weighted [ (1.0, 1.0); (2.0, 1.0); (4.0, 2.0) ] in
-  checkf "below support" 0.0 (Dist.Cdf.eval c 0.5);
-  checkf "at 1" 0.25 (Dist.Cdf.eval c 1.0);
-  checkf "between" 0.5 (Dist.Cdf.eval c 3.0);
-  checkf "at end" 1.0 (Dist.Cdf.eval c 4.0);
-  checkf "median value" 2.0 (Dist.Cdf.quantile c 0.5)
 
 (* --------------------------- Text_table --------------------------- *)
 
@@ -190,18 +160,6 @@ let prop_percentile_monotone =
     (fun xs ->
       QCheck.assume (xs <> []);
       Stats.percentile 25.0 xs <= Stats.percentile 75.0 xs)
-
-let prop_cdf_bounded =
-  QCheck.Test.make ~name:"cdf values in [0,1]" ~count:200
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 1 20)
-           (pair (float_bound_exclusive 100.0) (float_range 0.1 5.0)))
-        (float_bound_exclusive 200.0))
-    (fun (pts, x) ->
-      let c = Dist.Cdf.of_weighted pts in
-      let v = Dist.Cdf.eval c x in
-      v >= 0.0 && v <= 1.0)
 
 (* The checkpoint encoder sizes its file with [width] and fills it with
    [put]: both must agree with [string_of_int] at every width, the ends
@@ -274,7 +232,7 @@ let prop_json_parse_total =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_rng_int_in_range; prop_percentile_monotone; prop_cdf_bounded;
+    [ prop_rng_int_in_range; prop_percentile_monotone;
       prop_decimal_put; prop_json_parse_total ]
 
 (* --------------------------- Atomic_io ---------------------------- *)
@@ -420,16 +378,11 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_mean;
-          Alcotest.test_case "geomean" `Quick test_geomean;
-          Alcotest.test_case "stddev" `Quick test_stddev;
           Alcotest.test_case "percentile" `Quick test_percentile;
-          Alcotest.test_case "speedup" `Quick test_speedup;
-          Alcotest.test_case "running" `Quick test_running;
         ] );
       ( "dist",
         [
           Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "cdf" `Quick test_cdf;
         ] );
       ( "table",
         [
