@@ -1,12 +1,13 @@
 (* Benchmark harness.
 
    Regenerates every table and figure of the paper from one shared
-   experiment harness and prints them — this is the output
-   recorded in bench_output.txt / EXPERIMENTS.md.  The harness evaluates
-   its (app × scheme × config) jobs across a domain pool; `--jobs N`
-   sets the width, default Domain.recommended_domain_count.
-   Per-artifact wall-clock timings are written to BENCH_results.json so
-   successive PRs have a perf trajectory to compare against. *)
+   experiment harness and prints them (EXPERIMENTS.md discusses the
+   output).  The harness evaluates its (app × scheme × config) jobs
+   across a domain pool; `--jobs N` sets the width, default
+   Domain.recommended_domain_count.  BENCH_results.json records what
+   the run measured: its provenance and store state, and each
+   artifact's wall clock and GC counters, so successive changes have a
+   perf trajectory to compare against. *)
 
 let instrs = ref 100_000
 
@@ -41,8 +42,7 @@ let provenance () =
     (Filename.chop_suffix raw "-dirty", true)
   else (raw, false)
 
-let json_results ~jobs ~store ~total_ms ?(fetch = []) ?cache ?policy_lab
-    timings =
+let json_results ~jobs ~store ~total_ms timings =
   let gc = Gc.quick_stat () in
   let git, dirty = provenance () in
   let b = Buffer.create 1024 in
@@ -55,34 +55,14 @@ let json_results ~jobs ~store ~total_ms ?(fetch = []) ?cache ?policy_lab
   Buffer.add_string b (Printf.sprintf "  \"total_ms\": %.1f,\n" total_ms);
   Buffer.add_string b
     (Printf.sprintf "  \"top_heap_words\": %d,\n" gc.Gc.top_heap_words);
-  (match cache with
-  | Some json -> Buffer.add_string b (Printf.sprintf "  \"cache\": %s,\n" json)
-  | None -> ());
-  (* Per-cell policy-sweep results (--policy-sweep): the machine-readable
-     twin of the policy-lab tables, for CI gating and cross-PR diffing. *)
-  (match policy_lab with
-  | Some json ->
-    Buffer.add_string b (Printf.sprintf "  \"policy_lab\": %s,\n" json)
-  | None -> ());
   Buffer.add_string b "  \"artifacts\": [\n";
   List.iteri
     (fun i t ->
-      (* Fetch bandwidth over the artifact's job set: absent for
-         artifacts without simulation jobs. *)
-      let fetch_json =
-        match List.assoc_opt t.id fetch with
-        | Some (bytes, cycles) when cycles > 0 ->
-          Printf.sprintf
-            ", \"fetch_bytes\": %d, \"bytes_per_cycle\": %.3f" bytes
-            (float_of_int bytes /. float_of_int cycles)
-        | _ -> ""
-      in
       Buffer.add_string b
         (Printf.sprintf
            "    { \"id\": %S, \"wall_ms\": %.1f, \"minor_words\": %.0f, \
-            \"major_words\": %.0f, \"top_heap_words\": %d%s }%s\n"
+            \"major_words\": %.0f, \"top_heap_words\": %d }%s\n"
            t.id t.wall_ms t.minor_words t.major_words t.top_heap_words
-           fetch_json
            (if i = List.length timings - 1 then "" else ",")))
     timings;
   Buffer.add_string b "  ]\n}\n";
@@ -90,7 +70,7 @@ let json_results ~jobs ~store ~total_ms ?(fetch = []) ?cache ?policy_lab
 
 let results_path = "BENCH_results.json"
 
-let tables ~jobs ~ablation ~policy_sweep () =
+let tables ~jobs ~ablation () =
   Printf.printf
     "CritICs reproduction — regenerating every table and figure\n\
      (%d work instructions per app run; see EXPERIMENTS.md for the\n\
@@ -108,7 +88,6 @@ let tables ~jobs ~ablation ~policy_sweep () =
   | None -> ());
   let h = Experiments.Harness.create ~instrs:!instrs ~jobs ?store:cache () in
   let timings = ref [] in
-  let fetch_summaries = ref [] in
   let failed = ref [] in
   let time id f =
     let g0 = Gc.quick_stat () in
@@ -128,21 +107,13 @@ let tables ~jobs ~ablation ~policy_sweep () =
     timings := t :: !timings;
     r
   in
-  (* Opt-in artifacts append after the paper's figure set, each behind
-     its own flag (--ablation: nanopass; --policy-sweep: policy-lab) so
-     the default artifact list — and so the recorded bench stdout — is
-     unchanged without them, and each CI smoke job pays only for the
-     artifact it gates. *)
-  let extra_entries =
-    List.filter
-      (fun (e : Experiments.entry) ->
-        match e.id with
-        | "nanopass" -> ablation
-        | "policy-lab" -> policy_sweep
-        | _ -> ablation)
-      Experiments.extra
+  (* The opt-in artifacts append after the paper's figure set, so the
+     default artifact list, and so the recorded bench stdout, is
+     unchanged without --ablation and is a prefix of the stdout with
+     it. *)
+  let entries =
+    if ablation then Experiments.all @ Experiments.extra else Experiments.all
   in
-  let entries = Experiments.all @ extra_entries in
   let t_start = Unix.gettimeofday () in
   (* Evaluate every (app × scheme × config) job of every artifact across
      the domain pool up front; the renders below read the memo tables
@@ -156,11 +127,7 @@ let tables ~jobs ~ablation ~policy_sweep () =
       (* Graceful degradation: one failing artifact is reported and the
          rest of the batch still completes. *)
       match time e.id (fun () -> print_string (e.render h)) with
-      | () ->
-        print_newline ();
-        fetch_summaries :=
-          (e.id, Experiments.Harness.fetch_totals_for h (e.jobs ()))
-          :: !fetch_summaries
+      | () -> print_newline ()
       | exception exn ->
         let err = Util.Err.of_exn exn in
         failed := (e.id, err) :: !failed;
@@ -168,24 +135,6 @@ let tables ~jobs ~ablation ~policy_sweep () =
           (Util.Err.to_string err))
     entries;
   let total_ms = 1000.0 *. (Unix.gettimeofday () -. t_start) in
-  let cache_json =
-    Option.map
-      (fun st ->
-        let reg = Telemetry.Registry.create () in
-        Store.publish st reg;
-        Telemetry.Registry.to_json reg)
-      cache
-  in
-  (* The embed re-runs Policy_lab.run; with the artifact freshly
-     rendered every simulation is a memo hit, so this is a read-out,
-     not a second sweep. *)
-  let policy_lab_json =
-    if policy_sweep && not (List.mem_assoc "policy-lab" !failed) then
-      match Experiments.Policy_lab.to_json (Experiments.Policy_lab.run h) with
-      | json -> Some json
-      | exception _ -> None
-    else None
-  in
   (* The store state the run met, named in the results header from its
      own lookups: warm when every lookup hit, cold when any missed.  A
      store filled by another commit or budget misses on every key, so
@@ -196,9 +145,7 @@ let tables ~jobs ~ablation ~policy_sweep () =
     | Some st -> if (Store.stats st).Store.misses = 0 then "warm" else "cold"
   in
   let json =
-    json_results ~jobs ~store:store_state ~total_ms
-      ~fetch:(List.rev !fetch_summaries) ?cache:cache_json
-      ?policy_lab:policy_lab_json (List.rev !timings)
+    json_results ~jobs ~store:store_state ~total_ms (List.rev !timings)
   in
   (* Crash-safe write: a kill mid-write must never leave a truncated
      BENCH_results.json that [validate smoke] would half-parse. *)
@@ -225,16 +172,13 @@ let tables ~jobs ~ablation ~policy_sweep () =
 
 let usage () =
   prerr_endline
-    "usage: bench [--jobs N] [--instrs N] [--ablation] [--policy-sweep]\n\n\
+    "usage: bench [--jobs N] [--instrs N] [--ablation]\n\n\
      Regenerates every table and figure.\n\n\
     \  --jobs N    domain-pool width (default: recommended domain count)\n\
     \  --instrs N  dynamic work instructions per app run (default: 100000)\n\
     \  --ablation  also regenerate the opt-in artifacts beyond the paper's\n\
-    \              figure set (the nanopass pass-list ablations); the\n\
-    \              default artifact list is unchanged without it\n\
-    \  --policy-sweep  also run the front-end policy laboratory (i-cache\n\
-    \              replacement x instruction-prefetch x app) and embed the\n\
-    \              per-cell results as \"policy_lab\" in BENCH_results.json";
+    \              figure set (the nanopass pass-list ablations and the\n\
+    \              front-end policy laboratory), after the default ones";
   exit 2
 
 let () =
@@ -243,7 +187,6 @@ let () =
     usage ()
   in
   let ablation = ref false in
-  let policy_sweep = ref false in
   let jobs = ref (Parallel.default_jobs ()) in
   let set_int name r v =
     match int_of_string_opt v with
@@ -254,9 +197,6 @@ let () =
     | [] -> ()
     | "--ablation" :: rest ->
       ablation := true;
-      parse rest
-    | "--policy-sweep" :: rest ->
-      policy_sweep := true;
       parse rest
     | "--jobs" :: n :: rest ->
       set_int "--jobs" jobs n;
@@ -278,4 +218,4 @@ let () =
       usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  tables ~jobs:!jobs ~ablation:!ablation ~policy_sweep:!policy_sweep ()
+  tables ~jobs:!jobs ~ablation:!ablation ()

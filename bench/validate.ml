@@ -2,7 +2,6 @@
 
    Usage:
      validate smoke RESULTS.json ENVELOPE.json
-     validate policy RESULTS.json
      validate trace TRACE.json
 
    smoke — BENCH_results.json against the checked-in envelope
@@ -15,15 +14,6 @@
       1.3x) of its reference total_ms.  Regenerate the envelope from a
       fresh BENCH_results.json when the engine legitimately changes
       speed.
-
-   policy — the --policy-sweep embed ("policy_lab") in
-   BENCH_results.json:
-   1. at least 3 apps appear, and every app has a cell for all
-      4 replacement policies x 3 prefetchers;
-   2. for at least one (app, prefetcher) the lru and srrip cells
-      disagree on base_cycles or fetch_stall — a policy knob that never
-      changes the simulation is wired to nothing;
-   3. each app has an opportunity row with predictable <= misses.
 
    trace — an exported Chrome/Perfetto trace satisfies
    Telemetry.Chrome_trace.validate: every event carries
@@ -112,81 +102,6 @@ let smoke results_path envelope_path =
     reference;
   finish "bench smoke envelope"
 
-let policies = [ "lru"; "srrip"; "brrip"; "trrip" ]
-let prefetchers = [ "none"; "next_line"; "fetch_directed" ]
-
-let policy results_path =
-  let results = load "results" results_path in
-  let pl =
-    match member "policy_lab" results with
-    | Some pl -> pl
-    | None -> fatal "\"policy_lab\" embed present"
-  in
-  let cells = arr (field "cells" pl) in
-  let opps = arr (field "opportunity" pl) in
-  let apps =
-    List.sort_uniq compare (List.map (fun c -> str (field "app" c)) cells)
-  in
-  check (List.length apps >= 3) "at least 3 apps swept (%d)"
-    (List.length apps);
-  let cell app p f =
-    List.find_opt
-      (fun c ->
-        str (field "app" c) = app
-        && str (field "policy" c) = p
-        && str (field "prefetch" c) = f)
-      cells
-  in
-  List.iter
-    (fun app ->
-      let missing =
-        List.concat_map
-          (fun p ->
-            List.filter_map
-              (fun f ->
-                match cell app p f with
-                | Some _ -> None
-                | None -> Some (p ^ "+" ^ f))
-              prefetchers)
-          policies
-      in
-      check (missing = []) "app %S covers all %d policy x prefetcher cells%s"
-        app
-        (List.length policies * List.length prefetchers)
-        (if missing = [] then ""
-         else " (missing " ^ String.concat ", " missing ^ ")"))
-    apps;
-  (* The knob must be live: srrip replaces differently from true LRU on
-     these working sets, so at least one cell's baseline must move. *)
-  let lru_srrip_differ =
-    List.exists
-      (fun app ->
-        List.exists
-          (fun f ->
-            match (cell app "lru" f, cell app "srrip" f) with
-            | Some l, Some s ->
-              num (field "base_cycles" l) <> num (field "base_cycles" s)
-              || num (field "fetch_stall" l) <> num (field "fetch_stall" s)
-            | _ -> false)
-          prefetchers)
-      apps
-  in
-  check lru_srrip_differ
-    "lru and srrip disagree on at least one (app, prefetcher) cell";
-  List.iter
-    (fun app ->
-      match List.find_opt (fun o -> str (field "app" o) = app) opps with
-      | None -> check false "opportunity row for %S present" app
-      | Some o ->
-        let misses = num (field "misses" o) in
-        let predictable = num (field "predictable" o) in
-        check
-          (predictable <= misses)
-          "opportunity row for %S sane (%.0f predictable of %.0f misses)"
-          app predictable misses)
-    apps;
-  finish "policy-lab embed"
-
 let trace path =
   (match Telemetry.Chrome_trace.validate (read "trace" path) with
   | Ok n -> check true "trace %s valid (%d events)" path n
@@ -197,12 +112,10 @@ let () =
   try
     match List.tl (Array.to_list Sys.argv) with
     | [ "smoke"; results; envelope ] -> smoke results envelope
-    | [ "policy"; results ] -> policy results
     | [ "trace"; path ] -> trace path
     | _ ->
       prerr_endline
         "usage: validate smoke RESULTS.json ENVELOPE.json\n\
-        \       validate policy RESULTS.json\n\
         \       validate trace TRACE.json";
       exit 2
   with Failure msg -> fatal "malformed input: %s" msg

@@ -2,13 +2,27 @@
 
 open Cmdliner
 
+(* An integer option that cmdliner refuses, with its usage error (exit
+   124), when the value is below [min]: a count of zero instructions,
+   shards or workers is a usage error, not an internal one. *)
+let int_at_least min =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < min ->
+      Error (`Msg (Printf.sprintf "%d is below the minimum %d" n min))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let positive = int_at_least 1
+
 let app_arg =
   let doc = "Application name (see `critics apps' for the list)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
 
 let instrs_arg =
   let doc = "Dynamic work instructions to simulate per run." in
-  Arg.(value & opt int Critics.Run.default_instrs & info [ "instrs" ] ~doc)
+  Arg.(value & opt positive Critics.Run.default_instrs & info [ "instrs" ] ~doc)
 
 let lookup_app name =
   match Workload.Apps.find name with
@@ -210,7 +224,7 @@ let experiment_cmd =
        recommended domain count).  Results are bit-identical for every \
        value."
     in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some positive) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let run id instrs jobs =
     let h = Experiments.Harness.create ~instrs ?jobs () in
@@ -238,7 +252,7 @@ let experiment_cmd =
 
 let window_arg =
   let doc = "Telemetry attribution window in cycles." in
-  Arg.(value & opt int 1024 & info [ "window" ] ~docv:"CYCLES" ~doc)
+  Arg.(value & opt positive 1024 & info [ "window" ] ~docv:"CYCLES" ~doc)
 
 let app_opt_arg =
   let doc = "Application name (see `critics apps' for the list)." in
@@ -261,7 +275,7 @@ let trace_cmd =
       "Trace ring capacity in events; the oldest events are dropped once \
        it fills, keeping memory bounded."
     in
-    Arg.(value & opt int 65536 & info [ "events" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive 65536 & info [ "events" ] ~docv:"N" ~doc)
   in
   let export app scheme instrs window out events =
     let profile = or_die (lookup_app app) in
@@ -393,7 +407,7 @@ let check_cmd =
       "Fuzzed programs to run through the differential harness (in \
        addition to the seed applications)."
     in
-    Arg.(value & opt int 200 & info [ "cases" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 0) 200 & info [ "cases" ] ~docv:"N" ~doc)
   in
   let seed_arg =
     let doc = "Base fuzz seed; case $(i) uses seed SEED+$(i)." in
@@ -412,40 +426,20 @@ let check_cmd =
       pipelines := !pipelines + t.pipelines;
       applications := !applications + t.applications
     in
-    let report label = function
-      | Ok t -> count t
-      | Error msg ->
-        incr failures;
-        Printf.eprintf "FAIL %-24s %s\n%!" label msg
-    in
     Printf.printf
-      "differential check: %d apps x %d machine configs, then %d fuzzed \
-       programs\n%!"
+      "differential check: %d fuzzed programs, then %d apps x %d machine \
+       configs\n%!"
+      cases
       (List.length Workload.Apps.all)
-      (List.length D.configs) cases;
-    List.iter
-      (fun (p : Workload.Profile.t) ->
-        report p.name
-          (D.check_program ~instrs:1_500 (Workload.Gen.program p)
-             ~seed:(p.seed lxor 0x5EED)))
-      Workload.Apps.all;
-    let fuzz_configs =
-      List.filter
-        (fun (name, _) -> List.mem name [ "table_i"; "narrow2"; "wrong_path" ])
-        D.configs
-    in
-    for i = 0 to cases - 1 do
-      let s = seed + i in
-      match
-        D.check_program ~configs:fuzz_configs ~variant_configs:fuzz_configs
-          ~instrs:500 (Workload.Fuzz.program_of_seed s) ~seed:((s * 7) + 1)
-      with
-      | Ok t -> count t
-      | Error msg ->
-        incr failures;
-        Printf.eprintf "FAIL fuzz seed %d: %s\ngenome:\n%s\n%!" s msg
-          (Workload.Fuzz.to_string (Workload.Fuzz.spec_of_seed s))
-    done;
+      (List.length D.configs);
+    Seq.iter
+      (fun (label, result) ->
+        match result with
+        | Ok t -> count t
+        | Error msg ->
+          incr failures;
+          Printf.eprintf "FAIL %-24s %s\n%!" label msg)
+      (D.corpus ~cases ~seed);
     if !failures = 0 then begin
       (* A program equal to one already checked is credited, not
          re-simulated: the first count covers every (program, config)
@@ -545,19 +539,19 @@ let serve_cmd =
       "Synthetic users per app; the workload is this times the 26 Table II \
        apps."
     in
-    Arg.(value & opt int 40 & info [ "users" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 0) 40 & info [ "users" ] ~docv:"N" ~doc)
   in
   let shards_arg =
     let doc = "Shard count (fixed at the directory's creation)." in
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive 4 & info [ "shards" ] ~docv:"N" ~doc)
   in
   let every_arg =
     let doc = "WAL records per shard between compacting checkpoints." in
-    Arg.(value & opt int 256 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive 256 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
   in
   let jobs_arg =
     let doc = "Ingest worker domains (default: core count)." in
-    Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some positive) None & info [ "jobs" ] ~docv:"N" ~doc)
   in
   let chaos_arg =
     let doc =
@@ -567,7 +561,7 @@ let serve_cmd =
        to the last acknowledged upload.  Exits 1 on any contract \
        violation."
     in
-    Arg.(value & opt (some int) None & info [ "chaos" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some positive) None & info [ "chaos" ] ~docv:"N" ~doc)
   in
   let progress_arg =
     let doc =

@@ -93,9 +93,9 @@ let all : entry list =
   ]
 
 (* Opt-in artifacts beyond the paper's figure set.  Kept out of [all]
-   so the default bench stdout (recorded in bench_output.txt) stays
-   byte-identical; reachable via [find], `critics experiment <id>` and
-   `bench --ablation`. *)
+   so the default bench stdout stays byte-identical; reachable via
+   [find], `critics experiment <id>` and `bench --ablation`, which
+   appends all of them after [all]. *)
 let extra : entry list =
   [
     { id = "nanopass"; title = "Pass-list ablations (nanopass pipeline)";

@@ -153,18 +153,6 @@ let simulations jobs =
     jobs
   |> List.sort_uniq (fun (a, _, _) (b, _, _) -> compare a b)
 
-(* Fetch-bandwidth aggregate over a job set's memoized cells: total
-   instruction bytes delivered and total simulated cycles, summed over
-   the distinct (app, scheme, config) simulations the jobs name.  Jobs
-   not yet simulated contribute nothing. *)
-let fetch_totals_for t jobs =
-  List.fold_left
-    (fun (bytes, cycles) (key, _, _) ->
-      match find_cell t key with
-      | Some { stats = s; _ } -> (bytes + s.fetch_bytes, cycles + s.cycles)
-      | None -> (bytes, cycles))
-    (0, 0) (simulations jobs)
-
 let speedup t ?config ?variant profile scheme =
   let base = stats t profile Critics.Scheme.Baseline in
   Critics.Run.speedup ~base (stats t ?config ?variant profile scheme)

@@ -136,11 +136,6 @@ val run_batch : t -> job list -> unit
     and already-cached jobs are skipped.  Subsequent {!stats} /
     {!context} / {!database} calls are cache hits. *)
 
-val fetch_totals_for : t -> job list -> int * int
-(** [(fetch_bytes, cycles)] summed over the distinct simulations the
-    given jobs name (memoized results only) — the fetch-bandwidth
-    aggregate bench embeds per artifact in BENCH_results.json. *)
-
 val mean : float list -> float
 
 val suites : (string * Workload.Profile.t list) list

@@ -170,33 +170,3 @@ let render r =
      next_line)\n" ^ retention_table
   ^ "\n\nPrefetch opportunity (Zhao-style): i-cache misses predictable \
      from prior fetch history\n" ^ opp_table
-
-let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{ \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"app\": \"%s\", \"policy\": \"%s\", \"prefetch\": \
-            \"%s\", \"base_cycles\": %d, \"fetch_stall\": %d, \
-            \"speedup\": %.6f, \"retention\": %.6f }%s\n"
-           (Util.Json.escape_string c.app)
-           (Mem.Replacement.kind_name c.policy)
-           (Mem.Hierarchy.iprefetch_name c.prefetch)
-           c.base_cycles c.fetch_stall c.speedup c.retention
-           (if i = List.length r.cells - 1 then "" else ",")))
-    r.cells;
-  Buffer.add_string b "  ], \"opportunity\": [\n";
-  List.iteri
-    (fun i o ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"app\": \"%s\", \"misses\": %d, \"predictable\": %d, \
-            \"fraction\": %.6f }%s\n"
-           (Util.Json.escape_string o.opp_app)
-           o.misses o.predictable o.fraction
-           (if i = List.length r.opps - 1 then "" else ",")))
-    r.opps;
-  Buffer.add_string b "  ] }";
-  Buffer.contents b

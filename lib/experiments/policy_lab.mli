@@ -52,7 +52,3 @@ val run : ?apps:Workload.Profile.t list -> Harness.t -> result
     {!Ablations}. *)
 
 val render : result -> string
-
-val to_json : result -> string
-(** The per-cell embed for BENCH_results.json: an object with "cells"
-    and "opportunity" arrays. *)

@@ -68,8 +68,10 @@ let absent = 0xF
    [pack16] is where the field rules live: it returns the halfword, or
    a negative code naming the first rule broken (-1..-4 below, and
    -(16 + n) for a register Rn above R10).  [encode16] spells a code
-   out; [thumb_convertible] tests only its sign, so the compiler's
-   scans allocate nothing. *)
+   out.  The compiler's convertibility scans call the structural
+   [Instr.thumb_convertible] instead, which reads the packed word in
+   place; test_isa checks that, on work instructions, it holds exactly
+   when [encode16] succeeds. *)
 let field16 r =
   let i = Reg.index r in
   if i <= Reg.thumb_limit then i else -(16 + i)
@@ -152,6 +154,3 @@ let encode (i : Instr.t) =
   | Instr.Arm32 ->
     let* w = encode32 i in
     Ok (le_bytes w 4)
-
-let thumb_convertible (i : Instr.t) =
-  Instr.opcode i <> Opcode.Cdp_switch && pack16 i >= 0

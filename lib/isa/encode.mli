@@ -8,11 +8,13 @@
     - an ARM-like 32-bit word — 4-bit ARM condition code, 4-bit opcode,
       explicit operand count, and full R0..R15 operand fields.
 
-    The encoder is the single source of truth for byte widths and for
-    Thumb-convertibility: {!thumb_convertible} is "the 16-bit encoder
-    succeeds", and [Instr.size_bytes] equals the encoded length whenever
-    {!encode} succeeds (test-locked).  The only instructions the encoder
-    rejects while their tag claims a width are the *hypothetical*
+    The encoder is the single source of truth for byte widths:
+    [Instr.size_bytes] equals the encoded length whenever {!encode}
+    succeeds (test-locked).  Thumb-convertibility is
+    [Instr.thumb_convertible], a structural copy of {!encode16}'s field
+    rules that the compiler passes call; on a work instruction it holds
+    exactly when {!encode16} succeeds (qcheck-locked).  The only
+    instructions the encoder rejects while their tag claims a width are the *hypothetical*
     re-encodings used by upper-bound studies ([Instr.force_thumb] under
     CritIC.Ideal, [Instr.fuse] under the macro study); those keep their
     claimed width but have no wire bytes by construction. *)
@@ -50,10 +52,3 @@ val encode : Instr.t -> (string, string) result
     constituent rides in the preceding instruction's word).  Fails only
     for hypothetical re-encodings whose tag a real encoder cannot honour
     (e.g. a [force_thumb]-ed predicated instruction). *)
-
-val thumb_convertible : Instr.t -> bool
-(** "The 16-bit encoder succeeds" — the operative convertibility
-    predicate used by the compiler passes.  Excludes the CDP marker:
-    convertibility is about re-encoding work instructions, not the
-    marker's own format.  Agrees with the structural spec predicate
-    [Instr.thumb_convertible] on every instruction (qcheck-locked). *)

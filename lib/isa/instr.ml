@@ -80,8 +80,11 @@ let is_predicated t = (t.word lsr cond_shift) land cond_mask <> cond_index Alway
 
 (* Structural mirror of the 16-bit wire format (Encode.encode16): two
    4-bit source fields, one dst field, no predication, registers within
-   the Thumb operand range.  Encode.thumb_convertible is the operative
-   predicate; agreement between the two is qcheck-locked. *)
+   the Thumb operand range.  It is a separate copy of encode16's field
+   rules, not a call into the encoder, so the compiler's scans read the
+   packed word here and make no cross-module call per field; test_isa
+   checks that, on work instructions, it holds exactly when encode16
+   succeeds. *)
 let thumb_convertible t =
   (not (is_predicated t))
   && Opcode.thumb_expressible (opcode t)

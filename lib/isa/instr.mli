@@ -124,9 +124,11 @@ val thumb_convertible : t -> bool
     16-bit format iff it is not predicated, every register operand is
     addressable by the Thumb operand fields (≤ R10), it has at most two
     sources (the format has two source fields), and the opcode class has
-    a Thumb encoding.  This is the structural spec of
-    [Encode.thumb_convertible] ("the 16-bit encoder succeeds"), which is
-    what the compiler passes consult; agreement is qcheck-locked. *)
+    a Thumb encoding.  The compiler passes and the profiler call this
+    predicate.  It is a structural copy of [Encode.encode16]'s field
+    rules, not a call into the encoder; on a work instruction it holds
+    exactly when [Encode.encode16] succeeds (qcheck-locked).  The CDP
+    marker, which owns its own 16-bit format, is never convertible. *)
 
 val with_encoding : encoding -> t -> t
 (** Re-encode; raises [Invalid_argument] when converting a

@@ -439,3 +439,27 @@ let check_prepared ?(configs = configs) ?variant_configs p =
 
 let check_program ?configs ?variant_configs ?(instrs = 2_000) program ~seed =
   check_prepared ?configs ?variant_configs (prepare ~instrs program ~seed)
+
+(* ----------------------------- corpus ------------------------------ *)
+
+let corpus ~cases ~seed =
+  let fuzz_configs =
+    List.filter
+      (fun (name, _) -> List.mem name [ "table_i"; "narrow2"; "wrong_path" ])
+      configs
+  in
+  let fuzz i =
+    let s = seed + i in
+    ( Printf.sprintf "fuzz seed %d" s,
+      check_program ~configs:fuzz_configs ~variant_configs:fuzz_configs
+        ~instrs:500 (Workload.Fuzz.program_of_seed s) ~seed:((s * 7) + 1)
+      |> Result.map_error (fun msg ->
+             Printf.sprintf "%s\ngenome:\n%s" msg
+               (Workload.Fuzz.to_string (Workload.Fuzz.spec_of_seed s))) )
+  in
+  let app (p : Workload.Profile.t) =
+    ( p.name,
+      check_program ~instrs:1_500 (Workload.Gen.program p)
+        ~seed:(p.seed lxor 0x5EED) )
+  in
+  Seq.append (Seq.init cases fuzz) (Seq.map app (List.to_seq Workload.Apps.all))

@@ -140,3 +140,15 @@ val check_program :
   seed:int ->
   (tally, string) result
 (** [prepare] + [check_prepared]. *)
+
+val corpus :
+  cases:int -> seed:int -> (string * (tally, string) result) Seq.t
+(** The differential corpus, one labelled case per element, each
+    checked when its element is reached: first [cases] (≥ 0) fuzzed
+    programs, case [i] being {!Workload.Fuzz.program_of_seed}
+    [(seed + i)] at 500 instructions with walk seed
+    [(seed + i) * 7 + 1] over the [table_i], [narrow2] and [wrong_path]
+    configs, its error carrying the genome; then every app of
+    {!Workload.Apps.all} at 1 500 instructions with walk seed
+    [p.seed lxor 0x5EED] over all of {!configs}.  So [Seq.take cases]
+    is the fuzzed part alone and [~cases:0] the apps alone. *)

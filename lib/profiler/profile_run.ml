@@ -29,7 +29,7 @@ let site_of agg : Critic_db.site =
     criticality = agg.criticality_sum /. float_of_int agg.occurrences;
     convertible =
       List.for_all
-        (fun (e : Prog.Trace.event) -> Isa.Encode.thumb_convertible e.instr)
+        (fun (e : Prog.Trace.event) -> Isa.Instr.thumb_convertible e.instr)
         events;
   }
 

@@ -296,16 +296,3 @@ let clear t =
       | () -> n + 1
       | exception Sys_error _ -> n)
     0
-
-let publish (t : t) registry =
-  let count name v =
-    Telemetry.Registry.add (Telemetry.Registry.counter registry name) v
-  in
-  let s = stats t in
-  count "store/hit" s.hits;
-  count "store/miss" s.misses;
-  count "store/write" s.writes;
-  count "store/corrupt" s.corrupt;
-  Telemetry.Registry.set_max
-    (Telemetry.Registry.gauge registry "store/bytes")
-    (total_bytes t)

@@ -123,7 +123,3 @@ val total_bytes : t -> int
 
 val clear : t -> int
 (** Remove every entry; returns the number removed. *)
-
-val publish : t -> Telemetry.Registry.t -> unit
-(** Export [store/hit], [store/miss], [store/write], [store/corrupt]
-    counters and the [store/bytes] gauge into a registry. *)

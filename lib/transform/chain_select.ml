@@ -59,7 +59,7 @@ let select_block (env : Pass.env) count chain_counter (block : Prog.Block.t)
         let convertible () =
           let ok = ref true in
           for pos = 0 to len - 1 do
-            if not (Isa.Encode.thumb_convertible body.(idx.(pos))) then
+            if not (Isa.Instr.thumb_convertible body.(idx.(pos))) then
               ok := false
           done;
           !ok

@@ -20,7 +20,7 @@ let emit_run ~fresh_uid body s e out w =
   done;
   !w
 
-let eligible i = I.encoding i = I.Arm32 && Isa.Encode.thumb_convertible i
+let eligible i = I.encoding i = I.Arm32 && I.thumb_convertible i
 
 (* Two scans over a block body.  The first finds each maximal run of
    eligible instructions at least [min_run] long and records its bounds

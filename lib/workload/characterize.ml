@@ -40,7 +40,7 @@ let of_stream cur =
         if e.is_cond_branch then incr cond;
         if e.taken then incr taken
       end;
-      if Isa.Encode.thumb_convertible e.instr then incr convertible;
+      if Isa.Instr.thumb_convertible e.instr then incr convertible;
       (* a visit continues while we advance through the same block's
          body (the synthetic terminator has body_index -1) *)
       (match !prev with

@@ -200,32 +200,70 @@ let test_policy_lab_default_cell_shares_memo () =
   Alcotest.(check bool) "same memo entry (physical equality)" true
     (cell == plain)
 
+(* The sweep over its default apps, checked on the typed result: full
+   coverage of every (policy, prefetcher) cell for at least three apps,
+   a replacement policy that changes the simulation somewhere (a knob
+   wired to nothing leaves lru and srrip equal on every cell), and sane
+   opportunity rows.  At 2 000 instructions lru and srrip agree on
+   every cell, so the budget stays at 6 000. *)
 let test_policy_lab_runs_small () =
+  let module P = Experiments.Policy_lab in
   let h = Experiments.Harness.create ~instrs:6_000 () in
-  let apps = [ Option.get (Workload.Apps.find "Music") ] in
-  let r = Experiments.Policy_lab.run ~apps h in
-  Alcotest.(check int) "12 cells (4 policies x 3 prefetchers)" 12
-    (List.length r.Experiments.Policy_lab.cells);
-  let default_cell =
-    List.find
-      (fun (c : Experiments.Policy_lab.cell) ->
-        c.policy = Mem.Replacement.Lru && c.prefetch = Mem.Hierarchy.Ip_next_line)
+  let r = P.run h in
+  Alcotest.(check bool) "at least 3 apps swept" true
+    (List.length r.P.apps >= 3);
+  let cell app p f =
+    List.find_opt
+      (fun (c : P.cell) -> c.app = app && c.policy = p && c.prefetch = f)
       r.cells
   in
-  Alcotest.(check (float 1e-9)) "default cell retention is 1 (or 0/0)"
-    (if default_cell.speedup = 0.0 then 0.0 else 1.0)
-    default_cell.retention;
-  Alcotest.(check int) "one opportunity row" 1
-    (List.length r.Experiments.Policy_lab.opps);
-  let o = List.hd r.opps in
-  Alcotest.(check bool) "predictable <= misses" true
-    (o.Experiments.Policy_lab.predictable <= o.Experiments.Policy_lab.misses);
-  let rendered = Experiments.Policy_lab.render r in
-  Alcotest.(check bool) "render non-empty" true (String.length rendered > 100);
-  let json = Experiments.Policy_lab.to_json r in
-  Alcotest.(check bool) "json mentions cells" true
-    (String.length json > 100
-    && String.sub json 0 12 = "{ \"cells\": [")
+  List.iter
+    (fun app ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun f ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s has a %s + %s cell" app
+                   (Mem.Replacement.kind_name p)
+                   (Mem.Hierarchy.iprefetch_name f))
+                true
+                (cell app p f <> None))
+            Mem.Hierarchy.all_iprefetch)
+        Mem.Replacement.all_kinds;
+      let default_cell =
+        Option.get (cell app Mem.Replacement.Lru Mem.Hierarchy.Ip_next_line)
+      in
+      Alcotest.(check (float 1e-9))
+        (app ^ ": default cell retention is 1 (or 0/0)")
+        (if default_cell.speedup = 0.0 then 0.0 else 1.0)
+        default_cell.retention;
+      match List.find_opt (fun (o : P.opportunity) -> o.opp_app = app) r.opps with
+      | None -> Alcotest.failf "%s: no opportunity row" app
+      | Some o ->
+        Alcotest.(check bool) (app ^ ": predictable <= misses") true
+          (o.predictable <= o.misses))
+    r.apps;
+  Alcotest.(check int) "4 policies x 3 prefetchers per app"
+    (12 * List.length r.apps) (List.length r.cells);
+  let lru_srrip_differ =
+    List.exists
+      (fun app ->
+        List.exists
+          (fun f ->
+            match
+              (cell app Mem.Replacement.Lru f, cell app Mem.Replacement.Srrip f)
+            with
+            | Some l, Some s ->
+              l.base_cycles <> s.base_cycles || l.fetch_stall <> s.fetch_stall
+            | _ -> false)
+          Mem.Hierarchy.all_iprefetch)
+      r.apps
+  in
+  Alcotest.(check bool) "lru and srrip differ in at least one cell" true
+    lru_srrip_differ;
+  Alcotest.(check bool) "render non-empty" true
+    (String.length (P.render r) > 100)
 
 let test_suites_structure () =
   Alcotest.(check int) "three suites" 3 (List.length Experiments.Harness.suites);

@@ -149,7 +149,7 @@ module Monolithic = struct
           | Hoist_only | Fused_macro -> false
         in
         let convertible =
-          options.ideal || List.for_all Isa.Encode.thumb_convertible members
+          options.ideal || List.for_all Isa.Instr.thumb_convertible members
         in
         if needs_conversion && not convertible then begin
           (* All-or-nothing: the whole sequence stays untouched. *)

@@ -13,43 +13,27 @@ let ok_or_fail label = function
   | Ok n -> n
   | Error msg -> Alcotest.failf "%s: %s" label msg
 
-(* Every seed application, full differential: baseline across the whole
-   config sweep, every transform variant across the cut-down sweep. *)
+(* The corpus `critics_cli check` runs, in two parts.  Every seed
+   application, full differential: baseline across the whole config
+   sweep, every transform variant across the cut-down sweep. *)
 let test_corpus () =
-  List.iter
-    (fun (profile : Workload.Profile.t) ->
-      let program = Workload.Gen.program profile in
-      let seed = profile.seed lxor 0x5EED in
-      let t =
-        ok_or_fail profile.name
-          (D.check_program ~instrs:1_500 program ~seed)
-      in
-      check (profile.name ^ ": compared some retirements") true
-        (t.D.compared > 0))
-    Workload.Apps.all
+  Seq.iter
+    (fun (name, result) ->
+      let t = ok_or_fail name result in
+      check (name ^ ": compared some retirements") true (t.D.compared > 0))
+    (D.corpus ~cases:0 ~seed:0)
 
 (* 500 fixed-seed fuzzed programs.  Every one runs baseline + every
    transform variant; the machine sweep crosses three Config.t variants
    (Table I, the narrow 2-wide core, wrong-path fetch). *)
-let fuzz_configs =
-  List.filter
-    (fun (name, _) -> List.mem name [ "table_i"; "narrow2"; "wrong_path" ])
-    D.configs
-
 let test_fuzz_corpus () =
-  let events = ref 0 in
-  for seed = 0 to 499 do
-    let program = F.program_of_seed seed in
-    match
-      D.check_program ~configs:fuzz_configs ~variant_configs:fuzz_configs
-        ~instrs:500 program ~seed:(seed * 7 + 1)
-    with
-    | Ok t -> events := !events + t.D.compared
-    | Error msg ->
-      Alcotest.failf "fuzz seed %d: %s\n%s" seed msg
-        (F.to_string (F.spec_of_seed seed))
-  done;
-  check "compared many retirements" true (!events > 100_000)
+  let events =
+    Seq.fold_left
+      (fun n (label, result) -> n + (ok_or_fail label result).D.compared)
+      0
+      (Seq.take 500 (D.corpus ~cases:500 ~seed:0))
+  in
+  check "compared many retirements" true (events > 100_000)
 
 (* QCheck property: every pass of every scheme stays both
    Verify-equivalent and oracle-equivalent on arbitrary programs. *)
